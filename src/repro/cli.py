@@ -33,8 +33,7 @@ census → features → embed → experiment``, see
 :class:`~repro.runtime.context.RunContext`.  ``--artifact-store PATH``
 attaches a content-addressed :class:`~repro.runtime.store.ArtifactStore`
 memoising census counters, walk corpora, embedding matrices, and feature
-matrices across runs, so a warm rerun skips every computed stage;
-``--census-cache`` remains as a deprecated alias (see
+matrices across runs, so a warm rerun skips every computed stage (see
 ``docs/architecture.md``).
 """
 
@@ -44,7 +43,6 @@ import argparse
 from pathlib import Path
 
 from repro.core import (
-    CensusCache,
     CensusConfig,
     SampledCensusConfig,
     SubgraphFeatureExtractor,
@@ -142,16 +140,11 @@ def _sampled_config(args) -> SampledCensusConfig | None:
 def _build_context(args) -> RunContext:
     """Construct the :class:`RunContext` a command's pipeline runs under.
 
-    ``--artifact-store`` opens (or creates) the content-addressed store;
-    ``--census-cache`` is honoured as a deprecated alias for it.  Engine,
-    worker count, and seed come from the command's own flags when it
-    defines them, so every stage sees one consistent execution policy.
+    ``--artifact-store`` opens (or creates) the content-addressed store.
+    Engine, worker count, and seed come from the command's own flags when
+    it defines them, so every stage sees one consistent execution policy.
     """
     store_path = getattr(args, "artifact_store", None)
-    legacy_path = getattr(args, "census_cache", None)
-    if legacy_path and not store_path:
-        logger.debug("--census-cache is a deprecated alias for --artifact-store")
-        store_path = legacy_path
     store = None
     if store_path:
         store = ArtifactStore(store_path)
@@ -172,34 +165,19 @@ def _build_context(args) -> RunContext:
     )
 
 
-def _save_store(args, ctx: RunContext) -> None:
-    """Persist the run's artifact store (if any) and log a summary.
-
-    Runs opened through the deprecated ``--census-cache`` alias keep the
-    historical census-cache log line, whose counts cover just the census
-    stage; ``--artifact-store`` runs summarise every stage.
-    """
+def _save_store(ctx: RunContext) -> None:
+    """Persist the run's artifact store (if any) and log a summary."""
     store = ctx.store
     if store is None or store.path is None:
         return
     store.save()
-    if getattr(args, "artifact_store", None):
-        logger.info(
-            "artifact store: %d entries (%d hits, %d misses) -> %s",
-            len(store),
-            store.hits,
-            store.misses,
-            store.path,
-        )
-    else:
-        cache = CensusCache.over(store)
-        logger.info(
-            "census cache: %d entries (%d hits, %d misses) -> %s",
-            len(cache),
-            cache.hits,
-            cache.misses,
-            store.path,
-        )
+    logger.info(
+        "artifact store: %d entries (%d hits, %d misses) -> %s",
+        len(store),
+        store.hits,
+        store.misses,
+        store.path,
+    )
 
 
 def _csv(value: str, caster=str) -> list:
@@ -264,7 +242,7 @@ def cmd_census(args) -> int:
     )
     with pipeline.stage("census"):
         counts = extractor.census_many(graph, [graph.index(args.root)])[0]
-    _save_store(args, ctx)
+    _save_store(ctx)
     labelset = effective_labelset(graph, config)
     for code, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
         # Sampled censuses carry float estimates; exact engines stay ints.
@@ -299,7 +277,7 @@ def cmd_features(args) -> int:
     # when the store already holds this feature matrix).
     with pipeline.stage("features"):
         features = extractor.fit_transform(graph, nodes)
-    _save_store(args, ctx)
+    _save_store(ctx)
     write_features_json(features, effective_labelset(graph, config), args.out)
     print(
         f"wrote {features.matrix.shape[0]} x {features.matrix.shape[1]} "
@@ -339,7 +317,7 @@ def cmd_embed(args) -> int:
                 seed=args.seed,
                 ctx=ctx,
             )
-    _save_store(args, ctx)
+    _save_store(ctx)
     out = Path(args.out)
     if out.suffix == ".npy":
         np.save(out, matrix)
@@ -390,7 +368,7 @@ def cmd_runtime(args) -> int:
             embedding_n_jobs=args.n_jobs,
             ctx=ctx,
         )
-    _save_store(args, ctx)
+    _save_store(ctx)
     print(render_table3([report]))
     return 0
 
@@ -445,7 +423,7 @@ def cmd_rank(args) -> int:
     experiment = RankPredictionExperiment(mag, task, ctx=ctx)
     with pipeline.stage("experiment"):
         result = experiment.run(families=families, regressors=regressors)
-    _save_store(args, ctx)
+    _save_store(ctx)
     print(render_table1(result, families=families))
     if args.per_conference:
         print()
@@ -496,7 +474,7 @@ def cmd_label(args) -> int:
             with telemetry.span("phase/label_sweep"):
                 sweep = experiment.run_training_sweep(features=features)
             title = "Figure 5A-C: macro-F1 vs training fraction"
-    _save_store(args, ctx)
+    _save_store(ctx)
     print(render_sweep(title, sweep))
     return 0
 
@@ -555,14 +533,14 @@ def cmd_serve(args) -> int:
                     daemon, trace, connections=replay_config.connections
                 )
             )
-        _save_store(args, ctx)
+        _save_store(ctx)
         print(report.summary())
         return 0
     try:
         asyncio.run(daemon.run())
     except KeyboardInterrupt:
         logger.info("interrupted; shutting down")
-    _save_store(args, ctx)
+    _save_store(ctx)
     print(
         f"served {daemon.requests} requests "
         f"({daemon.shed_requests} shed, {daemon.timeouts} timeouts)"
@@ -571,7 +549,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    from repro.dist import PartitionConfig, partition_graph, run_worker
+    import asyncio
+
+    from repro.dist import PartitionConfig, ShardWorker, partition_graph
     from repro.net import parse_endpoint
 
     endpoint = parse_endpoint(args.listen)
@@ -591,7 +571,8 @@ def cmd_worker(args) -> int:
         )
         shards = {i: pset.partitions[i] for i in wanted}
         logger.info("preloaded shards %s", sorted(shards))
-    worker = run_worker(endpoint, partitions=shards)
+    worker = ShardWorker(endpoint, partitions=shards)
+    asyncio.run(worker.run())
     print(
         f"worker stopped after {worker.requests} requests "
         f"({worker.censuses} censuses)"
@@ -642,12 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="PATH",
             help="content-addressed store memoising census, walk, embedding "
             "and feature artifacts across runs (see docs/architecture.md)",
-        )
-        p.add_argument(
-            "--census-cache",
-            default=None,
-            metavar="PATH",
-            help="deprecated alias for --artifact-store",
         )
 
     p_info = sub.add_parser("info", help="summarise a graph file")

@@ -1,57 +1,33 @@
-"""Opt-in per-root census cache — now a view over the artifact store.
+"""Census entries in the artifact store: keys and the one lookup rule.
 
-Rank and label experiments repeatedly census the same roots under the
-same :class:`~repro.core.census.CensusConfig` — ablation grids, repeated
-train/test splits, and the CLI all re-touch overlapping node sets.  The
-census is deterministic given ``(graph, config, root)``, so its results
-can be memoised across calls and even across processes.
-
-Since the unified runtime landed, the storage itself lives in
-:class:`repro.runtime.store.ArtifactStore` — a content-addressed store
-shared by every pipeline stage (census counters, walk corpora, embedding
-matrices, feature matrices).  :class:`CensusCache` keeps its full
-original API (same keys, same stats attributes, same durability and
-eviction semantics) as the census-stage *view* of such a store:
-``CensusCache(path)`` owns a private store, while
-:meth:`CensusCache.over` wraps an existing one so census entries share a
-file with the other stages.
-
-Durability (unchanged from PR 3, now provided by the store):
-:meth:`CensusCache.save` writes to a temp file in the target directory
-and atomically ``os.replace``\\ s it over the destination, so a crash
-mid-save (including ``kill -9``) can never corrupt an existing cache
-file — at worst it leaves a stray ``*.tmp`` sibling.  A file that fails
-to load (corrupt bytes, old format version) is reported through
-``logging`` and :attr:`CensusCache.load_status` instead of silently
-looking like an empty cache.
+The census is deterministic given ``(graph, config, root)``, so every
+rooted census memoises in :class:`repro.runtime.store.ArtifactStore`
+under the ``"census"`` stage, keyed by the graph fingerprint and the
+flat config tuple built here.  :func:`stored_census` is the single read
+path (the extractor, the Table-3 timer and, through the extractor, the
+serving daemon all go through it), so the capped-lookup rule below can
+never differ between callers.
 """
 
 from __future__ import annotations
 
-import pickle  # noqa: F401  (re-exported: durability tests patch cache_module.pickle)
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 from repro.core.census import CensusConfig, _cap_exceeded, census_total
 from repro.core.graph import HeteroGraph
 from repro.core.sampled import SampledCensusConfig, sampled_config_key
-from repro.obs.log import get_logger
-from repro.runtime.store import STAGE_CENSUS, ArtifactStore, artifact_key
-
-CacheKey = tuple[str, tuple, int]
-
-logger = get_logger(__name__)
+from repro.runtime.store import STAGE_CENSUS, ArtifactStore
 
 
 def census_config_key(
     config: CensusConfig, sampled: SampledCensusConfig | None = None
 ) -> tuple:
-    """Flatten a census config to the plain tuple used in cache keys.
+    """Flatten a census config to the plain tuple used in store keys.
 
     Flattening (rather than keying on the dataclass) keeps keys
     comparable across library versions that add config fields with
-    defaults — and keeps a pickled cache independent of the
+    defaults — and keeps a pickled store independent of the
     ``CensusConfig`` class itself.
 
     A sampled census keys on the estimator knobs too (budget, seed,
@@ -74,180 +50,42 @@ def census_config_key(
     return key
 
 
-def census_cache_key(
-    graph: HeteroGraph, config: CensusConfig, root: int
-) -> CacheKey:
-    """The memoisation key for one rooted census (legacy 3-tuple shape)."""
-    return (graph.fingerprint(), census_config_key(config), int(root))
-
-
-def _store_config(
-    config: CensusConfig,
-    root: int,
-    sampled: SampledCensusConfig | None = None,
-) -> tuple:
-    """The artifact-store stage config for one rooted census."""
-    return (*census_config_key(config, sampled), int(root))
-
-
 def census_store_config(
     config: CensusConfig,
     root: int,
     sampled: SampledCensusConfig | None = None,
 ) -> tuple:
-    """Public alias of the census artifact-store stage config.
+    """The artifact-store stage config of one rooted census."""
+    return (*census_config_key(config, sampled), int(root))
 
-    The serving daemon's repair path addresses census entries directly on
-    the raw :class:`ArtifactStore` (to migrate unaffected roots between
-    graph fingerprints without recomputing them); this keeps the key
-    derivation in one place.
+
+def stored_census(
+    store: ArtifactStore,
+    graph: HeteroGraph,
+    config: CensusConfig,
+    root: int,
+    sampled: SampledCensusConfig | None = None,
+) -> Counter | None:
+    """The stored census of ``root``, or ``None`` on a miss.
+
+    A capped exact request (``config.max_subgraphs`` set) that misses
+    also consults the *uncapped* entry for the same config: a stored
+    total at or under the cap is exactly what the capped census would
+    have produced, so it is served; a total over the cap means the live
+    census would have raised, so this raises the same
+    :class:`~repro.exceptions.CensusError` instead of serving a result
+    the caller asked to be protected from.
     """
-    return _store_config(config, root, sampled)
-
-
-class CensusCache:
-    """The census-stage view of an :class:`ArtifactStore`.
-
-    Parameters
-    ----------
-    path:
-        Optional file backing the cache.  When given, existing entries
-        are loaded eagerly and :meth:`save` writes the current contents
-        back (atomically).  :attr:`load_status` records how the eager
-        load went: ``None`` (no path), ``"missing"`` (no file yet),
-        ``"loaded"``, ``"corrupt"``, or ``"version-mismatch"``.
-    max_entries:
-        Optional bound on the number of retained entries; inserting
-        beyond it evicts the oldest entries (FIFO).  ``None`` (default)
-        never evicts.
-
-    The cache stores defensive copies on both :meth:`get` and
-    :meth:`put` so callers mutating a returned ``Counter`` cannot
-    corrupt later hits.  Loads, saves, and evictions are counted in the
-    run telemetry (see :mod:`repro.obs`); per-lookup hit/miss telemetry
-    lands under ``artifact/census/*``.
-    """
-
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        max_entries: int | None = None,
-        *,
-        store: ArtifactStore | None = None,
-    ) -> None:
-        if store is not None:
-            if path is not None or max_entries is not None:
-                raise ValueError(
-                    "pass either a wrapped store or path/max_entries, not both"
-                )
-            self.store = store
-        else:
-            self.store = ArtifactStore(
-                path, max_entries, description="census cache", log=logger
-            )
-
-    @classmethod
-    def over(cls, store: ArtifactStore) -> "CensusCache":
-        """A census view sharing ``store`` (and its file) with other stages."""
-        return cls(store=store)
-
-    # -- delegated attributes ---------------------------------------------
-    @property
-    def path(self) -> Path | None:
-        return self.store.path
-
-    @property
-    def max_entries(self) -> int | None:
-        return self.store.max_entries
-
-    @property
-    def load_status(self) -> str | None:
-        return self.store.load_status
-
-    @property
-    def hits(self) -> int:
-        return self.store.stage_hits.get(STAGE_CENSUS, 0)
-
-    @property
-    def misses(self) -> int:
-        return self.store.stage_misses.get(STAGE_CENSUS, 0)
-
-    @property
-    def evictions(self) -> int:
-        return self.store.evictions
-
-    # -- persistence ------------------------------------------------------
-    def save(self, path: str | Path | None = None) -> Path:
-        """Atomically write the backing store (see :meth:`ArtifactStore.save`)."""
-        return self.store.save(path)
-
-    # -- memoisation ------------------------------------------------------
-    def get(
-        self,
-        graph: HeteroGraph,
-        config: CensusConfig,
-        root: int,
-        sampled: SampledCensusConfig | None = None,
-    ) -> Counter | None:
-        """The cached census for ``root``, or ``None`` on a miss.
-
-        A capped exact request (``config.max_subgraphs`` set) that
-        misses also consults the *uncapped* entry for the same config:
-        a cached total at or under the cap is exactly what the capped
-        census would have produced, so it is served; a total over the
-        cap means the live census would have raised, so this raises the
-        same :class:`~repro.exceptions.CensusError` instead of serving
-        a result the caller asked to be protected from.
-        """
-        census = self.store.get(
-            graph.fingerprint(), STAGE_CENSUS, _store_config(config, root, sampled)
+    fingerprint = graph.fingerprint()
+    census = store.get(
+        fingerprint, STAGE_CENSUS, census_store_config(config, root, sampled)
+    )
+    cap = config.max_subgraphs
+    if census is None and cap is not None and sampled is None:
+        uncapped = replace(config, max_subgraphs=None)
+        census = store.get(
+            fingerprint, STAGE_CENSUS, census_store_config(uncapped, root)
         )
-        cap = config.max_subgraphs
-        if census is None and cap is not None and sampled is None:
-            uncapped = replace(config, max_subgraphs=None)
-            census = self.store.get(
-                graph.fingerprint(), STAGE_CENSUS, _store_config(uncapped, root)
-            )
-            if census is not None and census_total(census) > cap:
-                raise _cap_exceeded(root, cap)
-        return census
-
-    def put(
-        self,
-        graph: HeteroGraph,
-        config: CensusConfig,
-        root: int,
-        census: Counter,
-        sampled: SampledCensusConfig | None = None,
-    ) -> None:
-        """Store the census for ``root`` (overwrites any existing entry).
-
-        When the store bounds ``max_entries``, inserting a novel key
-        beyond the bound evicts the oldest entries first (FIFO).
-        """
-        self.store.put(
-            graph.fingerprint(),
-            STAGE_CENSUS,
-            _store_config(config, root, sampled),
-            census,
-        )
-
-    def __len__(self) -> int:
-        return self.store.stage_entries(STAGE_CENSUS)
-
-    def __contains__(self, key: CacheKey) -> bool:
-        fingerprint, config_key, root = key
-        return (
-            artifact_key(fingerprint, STAGE_CENSUS, (*config_key, int(root)))
-            in self.store
-        )
-
-    def clear(self) -> None:
-        """Clear the backing store (all stages, when sharing one)."""
-        self.store.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CensusCache(entries={len(self)}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+        if census is not None and census_total(census) > cap:
+            raise _cap_exceeded(root, cap)
+    return census

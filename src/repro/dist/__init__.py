@@ -32,7 +32,7 @@ from repro.dist.sharded import (
     sharded_census_map,
     subgraph_census_sharded,
 )
-from repro.dist.worker import WORKER_OPS, ShardWorker, run_worker
+from repro.dist.worker import ShardWorker
 
 __all__ = [
     "GraphPartition",
@@ -42,12 +42,10 @@ __all__ = [
     "STRATEGIES",
     "RemoteExecutor",
     "ShardWorker",
-    "WORKER_OPS",
     "ensure_partitions",
     "partition_graph",
     "partition_store_config",
     "required_halo_depth",
-    "run_worker",
     "sharded_census_map",
     "subgraph_census_sharded",
 ]

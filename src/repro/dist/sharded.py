@@ -18,7 +18,7 @@ stage (keyed by graph fingerprint, ``k``, strategy, halo depth, and
 Telemetry: per-partition wall clock (``dist/partition_wall`` timer and
 the ``dist/straggler_s`` peak gauge), owned/halo node counts and the
 halo expansion ratio (``dist/*`` counters/gauges), all merged into the
-run manifest alongside the census-cache counters.
+run manifest alongside the artifact-store counters.
 """
 
 from __future__ import annotations

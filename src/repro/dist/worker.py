@@ -1,10 +1,11 @@
 """Shard-worker daemon: answer census RPCs for loaded graph shards.
 
 ``repro worker --listen ENDPOINT`` runs one of these per machine (or
-per core, in a local topology test): an asyncio server on the shared
-:mod:`repro.net` substrate — same newline-framed JSON protocol, same
-typed error codes, same listener/connection loop as the feature-serving
-daemon — whose job is purely computational: hold halo-complete
+per core, in a local topology test): an op table on the shared
+:mod:`repro.net.server` op-table server — same newline-framed JSON
+protocol, same typed error codes, same lifecycle and telemetry
+(``worker/requests|errors|latency_s``) as the feature-serving daemon —
+whose job is purely computational: hold halo-complete
 :class:`~repro.dist.partition.GraphPartition` shards in memory and
 census the roots the coordinator sends.
 
@@ -22,7 +23,7 @@ not the open internet):
   this shared code path is what makes remote results bit-identical to
   the in-process executor.
 * ``stats`` — counters for inspection.
-* ``shutdown`` — acknowledge, drain, exit.
+* ``shutdown`` — acknowledge, drain, exit (built into the server).
 
 Census work runs on a single worker thread so one long shard census
 never blocks the event loop: heartbeats keep answering while the CPU
@@ -32,36 +33,27 @@ burns, which is exactly the signal the coordinator needs to tell a
 
 from __future__ import annotations
 
-import asyncio
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.dist.partition import GraphPartition
 from repro.dist.sharded import _census_partition
 from repro.exceptions import ReproError
-from repro.net.endpoint import parse_endpoint
-from repro.net.protocol import (
-    MAX_LINE_BYTES,
-    NetError,
-    decode_blob,
-    decode_message,
-    encode_blob,
-    error_response,
-    ok_response,
-    require,
-)
-from repro.net.server import serve_lines, start_listener
+from repro.net.protocol import NetError, decode_blob, encode_blob, require
+from repro.net.server import OpServer
 from repro.obs.log import get_logger
 from repro.obs.telemetry import Telemetry, get_telemetry
 
 logger = get_logger(__name__)
 
-#: Operations a shard worker answers.
-WORKER_OPS = ("ping", "load_shard", "census", "stats", "shutdown")
 
-
-class ShardWorker:
+class ShardWorker(OpServer):
     """One shard-holding census worker on a :mod:`repro.net` endpoint."""
+
+    family = "worker"
+    # Census/partition failures are the shard's problem, not the
+    # transport's: ship them back typed so the coordinator can fail the
+    # run with the real message instead of retrying.
+    domain_error = (ReproError, "shard_error")
 
     def __init__(
         self,
@@ -69,83 +61,24 @@ class ShardWorker:
         *,
         partitions: dict[int, GraphPartition] | None = None,
     ) -> None:
-        self.endpoint = parse_endpoint(endpoint)
+        # One census at a time: shard censuses are CPU-bound, and the
+        # coordinator assigns at most one task per worker anyway.  The
+        # loop itself stays free for pings.
+        super().__init__(endpoint, threads=1)
         self.shards: dict[int, GraphPartition] = dict(partitions or {})
-        self.requests = 0
         self.censuses = 0
         #: Census RPCs currently executing (0 or 1 — one compute thread);
         #: visible through ``stats`` so orchestration tests and monitors
         #: can tell a busy worker from an idle one.
         self.inflight = 0
-        self._stop: asyncio.Event | None = None
-        self._executor: ThreadPoolExecutor | None = None
 
-    # -- lifecycle --------------------------------------------------------
-    async def run(self, ready: asyncio.Event | None = None) -> None:
-        """Serve census RPCs until ``shutdown`` (or :meth:`stop`)."""
-        self._stop = asyncio.Event()
-        # One census at a time: shard censuses are CPU-bound, and the
-        # coordinator assigns at most one task per worker anyway.  The
-        # loop itself stays free for pings.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-worker"
-        )
-        listener = await start_listener(
-            self.endpoint, self._handle_connection, limit=MAX_LINE_BYTES
-        )
-        self.endpoint = listener.endpoint
-        logger.info("worker serving on %s (pid %d)", self.endpoint, os.getpid())
-        if ready is not None:
-            ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            listener.close()
-            self._executor.shutdown(wait=True)
-            await listener.wait_closed()
-            logger.info(
-                "worker stopped after %d requests (%d censuses)",
-                self.requests,
-                self.censuses,
-            )
-
-    def stop(self) -> None:
-        if self._stop is not None:
-            self._stop.set()
-
-    # -- request handling -------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        await serve_lines(reader, writer, self._handle_line)
-
-    async def _handle_line(self, line: bytes) -> bytes:
-        telemetry = get_telemetry()
-        request_id = None
-        try:
-            request = decode_message(line)
-            request_id = request.get("id")
-            op = request["op"]
-            if op not in WORKER_OPS:
-                raise NetError("unknown_op", f"unknown worker op {op!r}")
-            handler = getattr(self, f"_op_{op}")
-            response = ok_response(request_id, await handler(request))
-        except NetError as exc:
-            telemetry.count("worker/errors")
-            response = error_response(request_id, exc.code, exc.message)
-        except ReproError as exc:
-            # Census/partition failures are the shard's problem, not the
-            # transport's: ship them back typed so the coordinator can
-            # fail the run with the real message instead of retrying.
-            telemetry.count("worker/errors")
-            response = error_response(request_id, "shard_error", str(exc))
-        except Exception as exc:  # pragma: no cover - defensive
-            logger.exception("internal error in worker request")
-            telemetry.count("worker/errors")
-            response = error_response(
-                request_id, "internal", f"{type(exc).__name__}: {exc}"
-            )
-        self.requests += 1
-        telemetry.count("worker/requests")
-        return response
+    def op_table(self) -> dict:
+        return {
+            "ping": self._op_ping,
+            "load_shard": self._op_load_shard,
+            "census": self._op_census,
+            "stats": self._op_stats,
+        }
 
     async def _op_ping(self, request: dict) -> dict:
         return {
@@ -161,10 +94,6 @@ class ShardWorker:
             "censuses": self.censuses,
             "inflight": self.inflight,
         }
-
-    async def _op_shutdown(self, request: dict) -> dict:
-        self.stop()
-        return {"stopping": True}
 
     async def _op_load_shard(self, request: dict) -> dict:
         shard_id = require(request, "shard", int)
@@ -195,8 +124,14 @@ class ShardWorker:
                 f"shard {shard_id} not loaded "
                 f"(have {sorted(self.shards)}); ship it with load_shard",
             )
-        roots, config, engine, sampled = decode_blob(require(request, "blob"))
-        loop = asyncio.get_running_loop()
+        payload = decode_blob(require(request, "blob"))
+        if not (isinstance(payload, (tuple, list)) and len(payload) == 4):
+            raise NetError(
+                "bad_request",
+                f"census blob decoded to {type(payload).__name__}, "
+                "expected (roots, config, engine, sampled)",
+            )
+        roots, config, engine, sampled = payload
 
         def _run() -> bytes:
             telemetry = Telemetry()
@@ -207,20 +142,10 @@ class ShardWorker:
 
         self.inflight += 1
         try:
-            blob = await loop.run_in_executor(self._executor, _run)
+            blob = await self.run_in_thread(_run)
         finally:
             self.inflight -= 1
         self.censuses += 1
         get_telemetry().count("worker/censuses")
         return {"shard": shard_id, "blob": blob}
 
-
-def run_worker(
-    endpoint,
-    *,
-    partitions: dict[int, GraphPartition] | None = None,
-) -> ShardWorker:
-    """Blocking entry point behind ``repro worker``: serve until shutdown."""
-    worker = ShardWorker(endpoint, partitions=partitions)
-    asyncio.run(worker.run())
-    return worker

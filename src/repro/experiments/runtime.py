@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cache import CensusCache
-from repro.core.census import CensusConfig, EngineMode, subgraph_census
+from repro.core.census import CensusConfig, EngineMode
+from repro.core.features import SubgraphFeatureExtractor
 from repro.core.graph import HeteroGraph
 from repro.experiments.common import (
     EMBEDDING_METHODS,
@@ -74,37 +74,35 @@ def time_census_per_node(
     dmax_percentile: float = 90.0,
     mask_start_label: bool = True,
     engine: EngineMode = "fast",
-    cache: CensusCache | None = None,
+    ctx: RunContext | None = None,
 ) -> np.ndarray:
     """Wall-clock seconds of the rooted census for each node.
 
     ``engine`` selects the census implementation so the report can
     compare the incremental engine against the reference path on the
-    same roots (the perf benchmarks do exactly that).  When ``cache`` is
-    given, cached roots are served (and counted as hits) — their rows
-    then time the lookup, i.e. the *memoised* runtime — and fresh
-    censuses are written back.  Per-root timing also lands in the
-    ``census/root_timed`` telemetry timer.
+    same roots (the perf benchmarks do exactly that).  When ``ctx``
+    carries an artifact store, stored roots are served (and counted as
+    hits) — their rows then time the lookup, i.e. the *memoised*
+    runtime — and fresh censuses are written back.  Per-root timing
+    also lands in the ``census/root_timed`` telemetry timer.
     """
     dmax = percentile_degree(graph, dmax_percentile)
     config = CensusConfig(
         max_edges=emax, max_degree=dmax, mask_start_label=mask_start_label
+    )
+    # One root per call through the extractor: the store lookup (sampled
+    # estimates keyed apart from exact counts) is the extractor's own.
+    extractor = SubgraphFeatureExtractor(
+        config,
+        ctx=RunContext(engine=engine, store=ctx.store if ctx is not None else None),
     )
     telemetry = get_telemetry()
     telemetry.annotate("census/engine", engine)
     graph.flat()  # warm the adjacency snapshot outside the timed region
     times = np.empty(len(nodes))
     for i, node in enumerate(nodes):
-        node = int(node)
         started = time.perf_counter()
-        counts = cache.get(graph, config, node) if cache is not None else None
-        if counts is None:
-            counts = subgraph_census(graph, node, config, engine=engine)
-            if cache is not None:
-                cache.put(graph, config, node, counts)
-                telemetry.count("census/cache_misses")
-        elif cache is not None:
-            telemetry.count("census/cache_hits")
+        extractor.census_many(graph, [int(node)])
         times[i] = time.perf_counter() - started
         telemetry.timer("census/root_timed", times[i])
     return times
@@ -123,7 +121,7 @@ def time_embeddings_per_node(
     ``engine`` and ``n_jobs`` select the pipeline being timed; the report
     row records them so runs with different pipelines stay comparable.
     When ``ctx`` carries an artifact store, warm reruns time the memoised
-    lookup (same caveat as the census cache).
+    lookup (same caveat as the census timing).
     """
     telemetry = get_telemetry()
     telemetry.annotate("embed/engine", engine)
@@ -156,7 +154,6 @@ def runtime_report(
     engine: EngineMode = "fast",
     embedding_engine: str = "fast",
     embedding_n_jobs: int = 1,
-    census_cache: CensusCache | None = None,
     ctx: RunContext | None = None,
 ) -> RuntimeReport:
     """Build one Table 3 row for a dataset.
@@ -164,16 +161,14 @@ def runtime_report(
     ``engine`` selects the census implementation, ``embedding_engine`` and
     ``embedding_n_jobs`` the embedding pipeline; both are recorded.  The
     census and embedding phases land in the ``phase/*`` telemetry timers
-    the run manifest reports.  A context store supplies the census cache
-    (when ``census_cache`` is not given) and embedding memoisation.
+    the run manifest reports.  A context store memoises both the
+    censuses and the embeddings.
     """
     ctx = RunContext.ensure(ctx)
-    if census_cache is None and ctx.store is not None:
-        census_cache = CensusCache.over(ctx.store)
     telemetry = get_telemetry()
     with telemetry.span("phase/census"):
         times = time_census_per_node(
-            graph, nodes, emax, dmax_percentile, engine=engine, cache=census_cache
+            graph, nodes, emax, dmax_percentile, engine=engine, ctx=ctx
         )
     params = embedding_params if embedding_params is not None else EmbeddingParams.fast()
     with telemetry.span("phase/embeddings"):

@@ -11,7 +11,7 @@ TCP (``host:port``, cross-machine fan-out).
 repro/net/
     protocol.py   framing, typed error codes, blob payload helpers
     endpoint.py   Endpoint + parse_endpoint ("unix:/path", "host:port")
-    server.py     start_listener/serve_lines: one server loop, both transports
+    server.py     OpServer: the op-table server both daemons run on
     client.py     async open_connection + sync NetClient (retry/backoff)
 ```
 
@@ -36,7 +36,7 @@ from repro.net.protocol import (
     raise_for_error,
     require,
 )
-from repro.net.server import Listener, serve_lines, start_listener
+from repro.net.server import Listener, OpServer, serve_lines, start_listener
 
 __all__ = [
     "ERROR_CODES",
@@ -45,6 +45,7 @@ __all__ = [
     "MAX_LINE_BYTES",
     "NetClient",
     "NetError",
+    "OpServer",
     "RetryPolicy",
     "decode_blob",
     "decode_message",

@@ -2,9 +2,9 @@
 
 ``repro census|features|embed|runtime|rank|label --telemetry-out run.json``
 writes a manifest capturing *what the run did*: the resolved CLI config,
-engine/n_jobs/version provenance, census-cache and per-stage
-artifact-store hit rates, per-phase and per-pipeline-stage wall clock,
-every telemetry counter/timer/gauge, and peak RSS.  The schema is
+engine/n_jobs/version provenance, per-stage artifact-store hit rates,
+per-phase and per-pipeline-stage wall clock, every telemetry
+counter/timer/gauge, and peak RSS.  The schema is
 documented in ``docs/observability.md``; bump :data:`SCHEMA_VERSION`
 whenever a field changes meaning.
 """
@@ -20,7 +20,9 @@ from pathlib import Path
 from repro.obs.log import get_logger
 from repro.obs.telemetry import Telemetry, get_telemetry
 
-SCHEMA_VERSION = 1
+#: Version 2 dropped the ``census_cache`` section, which duplicated
+#: ``artifact_store.stages.census``.
+SCHEMA_VERSION = 2
 
 #: Timer-name prefix marking coarse run phases (``phase/census`` ...);
 #: the manifest surfaces these in their own section.
@@ -91,16 +93,6 @@ def build_manifest(
         if name.startswith(STAGE_PREFIX)
     }
     counters = data["counters"]
-    hits = counters.get("census/cache_hits", 0)
-    misses = counters.get("census/cache_misses", 0)
-    looked_up = hits + misses
-    census_cache = {
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": (hits / looked_up) if looked_up else 0.0,
-        "dedup_saved": counters.get("census/dedup_saved", 0),
-        "load_status": data["annotations"].get("cache/load_status"),
-    }
 
     # Per-stage artifact-store accounting: every ArtifactStore lookup
     # counts into ``artifact/{stage}/hits|misses``, so a warm rerun is
@@ -152,7 +144,6 @@ def build_manifest(
             "platform": platform.platform(),
             "annotations": data["annotations"],
         },
-        "census_cache": census_cache,
         "artifact_store": artifact_store,
         "phases": phases,
         "stages": stages,

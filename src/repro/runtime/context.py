@@ -10,7 +10,7 @@ policy, the telemetry registry, and the :class:`~repro.runtime.store.ArtifactSto
 handle — into a single object that every layer accepts as ``ctx=``.
 
 Legacy call signatures keep working: each public entry point still takes
-its old ``engine=``/``n_jobs=``/``cache=`` keywords and routes them
+its old ``engine=``/``n_jobs=`` keywords and routes them
 through :meth:`RunContext.ensure`, the deprecation shim that builds (or
 specialises) a context from them.  New code should construct one context
 per run and pass it down.

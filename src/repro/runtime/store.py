@@ -1,8 +1,7 @@
 """Content-addressed artifact store shared by every pipeline stage.
 
-This generalises the PR-3 ``CensusCache`` from "per-root census counters"
-to *any* stage artifact: census counters, walk corpora, embedding
-matrices, and feature matrices all memoise through one store, so a warm
+Census counters, walk corpora, embedding matrices, partition sets and
+feature matrices all memoise through one store, so a warm
 rerun of ``repro rank``/``repro label``/``repro runtime`` skips every
 already-computed stage end to end.
 
@@ -17,7 +16,7 @@ config captures every parameter the artifact depends on — a different
 graph, stage, or parameterisation simply misses, so the store never
 serves stale results.
 
-Durability semantics are inherited unchanged from the census cache:
+Durability semantics:
 
 * :meth:`ArtifactStore.save` writes a temp file in the target directory
   and atomically ``os.replace``\\ s it over the destination — a crash
@@ -54,7 +53,7 @@ from repro.obs.telemetry import get_telemetry
 
 #: Bumped whenever the on-disk layout changes; mismatching files are
 #: ignored rather than risking unpickling into the wrong shape.  Version 1
-#: was the census-only ``CensusCache`` layout; version 2 introduced the
+#: was a census-only layout; version 2 introduced the
 #: ``(fingerprint, stage, config)`` key scheme.
 _FORMAT_VERSION = 2
 
@@ -147,11 +146,6 @@ class ArtifactStore:
         pass ``{}`` to disable protection.  When nothing is evictable
         the store temporarily overflows ``max_entries`` rather than
         dropping a protected artifact.
-    description:
-        Human name used in log messages (``"artifact store"`` by default;
-        the census-cache shim passes ``"census cache"``).
-    log:
-        Logger for load/save diagnostics; defaults to this module's.
 
     Hits and misses are tracked globally (:attr:`hits`/:attr:`misses`)
     and per stage (:attr:`stage_hits`/:attr:`stage_misses`), and every
@@ -166,8 +160,6 @@ class ArtifactStore:
         max_entries: int | None = None,
         *,
         stage_floors: Mapping[str, int] | None = None,
-        description: str = "artifact store",
-        log=None,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
@@ -176,8 +168,6 @@ class ArtifactStore:
         self.stage_floors = dict(
             DEFAULT_STAGE_FLOORS if stage_floors is None else stage_floors
         )
-        self.description = description
-        self._log = log if log is not None else logger
         # One re-entrant lock guards _entries, _stage_counts, and the
         # hit/miss/eviction tallies; re-entrant because locked methods
         # (save, stats) call other locked methods.
@@ -211,10 +201,9 @@ class ArtifactStore:
             self.load_status = "corrupt"
             telemetry.count("cache/load_corrupt")
             telemetry.annotate("cache/load_status", self.load_status)
-            self._log.warning(
-                "%s %s is unreadable (%s: %s); starting empty "
+            logger.warning(
+                "artifact store %s is unreadable (%s: %s); starting empty "
                 "— the next save() will replace it",
-                self.description,
                 path,
                 type(exc).__name__,
                 exc,
@@ -237,10 +226,9 @@ class ArtifactStore:
             found = payload.get("version") if isinstance(payload, dict) else None
             self.load_status = "version-mismatch"
             telemetry.count("cache/load_version_mismatch")
-            self._log.warning(
-                "%s %s has format version %r (expected %d); "
+            logger.warning(
+                "artifact store %s has format version %r (expected %d); "
                 "ignoring its contents — the next save() will upgrade it",
-                self.description,
                 path,
                 found,
                 _FORMAT_VERSION,
@@ -257,9 +245,7 @@ class ArtifactStore:
         """
         target = Path(path) if path is not None else self.path
         if target is None:
-            raise ValueError(
-                f"{self.description} has no path; pass one to save()"
-            )
+            raise ValueError("artifact store has no path; pass one to save()")
         # Snapshot under the lock, pickle outside it: entries are never
         # mutated in place (only replaced), so the shallow copy is a
         # consistent point-in-time view even while other threads write.
@@ -280,9 +266,8 @@ class ArtifactStore:
         # Every persisted run gets store-wide stats in its manifest for
         # free (entry counts per stage, evictions, payload size).
         self.record_stats(telemetry)
-        self._log.debug(
-            "%s saved: %d entries -> %s",
-            self.description,
+        logger.debug(
+            "artifact store saved: %d entries -> %s",
             len(entries),
             target,
         )
@@ -469,7 +454,7 @@ class ArtifactStore:
 
         The run manifest's ``artifact_store`` section reads exactly
         these gauges, so partition-artifact reuse (and every other
-        stage's residency) is visible alongside census-cache hit rates.
+        stage's residency) is visible alongside the per-stage hit rates.
         Returns the recorded stats dict.
         """
         telemetry = telemetry if telemetry is not None else get_telemetry()

@@ -14,10 +14,7 @@ from repro.serve.daemon import ServeDaemon
 from repro.serve.protocol import (
     ERROR_CODES,
     READ_OPS,
-    VALID_OPS,
     WRITE_OPS,
-    ServeError,
-    decode_request,
     error_response,
     ok_response,
 )
@@ -40,10 +37,7 @@ __all__ = [
     "ReplayReport",
     "ServeConfig",
     "ServeDaemon",
-    "ServeError",
-    "VALID_OPS",
     "WRITE_OPS",
-    "decode_request",
     "error_response",
     "generate_trace",
     "ok_response",

@@ -1,16 +1,16 @@
-"""Asyncio line-protocol daemon wrapping a :class:`FeatureService`.
+"""The feature-serving daemon: a :class:`FeatureService` behind an op table.
 
-One event loop accepts connections — on a unix socket or a TCP
-``host:port``, whichever :class:`~repro.net.endpoint.Endpoint` it was
-given — and reads newline-framed JSON requests
-(:mod:`repro.net.protocol` framing, :mod:`repro.serve.protocol`
-operation tables).  Handlers execute in a thread pool so the census
-work of one request never stalls the loop, and a writer-preferring
-async reader/writer lock serialises mutations against reads: any number
-of read requests run concurrently, while an ``add_edge``/``remove_edge``
-waits for in-flight reads to drain, then runs alone — so no read ever
-observes a half-mutated graph or a census keyed under a superseded
-fingerprint.
+:class:`ServeDaemon` runs on the shared op-table server of
+:mod:`repro.net.server` (framing, dispatch, typed errors, the built-in
+``shutdown`` op and the ``serve/requests|errors|latency_s`` telemetry
+live there), on a unix socket or a TCP ``host:port``.  What it adds is
+its op table (:mod:`repro.serve.protocol`) and its execution policy.
+Handlers execute in a thread pool so the census work of one request
+never stalls the loop, and a writer-preferring async reader/writer lock
+serialises mutations against reads: any number of read requests run
+concurrently, while an ``add_edge``/``remove_edge`` waits for in-flight
+reads to drain, then runs alone — so no read ever observes a
+half-mutated graph or a census keyed under a superseded fingerprint.
 
 Graceful degradation, in order of application:
 
@@ -26,36 +26,20 @@ Graceful degradation, in order of application:
   ``serve/orphaned`` peak gauge; when they exceed half of
   ``max_inflight`` the daemon logs a warning — that many stuck slots
   means shedding is imminent.
-* **Shutdown** — the ``shutdown`` op acknowledges, then stops accepting
-  and wakes :meth:`ServeDaemon.run` to close the server.
-
-Every request's wall clock lands in the ``serve/latency_s`` telemetry
-distribution (p50/p99 in the run manifest) plus ``serve/requests`` /
-``serve/errors`` counters.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from repro.exceptions import GraphError
-from repro.net.endpoint import parse_endpoint
-from repro.net.protocol import MAX_LINE_BYTES
-from repro.net.server import serve_lines, start_listener
+from repro.net.protocol import MAX_LINE_BYTES, NetError
+from repro.net.server import OpServer
 from repro.obs.log import get_logger
 from repro.obs.telemetry import get_telemetry
-from repro.serve.protocol import (
-    CONTROL_OPS,
-    VALID_OPS,
-    WRITE_OPS,
-    ServeError,
-    decode_request,
-    error_response,
-    ok_response,
-)
+from repro.serve.protocol import READ_OPS, WRITE_OPS
 from repro.serve.service import FeatureService
 
 logger = get_logger(__name__)
@@ -106,8 +90,11 @@ class _RWLock:
             self._cond.notify_all()
 
 
-class ServeDaemon:
+class ServeDaemon(OpServer):
     """Serve a :class:`FeatureService` over a unix socket or TCP endpoint."""
+
+    family = "serve"
+    domain_error = (GraphError, "graph_error")
 
     def __init__(
         self,
@@ -122,17 +109,13 @@ class ServeDaemon:
             raise ValueError(f"request_timeout must be > 0, got {request_timeout}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        # Threads beyond the shed limit would only ever idle.
+        super().__init__(endpoint, threads=workers or min(32, max_inflight))
         self.service = service
-        self.endpoint = parse_endpoint(endpoint)
         self.request_timeout = float(request_timeout)
         self.max_inflight = int(max_inflight)
-        self._workers = workers
         self._inflight = 0
         self._lock: _RWLock | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._stop: asyncio.Event | None = None
-        self._drains: set[asyncio.Task] = set()
-        self.requests = 0
         self.shed_requests = 0
         self.timeouts = 0
         #: Timed-out requests whose worker thread is still running (each
@@ -144,123 +127,44 @@ class ServeDaemon:
         """The unix socket path (``None`` on a TCP endpoint)."""
         return Path(self.endpoint.path) if self.endpoint.kind == "unix" else None
 
-    # -- lifecycle --------------------------------------------------------
-    async def run(self, ready: asyncio.Event | None = None) -> None:
-        """Accept connections until :meth:`stop` (or a ``shutdown`` op).
+    def op_table(self) -> dict:
+        read = partial(self._execute, write=False)
+        write = partial(self._execute, write=True)
+        return {
+            **dict.fromkeys(READ_OPS, read),
+            **dict.fromkeys(WRITE_OPS, write),
+        }
 
-        ``ready`` (if given) is set once the listener is bound —
-        orchestrators start their clients on it.  A TCP bind to port
-        ``0`` resolves ``self.endpoint`` to the real port first.
-        """
+    async def run(self, ready: asyncio.Event | None = None) -> None:
         self._lock = _RWLock()
-        self._stop = asyncio.Event()
-        # Threads beyond the shed limit would only ever idle.
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._workers or min(32, self.max_inflight),
-            thread_name_prefix="repro-serve",
-        )
         # Pre-register degradation counters so run manifests always carry
         # them, even for runs that never shed or timed out.
         telemetry = get_telemetry()
         telemetry.count("serve/shed_requests", 0)
         telemetry.count("serve/timeouts", 0)
-        listener = await start_listener(
-            self.endpoint, self._handle_connection, limit=MAX_LINE_BYTES
-        )
-        self.endpoint = listener.endpoint
-        logger.info("serving on %s", self.endpoint)
-        if ready is not None:
-            ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            listener.close()
-            # Let timed-out stragglers finish before tearing down.
-            for drain in list(self._drains):
-                await drain
-            self._executor.shutdown(wait=True)
-            await listener.wait_closed()
-            logger.info(
-                "stopped after %d requests (%d shed, %d timeouts)",
-                self.requests,
-                self.shed_requests,
-                self.timeouts,
-            )
-
-    def stop(self) -> None:
-        """Wake :meth:`run` to close the server (idempotent)."""
-        if self._stop is not None:
-            self._stop.set()
-
-    # -- request handling -------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await serve_lines(reader, writer, self._handle_line)
-
-    async def _handle_line(self, line: bytes) -> bytes:
-        telemetry = get_telemetry()
-        started = time.perf_counter()
-        request_id = None
-        try:
-            request = decode_request(line)
-            request_id = request.get("id")
-            op = request["op"]
-            if op not in VALID_OPS:
-                raise ServeError("unknown_op", f"unknown op {op!r}")
-            if op in CONTROL_OPS:
-                self.stop()
-                response = ok_response(request_id, {"stopping": True})
-            elif self._stop is not None and self._stop.is_set():
-                raise ServeError("shutting_down", "daemon is draining")
-            elif self._inflight >= self.max_inflight:
-                self.shed_requests += 1
-                telemetry.count("serve/shed_requests")
-                raise ServeError(
-                    "overloaded",
-                    f"{self._inflight} requests in flight "
-                    f"(max {self.max_inflight}); retry later",
-                )
-            else:
-                result = await self._execute(request, write=op in WRITE_OPS)
-                response = ok_response(request_id, result)
-        except ServeError as exc:
-            telemetry.count("serve/errors")
-            telemetry.count(f"serve/errors/{exc.code}")
-            response = error_response(request_id, exc.code, exc.message)
-        except GraphError as exc:
-            telemetry.count("serve/errors")
-            telemetry.count("serve/errors/graph_error")
-            response = error_response(request_id, "graph_error", str(exc))
-        except Exception as exc:  # pragma: no cover - defensive
-            logger.exception("internal error handling request")
-            telemetry.count("serve/errors")
-            telemetry.count("serve/errors/internal")
-            response = error_response(
-                request_id, "internal", f"{type(exc).__name__}: {exc}"
-            )
-        self.requests += 1
-        telemetry.count("serve/requests")
-        telemetry.observe("serve/latency_s", time.perf_counter() - started)
-        return response
+        await super().run(ready)
 
     async def _execute(self, request: dict, *, write: bool) -> dict:
         """Run one service call in the thread pool under the proper lock.
 
-        On timeout the future is shielded (the thread keeps running) and
-        a drain task holds the lock slot until it finishes, so a
-        straggling handler can never overlap a later mutation.
+        Sheds when ``max_inflight`` requests already execute.  On timeout
+        the future is shielded (the thread keeps running) and a drain
+        task holds the lock slot until it finishes, so a straggling
+        handler can never overlap a later mutation.
         """
-        loop = asyncio.get_running_loop()
+        if self._inflight >= self.max_inflight:
+            self.shed_requests += 1
+            get_telemetry().count("serve/shed_requests")
+            raise NetError(
+                "overloaded",
+                f"{self._inflight} requests in flight "
+                f"(max {self.max_inflight}); retry later",
+            )
         lock = self._lock
-        if write:
-            await lock.acquire_write()
-        else:
-            await lock.acquire_read()
+        await (lock.acquire_write() if write else lock.acquire_read())
         self._inflight += 1
-        future = loop.run_in_executor(
-            self._executor, self.service.handle, request
-        )
+        # Looked up per call: the service's handler may be swapped live.
+        future = self.run_in_thread(self.service.handle, request)
         handed_off = False
         try:
             return await asyncio.wait_for(
@@ -282,21 +186,15 @@ class ServeDaemon:
                     self.orphaned,
                     self.max_inflight,
                 )
-            drain = asyncio.ensure_future(self._drain(future, write))
-            self._drains.add(drain)
-            drain.add_done_callback(self._drains.discard)
-            raise ServeError(
+            self.track(asyncio.ensure_future(self._drain(future, write)))
+            raise NetError(
                 "timeout",
                 f"request exceeded {self.request_timeout:g}s "
                 f"(op {request.get('op')!r})",
             )
         finally:
             if not handed_off:
-                self._inflight -= 1
-                if write:
-                    await lock.release_write()
-                else:
-                    await lock.release_read()
+                await self._release(write)
 
     async def _drain(self, future: asyncio.Future, write: bool) -> None:
         try:
@@ -305,8 +203,9 @@ class ServeDaemon:
             logger.debug("timed-out request failed after deadline", exc_info=True)
         finally:
             self.orphaned -= 1
-            self._inflight -= 1
-            if write:
-                await self._lock.release_write()
-            else:
-                await self._lock.release_read()
+            await self._release(write)
+
+    async def _release(self, write: bool) -> None:
+        self._inflight -= 1
+        lock = self._lock
+        await (lock.release_write() if write else lock.release_read())

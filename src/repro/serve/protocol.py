@@ -21,21 +21,7 @@ semantics of the write path — is documented in ``docs/serving.md``.
 
 from __future__ import annotations
 
-from repro.net.protocol import (
-    ERROR_CODES,
-    NetError,
-    decode_message,
-    error_response,
-    ok_response,
-    require,
-)
-
-#: The serving daemon's protocol failures are plain net errors; the
-#: historical name survives for the service layer and external callers.
-ServeError = NetError
-
-#: Decode one request line (see :func:`repro.net.protocol.decode_message`).
-decode_request = decode_message
+from repro.net.protocol import ERROR_CODES, error_response, ok_response, require
 
 #: Operations answered while holding the shared (read) side of the
 #: graph lock; they never modify service state beyond caches.
@@ -45,19 +31,10 @@ READ_OPS = ("features", "rank", "label", "stats", "ping")
 #: graph and repair the affected censuses before the next read runs.
 WRITE_OPS = ("add_edge", "remove_edge")
 
-#: Handled inline by the daemon itself (no service dispatch).
-CONTROL_OPS = ("shutdown",)
-
-VALID_OPS = READ_OPS + WRITE_OPS + CONTROL_OPS
-
 __all__ = [
-    "CONTROL_OPS",
     "ERROR_CODES",
     "READ_OPS",
-    "VALID_OPS",
     "WRITE_OPS",
-    "ServeError",
-    "decode_request",
     "error_response",
     "ok_response",
     "require",

@@ -41,11 +41,11 @@ from repro.core.encoding import code_to_string
 from repro.core.features import SubgraphFeatureExtractor
 from repro.core.graph import HeteroGraph, MutableHeteroGraph
 from repro.exceptions import GraphError
+from repro.net.protocol import NetError, require
 from repro.obs.log import get_logger
 from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import EXACT_ENGINES, RunContext
 from repro.runtime.store import STAGE_CENSUS, ArtifactStore
-from repro.serve.protocol import ServeError
 from repro.serve.repair import repair_ball
 
 logger = get_logger(__name__)
@@ -157,7 +157,7 @@ class FeatureService:
         try:
             return self.graph.index(node_id)
         except GraphError as exc:
-            raise ServeError("unknown_node", str(exc)) from None
+            raise NetError("unknown_node", str(exc)) from None
 
     def census(self, variant: str, root: int) -> Counter:
         """The (warm) census of one root; computes and tracks on a miss."""
@@ -235,7 +235,7 @@ class FeatureService:
         root = self._resolve(node_id)
         k = self.config.top_k if k is None else int(k)
         if k < 1:
-            raise ServeError("bad_request", f"k must be >= 1, got {k}")
+            raise NetError("bad_request", f"k must be >= 1, got {k}")
         query = self.census("plain", root)
         query_norm = self._norm_of("plain", root)
         with self._meta_lock:
@@ -349,7 +349,7 @@ class FeatureService:
         census to the new fingerprint (key move, no recompute) and
         recompute the ball's tracked roots.  Raises
         :class:`~repro.exceptions.GraphError` on invalid mutations and
-        :class:`ServeError` (``unknown_node``) on unresolvable ids.
+        :class:`NetError` (``unknown_node``) on unresolvable ids.
         """
         graph = self.graph
         u, v = self._resolve(u_id), self._resolve(v_id)
@@ -366,7 +366,7 @@ class FeatureService:
             ball = repair_ball(graph, u, v, ball_config)
             graph.remove_edge(u_id, v_id)
         else:  # pragma: no cover - guarded by the protocol layer
-            raise ServeError("unknown_op", f"unknown mutation op {op!r}")
+            raise NetError("unknown_op", f"unknown mutation op {op!r}")
         new_fp = graph.fingerprint()
         telemetry = get_telemetry()
         repaired = 0
@@ -433,11 +433,9 @@ class FeatureService:
     def handle(self, request: dict) -> dict:
         """Execute one decoded request; returns the result payload.
 
-        Raises :class:`ServeError` for protocol-level failures; the
+        Raises :class:`NetError` for protocol-level failures; the
         daemon maps :class:`GraphError` to the ``graph_error`` code.
         """
-        from repro.serve.protocol import require
-
         op = request["op"]
         if op == "ping":
             return {"pong": True}
@@ -447,12 +445,12 @@ class FeatureService:
         if op == "features":
             masked = request.get("masked", False)
             if not isinstance(masked, bool):
-                raise ServeError("bad_request", "'masked' must be a boolean")
+                raise NetError("bad_request", "'masked' must be a boolean")
             return self.features(require(request, "node", node_kinds), masked=masked)
         if op == "rank":
             k = request.get("k")
             if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
-                raise ServeError("bad_request", "'k' must be an integer")
+                raise NetError("bad_request", "'k' must be an integer")
             return self.rank(require(request, "node", node_kinds), k=k)
         if op == "label":
             return self.label(require(request, "node", node_kinds))
@@ -460,4 +458,4 @@ class FeatureService:
             return self.apply_mutation(
                 op, require(request, "u", node_kinds), require(request, "v", node_kinds)
             )
-        raise ServeError("unknown_op", f"unknown op {op!r}")
+        raise NetError("unknown_op", f"unknown op {op!r}")

@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from repro.core.cache import CensusCache, census_config_key
+from repro.core.cache import census_config_key, census_store_config, stored_census
 from repro.core.census import CensusConfig, census_total, subgraph_census
 from repro.core.features import SubgraphFeatureExtractor
 from repro.core.sampled import (
@@ -27,7 +27,8 @@ from repro.core.sampled import (
 )
 from repro.dist import subgraph_census_sharded
 from repro.exceptions import CensusError, FeatureError
-from repro.runtime import EXACT_ENGINES, VALID_ENGINES, RunContext
+from repro.runtime import EXACT_ENGINES, VALID_ENGINES, ArtifactStore, RunContext
+from repro.runtime.store import STAGE_CENSUS
 
 
 @pytest.fixture
@@ -296,11 +297,16 @@ class TestCacheKeys:
         census = subgraph_census(
             publication_graph, 0, config, engine="sampled", sampled=sampled
         )
-        cache = CensusCache()
-        cache.put(publication_graph, config, 0, census, sampled)
+        store = ArtifactStore()
+        store.put(
+            publication_graph.fingerprint(),
+            STAGE_CENSUS,
+            census_store_config(config, 0, sampled),
+            census,
+        )
         # The exact slot for the same (graph, config, root) stays empty.
-        assert cache.get(publication_graph, config, 0) is None
-        hit = cache.get(publication_graph, config, 0, sampled)
+        assert stored_census(store, publication_graph, config, 0) is None
+        hit = stored_census(store, publication_graph, config, 0, sampled)
         assert hit == census
         assert hit.report == census.report
 
@@ -332,26 +338,35 @@ class TestCacheKeys:
 class TestCrossCapCache:
     """An uncapped exact artifact must honour a later call's cap."""
 
+    @staticmethod
+    def _uncapped_store(graph, config) -> tuple[ArtifactStore, object]:
+        store = ArtifactStore()
+        census = SubgraphFeatureExtractor(
+            config, ctx=RunContext(store=store)
+        ).census_many(graph, [0])[0]
+        return store, census
+
     def test_uncapped_hit_served_when_under_cap(
         self, publication_graph, config
     ):
-        cache = CensusCache()
-        census = subgraph_census(publication_graph, 0, config)
-        cache.put(publication_graph, config, 0, census)
+        store, census = self._uncapped_store(publication_graph, config)
         total = census_total(census)
         capped = CensusConfig(max_edges=3, max_subgraphs=total)
-        assert cache.get(publication_graph, capped, 0) == census
+        assert stored_census(store, publication_graph, capped, 0) == census
+        extractor = SubgraphFeatureExtractor(capped, ctx=RunContext(store=store))
+        assert extractor.census_many(publication_graph, [0]) == [census]
 
     def test_uncapped_hit_raises_when_over_cap(
         self, publication_graph, config
     ):
-        cache = CensusCache()
-        census = subgraph_census(publication_graph, 0, config)
-        cache.put(publication_graph, config, 0, census)
+        store, census = self._uncapped_store(publication_graph, config)
         cap = census_total(census) - 1
         capped = CensusConfig(max_edges=3, max_subgraphs=cap)
         with pytest.raises(CensusError, match="max_subgraphs"):
-            cache.get(publication_graph, capped, 0)
+            stored_census(store, publication_graph, capped, 0)
+        extractor = SubgraphFeatureExtractor(capped, ctx=RunContext(store=store))
+        with pytest.raises(CensusError, match="max_subgraphs"):
+            extractor.census_many(publication_graph, [0])
 
     def test_cap_matches_live_behaviour(self, publication_graph, config):
         """The cache raises exactly when an uncached call would have."""

@@ -68,8 +68,8 @@ class TestCensus:
         assert "__mask__" in capsys.readouterr().out
 
     def test_census_cache_file_roundtrip(self, graph_json, tmp_path, capsys):
-        """--census-cache writes a cache file that serves the second run."""
-        cache_path = tmp_path / "census.cache"
+        """--artifact-store writes a store file that serves the second run."""
+        cache_path = tmp_path / "census.store"
         args = [
             "census",
             graph_json,
@@ -77,7 +77,7 @@ class TestCensus:
             "i1",
             "--emax",
             "2",
-            "--census-cache",
+            "--artifact-store",
             str(cache_path),
         ]
         assert main(args) == 0
@@ -226,8 +226,10 @@ class TestFeatures:
         assert "wrote 2 x" in capsys.readouterr().out
 
     def test_n_jobs_and_cache_flags(self, graph_json, tmp_path, capsys):
+        from repro.runtime import ArtifactStore
+
         out_path = tmp_path / "features.json"
-        cache_path = tmp_path / "census.cache"
+        cache_path = tmp_path / "census.store"
         code = main(
             [
                 "features",
@@ -238,15 +240,15 @@ class TestFeatures:
                 "2",
                 "--n-jobs",
                 "2",
-                "--census-cache",
+                "--artifact-store",
                 str(cache_path),
                 "--out",
                 str(out_path),
             ]
         )
         assert code == 0
-        assert cache_path.exists()
-        assert "census cache: 4 entries" in capsys.readouterr().err
+        assert "artifact store:" in capsys.readouterr().err
+        assert ArtifactStore(cache_path).stage_entries("census") == 4
 
     def test_empty_nodes_rejected(self, graph_json, tmp_path):
         with pytest.raises(SystemExit, match="at least one node"):
@@ -524,19 +526,18 @@ class TestArtifactStore:
         assert "artifact store:" in second.err
         assert first.out == second.out
 
-    def test_census_cache_alias_still_works(self, graph_json, tmp_path, capsys):
-        args = [
-            "census",
-            graph_json,
-            "--root",
-            "i1",
-            "--emax",
-            "2",
-            "--census-cache",
-            str(tmp_path / "census.cache"),
-        ]
-        assert main(args) == 0
-        assert "census cache:" in capsys.readouterr().err
+    def test_census_cache_flag_is_gone(self, graph_json, tmp_path):
+        with pytest.raises(SystemExit):
+            main(
+                [
+                    "census",
+                    graph_json,
+                    "--root",
+                    "i1",
+                    "--census-cache",
+                    str(tmp_path / "census.cache"),
+                ]
+            )
 
     def test_label_engine_flag(self, imdb_json, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"
@@ -620,7 +621,7 @@ class TestArtifactStore:
 class TestTelemetryAndLogging:
     def test_telemetry_out_writes_manifest(self, graph_json, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"
-        cache_path = tmp_path / "census.cache"
+        cache_path = tmp_path / "census.store"
         args = [
             "census",
             graph_json,
@@ -628,27 +629,30 @@ class TestTelemetryAndLogging:
             "i1",
             "--emax",
             "2",
-            "--census-cache",
+            "--artifact-store",
             str(cache_path),
             "--telemetry-out",
             str(manifest_path),
         ]
         assert main(args) == 0
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == 2
+        assert "census_cache" not in manifest
         assert manifest["command"] == "census"
         assert manifest["config"]["emax"] == 2
-        assert manifest["census_cache"]["misses"] == 1
-        assert manifest["census_cache"]["load_status"] == "missing"
+        census = manifest["artifact_store"]["stages"]["census"]
+        assert census["misses"] == 1
+        assert manifest["artifact_store"]["load_status"] == "missing"
         assert "total" in manifest["phases"]
         capsys.readouterr()
 
-        # Second run hits the saved cache; the manifest reflects it.
+        # Second run hits the saved store; the manifest reflects it.
         assert main(args) == 0
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["census_cache"]["hits"] == 1
-        assert manifest["census_cache"]["hit_rate"] == 1.0
-        assert manifest["census_cache"]["load_status"] == "loaded"
+        census = manifest["artifact_store"]["stages"]["census"]
+        assert census["hits"] == 1
+        assert census["hit_rate"] == 1.0
+        assert manifest["artifact_store"]["load_status"] == "loaded"
         capsys.readouterr()
 
     def test_runtime_manifest_has_phases_and_cache_stats(
@@ -665,8 +669,8 @@ class TestTelemetryAndLogging:
                 "2",
                 "--n-jobs",
                 "2",
-                "--census-cache",
-                str(tmp_path / "census.cache"),
+                "--artifact-store",
+                str(tmp_path / "census.store"),
                 "--telemetry-out",
                 str(manifest_path),
             ]
@@ -674,7 +678,7 @@ class TestTelemetryAndLogging:
         assert code == 0
         manifest = json.loads(manifest_path.read_text())
         assert {"census", "embeddings", "total"} <= set(manifest["phases"])
-        assert manifest["census_cache"]["misses"] == 3
+        assert manifest["artifact_store"]["stages"]["census"]["misses"] == 3
         assert manifest["provenance"]["n_jobs"] == 2
         assert manifest["provenance"]["annotations"]["census/engine"] == "fast"
         assert manifest["peak_rss_kb"] is None or manifest["peak_rss_kb"] > 0

@@ -380,6 +380,40 @@ class TestWorkerProtocol:
                     assert stats["censuses"] == 0
                     assert stats["inflight"] == 0
 
+    def test_census_with_malformed_blob_is_bad_request(self):
+        """A census blob that is not ``(roots, config, engine, sampled)``
+        is the client's fault: typed ``bad_request``, never ``internal``."""
+        from repro.net.protocol import encode_blob
+
+        graph = _random_graph(seed=2, n=14)
+        config = CensusConfig(max_edges=3)
+        pset = partition_graph(graph, PartitionConfig(num_partitions=1), config)
+        with _WorkerFleet(1) as fleet:
+            with fresh_telemetry() as telemetry:
+                with NetClient(fleet.endpoints[0]) as client:
+                    client.call(
+                        {
+                            "op": "load_shard",
+                            "shard": 0,
+                            "blob": encode_blob(pset.partitions[0]),
+                        }
+                    )
+                    for payload in (42, ([0], config, None)):
+                        with pytest.raises(NetError) as excinfo:
+                            client.call(
+                                {
+                                    "op": "census",
+                                    "shard": 0,
+                                    "blob": encode_blob(payload),
+                                }
+                            )
+                        assert excinfo.value.code == "bad_request"
+                        assert "expected (roots, config" in excinfo.value.message
+                    assert client.call({"op": "stats"})["censuses"] == 0
+                counters = telemetry.as_dict()["counters"]
+        assert counters["worker/errors/bad_request"] == 2
+        assert "worker/errors/internal" not in counters
+
     def test_preloaded_shards_skip_shipping(self):
         """A worker started with shards already loaded (repro worker
         --graph) advertises them; the executor ships nothing."""

@@ -94,17 +94,43 @@ class TestRuntime:
         assert "n/a" in rendered
 
     def test_census_cache_serves_second_timing_pass(self, imdb_graph):
-        from repro.core.cache import CensusCache
         from repro.obs.telemetry import fresh_telemetry
+        from repro.runtime import ArtifactStore, RunContext
 
-        cache = CensusCache()
+        ctx = RunContext(store=ArtifactStore())
         with fresh_telemetry() as telemetry:
-            cold = time_census_per_node(imdb_graph, [0, 1, 2], emax=2, cache=cache)
-            warm = time_census_per_node(imdb_graph, [0, 1, 2], emax=2, cache=cache)
+            cold = time_census_per_node(imdb_graph, [0, 1, 2], emax=2, ctx=ctx)
+            warm = time_census_per_node(imdb_graph, [0, 1, 2], emax=2, ctx=ctx)
         assert cold.shape == warm.shape == (3,)
         assert telemetry.counters["census/cache_misses"] == 3
         assert telemetry.counters["census/cache_hits"] == 3
         assert telemetry.timers["census/root_timed"].count == 6
+
+    def test_sampled_timing_never_poisons_exact_keys(self, imdb_graph):
+        """Sampled estimates timed into a store stay under sampled keys:
+        a later exact lookup of the same roots misses or is exact."""
+        from repro.core.cache import stored_census
+        from repro.core.census import CensusConfig, subgraph_census
+        from repro.core.sampled import SampledCensus
+        from repro.experiments.common import percentile_degree
+        from repro.runtime import ArtifactStore, RunContext
+
+        store = ArtifactStore()
+        roots = [0, 1, 2]
+        time_census_per_node(
+            imdb_graph, roots, emax=2, engine="sampled", ctx=RunContext(store=store)
+        )
+        config = CensusConfig(
+            max_edges=2,
+            max_degree=percentile_degree(imdb_graph, 90.0),
+            mask_start_label=True,
+        )
+        for root in roots:
+            hit = stored_census(store, imdb_graph, config, root)
+            assert hit is None or (
+                not isinstance(hit, SampledCensus)
+                and hit == subgraph_census(imdb_graph, root, config)
+            )
 
     def test_report_records_pipeline(self, imdb_graph):
         params = EmbeddingParams(dim=8, num_walks=2, walk_length=8, window=3,

@@ -188,24 +188,26 @@ class TestLogging:
 
 class TestManifest:
     def test_census_cache_section_derived_from_counters(self):
+        """Census lookups are reported once, under ``artifact_store``."""
         with fresh_telemetry() as t:
-            t.count("census/cache_hits", 3)
-            t.count("census/cache_misses", 1)
+            t.count("artifact/census/hits", 3)
+            t.count("artifact/census/misses", 1)
             t.count("census/dedup_saved", 2)
             t.annotate("cache/load_status", "loaded")
             manifest = build_manifest("census", config={"engine": "fast"})
-        cache = manifest["census_cache"]
-        assert cache["hits"] == 3
-        assert cache["misses"] == 1
-        assert cache["hit_rate"] == pytest.approx(0.75)
-        assert cache["dedup_saved"] == 2
-        assert cache["load_status"] == "loaded"
+        assert "census_cache" not in manifest
+        census = manifest["artifact_store"]["stages"]["census"]
+        assert census["hits"] == 3
+        assert census["misses"] == 1
+        assert census["hit_rate"] == pytest.approx(0.75)
+        assert manifest["counters"]["census/dedup_saved"] == 2
+        assert manifest["artifact_store"]["load_status"] == "loaded"
 
     def test_empty_run_has_zero_hit_rate(self):
         with fresh_telemetry():
             manifest = build_manifest("census")
-        assert manifest["census_cache"]["hit_rate"] == 0.0
-        assert manifest["census_cache"]["load_status"] is None
+        assert manifest["artifact_store"]["stages"] == {}
+        assert manifest["artifact_store"]["load_status"] is None
 
     def test_phases_extracted_from_prefixed_timers(self):
         with fresh_telemetry() as t:
@@ -224,7 +226,7 @@ class TestManifest:
             )
         assert manifest["provenance"]["engine"] == "fast"
         assert manifest["provenance"]["n_jobs"] == 2
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == 2
 
     def test_config_made_json_safe(self, tmp_path):
         with fresh_telemetry():
@@ -269,14 +271,14 @@ class TestManifest:
     def test_write_manifest_roundtrip(self, tmp_path):
         target = tmp_path / "run.json"
         with fresh_telemetry() as t:
-            t.count("census/cache_misses", 4)
+            t.count("artifact/census/misses", 4)
             with t.span("phase/total"):
                 pass
             write_manifest(target, "census", config={"emax": 3})
         loaded = json.loads(target.read_text())
         assert loaded["command"] == "census"
         assert loaded["config"]["emax"] == 3
-        assert loaded["census_cache"]["misses"] == 4
+        assert loaded["artifact_store"]["stages"]["census"]["misses"] == 4
         assert "total" in loaded["phases"]
         assert loaded["peak_rss_kb"] is None or loaded["peak_rss_kb"] > 0
 

@@ -18,12 +18,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.net import open_connection
+from repro.net import NetError, decode_message, open_connection
 from repro.obs import fresh_telemetry
 from repro.serve import FeatureService, ServeConfig, ServeDaemon
 from repro.serve.daemon import MAX_LINE_BYTES
-from repro.serve.protocol import ERROR_CODES, decode_request, require
-from repro.serve.protocol import ServeError as _ServeError
+from repro.serve.protocol import ERROR_CODES, require
 
 
 def _graph(seed: int = 0):
@@ -456,13 +455,13 @@ class TestTCPTransport:
 class TestProtocolHelpers:
     def test_decode_request_rejects_garbage(self):
         for raw in (b"\xff\xfe\n", b"[1, 2]\n", b"42\n", b'{"op": 3}\n'):
-            with pytest.raises(_ServeError) as excinfo:
-                decode_request(raw)
+            with pytest.raises(NetError) as excinfo:
+                decode_message(raw)
             assert excinfo.value.code == "bad_request"
 
     def test_require_type_discipline(self):
         assert require({"op": "x", "k": 5}, "k", int) == 5
-        with pytest.raises(_ServeError):
+        with pytest.raises(NetError):
             require({"op": "x"}, "k", int)
-        with pytest.raises(_ServeError):
+        with pytest.raises(NetError):
             require({"op": "x", "k": True}, "k", int)  # bool is not an int here

@@ -198,13 +198,13 @@ class TestMutableGraphParity:
         service = FeatureService(graph, ServeConfig(emax=3))
         ids = service.graph.node_ids
         u, v = next(iter(service.graph.edges()))
-        from repro.serve import ServeError
+        from repro.net import NetError
 
         with pytest.raises(GraphError):
             service.apply_mutation("add_edge", ids[u], ids[v])  # duplicate
         with pytest.raises(GraphError):
             service.apply_mutation("add_edge", ids[u], ids[u])  # self loop
-        with pytest.raises(ServeError) as excinfo:
+        with pytest.raises(NetError) as excinfo:
             service.apply_mutation("add_edge", "no-such-node", ids[v])
         assert excinfo.value.code == "unknown_node"
         removed = service.apply_mutation("remove_edge", ids[u], ids[v])
