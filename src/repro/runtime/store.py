@@ -45,8 +45,8 @@ import pickle
 import tempfile
 import threading
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Mapping
 
 from repro.obs.log import get_logger
 from repro.obs.telemetry import get_telemetry
@@ -78,6 +78,9 @@ ArtifactKey = tuple[str, str, tuple]
 
 logger = get_logger(__name__)
 
+#: Leaf types returned before the (slower) ABC container checks.
+_SCALARS = (type(None), str, int, float, bytes)
+
 
 def freeze_config(value):
     """Recursively convert a stage config into a hashable, picklable key.
@@ -87,6 +90,8 @@ def freeze_config(value):
     should be flattened by the caller (field order is part of the key) —
     see ``repro.core.cache.census_config_key`` for the census example.
     """
+    if isinstance(value, _SCALARS):
+        return value
     if isinstance(value, Mapping):
         return tuple(
             (str(key), freeze_config(value[key])) for key in sorted(value)
@@ -366,9 +371,9 @@ class ArtifactStore:
     def discard(self, fingerprint: str, stage: str, config) -> bool:
         """Drop the entry at the address, if present; returns whether it was.
 
-        Used by the serving daemon's repair path to retire entries keyed
-        under a superseded graph fingerprint after migrating them; a
-        discard is not an eviction (it counts in neither tally).
+        The serving daemon's repair path retires a repaired root's census
+        with it before recomputing; a discard is not an eviction (it
+        counts in neither tally).
         """
         key = artifact_key(fingerprint, stage, config)
         with self._lock:
@@ -381,17 +386,12 @@ class ArtifactStore:
     def move(self, fingerprint: str, new_fingerprint: str, stage: str, config) -> bool:
         """Atomically re-address one entry under a new fingerprint.
 
-        The serve-layer key migration used to emulate this with
-        ``get()`` + ``discard()`` + ``put()``, which deep-copied the
-        artifact twice per migrated root and polluted the hit counters
-        — and therefore :meth:`stats`'s hit-rate and payload accounting
-        — with pure bookkeeping traffic.  ``move`` re-keys the stored
-        object in place under the lock: no copies, no hit/miss
-        mutation, and exact stage entry counts (a pre-existing entry at
-        the destination is replaced, never double-counted).  The moved
-        entry lands at the newest LRU position, matching the recency
-        refresh the old emulation produced.  Returns whether a source
-        entry existed.
+        A general re-key primitive for an artifact known to be unchanged
+        under the new fingerprint: the stored object moves in place under
+        the lock — no copies, no hit/miss mutation, and exact stage entry
+        counts (an entry already at the destination is replaced, never
+        double-counted).  The moved entry lands at the newest LRU
+        position.  Returns whether a source entry existed.
         """
         src = artifact_key(fingerprint, stage, config)
         dst = artifact_key(new_fingerprint, stage, config)

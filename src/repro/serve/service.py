@@ -15,12 +15,12 @@ Two census *variants* are maintained side by side:
 
 The write path (:meth:`FeatureService.apply_mutation`) is the heart of
 the incremental story: an edge mutation computes its d_max-pruned repair
-ball (:mod:`repro.serve.repair`), *migrates* every unaffected warm root's
-census from the old graph fingerprint to the new one (a key move, no
-recompute), and recomputes only the roots inside the ball.  The result
+ball (:mod:`repro.serve.repair`) and recomputes only the roots inside
+it, so its cost is the ball's, not the warm set's.  A root outside the
+ball is not touched: its store entry stays keyed under the fingerprint
+it was computed on, which remains a true content address.  The result
 is bit-identical to a cold full recompute — the randomized parity suite
-(``tests/test_serve_incremental.py``) asserts exactly that, per engine
-and worker count.
+(``tests/test_serve_incremental.py``) asserts exactly that.
 
 Thread model: read handlers may run concurrently (the daemon holds the
 shared side of its reader/writer lock) and synchronise their metadata
@@ -135,12 +135,12 @@ class FeatureService:
             variant: effective_labelset(self.graph, census_config)
             for variant, census_config in self._census_configs.items()
         }
-        # Roots whose censuses live in the store under the *current*
-        # fingerprint, per variant — the set repair migrates/recomputes.
-        self._tracked: dict[str, set[int]] = {v: set() for v in VARIANTS}
-        # Hot-path caches rebuilt from the store at will: live Counter per
-        # root, its L2 norm, and the rendered features response.  All are
-        # invalidated for repaired roots on mutation.
+        # Tracked roots per variant -> the fingerprint their one store
+        # entry is keyed under (the graph their census was computed on).
+        self._tracked: dict[str, dict[int, str]] = {v: {} for v in VARIANTS}
+        # The live census of every tracked root (the only place reads look
+        # for one), its L2 norm, and the rendered features response.  All
+        # three are replaced for repaired roots on mutation.
         self._counters: dict[tuple[str, int], Counter] = {}
         self._norms: dict[tuple[str, int], float] = {}
         self._rendered: dict[tuple[str, int], dict] = {}
@@ -169,7 +169,7 @@ class FeatureService:
         census = self._extractors[variant].census_many(self.graph, [root])[0]
         with self._meta_lock:
             self._counters[key] = census
-            self._tracked[variant].add(root)
+            self._tracked[variant][root] = self.graph.fingerprint()
         return census
 
     def _norm_of(self, variant: str, root: int) -> float:
@@ -187,17 +187,21 @@ class FeatureService:
 
         Returns the number of roots warmed.  Batched through the
         extractor, so ``n_jobs > 1`` fans the cold censuses across
-        worker processes.
+        worker processes.  Already tracked roots are skipped: their live
+        census is current.
         """
         if roots is None:
             roots = range(self.graph.num_nodes)
         roots = [int(root) for root in roots]
+        fingerprint = self.graph.fingerprint()
         for variant in VARIANTS:
-            censuses = self._extractors[variant].census_many(self.graph, roots)
+            tracked = self._tracked[variant]
+            pending = [root for root in roots if root not in tracked]
+            censuses = self._extractors[variant].census_many(self.graph, pending)
             with self._meta_lock:
-                for root, census in zip(roots, censuses):
+                for root, census in zip(pending, censuses):
                     self._counters[(variant, root)] = census
-                    self._tracked[variant].add(root)
+                    tracked[root] = fingerprint
         get_telemetry().count("serve/warmed_roots", len(roots))
         return len(roots)
 
@@ -239,7 +243,7 @@ class FeatureService:
         query = self.census("plain", root)
         query_norm = self._norm_of("plain", root)
         with self._meta_lock:
-            candidates = sorted(self._tracked["plain"] - {root})
+            candidates = sorted(self._tracked["plain"].keys() - {root})
         scored = [
             (
                 _cosine(
@@ -313,9 +317,14 @@ class FeatureService:
         """Service-level snapshot: graph, warm sets, store, repair tallies."""
         with self._meta_lock:
             tracked = {variant: len(self._tracked[variant]) for variant in VARIANTS}
-        store_stats = self.store.stats()
-        store_stats.pop("stages", None)
-        store_stats.pop("approx_payload_bytes", None)
+        # Plain tallies only: store.stats() pickles every entry to size it.
+        store = self.store
+        store_stats = {
+            "entries": len(store),
+            "hits": store.hits,
+            "misses": store.misses,
+            "evictions": store.evictions,
+        }
         return {
             "graph": {
                 "nodes": self.graph.num_nodes,
@@ -341,19 +350,19 @@ class FeatureService:
         """Apply one edge mutation and repair the affected censuses.
 
         MUST run exclusively (the daemon holds the write lock): the graph
-        fingerprint changes mid-flight and concurrent reads could compute
-        censuses of the half-migrated version.
+        fingerprint changes mid-flight and concurrent reads could see a
+        half-repaired ball.
 
         Steps: mutate the graph; compute the repair ball on the version
-        containing the edge; per variant, migrate every unaffected warm
-        census to the new fingerprint (key move, no recompute) and
-        recompute the ball's tracked roots.  Raises
+        containing the edge; per variant, discard the store entry of each
+        tracked root in the ball and recompute it under the new
+        fingerprint.  Roots outside the ball carry over with no work;
+        the receipt counts them as ``migrated_roots``.  Raises
         :class:`~repro.exceptions.GraphError` on invalid mutations and
         :class:`NetError` (``unknown_node``) on unresolvable ids.
         """
         graph = self.graph
         u, v = self._resolve(u_id), self._resolve(v_id)
-        old_fp = graph.fingerprint()
         ball_config = self._census_configs["plain"]
         if op == "add_edge":
             graph.add_edge(u_id, v_id)
@@ -373,31 +382,20 @@ class FeatureService:
         migrated = 0
         for variant, census_config in self._census_configs.items():
             tracked = self._tracked[variant]
-            affected = sorted(tracked & ball)
-            unaffected = sorted(tracked - ball)
-            for root in unaffected:
-                store_config = census_store_config(census_config, root)
-                # Atomic re-key: no deep copies, and the store's hit/miss
-                # and payload accounting see no phantom traffic from
-                # migration bookkeeping (see ArtifactStore.move).
-                if self.store.move(old_fp, new_fp, STAGE_CENSUS, store_config):
-                    migrated += 1
-                else:
-                    # Evicted from the warm tier: recompute on next use.
-                    tracked.discard(root)
-                    self._drop_root_caches(variant, root)
+            affected = sorted(tracked.keys() & ball)
+            migrated += len(tracked) - len(affected)
             for root in affected:
-                self.store.discard(
-                    old_fp, STAGE_CENSUS, census_store_config(census_config, root)
-                )
+                store_config = census_store_config(census_config, root)
+                self.store.discard(tracked[root], STAGE_CENSUS, store_config)
                 self._drop_root_caches(variant, root)
             if affected:
-                # Recompute through the extractor: misses under the new
-                # fingerprint, computes (fanning out at n_jobs > 1), and
-                # writes back — exactly a cold census of these roots.
+                # Recompute through the extractor: looks up the new
+                # fingerprint, computes the misses (fanning out at
+                # n_jobs > 1) and writes back — exactly a cold census.
                 censuses = self._extractors[variant].census_many(graph, affected)
                 for root, census in zip(affected, censuses):
                     self._counters[(variant, root)] = census
+                    tracked[root] = new_fp
                 repaired += len(affected)
                 if variant == "masked":
                     self._centroids = None

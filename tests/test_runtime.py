@@ -176,6 +176,27 @@ class TestFreezeConfig:
         frozen = freeze_config({"x": [{"y": {1, 2}}, "s"]})
         hash(frozen)  # must not raise
 
+    def test_pinned_outputs(self):
+        # Frozen keys are persisted inside saved stores: any change to
+        # these outputs turns every stored artifact into a miss.
+        from repro.core.cache import census_store_config
+
+        census = census_store_config(
+            CensusConfig(max_edges=4, max_degree=16, mask_start_label=True), 7
+        )
+        expected = (4, 16, True, "canonical", True, False, None, 7)
+        assert freeze_config(census) == expected
+        assert pickle.dumps(freeze_config(census)) == pickle.dumps(expected)
+        nested = {"b": [1, {"z": {3, 1}}], "a": ("x", None, 2.5, b"k")}
+        expected = (("a", ("x", None, 2.5, b"k")), ("b", (1, (("z", (1, 3)),))))
+        assert freeze_config(nested) == expected
+        assert pickle.dumps(freeze_config(nested)) == pickle.dumps(expected)
+        scalar = np.int64(3)
+        assert freeze_config(scalar) is scalar
+        frozen = freeze_config({"n": scalar, "f": np.float64(0.5)})
+        assert frozen == (("f", 0.5), ("n", 3))
+        assert [type(value) for _, value in frozen] == [np.float64, np.int64]
+
 
 class TestArtifactStoreKeys:
     def test_cross_stage_isolation(self):
@@ -485,10 +506,10 @@ class TestArtifactStoreLRU:
 
 
 class TestArtifactStoreMove:
-    # Regression for the serve-layer key migration, which emulated a move
-    # with get() + discard() + put(): the payload/stage accounting saw
-    # phantom traffic (hits inflated once per migrated root) and every
-    # migration paid two deep copies of the artifact.
+    # move() is a general re-key primitive.  Emulating it with get() +
+    # discard() + put() showed phantom traffic in the payload/stage
+    # accounting (hits inflated once per moved entry) and paid two deep
+    # copies of the artifact per move.
 
     def test_move_rekeys_entry(self):
         store = ArtifactStore()

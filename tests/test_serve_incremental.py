@@ -12,13 +12,16 @@ exact engine, at ``n_jobs`` in {1, 2}, in both serving variants
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core import CensusConfig, MutableHeteroGraph, SubgraphFeatureExtractor
 from repro.core.graph import HeteroGraph
 from repro.exceptions import GraphError
-from repro.runtime import EXACT_ENGINES
+from repro.runtime import EXACT_ENGINES, ArtifactStore
+from repro.runtime.store import STAGE_CENSUS
 from repro.serve import FeatureService, ServeConfig, repair_ball
 from repro.serve.service import VARIANTS
 
@@ -123,6 +126,127 @@ class TestIncrementalParity:
         assert result["repaired_roots"] == result["ball_size"] * len(VARIANTS)
         assert result["ball_size"] < service.graph.num_nodes
         assert service.stats()["repaired_roots"] - before == result["repaired_roots"]
+
+
+class _CountingStore(ArtifactStore):
+    """An artifact store that tallies every keyed call by method name."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.calls: Counter = Counter()
+
+    def get(self, *args):
+        self.calls["get"] += 1
+        return super().get(*args)
+
+    def put(self, *args):
+        self.calls["put"] += 1
+        return super().put(*args)
+
+    def discard(self, *args):
+        self.calls["discard"] += 1
+        return super().discard(*args)
+
+    def move(self, *args):
+        self.calls["move"] += 1
+        return super().move(*args)
+
+
+def _tracked_entries(service: FeatureService) -> int:
+    return sum(len(service._tracked[variant]) for variant in VARIANTS)
+
+
+class TestWriteStoreTraffic:
+    def test_store_traffic_scales_with_ball(self):
+        # A write may touch the store only for the roots it repairs:
+        # discard the superseded entry, then one get (a miss) and one put
+        # to recompute it.  The unaffected roots are never re-keyed.
+        store = _CountingStore()
+        service = FeatureService(
+            _random_graph(seed=4), ServeConfig(emax=3), store=store
+        )
+        service.warm()
+        for seed in range(30):
+            before = sum(store.calls.values())
+            repaired_before = service.repaired_roots
+            _apply_random_mutations(service, k=1, seed=seed)
+            repaired = service.repaired_roots - repaired_before
+            assert sum(store.calls.values()) - before <= 3 * repaired
+        assert store.calls["move"] == 0
+        # Re-warming tracked roots is free: their live censuses are current.
+        calls = sum(store.calls.values())
+        service.warm()
+        assert sum(store.calls.values()) == calls
+        # One entry per tracked root per variant: no superseded entry leaks.
+        assert store.stage_entries(STAGE_CENSUS) == _tracked_entries(service)
+        assert service.migrated_roots > 0
+        _assert_bit_identical(service)
+
+    def test_add_then_remove_restores_stored_entries(self):
+        # Unaffected roots keep their entries under the fingerprint they
+        # were computed on; once the pair is removed again, those keys are
+        # current once more and a new service on the original graph is
+        # served entirely from the shared store.
+        graph = _random_graph(seed=6)
+        config = ServeConfig(emax=3)
+        store = ArtifactStore()
+        service = FeatureService(graph, config, store=store)
+        service.warm()
+        ids = service.graph.node_ids
+        u, v = next(
+            (u, v)
+            for u in range(graph.num_nodes)
+            for v in range(u + 1, graph.num_nodes)
+            if not graph.has_edge(u, v)
+        )
+        added = service.apply_mutation("add_edge", ids[u], ids[v])
+        removed = service.apply_mutation("remove_edge", ids[u], ids[v])
+        assert removed["fingerprint"] == graph.fingerprint() != added["fingerprint"]
+        assert store.stage_entries(STAGE_CENSUS) == _tracked_entries(service)
+
+        hits = store.stage_hits.get(STAGE_CENSUS, 0)
+        misses = store.stage_misses.get(STAGE_CENSUS, 0)
+        fresh = FeatureService(graph, config, store=store)
+        cold = FeatureService(graph, config)
+        for node in ids:
+            for masked in (False, True):
+                assert fresh.features(node, masked=masked) == cold.features(
+                    node, masked=masked
+                )
+        assert store.stage_hits.get(STAGE_CENSUS, 0) - hits == 2 * graph.num_nodes
+        assert store.stage_misses.get(STAGE_CENSUS, 0) == misses
+
+    def test_evicted_roots_stay_tracked(self):
+        # A bounded store may evict a tracked root's entry; the live
+        # census still holds it, so the root stays tracked and correct.
+        store = ArtifactStore(max_entries=16)
+        service = FeatureService(
+            _random_graph(seed=8), ServeConfig(emax=3), store=store
+        )
+        service.warm()
+        assert store.evictions > 0
+        _apply_random_mutations(service, k=6, seed=3)
+        assert all(
+            len(service._tracked[variant]) == service.graph.num_nodes
+            for variant in VARIANTS
+        )
+        _assert_bit_identical(service)
+
+    def test_stats_never_sizes_the_store(self, monkeypatch):
+        service = FeatureService(_random_graph(seed=1), ServeConfig(emax=2))
+        service.warm()
+
+        def forbidden(self):
+            raise AssertionError("stats() pickled the store")
+
+        monkeypatch.setattr(ArtifactStore, "approx_payload_bytes", forbidden)
+        stats = service.handle({"op": "stats"})
+        assert stats["store"] == {
+            "entries": 2 * service.graph.num_nodes,
+            "hits": service.store.hits,
+            "misses": service.store.misses,
+            "evictions": 0,
+        }
 
 
 class TestRepairBall:
