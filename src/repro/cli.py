@@ -616,6 +616,14 @@ def build_parser() -> argparse.ArgumentParser:
                 help="write a JSON run manifest (see docs/observability.md)",
             )
 
+    def jobs_arg(p, help):
+        p.add_argument(
+            "--n-jobs", "--jobs", dest="n_jobs", type=int, default=1, help=help
+        )
+
+    def partitions_arg(p, help):
+        p.add_argument("--partitions", type=int, default=None, help=help)
+
     def store_args(p):
         p.add_argument(
             "--artifact-store",
@@ -724,19 +732,10 @@ def build_parser() -> argparse.ArgumentParser:
             "with confidence bounds)",
         )
         sample_args(p)
-        p.add_argument(
-            "--n-jobs",
-            "--jobs",
-            dest="n_jobs",
-            type=int,
-            default=1,
-            help="worker processes for the census (0 = all cores)",
-        )
-        p.add_argument(
-            "--partitions",
-            type=int,
-            default=None,
-            help="shard the census over this many halo-complete graph "
+        jobs_arg(p, "worker processes for the census (0 = all cores)")
+        partitions_arg(
+            p,
+            "shard the census over this many halo-complete graph "
             "partitions (default: fan out individual roots)",
         )
         executor_args(p)
@@ -765,14 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="fast",
             help="embedding pipeline implementation",
         )
-        p.add_argument(
-            "--n-jobs",
-            "--jobs",
-            dest="n_jobs",
-            type=int,
-            default=1,
-            help="worker processes for corpus generation",
-        )
+        jobs_arg(p, "worker processes for corpus generation")
         p.add_argument("--seed", type=int, default=0, help="rng seed")
         store_args(p)
         common_args(p)
@@ -820,6 +812,11 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline_args(p_runtime)
     p_runtime.set_defaults(func=cmd_runtime)
 
+    grid_partitions_help = (
+        "shard the census stage over this many halo-complete graph "
+        "partitions (results are identical for any value)"
+    )
+
     p_rank = sub.add_parser(
         "rank", help="Table-1 style rank prediction on a synthetic MAG world"
     )
@@ -865,22 +862,12 @@ def build_parser() -> argparse.ArgumentParser:
         "the census only; the forest stays fast)",
     )
     sample_args(p_rank)
-    p_rank.add_argument(
-        "--n-jobs",
-        "--jobs",
-        dest="n_jobs",
-        type=int,
-        default=1,
-        help="worker processes for the experiment grid and forests "
+    jobs_arg(
+        p_rank,
+        "worker processes for the experiment grid and forests "
         "(results are identical for any value)",
     )
-    p_rank.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        help="shard the census stage over this many halo-complete graph "
-        "partitions (results are identical for any value)",
-    )
+    partitions_arg(p_rank, grid_partitions_help)
     mmap_args(p_rank)
     store_args(p_rank)
     common_args(p_rank)
@@ -924,22 +911,12 @@ def build_parser() -> argparse.ArgumentParser:
         "to the census only; embeddings keep their default engine)",
     )
     sample_args(p_label)
-    p_label.add_argument(
-        "--n-jobs",
-        "--jobs",
-        dest="n_jobs",
-        type=int,
-        default=1,
-        help="worker processes for the training sweep "
+    jobs_arg(
+        p_label,
+        "worker processes for the training sweep "
         "(results are identical for any value)",
     )
-    p_label.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        help="shard the census stage over this many halo-complete graph "
-        "partitions (results are identical for any value)",
-    )
+    partitions_arg(p_label, grid_partitions_help)
     mmap_args(p_label)
     store_args(p_label)
     common_args(p_label)
@@ -970,14 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="census implementation (exact engines only: incremental "
         "repair must be bit-identical to a cold recompute)",
     )
-    p_serve.add_argument(
-        "--n-jobs",
-        "--jobs",
-        dest="n_jobs",
-        type=int,
-        default=1,
-        help="worker processes for warm-up and repair censuses",
-    )
+    jobs_arg(p_serve, "worker processes for warm-up and repair censuses")
     p_serve.add_argument(
         "--top-k", type=int, default=10, help="default result size for rank queries"
     )
@@ -1044,11 +1014,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional graph file to preload shards from (otherwise the "
         "coordinator ships shards over the wire)",
     )
-    p_worker.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        help="partition count used to cut preloaded shards (must match "
+    partitions_arg(
+        p_worker,
+        "partition count used to cut preloaded shards (must match "
         "the coordinator's --partitions)",
     )
     p_worker.add_argument(

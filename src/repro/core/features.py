@@ -16,7 +16,6 @@ the graph is shared read-only, exactly as the paper argues for its
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,8 +27,9 @@ from repro.core.graph import HeteroGraph
 from repro.core.sampled import SampledCensusConfig
 from repro.core.sparse import CSRMatrix
 from repro.exceptions import FeatureError
-from repro.obs.telemetry import Telemetry, get_telemetry
+from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import ENGINE_SAMPLED, RunContext
+from repro.runtime.executor import run_tasks
 from repro.runtime.store import STAGE_CENSUS, STAGE_FEATURES
 
 
@@ -192,38 +192,15 @@ class SubgraphFeatures:
         return self.matrix.shape[1]
 
 
-# Worker-process state for parallel extraction: the graph and config are
-# shipped once per worker via the pool initializer instead of once per
-# task, which matters because the graph dominates the payload (the paper's
-# shared-edge-list argument, in pickle form).
-_WORKER_STATE: dict = {}
+def _census_chunk(shared: tuple, chunk: list[int]) -> list[Counter]:
+    """Census one chunk of roots: the census fan-out task.
 
-
-def _init_census_worker(
-    graph: HeteroGraph,
-    config: CensusConfig,
-    engine: str | None = None,
-    sampled: SampledCensusConfig | None = None,
-) -> None:
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["engine"] = engine
-    _WORKER_STATE["sampled"] = sampled
-
-
-def _census_chunk_worker(chunk: list[int]) -> tuple[list[Counter], dict]:
-    """Census one chunk of roots; ship results plus worker telemetry.
-
-    The worker records per-root and per-chunk timing into its own local
-    :class:`~repro.obs.telemetry.Telemetry` and returns the picklable
-    snapshot alongside the counters, so the dispatching parent can merge
-    the stats that would otherwise die with the pool.
+    ``subgraph_census`` is looked up through this module's globals on
+    every call, so wrapping ``repro.core.features.subgraph_census`` (a
+    profiler, a test's call counter) sees every root.
     """
-    graph = _WORKER_STATE["graph"]
-    config = _WORKER_STATE["config"]
-    engine = _WORKER_STATE.get("engine")
-    sampled = _WORKER_STATE.get("sampled")
-    telemetry = Telemetry()
+    graph, config, engine, sampled = shared
+    telemetry = get_telemetry()
     censuses = []
     with telemetry.span("census/chunk"):
         for root in chunk:
@@ -233,7 +210,7 @@ def _census_chunk_worker(chunk: list[int]) -> tuple[list[Counter], dict]:
                         graph, root, config, engine=engine, sampled=sampled
                     )
                 )
-    return censuses, telemetry.snapshot()
+    return censuses
 
 
 class SubgraphFeatureExtractor:
@@ -271,7 +248,7 @@ class SubgraphFeatureExtractor:
         Multiprocessing start method for the worker pool (``"fork"``,
         ``"spawn"``, ``"forkserver"``, or a ready context object);
         ``None`` keeps the platform default.  With an
-        :class:`~repro.core.mmap_graph.MmapGraph` the initializer ships
+        :class:`~repro.core.mmap_graph.MmapGraph` each worker receives
         only the file path and workers re-open the mapping, so even
         ``"spawn"`` pools start without serialising the graph.
     """
@@ -309,13 +286,6 @@ class SubgraphFeatureExtractor:
         self.sampled = sampled
         self.mp_context = mp_context
 
-    def _resolved_mp_context(self):
-        if isinstance(self.mp_context, str):
-            import multiprocessing
-
-            return multiprocessing.get_context(self.mp_context)
-        return self.mp_context
-
     def census_many(
         self,
         graph: HeteroGraph,
@@ -334,8 +304,8 @@ class SubgraphFeatureExtractor:
         tail — and the original order is restored before returning.  The
         pool is skipped entirely when there is too little work to
         amortise its startup (``nodes`` empty, or fewer pending roots
-        than workers); worker-side timing is merged back into the
-        parent's telemetry either way.
+        than workers); worker-side timing and census counters are
+        merged back into the parent's telemetry either way.
 
         ``partitions`` (or the extractor-level setting) switches the
         uncached roots onto the sharded driver of
@@ -408,41 +378,32 @@ class SubgraphFeatureExtractor:
                         workers=self.ctx.workers,
                     )
                 )
-            elif self.n_jobs == 1 or len(pending) < self.n_jobs:
-                with telemetry.span("census/chunk"):
-                    for node in pending:
-                        with telemetry.span("census/root"):
-                            computed[node] = subgraph_census(
-                                graph,
-                                node,
-                                config,
-                                engine=self.engine,
-                                sampled=sampled,
-                            )
             else:
-                degrees = graph.flat().degrees
-                pending = sorted(
-                    pending, key=lambda node: degrees[node], reverse=True
-                )
-                # ~4 chunks per worker balances scheduling overhead
-                # against load skew from uneven per-root cost.
-                chunksize = max(1, len(pending) // (self.n_jobs * 4))
+                # Stricter than the executor's rule: fewer pending roots
+                # than workers run in-process, as one chunk.
+                n_jobs = self.n_jobs if len(pending) >= self.n_jobs else 1
+                chunksize = len(pending)
+                if n_jobs > 1:
+                    degrees = graph.flat().degrees
+                    pending = sorted(
+                        pending, key=lambda node: degrees[node], reverse=True
+                    )
+                    # ~4 chunks per worker balances scheduling overhead
+                    # against load skew from uneven per-root cost.
+                    chunksize = max(1, len(pending) // (n_jobs * 4))
                 chunks = [
                     pending[start: start + chunksize]
                     for start in range(0, len(pending), chunksize)
                 ]
-                with ProcessPoolExecutor(
-                    max_workers=self.n_jobs,
-                    mp_context=self._resolved_mp_context(),
-                    initializer=_init_census_worker,
-                    initargs=(graph, config, self.engine, sampled),
-                ) as pool:
-                    for chunk, (censuses, snapshot) in zip(
-                        chunks, pool.map(_census_chunk_worker, chunks)
-                    ):
-                        for node, census in zip(chunk, censuses):
-                            computed[node] = census
-                        telemetry.merge(snapshot)
+                censuses = run_tasks(
+                    _census_chunk,
+                    chunks,
+                    n_jobs=n_jobs,
+                    shared=(graph, config, self.engine, sampled),
+                    mp_context=self.mp_context,
+                )
+                for chunk, chunk_censuses in zip(chunks, censuses):
+                    computed.update(zip(chunk, chunk_censuses))
             if store is not None:
                 fingerprint = graph.fingerprint()
                 for node in pending:

@@ -24,7 +24,6 @@ run manifest alongside the artifact-store counters.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from repro.core.census import CensusConfig, subgraph_census
@@ -40,6 +39,7 @@ from repro.dist.partition import (
 from repro.exceptions import CensusError, PartitionError
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.runtime.context import VALID_EXECUTORS, RunContext, resolve_engine
+from repro.runtime.executor import run_tasks
 from repro.runtime.store import STAGE_PARTITION
 
 
@@ -109,19 +109,13 @@ def _census_partition(
     return results
 
 
-def _partition_census_worker(
-    partition: GraphPartition,
-    roots: list,
-    config: CensusConfig,
-    engine: str | None,
-    sampled: SampledCensusConfig | None = None,
-) -> tuple[dict, dict]:
-    """Pool task: census one shard's roots, ship results + telemetry."""
-    telemetry = Telemetry()
-    results = _census_partition(
-        partition, roots, config, engine, telemetry, sampled
+def _census_shard(shared: tuple, task: tuple) -> dict:
+    """Census one shard's owned roots: the local shard fan-out task."""
+    config, engine, sampled = shared
+    partition, roots = task
+    return _census_partition(
+        partition, roots, config, engine, get_telemetry(), sampled
     )
-    return results, telemetry.snapshot()
 
 
 def sharded_census_map(
@@ -143,12 +137,13 @@ def sharded_census_map(
     start early, mirroring the hub-first scheduling of the root-fanning
     driver.
 
-    ``executor="local"`` (the default) fans tasks over a process pool —
-    ``n_jobs == 1`` (or a single loaded shard) runs in-process, no pool
-    startup for small work.  ``executor="remote"`` ships the *same*
-    task list to ``workers`` (a sequence of ``repro worker`` endpoint
-    specs) through :class:`repro.dist.remote.RemoteExecutor`; the shard
-    census code is shared, so results are bit-identical either way.
+    ``executor="local"`` (the default) fans tasks out through
+    :func:`repro.runtime.executor.run_tasks` — ``n_jobs == 1`` (or a
+    single loaded shard) runs in-process, no pool startup for small
+    work.  ``executor="remote"`` ships the *same* task list to
+    ``workers`` (a sequence of ``repro worker`` endpoint specs) through
+    :class:`repro.dist.remote.RemoteExecutor`; the shard census code is
+    shared, so results are bit-identical either way.
     """
     resolve_engine(executor, VALID_EXECUTORS, param="executor")
     telemetry = get_telemetry()
@@ -167,7 +162,6 @@ def sharded_census_map(
     tasks.sort(
         key=lambda task: sum(degrees[r] for r in task[1]), reverse=True
     )
-    results: dict = {}
     if executor == "remote":
         from repro.dist.remote import RemoteExecutor
 
@@ -179,30 +173,11 @@ def sharded_census_map(
         return RemoteExecutor(workers).census_map(
             tasks, config, engine=engine, sampled=sampled, telemetry=telemetry
         )
-    if n_jobs == 1 or len(tasks) <= 1:
-        for partition, owned_roots in tasks:
-            results.update(
-                _census_partition(
-                    partition, owned_roots, config, engine, telemetry, sampled
-                )
-            )
-    else:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            futures = [
-                pool.submit(
-                    _partition_census_worker,
-                    partition,
-                    owned_roots,
-                    config,
-                    engine,
-                    sampled,
-                )
-                for partition, owned_roots in tasks
-            ]
-            for future in futures:
-                shard_results, snapshot = future.result()
-                results.update(shard_results)
-                telemetry.merge(snapshot)
+    results: dict = {}
+    for shard_results in run_tasks(
+        _census_shard, tasks, n_jobs=n_jobs, shared=(config, engine, sampled)
+    ):
+        results.update(shard_results)
     return results
 
 

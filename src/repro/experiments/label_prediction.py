@@ -17,7 +17,6 @@ Two experiment axes map to Figure 5:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,17 +36,17 @@ from repro.experiments.common import (
 from repro.ml import StandardScaler, macro_f1, train_test_split, tune_regularization
 from repro.ml.forest import resolve_n_jobs
 from repro.ml.preprocessing import log1p_counts
-from repro.obs.telemetry import fresh_telemetry, get_telemetry
+from repro.obs.log import get_logger
+from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import EXACT_ENGINES, RunContext
+from repro.runtime.executor import run_tasks
 
 FEATURE_TYPES = ("subgraph", *EMBEDDING_METHODS)
 
 #: Label name standing in for removed node labels (Figure 5D–F).
 UNLABELED = "unlabeled"
 
-#: Per-worker state for the training-sweep fan-out, populated by the pool
-#: initializer so the graph and config ship once per worker process.
-_WORKER_STATE: dict = {}
+logger = get_logger(__name__)
 
 
 def _draw_split_seeds(rng: np.random.Generator, count: int) -> list[int]:
@@ -60,25 +59,26 @@ def _draw_split_seeds(rng: np.random.Generator, count: int) -> list[int]:
     return [int(rng.integers(0, 2**31 - 1)) for _ in range(count)]
 
 
-def _init_label_worker(graph, config) -> None:
-    _WORKER_STATE["experiment"] = LabelPredictionExperiment(graph, config)
+def _grid_experiment(graph, config, partitions) -> "LabelPredictionExperiment":
+    """A pool worker's own experiment, built once per worker.
 
-
-def _label_feature_worker(payload):
-    """Score every (fraction, seeds) cell of one feature type.
-
-    Runs under a fresh telemetry registry; the snapshot is merged back into
-    the parent so counters and spans survive the process boundary.
+    It carries the parent's census shard count but not its artifact
+    store, which stays in the parent process.
     """
-    feature, cells = payload
-    experiment = _WORKER_STATE["experiment"]
-    scores = {}
-    with fresh_telemetry() as telemetry:
-        X = experiment.feature_matrix(feature)
-        for fraction, seeds in cells:
-            scores[(feature, fraction)] = experiment._score_splits(X, fraction, seeds)
-        snapshot = telemetry.snapshot()
-    return scores, snapshot
+    return LabelPredictionExperiment(
+        graph, config, RunContext(partitions=partitions)
+    )
+
+
+def _score_feature(experiment, task) -> dict:
+    """Score every (fraction, seeds) cell of one feature type: the
+    training-sweep fan-out task."""
+    feature, cells = task
+    X = experiment.feature_matrix(feature)
+    return {
+        (feature, fraction): experiment._score_splits(X, fraction, seeds)
+        for fraction, seeds in cells
+    }
 
 
 @dataclass
@@ -314,7 +314,8 @@ class LabelPredictionExperiment:
 
         With ``config.n_jobs > 1`` the per-feature cells fan out over a
         process pool.  All split seeds are pre-drawn from the sequential
-        stream first, so results are bit-identical for any worker count.
+        stream first, and results come back in grid order, so they are
+        bit-identical for any worker count.
         """
         cfg = self.config
         rng = np.random.default_rng(cfg.seed + 1)
@@ -329,31 +330,21 @@ class LabelPredictionExperiment:
             for feature in features
         ]
         n_jobs = resolve_n_jobs(cfg.n_jobs)
+        setup, shared = None, self
+        if min(n_jobs, len(plan)) > 1:
+            if self.ctx.store is not None:
+                logger.warning(
+                    "parallel label sweep: workers neither read nor write "
+                    "the artifact store"
+                )
+            setup = _grid_experiment
+            shared = (self.graph, replace(cfg, n_jobs=1), self.ctx.partitions)
         scores: dict[tuple[str, float], list[float]] = {}
-        if n_jobs > 1 and len(plan) > 1:
-            telemetry = get_telemetry()
-            worker_config = replace(cfg, n_jobs=1)
-            with ProcessPoolExecutor(
-                max_workers=min(n_jobs, len(plan)),
-                initializer=_init_label_worker,
-                initargs=(self.graph, worker_config),
-            ) as pool:
-                for cell_scores, snapshot in pool.map(_label_feature_worker, plan):
-                    scores.update(cell_scores)
-                    telemetry.merge(snapshot)
-        else:
-            for feature, cells in plan:
-                X = self.feature_matrix(feature)
-                for fraction, seeds in cells:
-                    scores[(feature, fraction)] = self._score_splits(X, fraction, seeds)
-        # Rebuild in grid order: pool results arrive per feature chunk,
-        # and callers expect the same iteration order as the inline loop.
-        ordered = {
-            (feature, fraction): scores[(feature, fraction)]
-            for feature in features
-            for fraction in cfg.train_fractions
-        }
-        return SweepResult(ordered)
+        for feature_scores in run_tasks(
+            _score_feature, plan, n_jobs=n_jobs, setup=setup, shared=shared
+        ):
+            scores.update(feature_scores)
+        return SweepResult(scores)
 
     def run_label_removal(self, features=FEATURE_TYPES) -> SweepResult:
         """Figure 5D–F: macro-F1 vs fraction of removed node labels.

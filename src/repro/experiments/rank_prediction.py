@@ -19,7 +19,6 @@ The four predictive methods follow Section 4.2.3:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,11 +40,15 @@ from repro.ml import (
     ndcg_at,
 )
 from repro.ml.forest import resolve_n_jobs
-from repro.obs.telemetry import fresh_telemetry, get_telemetry
+from repro.obs.log import get_logger
+from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import RunContext
+from repro.runtime.executor import run_tasks
 
 FEATURE_FAMILIES = ("classic", "subgraph", "combined", "node2vec", "deepwalk", "line")
 REGRESSOR_NAMES = ("LinRegr", "DecTree", "RanForest", "BayRidge")
+
+logger = get_logger(__name__)
 
 
 def _hstack_blocks(blocks):
@@ -55,34 +58,31 @@ def _hstack_blocks(blocks):
     return np.hstack(blocks)
 
 
-# Worker-process state for the parallel grid: the synthetic world and task
-# config are shipped once per worker via the pool initializer (the
-# ``_WORKER_STATE`` pattern of ``repro.core.features``); each worker keeps
-# its own experiment instance so per-conference feature reuse works inside
-# its chunk of cells.
-_WORKER_STATE: dict = {}
+def _grid_experiment(mag, config, partitions) -> "RankPredictionExperiment":
+    """A pool worker's own experiment, built once per worker.
+
+    It carries the parent's census shard count but not its artifact
+    store, which stays in the parent process.
+    """
+    return RankPredictionExperiment(mag, config, RunContext(partitions=partitions))
 
 
-def _init_rank_worker(mag, config) -> None:
-    _WORKER_STATE["experiment"] = RankPredictionExperiment(mag, config)
+def _run_conference(experiment, task) -> tuple[dict, dict]:
+    """One conference's (conference, family) cells: the grid fan-out task.
 
-
-def _rank_chunk_worker(payload):
-    """Run one conference's (conference, family) cells; ship results plus
-    the worker-side telemetry snapshot for the parent to merge."""
-    cells, regressors = payload
-    experiment = _WORKER_STATE["experiment"]
+    A task is a whole conference so per-conference feature reuse keeps
+    working inside a worker.
+    """
+    conference, families, regressors = task
     ndcg: dict = {}
     timings: dict = {}
-    with fresh_telemetry() as telemetry:
-        for conference, family in cells:
-            cell_ndcg, cell_timings = experiment._run_cell(
-                conference, family, regressors
-            )
-            ndcg.update(cell_ndcg)
-            timings.update(cell_timings)
-        snapshot = telemetry.snapshot()
-    return ndcg, timings, snapshot
+    for family in families:
+        cell_ndcg, cell_timings = experiment._run_cell(
+            conference, family, regressors
+        )
+        ndcg.update(cell_ndcg)
+        timings.update(cell_timings)
+    return ndcg, timings
 
 
 @dataclass
@@ -436,47 +436,34 @@ class RankPredictionExperiment:
         With ``config.n_jobs > 1`` and several conferences, the
         (conference, family) cells fan out over a process pool — one chunk
         per conference so the per-conference feature reuse keeps working
-        inside each worker — and results are restored in the sequential
+        inside each worker — and results come back in the sequential
         grid order.  Cell scores are independent of the fan-out (each cell
         seeds its own models), so any worker count matches ``n_jobs=1``.
         """
         cfg = self.config
-        telemetry = get_telemetry()
         conferences = tuple(cfg.conferences or self.mag.config.conferences)
         n_jobs = resolve_n_jobs(cfg.n_jobs)
+        tasks = [(conference, families, regressors) for conference in conferences]
+        setup, shared = None, self
+        if min(n_jobs, len(tasks)) > 1:
+            if self.ctx.store is not None:
+                logger.warning(
+                    "parallel rank grid: workers neither read nor write "
+                    "the artifact store"
+                )
+            # The grid consumes the workers; cells run forests
+            # sequentially (no nested pools).
+            setup = _grid_experiment
+            shared = (
+                self.mag,
+                replace(cfg, n_jobs=1, conferences=None),
+                self.ctx.partitions,
+            )
         ndcg: dict[tuple[str, str, str], float] = {}
         timings: dict[str, float] = {}
-        if n_jobs > 1 and len(conferences) > 1:
-            # The grid consumes the workers; cells run forests sequentially
-            # (no nested pools).
-            worker_config = replace(cfg, n_jobs=1, conferences=None)
-            chunks = [
-                [(conference, family) for family in families]
-                for conference in conferences
-            ]
-            with ProcessPoolExecutor(
-                max_workers=min(n_jobs, len(conferences)),
-                initializer=_init_rank_worker,
-                initargs=(self.mag, worker_config),
-            ) as pool:
-                for cell_ndcg, cell_timings, snapshot in pool.map(
-                    _rank_chunk_worker, [(chunk, regressors) for chunk in chunks]
-                ):
-                    ndcg.update(cell_ndcg)
-                    timings.update(cell_timings)
-                    telemetry.merge(snapshot)
-        else:
-            for conference in conferences:
-                for family in families:
-                    cell_ndcg, cell_timings = self._run_cell(
-                        conference, family, regressors
-                    )
-                    ndcg.update(cell_ndcg)
-                    timings.update(cell_timings)
-        ordered = {
-            (regressor, family, conference): ndcg[(regressor, family, conference)]
-            for conference in conferences
-            for family in families
-            for regressor in regressors
-        }
-        return RankPredictionResult(cfg, ordered, timings)
+        for task_ndcg, task_timings in run_tasks(
+            _run_conference, tasks, n_jobs=n_jobs, setup=setup, shared=shared
+        ):
+            ndcg.update(task_ndcg)
+            timings.update(task_timings)
+        return RankPredictionResult(cfg, ndcg, timings)

@@ -17,20 +17,17 @@ Engines and parallelism
 same-depth node of the whole forest; ``engine="reference"`` fits each tree
 with the plain per-node builder.  Both produce bit-identical estimators.
 
-``n_jobs`` fans tree chunks over a ``ProcessPoolExecutor`` whose
-initializer ships ``X, y`` once per worker (the ``_WORKER_STATE`` pattern
-of :mod:`repro.core.features`).  Per-tree RNG seeds — one for the split
+``n_jobs`` fans tree chunks out through
+:func:`repro.runtime.executor.run_tasks`, which ships ``X, y`` once per
+worker rather than once per chunk.  Per-tree RNG seeds — one for the split
 sampler, one for the bootstrap — are pre-drawn from the sequential stream
 of ``random_state`` *before* any fanning, so every worker count (and both
 engines) yields exactly the trees that ``n_jobs=1`` would have grown:
 predictions and ``feature_importances_`` are bit-identical.  Worker
-:class:`~repro.obs.telemetry.Telemetry` snapshots merge back into the
-parent registry.
+telemetry merges back into the parent registry.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -43,11 +40,12 @@ from repro.ml.base import (
 )
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.ml.tree_batched import fit_tree_batch
-from repro.obs.telemetry import Telemetry, get_telemetry
+from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import (  # noqa: F401  (resolve_n_jobs re-exported)
     RunContext,
     resolve_n_jobs,
 )
+from repro.runtime.executor import run_tasks
 
 ENGINES = ("fast", "reference")
 
@@ -76,10 +74,12 @@ def _bootstrap_sample(boot_seed: int, n: int, bootstrap: bool) -> np.ndarray:
     return np.random.default_rng(boot_seed).integers(0, n, size=n)
 
 
-def _fit_tree_tasks(
-    X: np.ndarray, y: np.ndarray, spec: dict, tasks: list[tuple[int, int]]
-) -> list:
-    """Fit the trees for ``tasks`` with the configured engine, in order."""
+def _fit_tree_tasks(fit: tuple, tasks: list[tuple[int, int]]) -> list:
+    """Fit the trees for ``tasks`` with the configured engine, in order.
+
+    ``fit`` is ``(X, y, spec)``; this is the forest's fan-out task.
+    """
+    X, y, spec = fit
     n = X.shape[0]
     samples = [
         (seed, _bootstrap_sample(boot_seed, n, spec["bootstrap"]))
@@ -101,28 +101,6 @@ def _fit_tree_tasks(
         tree.fit(X[sample], y[sample])
         trees.append(tree)
     return trees
-
-
-# Worker-process state: the training matrix and fit spec are shipped once
-# per worker via the pool initializer instead of once per chunk.
-_WORKER_STATE: dict = {}
-
-
-def _init_forest_worker(X: np.ndarray, y: np.ndarray, spec: dict) -> None:
-    _WORKER_STATE["X"] = X
-    _WORKER_STATE["y"] = y
-    _WORKER_STATE["spec"] = spec
-
-
-def _forest_chunk_worker(tasks: list[tuple[int, int]]) -> tuple[list, dict]:
-    """Fit one chunk of trees; ship them back plus worker telemetry."""
-    telemetry = Telemetry()
-    with telemetry.span("forest/chunk"):
-        trees = _fit_tree_tasks(
-            _WORKER_STATE["X"], _WORKER_STATE["y"], _WORKER_STATE["spec"], tasks
-        )
-        telemetry.count("forest/trees_fit", len(tasks))
-    return trees, telemetry.snapshot()
 
 
 class _BaseForest(BaseEstimator):
@@ -182,25 +160,20 @@ class _BaseForest(BaseEstimator):
         telemetry.annotate("forest/engine", self.engine)
         telemetry.count("forest/trees", self.n_estimators)
         with telemetry.span("forest/fit"):
-            if n_jobs == 1 or self.n_estimators < 2 * n_jobs:
-                trees = _fit_tree_tasks(X, y, spec, tasks)
-            else:
-                chunksize = -(-len(tasks) // n_jobs)  # ceil: one chunk per worker
-                chunks = [
-                    tasks[start : start + chunksize]
-                    for start in range(0, len(tasks), chunksize)
-                ]
-                trees = []
-                with ProcessPoolExecutor(
-                    max_workers=n_jobs,
-                    initializer=_init_forest_worker,
-                    initargs=(X, y, spec),
-                ) as pool:
-                    for chunk_trees, snapshot in pool.map(
-                        _forest_chunk_worker, chunks
-                    ):
-                        trees.extend(chunk_trees)
-                        telemetry.merge(snapshot)
+            # One chunk per worker; n_jobs == 1 keeps every tree in one
+            # batched fit.
+            chunksize = -(-len(tasks) // n_jobs)
+            chunks = [
+                tasks[start : start + chunksize]
+                for start in range(0, len(tasks), chunksize)
+            ]
+            trees = [
+                tree
+                for chunk_trees in run_tasks(
+                    _fit_tree_tasks, chunks, n_jobs=n_jobs, shared=(X, y, spec)
+                )
+                for tree in chunk_trees
+            ]
         self.estimators_ = trees
         importances = np.zeros(X.shape[1])
         for tree in trees:  # tree order, so any n_jobs sums identically

@@ -12,16 +12,17 @@ Design constraints:
 * **dependency-free** — stdlib only, importable from worker processes;
 * **cheap** — a counter bump is one dict update under a lock; the census
   inner loop stays dominated by real work;
-* **mergeable** — worker processes build their own local registries and
-  ship :meth:`Telemetry.snapshot` dicts (plain picklable data) back with
-  their results; the parent folds them in with :meth:`Telemetry.merge`.
+* **mergeable** — each pool task runs under its own fresh registry and
+  ships a :meth:`Telemetry.snapshot` dict (plain picklable data) back
+  with its result; the parent folds it in with :meth:`Telemetry.merge`
+  (see :func:`repro.runtime.executor.run_tasks`).
   Counters add, timer stats combine (count/total/max), gauges take the
   maximum (peak semantics), annotations last-write-win.  Merging the
   per-worker snapshots of an ``n_jobs = 2`` run therefore reproduces the
   stats of the same run at ``n_jobs = 1``.
 
 Instrumented code records into the process-global registry returned by
-:func:`get_telemetry`; tests and worker shims isolate themselves with
+:func:`get_telemetry`; tests and pool tasks isolate themselves with
 :func:`fresh_telemetry`.
 """
 
@@ -180,8 +181,8 @@ class Telemetry:
 
     All mutation goes through one :class:`threading.Lock`, so concurrent
     threads (LINE's order training, pool callback threads) can record
-    safely.  Cross-*process* safety is by construction: workers use their
-    own instance and the parent merges the returned snapshots.
+    safely.  Cross-*process* safety is by construction: pool tasks record
+    into their own instance and the parent merges the returned snapshots.
     """
 
     def __init__(self) -> None:
@@ -329,9 +330,9 @@ class Telemetry:
         )
 
 
-#: Process-global registry used by instrumented library code.  Worker
-#: processes get a fresh (empty) one on spawn, record locally, and ship
-#: snapshots back to be merged here by the dispatching parent.
+#: Process-global registry used by instrumented library code.  Pool tasks
+#: swap in a fresh one, record locally, and ship snapshots back to be
+#: merged here by the dispatching parent.
 _GLOBAL = Telemetry()
 
 

@@ -3,7 +3,8 @@
 One layer answering "how should this run execute?" for every stage of
 the library — see :mod:`repro.runtime.context` (engine/n_jobs/seed
 policy), :mod:`repro.runtime.store` (content-addressed cross-stage
-caching), and :mod:`repro.runtime.pipeline` (declared CLI stages).
+caching), :mod:`repro.runtime.pipeline` (declared CLI stages), and
+:mod:`repro.runtime.executor` (the one local fan-out).
 """
 
 from repro.runtime.context import (
@@ -19,6 +20,7 @@ from repro.runtime.context import (
     resolve_engine,
     resolve_n_jobs,
 )
+from repro.runtime.executor import run_tasks
 from repro.runtime.pipeline import Pipeline, STAGES
 from repro.runtime.store import (
     ArtifactStore,
@@ -43,6 +45,7 @@ __all__ = [
     "EXECUTOR_LOCAL",
     "EXECUTOR_REMOTE",
     "VALID_EXECUTORS",
+    "run_tasks",
     "Pipeline",
     "STAGES",
     "ArtifactStore",

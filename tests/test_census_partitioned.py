@@ -145,6 +145,29 @@ def test_parity_with_multiprocess_fanout():
     assert got == expected
 
 
+def test_multiprocess_fanout_keeps_census_counters():
+    """Counters the census records inside shard workers reach the parent."""
+    from repro.obs.telemetry import fresh_telemetry
+
+    graph = random_hetero_graph(42)
+    config = CensusConfig(max_edges=3)
+    roots = list(range(graph.num_nodes))
+    stats = []
+    for n_jobs in (1, 2):
+        with fresh_telemetry() as telemetry:
+            subgraph_census_sharded(
+                graph, roots, config, partitions=2, n_jobs=n_jobs
+            )
+        stats.append(telemetry)
+    serial, parallel = stats
+    for name in ("census/calls", "census/subgraphs"):
+        assert parallel.counters[name] == serial.counters[name] > 0
+    assert (
+        parallel.timers["census/root"].count
+        == serial.timers["census/root"].count
+    )
+
+
 def test_duplicate_roots_are_independent_counters():
     graph = random_hetero_graph(7)
     config = CensusConfig(max_edges=2)

@@ -832,3 +832,67 @@ class TestNetCLI:
             build_parser().parse_args(
                 ["census", graph_json, "--root", "i1", "--executor", "carrier"]
             )
+
+
+class TestSharedFlags:
+    """``--n-jobs/--jobs`` and ``--partitions`` come from one helper each;
+    every subcommand keeps its flags, defaults, dest and help text."""
+
+    CENSUS_JOBS = "worker processes for the census (0 = all cores)"
+    CENSUS_PARTITIONS = (
+        "shard the census over this many halo-complete graph partitions "
+        "(default: fan out individual roots)"
+    )
+    CORPUS_JOBS = "worker processes for corpus generation"
+    GRID_PARTITIONS = (
+        "shard the census stage over this many halo-complete graph "
+        "partitions (results are identical for any value)"
+    )
+    EXPECTED = {
+        "census": {"n_jobs": CENSUS_JOBS, "partitions": CENSUS_PARTITIONS},
+        "features": {"n_jobs": CENSUS_JOBS, "partitions": CENSUS_PARTITIONS},
+        "embed": {"n_jobs": CORPUS_JOBS},
+        "runtime": {"n_jobs": CORPUS_JOBS},
+        "rank": {
+            "n_jobs": "worker processes for the experiment grid and forests "
+            "(results are identical for any value)",
+            "partitions": GRID_PARTITIONS,
+        },
+        "label": {
+            "n_jobs": "worker processes for the training sweep "
+            "(results are identical for any value)",
+            "partitions": GRID_PARTITIONS,
+        },
+        "serve": {"n_jobs": "worker processes for warm-up and repair censuses"},
+        "worker": {
+            "partitions": "partition count used to cut preloaded shards "
+            "(must match the coordinator's --partitions)"
+        },
+    }
+    FLAGS = {
+        "n_jobs": (["--n-jobs", "--jobs"], 1),
+        "partitions": (["--partitions"], None),
+    }
+
+    def test_flags_defaults_and_help_per_subcommand(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        subparsers = next(
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        found = {}
+        for command, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if action.dest not in self.FLAGS:
+                    continue
+                option_strings, default = self.FLAGS[action.dest]
+                assert action.option_strings == option_strings, command
+                assert action.type is int, command
+                assert action.default == default, command
+                found.setdefault(command, {})[action.dest] = action.help
+        assert found == self.EXPECTED

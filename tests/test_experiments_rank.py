@@ -175,6 +175,39 @@ class TestSparseAndParallelParity:
         assert parallel.ndcg == serial.ndcg
         assert list(parallel.ndcg) == list(serial.ndcg)
 
+    def test_parallel_grid_keeps_partitions(self, two_conference_world):
+        """Grid workers census through the parent's shard count, and a
+        parent store draws one warning (workers do not use it)."""
+        import logging
+
+        from repro.obs.telemetry import fresh_telemetry
+        from repro.runtime import ArtifactStore, RunContext
+
+        config = RankTaskConfig(
+            train_years=(2013, 2014), test_year=2015, emax=2, seed=0, n_jobs=2
+        )
+        experiment = RankPredictionExperiment(
+            two_conference_world,
+            config,
+            RunContext(partitions=2, store=ArtifactStore()),
+        )
+        warnings = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = warnings.append
+        logger = logging.getLogger("repro.experiments.rank_prediction")
+        old_level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.WARNING)
+        try:
+            with fresh_telemetry() as telemetry:
+                experiment.run(families=("subgraph",), regressors=("LinRegr",))
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(old_level)
+        assert telemetry.annotations["dist/partitions"] == "2"
+        assert len(warnings) == 1
+        assert "artifact store" in warnings[0].getMessage()
+
     def test_forest_engines_scores_identical(self, two_conference_world):
         fast = self._run(two_conference_world, forest_engine="fast")
         reference = self._run(two_conference_world, forest_engine="reference")

@@ -124,12 +124,12 @@ class TestCensusManyScheduling:
 
     def test_small_batch_never_spawns_pool(self, publication_graph, monkeypatch):
         """Fewer pending roots than workers must run in-process."""
-        import repro.core.features as features_module
+        import repro.runtime.executor as executor_module
 
         def boom(*args, **kwargs):  # pragma: no cover - defensive
             raise AssertionError("ProcessPoolExecutor should not be created")
 
-        monkeypatch.setattr(features_module, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", boom)
         extractor = SubgraphFeatureExtractor(CensusConfig(max_edges=3), n_jobs=8)
         results = extractor.census_many(publication_graph, [0, 1])
         expected = [
@@ -250,6 +250,10 @@ class TestCensusManyTelemetry:
             == serial.timers["census/root"].count
         )
         assert parallel.timers["census/chunk"].count >= 1
+        # Counters the census itself records through get_telemetry()
+        # inside a pool worker must reach the parent too.
+        for name in ("census/calls", "census/subgraphs"):
+            assert parallel.counters[name] == serial.counters[name]
 
     def test_cache_hits_counted(self, publication_graph):
         from repro.obs.telemetry import fresh_telemetry

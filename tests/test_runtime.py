@@ -1,15 +1,19 @@
-"""Tests for the unified execution runtime: context, store, pipeline.
+"""Tests for the unified execution runtime: context, store, pipeline,
+executor.
 
 Covers the :class:`RunContext` resolution shims, the single
 :func:`resolve_engine` validator (every call site must enumerate its
-valid choices), and the content-addressed :class:`ArtifactStore` —
+valid choices), the content-addressed :class:`ArtifactStore` —
 cross-stage key isolation, durability statuses, and FIFO eviction
-across mixed stage types.
+across mixed stage types — and :func:`run_tasks`, the one local fan-out.
 """
 
 import logging
+import os
 import pickle
+import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from repro.embeddings.skipgram import SkipGramTrainer, walks_to_pairs
 from repro.embeddings.walks import node2vec_walks, uniform_random_walks
 from repro.exceptions import CensusError
 from repro.ml.forest import RandomForestRegressor
-from repro.obs import fresh_telemetry
+from repro.obs import fresh_telemetry, get_telemetry
 from repro.runtime import (
     ArtifactStore,
     Pipeline,
@@ -29,6 +33,7 @@ from repro.runtime import (
     freeze_config,
     resolve_engine,
     resolve_n_jobs,
+    run_tasks,
 )
 
 FP = "fingerprint-a"
@@ -661,3 +666,110 @@ class TestArtifactStoreConcurrency:
         for thread in threads:
             thread.join()
         assert errors == []
+
+
+# -- run_tasks task functions (module level, so a pool can pickle them) ------
+_SETUP_PIDS: list = []
+
+
+def _scaled(state, task):
+    """Record through the process-global registry, then sleep so that
+    early tasks finish last in a pool."""
+    telemetry = get_telemetry()
+    with telemetry.span("test/task"):
+        telemetry.count("test/tasks")
+        telemetry.count("test/sum", task)
+        time.sleep(0.01 * (5 - task % 5))
+    (factor,) = state
+    return task * factor
+
+
+def _counting_setup(offset):
+    _SETUP_PIDS.append(os.getpid())
+    return {"offset": offset}
+
+
+def _setup_runs(state, task):
+    return os.getpid(), _SETUP_PIDS.count(os.getpid()), task + state["offset"]
+
+
+def _raise_census_error(state, task):
+    if task == 2:
+        raise CensusError(f"bad root {task}")
+    return task
+
+
+class TestRunTasks:
+    TASKS = list(range(8))
+
+    def test_results_in_task_order(self):
+        expected = [task * 3 for task in self.TASKS]
+        for n_jobs in (1, 2):
+            assert run_tasks(_scaled, self.TASKS, n_jobs=n_jobs, shared=(3,)) == expected
+
+    def test_inline_and_pool_identical(self):
+        inline = run_tasks(_scaled, self.TASKS, n_jobs=1, shared=(2,))
+        pooled = run_tasks(_scaled, self.TASKS, n_jobs=2, shared=(2,))
+        assert pooled == inline
+
+    def test_empty_and_single_task_run_inline(self, monkeypatch):
+        import repro.runtime.executor as executor_module
+
+        def boom(*args, **kwargs):  # pragma: no cover - defensive
+            raise AssertionError("ProcessPoolExecutor should not be created")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", boom)
+        assert run_tasks(_scaled, [], n_jobs=4, shared=(1,)) == []
+        assert run_tasks(_scaled, [7], n_jobs=4, shared=(1,)) == [7]
+        assert run_tasks(_scaled, self.TASKS, n_jobs=1, shared=(1,)) == self.TASKS
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_telemetry_merges_exactly(self, n_jobs):
+        with fresh_telemetry() as outer:
+            outer.count("test/tasks", 100)  # the caller's own records stay
+            run_tasks(_scaled, self.TASKS, n_jobs=n_jobs, shared=(1,))
+        assert outer.counters["test/tasks"] == 100 + len(self.TASKS)
+        assert outer.counters["test/sum"] == sum(self.TASKS)
+        assert outer.timers["test/task"].count == len(self.TASKS)
+
+    def test_setup_runs_once_per_worker(self):
+        results = run_tasks(
+            _setup_runs, self.TASKS, n_jobs=2, setup=_counting_setup, shared=(10,)
+        )
+        assert [value for _pid, _runs, value in results] == [
+            task + 10 for task in self.TASKS
+        ]
+        assert {runs for _pid, runs, _value in results} == {1}
+        assert os.getpid() not in {pid for pid, _runs, _value in results}
+
+    def test_setup_runs_once_inline(self):
+        before = _SETUP_PIDS.count(os.getpid())
+        results = run_tasks(
+            _setup_runs, self.TASKS, n_jobs=1, setup=_counting_setup, shared=(0,)
+        )
+        assert _SETUP_PIDS.count(os.getpid()) == before + 1
+        assert {pid for pid, _runs, _value in results} == {os.getpid()}
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_worker_exception_keeps_its_type(self, n_jobs):
+        with pytest.raises(CensusError, match="bad root 2"):
+            run_tasks(_raise_census_error, self.TASKS, n_jobs=n_jobs)
+
+    def test_spawn_start_method(self):
+        with fresh_telemetry() as telemetry:
+            results = run_tasks(
+                _scaled, self.TASKS, n_jobs=2, shared=(4,), mp_context="spawn"
+            )
+        assert results == [task * 4 for task in self.TASKS]
+        assert telemetry.counters["test/tasks"] == len(self.TASKS)
+
+    def test_one_process_pool_in_the_package(self):
+        """Every local fan-out goes through run_tasks; no other module may
+        build its own pool."""
+        package = Path(__file__).resolve().parents[1] / "src" / "repro"
+        users = sorted(
+            str(path.relative_to(package))
+            for path in package.rglob("*.py")
+            if "ProcessPoolExecutor" in path.read_text(encoding="utf-8")
+        )
+        assert users == ["runtime/executor.py"]
