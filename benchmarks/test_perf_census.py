@@ -1,6 +1,7 @@
 """Perf gate: the fast census engine vs. the reference implementation.
 
-Times both engines over the same roots on the MAG label graph — the
+Times the library census and the reference oracle of
+``tests/oracles/census.py`` over the same roots on the MAG label graph — the
 Table-3-style workload (``e_max = 3``, ``d_max`` at the 90th degree
 percentile, masked root) — and writes ``BENCH_census.json`` next to the
 repo root so future PRs have a perf trajectory to compare against.
@@ -21,6 +22,7 @@ from _bench import bench_path, gate_block, write_bench
 from repro.core.census import CensusConfig, subgraph_census
 from repro.datasets import sample_nodes_per_label
 from repro.experiments.common import percentile_degree
+from tests.oracles import reference_census
 
 RESULT_PATH = bench_path("census")
 
@@ -28,11 +30,11 @@ RESULT_PATH = bench_path("census")
 MIN_SPEEDUP = 3.0
 
 
-def _time_roots(graph, nodes, config, engine) -> np.ndarray:
+def _time_roots(graph, nodes, config, census) -> np.ndarray:
     times = np.empty(len(nodes))
     for i, node in enumerate(nodes):
         started = time.perf_counter()
-        subgraph_census(graph, node, config, engine=engine)
+        census(graph, node, config)
         times[i] = time.perf_counter() - started
     return times
 
@@ -55,15 +57,17 @@ def test_fast_engine_speedup(benchmark, mag_label_graph):
     graph.flat()  # build the adjacency snapshot outside the timed region
 
     fast = benchmark.pedantic(
-        lambda: _time_roots(graph, nodes, config, "fast"), rounds=1, iterations=1
+        lambda: _time_roots(graph, nodes, config, subgraph_census),
+        rounds=1,
+        iterations=1,
     )
-    reference = _time_roots(graph, nodes, config, "reference")
+    reference = _time_roots(graph, nodes, config, reference_census)
     speedup = float(reference.sum() / fast.sum())
 
     # Parity on the bench workload itself.
     for node in nodes[:5]:
         assert subgraph_census(graph, node, config, engine="fast") == (
-            subgraph_census(graph, node, config, engine="reference")
+            reference_census(graph, node, config)
         )
 
     write_bench(

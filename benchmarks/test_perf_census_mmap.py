@@ -46,6 +46,7 @@ from repro.core.features import SubgraphFeatureExtractor
 from repro.core.mmap_graph import MmapGraph
 from repro.io.edgelist import read_edgelist
 from repro.io.stream import write_mmap_graph
+from repro.runtime.context import RunContext
 
 RESULT_PATH = bench_path("census_mmap")
 
@@ -100,7 +101,7 @@ def run_child(mode: str, params: dict) -> dict:
 
 def _timed_census_many(graph, roots, config, mp_context):
     extractor = SubgraphFeatureExtractor(
-        config, n_jobs=2, mp_context=mp_context
+        config, ctx=RunContext(n_jobs=2), mp_context=mp_context
     )
     started = time.perf_counter()
     results = extractor.census_many(graph, roots)

@@ -30,6 +30,7 @@ from repro.core.census import CensusConfig, subgraph_census
 from repro.datasets import sample_nodes_per_label
 from repro.dist import PartitionConfig, partition_graph, subgraph_census_sharded
 from repro.experiments.common import percentile_degree
+from repro.runtime.context import RunContext
 
 RESULT_PATH = bench_path("census_sharded")
 
@@ -46,7 +47,7 @@ MIN_CORES_FOR_GATE = 4
 def _timed_sharded(graph, roots, config, pset, n_jobs):
     started = time.perf_counter()
     results = subgraph_census_sharded(
-        graph, roots, config, partitions=pset, n_jobs=n_jobs
+        graph, roots, config, partitions=pset, ctx=RunContext(n_jobs=n_jobs)
     )
     return time.perf_counter() - started, results
 

@@ -2,14 +2,15 @@
 
 Times the three embedding baselines end to end — walk generation, pair
 extraction, and SGNS training for DeepWalk and node2vec; edge sampling and
-training for LINE — on the Table-3 MAG embedding workload, once with
-``engine="fast"`` and once with ``engine="reference"``, and writes
+training for LINE — on the Table-3 MAG embedding workload, once with the
+library models and once with the reference oracles of ``tests/oracles/``
+(per-node walks, per-pair SGNS and per-edge LINE negatives), and writes
 ``BENCH_embeddings.json`` next to the repo root so future PRs have a perf
 trajectory to compare against.
 
 The gate asserts the fast pipeline is at least 3x faster in aggregate.
 Both pipelines sample the same distributions (tier-1 covers the
-distributional parity and the reference engines' seeded bit-exactness);
+distributional parity and the oracles' seeded bit-exactness);
 here we only sanity-check that each run produced a finite embedding of
 the right shape, because a perf number for a broken answer is worthless.
 
@@ -26,6 +27,7 @@ import numpy as np
 from _bench import bench_path, gate_block, write_bench
 from repro.embeddings import DeepWalk, LINE, Node2Vec
 from repro.experiments.common import EmbeddingParams
+from tests.oracles import ReferenceDeepWalk, ReferenceLINE, ReferenceNode2Vec
 
 RESULT_PATH = bench_path("embeddings")
 
@@ -38,23 +40,30 @@ SMOKE_EMBEDDING = EmbeddingParams(
 )
 
 
+#: The model classes of each arm: the library, and its oracles.
+MODELS = {
+    "fast": (DeepWalk, Node2Vec, LINE),
+    "reference": (ReferenceDeepWalk, ReferenceNode2Vec, ReferenceLINE),
+}
+
+
 def _models(params: EmbeddingParams, engine: str) -> dict:
-    """The three baselines configured for one pipeline engine.
+    """The three baselines configured for one arm (``fast`` or ``reference``).
 
     node2vec runs in the biased (p != 1) regime so the bench exercises the
     rejection-sampling path, not the uniform delegation.
     """
+    deepwalk, node2vec, line = MODELS[engine]
     return {
-        "deepwalk": DeepWalk(
+        "deepwalk": deepwalk(
             dim=params.dim,
             num_walks=params.num_walks,
             walk_length=params.walk_length,
             window=params.window,
             negative=params.negative,
             seed=0,
-            engine=engine,
         ),
-        "node2vec": Node2Vec(
+        "node2vec": node2vec(
             dim=params.dim,
             num_walks=params.num_walks,
             walk_length=params.walk_length,
@@ -63,14 +72,12 @@ def _models(params: EmbeddingParams, engine: str) -> dict:
             p=0.5,
             q=2.0,
             seed=0,
-            engine=engine,
         ),
-        "line": LINE(
+        "line": line(
             dim=params.dim,
             num_samples=params.line_samples,
             negative=params.negative,
             seed=0,
-            engine=engine,
         ),
     }
 

@@ -1,11 +1,13 @@
 """Perf gate: the sparse + parallel experiment pipeline vs. the baseline.
 
 Runs the Table-1 rank-prediction grid end to end on a small MAG world
-twice: once on the fast path (sparse count matrices, per-year feature
-reuse across families, batched forest engine, resolved ``n_jobs``) and
-once on the baseline path (dense matrices, no feature reuse, reference
-forest engine, sequential grid).  Writes ``BENCH_experiments.json`` next
-to the repo root so future PRs have a perf trajectory to compare against.
+twice: once on the fast path (the library as it ships: sparse count
+matrices, per-year feature reuse across families, batched forest growth,
+resolved ``n_jobs``) and once on the baseline path built from the
+``tests/oracles/`` reference implementations (dense matrices, an
+experiment whose family lookup always rebuilds, per-tree oracle forests,
+sequential grid).  Writes ``BENCH_experiments.json`` next to the repo
+root so future PRs have a perf trajectory to compare against.
 
 The gate asserts the fast path is at least 2.5x faster end to end AND
 that both paths produce the *identical* NDCG grid — the sparse layout,
@@ -20,13 +22,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from unittest import mock
 
 from _bench import bench_path, gate_block, write_bench
 from repro.datasets.mag import MagConfig, SyntheticMAG
+from repro.experiments import rank_prediction
 from repro.experiments.rank_prediction import (
     RankPredictionExperiment,
     RankTaskConfig,
 )
+from tests.oracles import RebuildingRankExperiment, ReferenceRandomForestRegressor
 
 RESULT_PATH = bench_path("experiments")
 
@@ -40,13 +45,28 @@ FAMILIES = ("classic", "subgraph", "combined")
 
 REGRESSORS = ("LinRegr", "BayRidge", "RanForest")
 
-#: The fast path under test: every optimisation this PR added, enabled.
-FAST = dict(layout="sparse", reuse_features=True, forest_engine="fast", n_jobs=None)
-
-#: The baseline: the pipeline exactly as it stood before this PR.
-BASELINE = dict(
-    layout="dense", reuse_features=False, forest_engine="reference", n_jobs=1
+#: The fast path under test: the library's experiment and forest.
+FAST = dict(
+    config=dict(layout="sparse", n_jobs=None),
+    experiment=RankPredictionExperiment,
+    forest=rank_prediction.RandomForestRegressor,
 )
+
+#: The baseline: the pipeline as it stood before the sparse/reuse/batched
+#: optimisations, rebuilt from the oracles.
+BASELINE = dict(
+    config=dict(layout="dense", n_jobs=1),
+    experiment=RebuildingRankExperiment,
+    forest=ReferenceRandomForestRegressor,
+)
+
+
+def _describe(arm: dict) -> dict:
+    return {
+        **arm["config"],
+        "experiment": arm["experiment"].__name__,
+        "forest": arm["forest"].__name__,
+    }
 
 
 def _world(smoke: bool) -> SyntheticMAG:
@@ -80,11 +100,12 @@ def _task(mag: SyntheticMAG, smoke: bool, **overrides) -> RankTaskConfig:
 
 
 def _run_arm(mag: SyntheticMAG, smoke: bool, arm: dict):
-    config = _task(mag, smoke, **arm)
-    experiment = RankPredictionExperiment(mag, config)
-    started = time.perf_counter()
-    result = experiment.run(families=FAMILIES, regressors=REGRESSORS)
-    return time.perf_counter() - started, result
+    config = _task(mag, smoke, **arm["config"])
+    experiment = arm["experiment"](mag, config)
+    with mock.patch.object(rank_prediction, "RandomForestRegressor", arm["forest"]):
+        started = time.perf_counter()
+        result = experiment.run(families=FAMILIES, regressors=REGRESSORS)
+        return time.perf_counter() - started, result
 
 
 def test_experiment_pipeline_speedup(benchmark, smoke):
@@ -130,8 +151,8 @@ def test_experiment_pipeline_speedup(benchmark, smoke):
             "emax": _task(mag, smoke).emax,
         },
         results={
-            "fast": dict(FAST),
-            "baseline": dict(BASELINE),
+            "fast": _describe(FAST),
+            "baseline": _describe(BASELINE),
             "fast_s": float(fast_s),
             "baseline_s": float(baseline_s),
             "speedup": float(speedup),

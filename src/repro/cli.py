@@ -62,8 +62,8 @@ from repro.obs import (
     write_manifest,
 )
 from repro.runtime import (
+    ENGINE_FAST,
     ENGINE_SAMPLED,
-    EXACT_ENGINES,
     VALID_ENGINES,
     VALID_EXECUTORS,
     ArtifactStore,
@@ -329,7 +329,7 @@ def cmd_embed(args) -> int:
         out.write_text(json.dumps(payload) + "\n")
     print(
         f"wrote {matrix.shape[0]} x {matrix.shape[1]} {args.method} embedding "
-        f"(engine={args.engine}, n_jobs={args.n_jobs}) to {out}"
+        f"(n_jobs={args.n_jobs}) to {out}"
     )
     return 0
 
@@ -363,9 +363,6 @@ def cmd_runtime(args) -> int:
             dmax_percentile=args.dmax_percentile,
             embedding_params=params,
             seed=args.seed,
-            engine=args.engine,
-            embedding_engine=args.engine,
-            embedding_n_jobs=args.n_jobs,
             ctx=ctx,
         )
     _save_store(ctx)
@@ -402,9 +399,6 @@ def cmd_rank(args) -> int:
         layout=args.layout,
         engine=args.engine,
         sampled=_sampled_config(args),
-        # The forest has no sampled implementation; an approximate census
-        # still trains an exact (fast) forest.
-        forest_engine=args.engine if args.engine in EXACT_ENGINES else "fast",
         n_jobs=args.n_jobs,
         storage="mmap" if args.mmap_graph else "dict",
     )
@@ -624,6 +618,17 @@ def build_parser() -> argparse.ArgumentParser:
     def partitions_arg(p, help):
         p.add_argument("--partitions", type=int, default=None, help=help)
 
+    def engine_arg(p, help):
+        p.add_argument("--engine", choices=VALID_ENGINES, default="fast", help=help)
+
+    def layout_arg(p):
+        p.add_argument(
+            "--layout",
+            choices=("dense", "sparse"),
+            default="dense",
+            help="count-feature matrix layout",
+        )
+
     def store_args(p):
         p.add_argument(
             "--artifact-store",
@@ -724,11 +729,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emax", type=int, default=4, help="max subgraph edges")
         p.add_argument("--dmax", type=int, default=None, help="hub degree cut-off")
         p.add_argument("--mask", action="store_true", help="mask the start label")
-        p.add_argument(
-            "--engine",
-            choices=VALID_ENGINES,
-            default="fast",
-            help="census implementation (sampled = budgeted estimates "
+        engine_arg(
+            p,
+            "census implementation (sampled = budgeted estimates "
             "with confidence bounds)",
         )
         sample_args(p)
@@ -758,12 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.set_defaults(func=cmd_features)
 
     def pipeline_args(p):
-        p.add_argument(
-            "--engine",
-            choices=EXACT_ENGINES,
-            default="fast",
-            help="embedding pipeline implementation",
-        )
         jobs_arg(p, "worker processes for corpus generation")
         p.add_argument("--seed", type=int, default=0, help="rng seed")
         store_args(p)
@@ -848,18 +845,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the Figure-3 per-conference grids",
     )
     p_rank.add_argument("--seed", type=int, default=0, help="rng seed")
-    p_rank.add_argument(
-        "--layout",
-        choices=("dense", "sparse"),
-        default="dense",
-        help="count-feature matrix layout",
-    )
-    p_rank.add_argument(
-        "--engine",
-        choices=VALID_ENGINES,
-        default="fast",
-        help="census + random forest implementation (sampled applies to "
-        "the census only; the forest stays fast)",
+    layout_arg(p_rank)
+    engine_arg(
+        p_rank,
+        "census implementation for the subgraph family (sampled = "
+        "budgeted estimates with confidence bounds)",
     )
     sample_args(p_rank)
     jobs_arg(
@@ -897,18 +887,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_label.add_argument("--repeats", type=int, default=10, help="splits per point")
     p_label.add_argument("--seed", type=int, default=0, help="rng seed")
-    p_label.add_argument(
-        "--layout",
-        choices=("dense", "sparse"),
-        default="dense",
-        help="count-feature matrix layout",
-    )
-    p_label.add_argument(
-        "--engine",
-        choices=VALID_ENGINES,
-        default="fast",
-        help="census/embedding pipeline implementation (sampled applies "
-        "to the census only; embeddings keep their default engine)",
+    layout_arg(p_label)
+    engine_arg(
+        p_label,
+        "census implementation for the subgraph features (sampled = "
+        "budgeted estimates with confidence bounds)",
     )
     sample_args(p_label)
     jobs_arg(
@@ -942,10 +925,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--dmax", type=int, default=None, help="hub degree cut-off")
     p_serve.add_argument(
         "--engine",
-        choices=EXACT_ENGINES,
-        default="fast",
-        help="census implementation (exact engines only: incremental "
-        "repair must be bit-identical to a cold recompute)",
+        choices=(ENGINE_FAST,),
+        default=ENGINE_FAST,
+        help="census implementation (exact only: incremental repair "
+        "must be bit-identical to a cold recompute)",
     )
     jobs_arg(p_serve, "worker processes for warm-up and repair censuses")
     p_serve.add_argument(

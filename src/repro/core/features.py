@@ -26,9 +26,9 @@ from repro.core.census import CensusConfig, subgraph_census
 from repro.core.graph import HeteroGraph
 from repro.core.sampled import SampledCensusConfig
 from repro.core.sparse import CSRMatrix
-from repro.exceptions import FeatureError
+from repro.exceptions import CensusError, FeatureError
 from repro.obs.telemetry import get_telemetry
-from repro.runtime.context import ENGINE_SAMPLED, RunContext
+from repro.runtime.context import ENGINE_SAMPLED, VALID_ENGINES, RunContext
 from repro.runtime.executor import run_tasks
 from repro.runtime.store import STAGE_CENSUS, STAGE_FEATURES
 
@@ -220,16 +220,6 @@ class SubgraphFeatureExtractor:
     ----------
     config:
         Census parameters (``e_max``, ``d_max``, masking, ...).
-    n_jobs:
-        Number of worker processes; 1 (default) runs in-process.  Workers
-        each receive the read-only graph, mirroring the paper's shared
-        edge-list parallelisation.
-    partitions:
-        Shard count for the partitioned census (see :mod:`repro.dist`).
-        When set, uncached roots are routed through halo-complete graph
-        shards instead of fanning individual roots over the whole graph;
-        results stay bit-identical.  ``None`` (default) keeps the
-        root-fanning path.
     sampled:
         Estimator knobs for the sampled engine (budget, seed, rel_err).
         Requires the context engine to resolve to ``"sampled"``;
@@ -237,9 +227,15 @@ class SubgraphFeatureExtractor:
         ``SampledCensusConfig()``.  Estimates flow through the matrix
         pipeline unchanged (float counts instead of ints).
     ctx:
-        Optional :class:`~repro.runtime.context.RunContext`; supplies
-        ``n_jobs`` and ``partitions`` when the legacy keywords are not
-        given explicitly, and the artifact store.  With a context store,
+        Optional :class:`~repro.runtime.context.RunContext` carrying the
+        execution settings: the census ``engine``; ``n_jobs`` worker
+        processes (1 by default runs in-process; ``0`` means all cores;
+        workers each receive the read-only graph, mirroring the paper's
+        shared edge-list parallelisation); ``partitions``, the shard
+        count for the partitioned census (see :mod:`repro.dist`: uncached
+        roots are routed through halo-complete graph shards instead of
+        fanning individual roots over the whole graph, with bit-identical
+        results); and the artifact store.  With a context store,
         stored roots are served without recomputation and fresh censuses
         are written back, so ablation grids that re-census overlapping
         node sets under one config pay for each root once; the store
@@ -256,29 +252,27 @@ class SubgraphFeatureExtractor:
     def __init__(
         self,
         config: CensusConfig | None = None,
-        n_jobs: int | None = None,
         *,
-        partitions: int | None = None,
         sampled: SampledCensusConfig | None = None,
         ctx: RunContext | None = None,
         mp_context=None,
     ) -> None:
-        if n_jobs is not None and n_jobs < 1:
-            raise FeatureError(f"n_jobs must be >= 1, got {n_jobs}")
-        ctx = RunContext.ensure(ctx, n_jobs=n_jobs, partitions=partitions)
+        ctx = ctx if ctx is not None else RunContext()
         self.config = config if config is not None else CensusConfig()
         self.n_jobs = ctx.resolved_n_jobs(default=1)
         self.partitions = ctx.resolved_partitions()
         self.ctx = ctx
-        #: Census engine (None = the census default); threaded into every
+        #: Census engine, validated up front; threaded into every
         #: subgraph_census call, including pool workers.
-        self.engine = ctx.engine
-        if sampled is not None and ctx.engine != ENGINE_SAMPLED:
+        self.engine = ctx.resolve_engine(
+            VALID_ENGINES, param="census engine", error=CensusError
+        )
+        if sampled is not None and self.engine != ENGINE_SAMPLED:
             raise FeatureError(
                 "sampled= requires engine='sampled', "
                 f"got engine={ctx.engine!r}"
             )
-        if sampled is None and ctx.engine == ENGINE_SAMPLED:
+        if sampled is None and self.engine == ENGINE_SAMPLED:
             sampled = SampledCensusConfig()
         #: Sampled-estimator knobs (None unless the engine is "sampled");
         #: part of every census store key so estimates never collide with

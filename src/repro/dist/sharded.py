@@ -187,11 +187,7 @@ def subgraph_census_sharded(
     config: CensusConfig | None = None,
     *,
     partitions: "int | PartitionConfig | PartitionSet",
-    engine: str | None = None,
     sampled: SampledCensusConfig | None = None,
-    n_jobs: int | None = None,
-    executor: str | None = None,
-    workers: Sequence | None = None,
     ctx: RunContext | None = None,
 ) -> list[Counter]:
     """Rooted censuses for ``nodes``, computed over graph shards.
@@ -209,25 +205,18 @@ def subgraph_census_sharded(
     partitions:
         Shard count, a :class:`~repro.dist.partition.PartitionConfig`,
         or a prebuilt :class:`~repro.dist.partition.PartitionSet`.
-    engine:
-        Census engine each worker runs (default: the census default).
     sampled:
         Estimator knobs for ``engine="sampled"``; the per-root budget
         rides into each shard task unchanged and the probe RNG seeds
         from global root ids, so estimates are bit-identical at any
         partition count.
-    n_jobs:
-        Worker processes for the shard fan-out (``0``/``None`` = all
-        cores via the context).
-    executor:
-        ``"local"`` (process pool, the default) or ``"remote"`` (ship
-        tasks to ``repro worker`` daemons over :mod:`repro.net`).
-    workers:
-        Worker endpoint specs for ``executor="remote"``.
     ctx:
-        Optional :class:`~repro.runtime.context.RunContext`; supplies
-        the artifact store memoising partition sets and default
-        ``engine``/``n_jobs``.
+        Optional :class:`~repro.runtime.context.RunContext` carrying the
+        census ``engine`` each worker runs, ``n_jobs`` worker processes
+        for the shard fan-out (``0`` = all cores), the ``executor``
+        (``"local"`` process pool, the default, or ``"remote"`` to ship
+        tasks to the ``repro worker`` daemons listed in ``workers``), and
+        the artifact store memoising partition sets.
 
     Returns
     -------
@@ -237,9 +226,7 @@ def subgraph_census_sharded(
     """
     if config is None:
         config = CensusConfig()
-    ctx = RunContext.ensure(
-        ctx, engine=engine, n_jobs=n_jobs, executor=executor, workers=workers
-    )
+    ctx = ctx if ctx is not None else RunContext()
     if isinstance(partitions, PartitionSet):
         pset = partitions
         if pset.fingerprint != graph.fingerprint():

@@ -11,7 +11,6 @@ from repro.embeddings.line import LINE
 from repro.embeddings.node2vec import Node2Vec
 from repro.embeddings.skipgram import SkipGramTrainer, walks_to_pairs
 from repro.embeddings.walks import (
-    WalkEngine,
     node2vec_walks,
     uniform_random_walks,
     walk_lengths,
@@ -24,7 +23,6 @@ __all__ = [
     "LINE",
     "Node2Vec",
     "SkipGramTrainer",
-    "WalkEngine",
     "node2vec_walks",
     "uniform_random_walks",
     "walk_lengths",

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core.graph import HeteroGraph
 from repro.embeddings.skipgram import SkipGramTrainer
-from repro.embeddings.walks import ENGINES, WalkEngine, uniform_random_walks
+from repro.embeddings.walks import uniform_random_walks
 from repro.runtime.context import RunContext
 
 
@@ -20,10 +20,9 @@ class DeepWalk:
 
     Parameters mirror the paper's defaults (Section 4.2.2); ``epochs`` and
     ``batch_size`` belong to the SGNS optimiser, not the original method.
-    ``engine`` selects the fast or reference walk + trainer pipeline and
-    ``n_jobs`` shards walk epochs over worker processes (results are
-    identical for any worker count).  ``ctx`` supplies engine/n_jobs
-    defaults and the artifact store for walk-corpus caching.
+    ``ctx`` supplies ``n_jobs``, which shards walk epochs over worker
+    processes (results are identical for any worker count), and the
+    artifact store for walk-corpus caching.
     """
 
     def __init__(
@@ -35,11 +34,8 @@ class DeepWalk:
         negative: int = 5,
         epochs: int = 1,
         seed: int | None = None,
-        engine: WalkEngine | None = None,
-        n_jobs: int | None = None,
         ctx: RunContext | None = None,
     ) -> None:
-        ctx = RunContext.ensure(ctx, engine=engine, n_jobs=n_jobs)
         self.dim = dim
         self.num_walks = num_walks
         self.walk_length = walk_length
@@ -47,8 +43,6 @@ class DeepWalk:
         self.negative = negative
         self.epochs = epochs
         self.seed = seed
-        self.engine = ctx.resolve_engine(ENGINES, default="fast")
-        self.n_jobs = ctx.resolved_n_jobs(default=1)
         self.ctx = ctx
         self.embedding_: np.ndarray | None = None
 
@@ -63,8 +57,6 @@ class DeepWalk:
             self.num_walks,
             self.walk_length,
             rng=rng,
-            engine=self.engine,
-            n_jobs=self.n_jobs,
             ctx=self.ctx,
         )
         trainer = SkipGramTrainer(
@@ -73,7 +65,6 @@ class DeepWalk:
             negative=self.negative,
             epochs=self.epochs,
             seed=None if self.seed is None else self.seed + 1,
-            engine=self.engine,
         )
         self.embedding_ = trainer.fit(walks, graph.num_nodes)
         return self

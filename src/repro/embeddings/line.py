@@ -17,16 +17,15 @@ The two orders are trained on independent child generators spawned from the
 seed, so they can run sequentially (``n_jobs=1``) or as two worker
 processes (``n_jobs >= 2``) with bit-identical results.  Both alias tables
 are built once in :meth:`LINE.fit` and shared by every batch of both
-orders (workers receive them pickled rather than rebuilding).
-``engine="fast"`` shares a rescaled negative pool per batch exactly like
-:class:`~repro.embeddings.skipgram.SkipGramTrainer`; ``engine="reference"``
-keeps the per-edge formulation.
+orders (workers receive them pickled rather than rebuilding).  Each
+batch shares one rescaled negative pool exactly like
+:class:`~repro.embeddings.skipgram.SkipGramTrainer`; the exact per-edge
+formulation is kept as the parity oracle in ``tests/oracles/line.py``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Literal
 
 import numpy as np
 
@@ -35,11 +34,6 @@ from repro.embeddings.alias import AliasTable
 from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import RunContext
 from repro.runtime.executor import run_tasks
-
-#: Valid LINE engine names (checked through the shared runtime validator).
-ENGINES = ("fast", "reference")
-
-LineEngine = Literal["fast", "reference"]
 
 #: Elementwise gradient bound, far above any healthy gradient magnitude.
 #: It turns the geometric blow-up that occurs when ``batch_size >>
@@ -66,17 +60,15 @@ def _train_order(shared: tuple, order: tuple) -> np.ndarray:
     """
     (
         directed, edge_table, noise, num_nodes, samples, negative,
-        learning_rate, batch_size, engine,
+        learning_rate, batch_size,
     ) = shared
     dim, rng, second_order = order
     telemetry = get_telemetry()
     order_name = "second" if second_order else "first"
     scale = 0.5 / dim
-    vertex = rng.uniform(-scale, scale, size=(num_nodes, dim))
-    if engine == "fast":
-        # Single precision halves the GEMM and scatter bandwidth; drawn in
-        # float64 first so the init matches the reference stream.
-        vertex = vertex.astype(np.float32)
+    # Single precision halves the GEMM and scatter bandwidth; drawn in
+    # float64 first so the init matches the oracle's stream.
+    vertex = rng.uniform(-scale, scale, size=(num_nodes, dim)).astype(np.float32)
     context = np.zeros((num_nodes, dim), dtype=vertex.dtype) if second_order else vertex
     pool = min(max(8 * negative, 64), noise.size)
 
@@ -97,43 +89,22 @@ def _train_order(shared: tuple, order: tuple) -> np.ndarray:
         grad_source = pos_coeff * target_vecs
         grad_target = pos_coeff * source_vecs
 
-        if engine == "fast":
-            # Shared negative pool: two GEMMs and a pool-sized scatter in
-            # place of a (batch * K)-row gather/scatter.
-            negatives = noise.sample(rng, pool)
-            neg_vecs = context[negatives]  # (pool, d)
-            neg_scores = 1.0 / (
-                1.0 + np.exp(-np.clip(source_vecs @ neg_vecs.T, -30, 30))
-            )
-            rescale = negative / pool
-            grad_source += rescale * (neg_scores @ neg_vecs)
-            grad_negative = rescale * (neg_scores.T @ source_vecs)
-            np.clip(grad_source, -_GRAD_CLIP, _GRAD_CLIP, out=grad_source)
-            np.clip(grad_target, -_GRAD_CLIP, _GRAD_CLIP, out=grad_target)
-            np.clip(grad_negative, -_GRAD_CLIP, _GRAD_CLIP, out=grad_negative)
-            np.add.at(vertex, sources, -lr * grad_source)
-            np.add.at(context, targets, -lr * grad_target)
-            np.add.at(context, negatives, -lr * grad_negative)
-        else:
-            negatives = noise.sample(rng, batch_size * negative).reshape(
-                batch_size, negative
-            )
-            neg_vecs = context[negatives]
-            neg_scores = 1.0 / (
-                1.0
-                + np.exp(
-                    -np.clip(np.einsum("bd,bkd->bk", source_vecs, neg_vecs), -30, 30)
-                )
-            )
-            neg_coeff = neg_scores[:, :, None]
-            grad_source += np.sum(neg_coeff * neg_vecs, axis=1)
-            grad_negative = neg_coeff * source_vecs[:, None, :]
-            np.clip(grad_source, -_GRAD_CLIP, _GRAD_CLIP, out=grad_source)
-            np.clip(grad_target, -_GRAD_CLIP, _GRAD_CLIP, out=grad_target)
-            np.clip(grad_negative, -_GRAD_CLIP, _GRAD_CLIP, out=grad_negative)
-            np.add.at(vertex, sources, -lr * grad_source)
-            np.add.at(context, targets, -lr * grad_target)
-            np.add.at(context, negatives.ravel(), -lr * grad_negative.reshape(-1, dim))
+        # Shared negative pool: two GEMMs and a pool-sized scatter in
+        # place of a (batch * K)-row gather/scatter.
+        negatives = noise.sample(rng, pool)
+        neg_vecs = context[negatives]  # (pool, d)
+        neg_scores = 1.0 / (
+            1.0 + np.exp(-np.clip(source_vecs @ neg_vecs.T, -30, 30))
+        )
+        rescale = negative / pool
+        grad_source += rescale * (neg_scores @ neg_vecs)
+        grad_negative = rescale * (neg_scores.T @ source_vecs)
+        np.clip(grad_source, -_GRAD_CLIP, _GRAD_CLIP, out=grad_source)
+        np.clip(grad_target, -_GRAD_CLIP, _GRAD_CLIP, out=grad_target)
+        np.clip(grad_negative, -_GRAD_CLIP, _GRAD_CLIP, out=grad_negative)
+        np.add.at(vertex, sources, -lr * grad_source)
+        np.add.at(context, targets, -lr * grad_target)
+        np.add.at(context, negatives, -lr * grad_negative)
     telemetry.timer(f"line/order_{order_name}", time.perf_counter() - started)
     telemetry.count("line/samples", steps * batch_size)
     return vertex.astype(np.float64, copy=False)
@@ -153,13 +124,11 @@ class LINE:
         Negative samples per edge (paper default ``K = 5``).
     learning_rate:
         Initial SGD step with linear decay.
-    engine:
-        ``"fast"`` (default) uses the shared-negative-pool update;
-        ``"reference"`` the exact per-edge formulation.
-    n_jobs:
-        ``>= 2`` trains the two orders in parallel worker processes; the
-        result is identical to ``n_jobs=1`` because each order owns an
-        independent child generator.
+    ctx:
+        Optional :class:`~repro.runtime.context.RunContext`; its
+        ``n_jobs >= 2`` trains the two orders in parallel worker
+        processes.  The result is identical to ``n_jobs=1`` because each
+        order owns an independent child generator.
     """
 
     def __init__(
@@ -170,22 +139,17 @@ class LINE:
         learning_rate: float = 0.025,
         batch_size: int = 1024,
         seed: int | None = None,
-        engine: LineEngine | None = None,
-        n_jobs: int | None = None,
         ctx: RunContext | None = None,
     ) -> None:
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
-        if n_jobs is not None and n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        ctx = RunContext.ensure(ctx, engine=engine, n_jobs=n_jobs)
+        ctx = ctx if ctx is not None else RunContext()
         self.dim = dim
         self.num_samples = num_samples
         self.negative = negative
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         self.seed = seed
-        self.engine = ctx.resolve_engine(ENGINES, default="fast", param="LINE engine")
         self.n_jobs = ctx.resolved_n_jobs(default=1)
         self.embedding_: np.ndarray | None = None
 
@@ -213,7 +177,7 @@ class LINE:
             n_jobs=self.n_jobs,
             shared=(
                 directed, edge_table, noise, graph.num_nodes, samples,
-                self.negative, self.learning_rate, self.batch_size, self.engine,
+                self.negative, self.learning_rate, self.batch_size,
             ),
         )
         self.embedding_ = np.hstack([first, second])

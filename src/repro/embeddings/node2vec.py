@@ -12,17 +12,16 @@ import numpy as np
 
 from repro.core.graph import HeteroGraph
 from repro.embeddings.skipgram import SkipGramTrainer
-from repro.embeddings.walks import ENGINES, WalkEngine, node2vec_walks
+from repro.embeddings.walks import node2vec_walks
 from repro.runtime.context import RunContext
 
 
 class Node2Vec:
     """node2vec node embeddings with paper-default parameters.
 
-    ``engine`` selects the fast or reference walk + trainer pipeline and
-    ``n_jobs`` shards walk epochs over worker processes (results are
-    identical for any worker count).  ``ctx`` supplies engine/n_jobs
-    defaults and the artifact store for walk-corpus caching.
+    ``ctx`` supplies ``n_jobs``, which shards walk epochs over worker
+    processes (results are identical for any worker count), and the
+    artifact store for walk-corpus caching.
     """
 
     def __init__(
@@ -36,11 +35,8 @@ class Node2Vec:
         q: float = 1.0,
         epochs: int = 1,
         seed: int | None = None,
-        engine: WalkEngine | None = None,
-        n_jobs: int | None = None,
         ctx: RunContext | None = None,
     ) -> None:
-        ctx = RunContext.ensure(ctx, engine=engine, n_jobs=n_jobs)
         self.dim = dim
         self.num_walks = num_walks
         self.walk_length = walk_length
@@ -50,8 +46,6 @@ class Node2Vec:
         self.q = q
         self.epochs = epochs
         self.seed = seed
-        self.engine = ctx.resolve_engine(ENGINES, default="fast")
-        self.n_jobs = ctx.resolved_n_jobs(default=1)
         self.ctx = ctx
         self.embedding_: np.ndarray | None = None
 
@@ -66,8 +60,6 @@ class Node2Vec:
             p=self.p,
             q=self.q,
             rng=rng,
-            engine=self.engine,
-            n_jobs=self.n_jobs,
             ctx=self.ctx,
         )
         trainer = SkipGramTrainer(
@@ -76,7 +68,6 @@ class Node2Vec:
             negative=self.negative,
             epochs=self.epochs,
             seed=None if self.seed is None else self.seed + 1,
-            engine=self.engine,
         )
         self.embedding_ = trainer.fit(walks, graph.num_nodes)
         return self

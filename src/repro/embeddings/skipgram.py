@@ -14,34 +14,26 @@ DeepWalk's original hierarchical softmax is replaced by negative sampling,
 the standard practical choice (gensim does the same by default); this does
 not change the baseline's character as a label-blind structural embedding.
 
-Engines
--------
-``engine="reference"`` is the exact per-pair formulation: every pair draws
-its own ``K`` negatives and gradients scatter through ``np.add.at``.
-``engine="fast"`` (default) shares one pool of negatives across the whole
-mini-batch — the formulation of TensorFlow's word2vec — which turns the
-negative pass into two small GEMMs and shrinks the scatter from
-``batch * K`` rows to ``pool`` rows.  The pool is larger than ``K`` and the
-negative gradient is rescaled by ``K / pool``, so the expected gradient
-matches the per-pair objective with lower per-sample variance.  One noise
-:class:`AliasTable` is built per fit and reused across all epochs.
+Shared negative pool
+--------------------
+The trainer shares one pool of negatives across the whole mini-batch —
+the formulation of TensorFlow's word2vec — which turns the negative pass
+into two small GEMMs and shrinks the scatter from ``batch * K`` rows to
+``pool`` rows.  The pool is larger than ``K`` and the negative gradient
+is rescaled by ``K / pool``, so the expected gradient matches the
+per-pair objective with lower per-sample variance.  One noise
+:class:`AliasTable` is built per fit and reused across all epochs.  The
+exact per-pair formulation (``K`` negatives per pair, scattered through
+``np.add.at``) is kept as the parity oracle in ``tests/oracles/sgns.py``.
 """
 
 from __future__ import annotations
 
-from typing import Literal
-
 import numpy as np
 
 from repro.embeddings.alias import AliasTable
-from repro.embeddings.walks import walk_node_frequencies
+from repro.embeddings.walks import corpus_matrix, walk_node_frequencies
 from repro.obs.telemetry import get_telemetry
-from repro.runtime.context import RunContext, resolve_engine
-
-#: Valid SGNS engine names (checked through the shared runtime validator).
-ENGINES = ("fast", "reference")
-
-TrainerEngine = Literal["fast", "reference"]
 
 #: Elementwise gradient bound, far above any healthy gradient magnitude.
 #: It turns the geometric blow-up that occurs when a batch piles many
@@ -90,52 +82,17 @@ def _pairs_from_matrix(
     return pairs
 
 
-def _pairs_per_walk(walks, window: int, rng: np.random.Generator) -> np.ndarray:
-    """The original per-walk extraction loop (reference engine)."""
-    centres: list[np.ndarray] = []
-    contexts: list[np.ndarray] = []
-    for walk in walks:
-        walk = walk[walk >= 0] if isinstance(walk, np.ndarray) else walk
-        length = walk.shape[0]
-        if length < 2:
-            continue
-        effective = rng.integers(1, window + 1, size=length)
-        for offset in range(1, window + 1):
-            # Pairs (i, i + offset) in both directions where offset allowed.
-            valid = np.arange(0, length - offset)
-            keep_forward = valid[effective[valid] >= offset]
-            if keep_forward.size:
-                centres.append(walk[keep_forward])
-                contexts.append(walk[keep_forward + offset])
-            keep_backward = valid[effective[valid + offset] >= offset]
-            if keep_backward.size:
-                centres.append(walk[keep_backward + offset])
-                contexts.append(walk[keep_backward])
-    if not centres:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.column_stack([np.concatenate(centres), np.concatenate(contexts)])
-
-
-def walks_to_pairs(
-    walks,
-    window: int,
-    rng: np.random.Generator,
-    engine: TrainerEngine = "fast",
-) -> np.ndarray:
+def walks_to_pairs(walks, window: int, rng: np.random.Generator) -> np.ndarray:
     """Extract (centre, context) pairs with per-position window shrinking.
 
     Accepts the padded corpus matrix of
     :func:`~repro.embeddings.walks.uniform_random_walks` (consumed without
-    row copies) or a legacy list of per-walk arrays.  Returns an
-    ``(num_pairs, 2)`` integer array.  On full-length corpora the two
-    engines consume the rng identically, so their pair multisets coincide.
+    row copies) or a list of per-walk arrays (padded into a matrix first).
+    Returns an ``(num_pairs, 2)`` integer array.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    resolve_engine(engine, ENGINES, param="pairs engine")
-    if engine == "fast" and isinstance(walks, np.ndarray) and walks.ndim == 2:
-        return _pairs_from_matrix(walks, window, rng)
-    return _pairs_per_walk(walks, window, rng)
+    return _pairs_from_matrix(corpus_matrix(walks), window, rng)
 
 
 class SkipGramTrainer:
@@ -155,10 +112,6 @@ class SkipGramTrainer:
         Initial SGD step, decayed linearly to 1e-4 of itself.
     batch_size:
         Pairs per vectorised update.
-    engine:
-        ``"fast"`` (default) shares a rescaled negative pool per batch;
-        ``"reference"`` draws ``K`` negatives per pair (the exact original
-        formulation).
     """
 
     def __init__(
@@ -170,8 +123,6 @@ class SkipGramTrainer:
         learning_rate: float = 0.025,
         batch_size: int = 2048,
         seed: int | None = None,
-        engine: TrainerEngine | None = None,
-        ctx: RunContext | None = None,
     ) -> None:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
@@ -179,8 +130,6 @@ class SkipGramTrainer:
             raise ValueError(f"negative must be >= 1, got {negative}")
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
-        ctx = RunContext.ensure(ctx, engine=engine)
-        engine = ctx.resolve_engine(ENGINES, default="fast", param="trainer engine")
         self.dim = dim
         self.window = window
         self.negative = negative
@@ -188,14 +137,14 @@ class SkipGramTrainer:
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         self.seed = seed
-        self.engine = engine
 
     def fit(self, walks, num_nodes: int) -> np.ndarray:
         """Train and return the input-embedding matrix ``(num_nodes, dim)``."""
         telemetry = get_telemetry()
         rng = np.random.default_rng(self.seed)
+        walks = corpus_matrix(walks)
         with telemetry.span("sgns/pairs_extract"):
-            pairs = walks_to_pairs(walks, self.window, rng, engine=self.engine)
+            pairs = walks_to_pairs(walks, self.window, rng)
         telemetry.count("sgns/pairs", pairs.shape[0])
         if pairs.shape[0] == 0:
             raise ValueError("walk corpus produced no training pairs")
@@ -204,18 +153,14 @@ class SkipGramTrainer:
         noise = AliasTable(np.maximum(frequencies, 1e-12) ** 0.75)
 
         scale = 0.5 / self.dim
-        input_vectors = rng.uniform(-scale, scale, size=(num_nodes, self.dim))
-        output_vectors = np.zeros((num_nodes, self.dim))
-        if self.engine == "fast":
-            # Single precision halves the GEMM and scatter bandwidth; SGNS
-            # tolerates it (word2vec itself trains in float32).  The init is
-            # drawn in float64 first so it matches the reference stream.
-            input_vectors = input_vectors.astype(np.float32)
-            output_vectors = output_vectors.astype(np.float32)
-
-        step_fn = (
-            self._sgd_step_shared if self.engine == "fast" else self._sgd_step
+        # Single precision halves the GEMM and scatter bandwidth; SGNS
+        # tolerates it (word2vec itself trains in float32).  The init is
+        # drawn in float64 first so its stream matches the oracle's.
+        input_vectors = rng.uniform(-scale, scale, size=(num_nodes, self.dim)).astype(
+            np.float32
         )
+        output_vectors = np.zeros((num_nodes, self.dim), dtype=np.float32)
+
         total_steps = self.epochs * ((pairs.shape[0] + self.batch_size - 1) // self.batch_size)
         step = 0
         for _ in range(self.epochs):
@@ -226,58 +171,17 @@ class SkipGramTrainer:
                     lr = self.learning_rate * max(
                         1.0 - step / max(total_steps, 1), 1e-4
                     )
-                    step_fn(batch, input_vectors, output_vectors, noise, rng, lr)
+                    self._sgd_step(batch, input_vectors, output_vectors, noise, rng, lr)
                     step += 1
             telemetry.count("sgns/pairs_trained", pairs.shape[0])
         return input_vectors.astype(np.float64, copy=False)
-
-    def _sgd_step(
-        self,
-        batch: np.ndarray,
-        input_vectors: np.ndarray,
-        output_vectors: np.ndarray,
-        noise: AliasTable,
-        rng: np.random.Generator,
-        lr: float,
-    ) -> None:
-        centres = batch[:, 0]
-        positives = batch[:, 1]
-        b = centres.shape[0]
-        negatives = noise.sample(rng, b * self.negative).reshape(b, self.negative)
-
-        centre_vecs = input_vectors[centres]  # (b, d)
-        # Positive pass: label 1.
-        pos_vecs = output_vectors[positives]
-        pos_scores = 1.0 / (1.0 + np.exp(-np.clip(np.sum(centre_vecs * pos_vecs, axis=1), -30, 30)))
-        pos_coeff = (pos_scores - 1.0)[:, None]  # gradient factor
-        grad_centre = pos_coeff * pos_vecs
-        grad_pos = pos_coeff * centre_vecs
-        # Negative pass: label 0.
-        neg_vecs = output_vectors[negatives]  # (b, K, d)
-        neg_scores = 1.0 / (
-            1.0 + np.exp(-np.clip(np.einsum("bd,bkd->bk", centre_vecs, neg_vecs), -30, 30))
-        )
-        neg_coeff = neg_scores[:, :, None]
-        grad_centre += np.sum(neg_coeff * neg_vecs, axis=1)
-        grad_neg = neg_coeff * centre_vecs[:, None, :]
-
-        np.clip(grad_centre, -_GRAD_CLIP, _GRAD_CLIP, out=grad_centre)
-        np.clip(grad_pos, -_GRAD_CLIP, _GRAD_CLIP, out=grad_pos)
-        np.clip(grad_neg, -_GRAD_CLIP, _GRAD_CLIP, out=grad_neg)
-        np.add.at(input_vectors, centres, -lr * grad_centre)
-        np.add.at(output_vectors, positives, -lr * grad_pos)
-        np.add.at(
-            output_vectors,
-            negatives.ravel(),
-            -lr * grad_neg.reshape(-1, self.dim),
-        )
 
     def _negative_pool_size(self, noise: AliasTable) -> int:
         # Enough shared samples to keep the pool diverse even for small K,
         # but never more than the support of the noise distribution.
         return min(max(8 * self.negative, 64), noise.size)
 
-    def _sgd_step_shared(
+    def _sgd_step(
         self,
         batch: np.ndarray,
         input_vectors: np.ndarray,

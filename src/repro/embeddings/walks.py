@@ -10,19 +10,15 @@ Walks operate on the integer node indices of :class:`~repro.core.graph.HeteroGra
 and ignore labels entirely — the embeddings are the paper's label-blind
 baselines.
 
-Engines
--------
-Both walk functions ship two implementations behind one dispatcher,
-mirroring :func:`repro.core.census.subgraph_census`:
-
-* ``engine="reference"`` advances one node and one step at a time in plain
-  Python — the straightforward transcription of the algorithms, kept as the
-  behavioural oracle;
-* ``engine="fast"`` (default) snapshots the adjacency into CSR arrays and
-  advances *all* walks of an epoch simultaneously per step with vectorised
-  numpy indexing.  node2vec's ``p``/``q`` bias is applied by rejection
-  sampling on the whole batch, falling back to the exact per-node weighted
-  draw only for rows still rejected after a few rounds.
+Implementation
+--------------
+The walkers snapshot the adjacency into CSR arrays and advance *all*
+walks of an epoch simultaneously per step with vectorised numpy indexing.
+node2vec's ``p``/``q`` bias is applied by rejection sampling on the whole
+batch, falling back to the exact per-node weighted draw only for rows
+still rejected after a few rounds.  The straightforward per-node,
+per-step transcription of both algorithms is kept as the behavioural
+oracle in ``tests/oracles/walks.py``.
 
 Corpus layout and seeding
 -------------------------
@@ -37,20 +33,14 @@ generation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from repro.core.graph import HeteroGraph
 from repro.obs.telemetry import get_telemetry
-from repro.runtime.context import RunContext, resolve_engine
+from repro.runtime.context import RunContext
 from repro.runtime.executor import run_tasks
 from repro.runtime.store import STAGE_WALKS
-
-WalkEngine = Literal["fast", "reference"]
-
-#: Valid walk engine names (checked through the shared runtime validator).
-ENGINES = ("fast", "reference")
 
 #: Vectorised rejection rounds before the exact per-node fallback kicks in.
 _REJECTION_ROUNDS = 8
@@ -58,7 +48,7 @@ _REJECTION_ROUNDS = 8
 
 @dataclass(frozen=True)
 class _WalkCSR:
-    """Numpy CSR snapshot of a graph for the batched walk engine.
+    """Numpy CSR snapshot of a graph for the batched walkers.
 
     Neighbour lists are re-sorted by index (the graph stores them sorted by
     label) so ``keys`` — ``row * num_nodes + neighbour`` — is globally
@@ -113,63 +103,7 @@ def _epoch_rngs(rng, num_walks: int) -> list[np.random.Generator]:
 # ----------------------------------------------------------------------
 # Per-epoch walkers
 # ----------------------------------------------------------------------
-def _uniform_epoch_reference(
-    graph: HeteroGraph, order: np.ndarray, walk_length: int, rng: np.random.Generator
-) -> np.ndarray:
-    walks = np.full((order.shape[0], walk_length), -1, dtype=np.int64)
-    for row, start in enumerate(order):
-        current = int(start)
-        walks[row, 0] = current
-        for step in range(1, walk_length):
-            neighbours = graph.neighbors(current)
-            if len(neighbours) == 0:
-                break
-            current = int(neighbours[rng.integers(0, len(neighbours))])
-            walks[row, step] = current
-    return walks
-
-
-def _node2vec_epoch_reference(
-    graph: HeteroGraph,
-    order: np.ndarray,
-    walk_length: int,
-    p: float,
-    q: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    neighbour_sets = [
-        set(int(x) for x in graph.neighbors(v)) for v in range(graph.num_nodes)
-    ]
-    walks = np.full((order.shape[0], walk_length), -1, dtype=np.int64)
-    for row, start in enumerate(order):
-        current = int(start)
-        walks[row, 0] = current
-        previous = -1
-        for step in range(1, walk_length):
-            neighbours = graph.neighbors(current)
-            if len(neighbours) == 0:
-                break
-            if previous == -1:
-                nxt = int(neighbours[rng.integers(0, len(neighbours))])
-            else:
-                weights = np.empty(len(neighbours))
-                prev_neighbours = neighbour_sets[previous]
-                for i, candidate in enumerate(neighbours):
-                    candidate = int(candidate)
-                    if candidate == previous:
-                        weights[i] = 1.0 / p
-                    elif candidate in prev_neighbours:
-                        weights[i] = 1.0
-                    else:
-                        weights[i] = 1.0 / q
-                weights /= weights.sum()
-                nxt = int(neighbours[rng.choice(len(neighbours), p=weights)])
-            walks[row, step] = nxt
-            previous, current = current, nxt
-    return walks
-
-
-def _uniform_epoch_fast(
+def _uniform_epoch(
     csr: _WalkCSR, order: np.ndarray, walk_length: int, rng: np.random.Generator
 ) -> np.ndarray:
     walks = np.full((order.shape[0], walk_length), -1, dtype=np.int64)
@@ -208,7 +142,7 @@ def _exact_biased_step(
     return int(row[rng.choice(row.size, p=weights)])
 
 
-def _node2vec_epoch_fast(
+def _node2vec_epoch(
     csr: _WalkCSR,
     order: np.ndarray,
     walk_length: int,
@@ -258,33 +192,26 @@ def _node2vec_epoch_fast(
 
 
 def _walk_epoch(
-    graph: HeteroGraph,
-    csr: _WalkCSR | None,
+    csr: _WalkCSR,
     starts: np.ndarray,
     walk_length: int,
     p: float,
     q: float,
-    engine: WalkEngine,
     rng: np.random.Generator,
 ) -> np.ndarray:
     order = rng.permutation(starts)
-    if engine == "reference":
-        if p == 1.0 and q == 1.0:
-            return _uniform_epoch_reference(graph, order, walk_length, rng)
-        return _node2vec_epoch_reference(graph, order, walk_length, p, q, rng)
     if p == 1.0 and q == 1.0:
-        return _uniform_epoch_fast(csr, order, walk_length, rng)
-    return _node2vec_epoch_fast(csr, order, walk_length, p, q, rng)
+        return _uniform_epoch(csr, order, walk_length, rng)
+    return _node2vec_epoch(csr, order, walk_length, p, q, rng)
 
 
 # ----------------------------------------------------------------------
 # Epoch fan-out
 # ----------------------------------------------------------------------
-def _walk_state(graph, starts, walk_length, p, q, engine) -> tuple:
+def _walk_state(graph, starts, walk_length, p, q) -> tuple:
     """Per-process walk state: the CSR snapshot is built once per process,
     and each epoch task then only ships one child generator."""
-    csr = _WalkCSR.from_graph(graph) if engine == "fast" else None
-    return graph, csr, starts, walk_length, p, q, engine
+    return _WalkCSR.from_graph(graph), starts, walk_length, p, q
 
 
 def _walk_task(state: tuple, rng: np.random.Generator) -> np.ndarray:
@@ -296,43 +223,18 @@ def _walk_task(state: tuple, rng: np.random.Generator) -> np.ndarray:
     return block
 
 
-def _run_walks(
-    graph: HeteroGraph,
-    starts: np.ndarray,
-    walk_length: int,
-    p: float,
-    q: float,
-    engine: WalkEngine,
-    rngs: list[np.random.Generator],
-    n_jobs: int,
-) -> np.ndarray:
-    resolve_engine(engine, ENGINES, param="walk engine")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if starts.shape[0] == 0:
-        return np.full((0, walk_length), -1, dtype=np.int64)
-    blocks = run_tasks(
-        _walk_task,
-        rngs,
-        n_jobs=n_jobs,
-        setup=_walk_state,
-        shared=(graph, starts, walk_length, p, q, engine),
-    )
-    return np.concatenate(blocks)
-
-
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
-def _corpus_key(
-    kind: str, num_walks, walk_length, p, q, rng, nodes, engine
-) -> tuple | None:
+def _corpus_key(kind: str, num_walks, walk_length, p, q, rng, nodes) -> tuple | None:
     """The walk-stage cache config, or ``None`` when the corpus is uncacheable.
 
     Only integer-seeded corpora are content-addressable: a ``Generator``
     carries hidden stream state and ``None`` draws fresh OS entropy, so
     neither can be frozen into a key.  ``n_jobs`` is deliberately absent —
-    epoch sharding is bit-identical for every worker count.
+    epoch sharding is bit-identical for every worker count.  The ``"fast"``
+    slot is the engine name of earlier releases, kept so stores written
+    by them still load warm.
     """
     if not isinstance(rng, (int, np.integer)) or isinstance(rng, bool):
         return None
@@ -348,48 +250,31 @@ def _corpus_key(
         float(p),
         float(q),
         int(rng),
-        engine,
+        "fast",
         node_key,
     )
 
 
-def uniform_random_walks(
+def _corpus(
     graph: HeteroGraph,
-    num_walks: int = 10,
-    walk_length: int = 80,
-    rng: np.random.Generator | int | None = None,
-    nodes=None,
-    engine: WalkEngine | None = None,
-    n_jobs: int | None = None,
-    *,
-    ctx: RunContext | None = None,
+    kind: str,
+    num_walks: int,
+    walk_length: int,
+    p: float,
+    q: float,
+    rng,
+    nodes,
+    ctx: RunContext | None,
 ) -> np.ndarray:
-    """Truncated uniform random walks, ``num_walks`` per start node.
-
-    Returns a ``(num_walks * len(starts), walk_length)`` int64 matrix —
-    epoch-major, each epoch's rows in a freshly permuted start order.
-    Walks from isolated nodes are padded with ``-1`` after the start.
-
-    ``engine`` selects the batched implementation (``"fast"``, default) or
-    the per-node oracle (``"reference"``); ``n_jobs`` shards epochs over
-    worker processes without changing the result for any worker count.
-    ``ctx`` supplies engine/n_jobs defaults and, when it carries an
-    artifact store and ``rng`` is an integer seed, caches the corpus
-    under the ``"walks"`` stage so warm reruns skip the generation.
-    """
+    """Generate (or fetch from the context store) one walk corpus."""
     if num_walks < 1 or walk_length < 1:
         raise ValueError("num_walks and walk_length must be >= 1")
-    if n_jobs is not None and n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    ctx = RunContext.ensure(ctx, engine=engine, n_jobs=n_jobs)
-    engine = ctx.resolve_engine(ENGINES, default="fast", param="walk engine")
+    ctx = ctx if ctx is not None else RunContext()
     n_jobs = ctx.resolved_n_jobs(default=1)
     store = ctx.store
     config = None
     if store is not None:
-        config = _corpus_key(
-            "uniform", num_walks, walk_length, 1.0, 1.0, rng, nodes, engine
-        )
+        config = _corpus_key(kind, num_walks, walk_length, p, q, rng, nodes)
         if config is not None:
             cached = store.get(graph.fingerprint(), STAGE_WALKS, config)
             if cached is not None:
@@ -400,10 +285,46 @@ def uniform_random_walks(
         else np.asarray(nodes, dtype=np.int64)
     )
     rngs = _epoch_rngs(rng, num_walks)
-    corpus = _run_walks(graph, starts, walk_length, 1.0, 1.0, engine, rngs, n_jobs)
+    if starts.shape[0] == 0:
+        corpus = np.full((0, walk_length), -1, dtype=np.int64)
+    else:
+        blocks = run_tasks(
+            _walk_task,
+            rngs,
+            n_jobs=n_jobs,
+            setup=_walk_state,
+            shared=(graph, starts, walk_length, p, q),
+        )
+        corpus = np.concatenate(blocks)
     if config is not None:
         store.put(graph.fingerprint(), STAGE_WALKS, config, corpus)
     return corpus
+
+
+def uniform_random_walks(
+    graph: HeteroGraph,
+    num_walks: int = 10,
+    walk_length: int = 80,
+    rng: np.random.Generator | int | None = None,
+    nodes=None,
+    *,
+    ctx: RunContext | None = None,
+) -> np.ndarray:
+    """Truncated uniform random walks, ``num_walks`` per start node.
+
+    Returns a ``(num_walks * len(starts), walk_length)`` int64 matrix —
+    epoch-major, each epoch's rows in a freshly permuted start order.
+    Walks from isolated nodes are padded with ``-1`` after the start.
+
+    ``ctx`` supplies ``n_jobs``, which shards epochs over worker
+    processes without changing the result for any worker count (``0`` =
+    all cores), and, when it carries an artifact store and ``rng`` is an
+    integer seed, caches the corpus under the ``"walks"`` stage so warm
+    reruns skip the generation.
+    """
+    return _corpus(
+        graph, "uniform", num_walks, walk_length, 1.0, 1.0, rng, nodes, ctx
+    )
 
 
 def node2vec_walks(
@@ -414,8 +335,6 @@ def node2vec_walks(
     q: float = 1.0,
     rng: np.random.Generator | int | None = None,
     nodes=None,
-    engine: WalkEngine | None = None,
-    n_jobs: int | None = None,
     *,
     ctx: RunContext | None = None,
 ) -> np.ndarray:
@@ -428,49 +347,16 @@ def node2vec_walks(
     * ``1/q`` otherwise (move outward).
 
     ``p = q = 1`` short-circuits to :func:`uniform_random_walks` (same
-    stream, same matrix).  Output layout, ``engine``, and ``n_jobs`` match
+    stream, same matrix).  Output layout and ``ctx`` match
     :func:`uniform_random_walks`.
     """
     if p <= 0 or q <= 0:
         raise ValueError("p and q must be positive")
     if p == 1.0 and q == 1.0:
         return uniform_random_walks(
-            graph,
-            num_walks,
-            walk_length,
-            rng,
-            nodes,
-            engine=engine,
-            n_jobs=n_jobs,
-            ctx=ctx,
+            graph, num_walks, walk_length, rng, nodes, ctx=ctx
         )
-    if num_walks < 1 or walk_length < 1:
-        raise ValueError("num_walks and walk_length must be >= 1")
-    if n_jobs is not None and n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    ctx = RunContext.ensure(ctx, engine=engine, n_jobs=n_jobs)
-    engine = ctx.resolve_engine(ENGINES, default="fast", param="walk engine")
-    n_jobs = ctx.resolved_n_jobs(default=1)
-    store = ctx.store
-    config = None
-    if store is not None:
-        config = _corpus_key(
-            "node2vec", num_walks, walk_length, p, q, rng, nodes, engine
-        )
-        if config is not None:
-            cached = store.get(graph.fingerprint(), STAGE_WALKS, config)
-            if cached is not None:
-                return cached
-    starts = (
-        np.arange(graph.num_nodes, dtype=np.int64)
-        if nodes is None
-        else np.asarray(nodes, dtype=np.int64)
-    )
-    rngs = _epoch_rngs(rng, num_walks)
-    corpus = _run_walks(graph, starts, walk_length, p, q, engine, rngs, n_jobs)
-    if config is not None:
-        store.put(graph.fingerprint(), STAGE_WALKS, config, corpus)
-    return corpus
+    return _corpus(graph, "node2vec", num_walks, walk_length, p, q, rng, nodes, ctx)
 
 
 def walk_lengths(walks: np.ndarray) -> np.ndarray:
@@ -478,17 +364,28 @@ def walk_lengths(walks: np.ndarray) -> np.ndarray:
     return (np.asarray(walks) >= 0).sum(axis=1)
 
 
+def corpus_matrix(walks) -> np.ndarray:
+    """A walk corpus as the padded matrix the trainers consume.
+
+    The corpus matrix passes through unchanged; a list of per-walk index
+    arrays is right-padded with ``-1`` to the longest walk.
+    """
+    if isinstance(walks, np.ndarray) and walks.ndim == 2:
+        return walks
+    rows = [np.asarray(walk, dtype=np.int64) for walk in walks]
+    width = max((row.shape[0] for row in rows), default=0)
+    matrix = np.full((len(rows), width), -1, dtype=np.int64)
+    for i, row in enumerate(rows):
+        matrix[i, : row.shape[0]] = row
+    return matrix
+
+
 def walk_node_frequencies(walks, num_nodes: int) -> np.ndarray:
     """Node occurrence counts across a walk corpus (negative-sampling base).
 
     Accepts the padded corpus matrix (``-1`` entries are ignored, no row
-    copies are made) or a legacy list of per-walk index arrays.
+    copies are made) or a list of per-walk index arrays.
     """
-    if isinstance(walks, np.ndarray):
-        # Shift by one so the -1 pad lands in bin 0, then drop that bin.
-        counts = np.bincount(walks.ravel() + 1, minlength=num_nodes + 1)
-        return counts[1: num_nodes + 1].astype(np.float64)
-    counts = np.zeros(num_nodes, dtype=np.float64)
-    for walk in walks:
-        np.add.at(counts, walk, 1.0)
-    return counts
+    # Shift by one so the -1 pad lands in bin 0, then drop that bin.
+    counts = np.bincount(corpus_matrix(walks).ravel() + 1, minlength=num_nodes + 1)
+    return counts[1: num_nodes + 1].astype(np.float64)

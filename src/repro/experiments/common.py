@@ -54,14 +54,15 @@ class EmbeddingParams:
 
 
 def _embed_key(
-    method: str, params: EmbeddingParams, seed: int, engine: str, nodes: np.ndarray
+    method: str, params: EmbeddingParams, seed: int, nodes: np.ndarray
 ) -> tuple:
     """The embed-stage cache config for one trained baseline.
 
     Includes every value the matrix depends on — method, all preset
-    fields, the offset seed, the engine (fast/reference SGNS matrices are
-    *not* bit-identical), and the requested node rows.  ``n_jobs`` is
-    deliberately absent: every worker count trains the same matrix.
+    fields, the offset seed, and the requested node rows.  ``n_jobs`` is
+    deliberately absent: every worker count trains the same matrix.  The
+    ``"fast"`` slot is the engine name of earlier releases, kept so
+    stores written by them still load warm.
     """
     return (
         method,
@@ -74,7 +75,7 @@ def _embed_key(
         params.q,
         params.line_samples,
         int(seed),
-        engine,
+        "fast",
         tuple(int(n) for n in nodes),
     )
 
@@ -85,8 +86,6 @@ def embedding_matrix(
     method: str,
     params: EmbeddingParams,
     seed: int = 0,
-    engine: str | None = None,
-    n_jobs: int | None = None,
     ctx: RunContext | None = None,
 ) -> np.ndarray:
     """Train one embedding baseline on ``graph`` and return rows for ``nodes``.
@@ -95,29 +94,23 @@ def embedding_matrix(
     ----------
     method:
         One of ``"node2vec"``, ``"deepwalk"``, ``"line"``.
-    engine:
-        ``"fast"`` or ``"reference"`` pipeline, forwarded to the model.
-    n_jobs:
-        Worker processes for corpus generation (walk methods) or order
-        training (LINE); never changes the result.
     ctx:
-        Optional :class:`~repro.runtime.context.RunContext`; supplies
-        engine/n_jobs defaults, and when it carries an artifact store the
-        trained matrix is cached under the ``"embed"`` stage so a warm
-        rerun skips the walk and SGNS work entirely.
+        Optional :class:`~repro.runtime.context.RunContext`; its
+        ``n_jobs`` sets the worker processes for corpus generation (walk
+        methods) or order training (LINE) and never changes the result.
+        Its census ``engine`` does not apply here.  When it carries an
+        artifact store the trained matrix is cached under the ``"embed"``
+        stage so a warm rerun skips the walk and SGNS work entirely.
     """
-    ctx = RunContext.ensure(ctx, engine=engine, n_jobs=n_jobs)
-    engine = ctx.resolve_engine(("fast", "reference"), default="fast")
-    n_jobs = ctx.resolved_n_jobs(default=1)
     nodes = np.asarray(nodes, dtype=np.int64)
     # With the paper defaults (p = q = 1) node2vec's walks coincide with
     # DeepWalk's; a per-method seed offset keeps their random streams
     # distinct, as independent reference implementations would be.
     seed = seed + {"deepwalk": 0, "node2vec": 101, "line": 202}.get(method, 0)
-    store = ctx.store
+    store = ctx.store if ctx is not None else None
     embed_config = None
     if store is not None:
-        embed_config = _embed_key(method, params, seed, engine, nodes)
+        embed_config = _embed_key(method, params, seed, nodes)
         cached = store.get(graph.fingerprint(), STAGE_EMBED, embed_config)
         if cached is not None:
             return cached
@@ -129,8 +122,6 @@ def embedding_matrix(
             window=params.window,
             negative=params.negative,
             seed=seed,
-            engine=engine,
-            n_jobs=n_jobs,
             ctx=ctx,
         )
     elif method == "node2vec":
@@ -143,8 +134,6 @@ def embedding_matrix(
             p=params.p,
             q=params.q,
             seed=seed,
-            engine=engine,
-            n_jobs=n_jobs,
             ctx=ctx,
         )
     elif method == "line":
@@ -153,8 +142,6 @@ def embedding_matrix(
             num_samples=params.line_samples,
             negative=params.negative,
             seed=seed,
-            engine=engine,
-            n_jobs=n_jobs,
             ctx=ctx,
         )
     else:

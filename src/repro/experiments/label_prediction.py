@@ -34,11 +34,10 @@ from repro.experiments.common import (
     percentile_degree,
 )
 from repro.ml import StandardScaler, macro_f1, train_test_split, tune_regularization
-from repro.ml.forest import resolve_n_jobs
 from repro.ml.preprocessing import log1p_counts
 from repro.obs.log import get_logger
 from repro.obs.telemetry import get_telemetry
-from repro.runtime.context import EXACT_ENGINES, RunContext
+from repro.runtime.context import RunContext, resolve_n_jobs
 from repro.runtime.executor import run_tasks
 
 FEATURE_TYPES = ("subgraph", *EMBEDDING_METHODS)
@@ -106,12 +105,9 @@ class LabelTaskConfig:
     seed: int = 0
     #: Matrix layout for the subgraph count features ("dense" or "sparse").
     layout: str = "dense"
-    #: Census/embedding implementation ("fast"/"reference" exact, or
-    #: "sampled" for an approximate census) — the label pipeline has no
-    #: forest, so its engine choice selects the feature extraction
-    #: pipelines (CLI parity with ``repro rank --engine``).  Embeddings
-    #: have no sampled path, so ``"sampled"`` applies to the census only
-    #: and the embedding pipelines keep their default engine.
+    #: Census engine for the subgraph features ("fast" exact, or
+    #: "sampled" for an approximate census).  The embedding pipelines
+    #: have one implementation and ignore it.
     engine: str = "fast"
     #: Estimator knobs when ``engine="sampled"`` (budget, seed, rel_err);
     #: ``None`` with the sampled engine uses ``SampledCensusConfig()``.
@@ -186,23 +182,12 @@ class LabelPredictionExperiment:
             raise ValueError(
                 f"layout must be 'dense' or 'sparse', got {self.config.layout!r}"
             )
-        self.ctx = RunContext.ensure(ctx)
-        # Feature stages take the config's engine and the context's store
-        # (plus the census shard count); n_jobs stays with the sweep
-        # fan-out, not the extractors.  The census gets the configured
-        # engine verbatim; the embedding pipelines only implement the
-        # exact engines, so "sampled" leaves them on their default.
-        self._census_ctx = RunContext(
-            engine=self.config.engine,
-            partitions=self.ctx.partitions,
-            store=self.ctx.store,
-        )
+        self.ctx = ctx if ctx is not None else RunContext()
+        # Feature stages take the config's census engine and the context's
+        # store (plus the census shard count); n_jobs stays with the sweep
+        # fan-out, not the extractors.
         self._stage_ctx = RunContext(
-            engine=(
-                self.config.engine
-                if self.config.engine in EXACT_ENGINES
-                else None
-            ),
+            engine=self.config.engine,
             partitions=self.ctx.partitions,
             store=self.ctx.store,
         )
@@ -245,7 +230,7 @@ class LabelPredictionExperiment:
             max_subgraphs=max_subgraphs,
         )
         extractor = SubgraphFeatureExtractor(
-            census_config, sampled=cfg.sampled, ctx=self._census_ctx
+            census_config, sampled=cfg.sampled, ctx=self._stage_ctx
         )
         with get_telemetry().span("phase/label_features_subgraph"):
             censuses = extractor.census_many(graph, self.nodes)

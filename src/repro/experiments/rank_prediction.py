@@ -39,10 +39,9 @@ from repro.ml import (
     StandardScaler,
     ndcg_at,
 )
-from repro.ml.forest import resolve_n_jobs
 from repro.obs.log import get_logger
 from repro.obs.telemetry import get_telemetry
-from repro.runtime.context import RunContext
+from repro.runtime.context import RunContext, resolve_n_jobs
 from repro.runtime.executor import run_tasks
 
 FEATURE_FAMILIES = ("classic", "subgraph", "combined", "node2vec", "deepwalk", "line")
@@ -118,23 +117,16 @@ class RankTaskConfig:
     #: pools re-open the mapping instead of unpickling the graph.
     #: Results are bit-identical either way.
     storage: str = "dict"
-    #: Census engine for the subgraph family ("fast"/"reference" exact,
-    #: "sampled" approximate).  Classic and embedding families are
-    #: unaffected.
+    #: Census engine for the subgraph family ("fast" exact, "sampled"
+    #: approximate).  Classic and embedding families are unaffected.
     engine: str = "fast"
     #: Estimator knobs when ``engine="sampled"`` (budget, seed, rel_err);
     #: ``None`` with the sampled engine uses ``SampledCensusConfig()``.
     sampled: SampledCensusConfig | None = None
-    #: Forest fitting engine ("fast" batched or per-node "reference").
-    forest_engine: str = "fast"
     #: Worker processes.  With several conferences the grid runner fans
     #: (conference, family) cells; with one conference the forest takes
     #: the workers instead.  0/None = all cores.
     n_jobs: int | None = 1
-    #: Reuse per-conference classic/subgraph matrices across families —
-    #: "combined" is then an hstack of cached blocks instead of a second
-    #: census of the same graphs.  Scores are identical either way.
-    reuse_features: bool = True
 
     @classmethod
     def small(cls) -> "RankTaskConfig":
@@ -191,14 +183,13 @@ class RankPredictionExperiment:
             raise ValueError(
                 f"layout must be 'dense' or 'sparse', got {self.config.layout!r}"
             )
-        self.ctx = RunContext.ensure(ctx)
-        # Stages only take the store and census shard count from the
-        # context: the experiment's engine/n_jobs policy lives in its
-        # config (forest_engine, n_jobs), so a CLI-level engine choice
-        # never silently switches the census/embedding pipelines under
-        # an experiment.
+        self.ctx = ctx if ctx is not None else RunContext()
+        # Stages take the store and census shard count from the context;
+        # the census engine and n_jobs live in the experiment config.
         self._stage_ctx = RunContext(
-            partitions=self.ctx.partitions, store=self.ctx.store
+            engine=self.config.engine,
+            partitions=self.ctx.partitions,
+            store=self.ctx.store,
         )
         self._graphs: dict[tuple[str, int], object] = {}
         self._families: dict[tuple[str, str], dict[int, object]] = {}
@@ -242,12 +233,8 @@ class RankPredictionExperiment:
     ) -> tuple[dict[int, np.ndarray], FeatureSpace]:
         cfg = self.config
         census_config = CensusConfig(max_edges=cfg.emax, max_degree=cfg.dmax)
-        # The census engine comes from the experiment config (the stage
-        # context stays engine-free so embeddings keep their own default).
         extractor = SubgraphFeatureExtractor(
-            census_config,
-            sampled=cfg.sampled,
-            ctx=replace(self._stage_ctx, engine=cfg.engine),
+            census_config, sampled=cfg.sampled, ctx=self._stage_ctx
         )
         censuses_by_year: dict[int, list] = {}
         for year in self._feature_years():
@@ -283,8 +270,6 @@ class RankPredictionExperiment:
         return out
 
     def _cached_family(self, conference: str, family: str, build):
-        if not self.config.reuse_features:
-            return build(conference)
         key = (conference, family)
         if key not in self._families:
             self._families[key] = build(conference)
@@ -293,10 +278,10 @@ class RankPredictionExperiment:
     def feature_family(self, conference: str, family: str) -> dict[int, np.ndarray]:
         """Feature matrices keyed by sample year for one family.
 
-        With ``config.reuse_features`` (default) the classic and subgraph
-        blocks are computed once per conference and shared: requesting
-        ``combined`` after ``subgraph`` stacks the cached matrices instead
-        of re-running the census over the same graphs.
+        The classic and subgraph blocks are computed once per conference
+        and shared: requesting ``combined`` after ``subgraph`` stacks the
+        cached matrices instead of re-running the census over the same
+        graphs.
         """
         if family == "classic":
             return self._cached_family(conference, family, self._classic_by_year)
@@ -336,7 +321,6 @@ class RankPredictionExperiment:
                 n_estimators=cfg.forest_trees,
                 max_features=cfg.forest_max_features,
                 random_state=cfg.seed,
-                engine=cfg.forest_engine,
                 n_jobs=cfg.n_jobs,
             )
         elif regressor == "BayRidge":
@@ -373,7 +357,6 @@ class RankPredictionExperiment:
             n_estimators=cfg.forest_trees,
             max_features=cfg.forest_max_features,
             random_state=cfg.seed,
-            engine=cfg.forest_engine,
             n_jobs=cfg.n_jobs,
         )
         model.fit(X_train, y_train)

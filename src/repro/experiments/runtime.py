@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.census import CensusConfig, EngineMode
+from repro.core.census import CensusConfig
 from repro.core.features import SubgraphFeatureExtractor
 from repro.core.graph import HeteroGraph
 from repro.experiments.common import (
@@ -24,16 +24,16 @@ from repro.experiments.common import (
     percentile_degree,
 )
 from repro.obs.telemetry import get_telemetry
-from repro.runtime.context import RunContext
+from repro.runtime.context import ENGINE_FAST, RunContext
 
 
 @dataclass
 class RuntimeReport:
     """Per-dataset timing summary, mirroring Table 3's columns.
 
-    ``embedding_engine`` and ``embedding_n_jobs`` record which pipeline
-    produced the embedding columns, so Table 3 reproductions are traceable
-    to a specific implementation.
+    ``engine`` (the census engine) and ``embedding_n_jobs`` record how
+    the row was produced, so Table 3 reproductions are traceable to a
+    specific run configuration.
     """
 
     dataset: str
@@ -44,7 +44,7 @@ class RuntimeReport:
     census_max: float
     embedding_mean: dict[str, float]
     num_nodes_timed: int
-    embedding_engine: str = "fast"
+    engine: str = "fast"
     embedding_n_jobs: int = 1
 
     def row(self) -> str:
@@ -62,7 +62,7 @@ class RuntimeReport:
             mean = self.embedding_mean.get(method)
             cells.append(f"{mean:9.5f}" if mean is not None else f"{'n/a':>9}")
         cells.append(
-            f"[engine={self.embedding_engine}, n_jobs={self.embedding_n_jobs}]"
+            f"[engine={self.engine}, n_jobs={self.embedding_n_jobs}]"
         )
         return " ".join(cells)
 
@@ -73,18 +73,16 @@ def time_census_per_node(
     emax: int = 3,
     dmax_percentile: float = 90.0,
     mask_start_label: bool = True,
-    engine: EngineMode = "fast",
     ctx: RunContext | None = None,
 ) -> np.ndarray:
     """Wall-clock seconds of the rooted census for each node.
 
-    ``engine`` selects the census implementation so the report can
-    compare the incremental engine against the reference path on the
-    same roots (the perf benchmarks do exactly that).  When ``ctx``
-    carries an artifact store, stored roots are served (and counted as
-    hits) — their rows then time the lookup, i.e. the *memoised*
-    runtime — and fresh censuses are written back.  Per-root timing
-    also lands in the ``census/root_timed`` telemetry timer.
+    The context's ``engine`` selects the census engine (``fast`` by
+    default, or ``sampled``).  When ``ctx`` carries an artifact store,
+    stored roots are served (and counted as hits) — their rows then time
+    the lookup, i.e. the *memoised* runtime — and fresh censuses are
+    written back.  Per-root timing also lands in the
+    ``census/root_timed`` telemetry timer.
     """
     dmax = percentile_degree(graph, dmax_percentile)
     config = CensusConfig(
@@ -92,12 +90,12 @@ def time_census_per_node(
     )
     # One root per call through the extractor: the store lookup (sampled
     # estimates keyed apart from exact counts) is the extractor's own.
+    ctx = ctx if ctx is not None else RunContext()
     extractor = SubgraphFeatureExtractor(
-        config,
-        ctx=RunContext(engine=engine, store=ctx.store if ctx is not None else None),
+        config, ctx=RunContext(engine=ctx.engine, store=ctx.store)
     )
     telemetry = get_telemetry()
-    telemetry.annotate("census/engine", engine)
+    telemetry.annotate("census/engine", extractor.engine)
     graph.flat()  # warm the adjacency snapshot outside the timed region
     times = np.empty(len(nodes))
     for i, node in enumerate(nodes):
@@ -112,19 +110,16 @@ def time_embeddings_per_node(
     graph: HeteroGraph,
     params: EmbeddingParams,
     seed: int = 0,
-    engine: str = "fast",
-    n_jobs: int = 1,
     ctx: RunContext | None = None,
 ) -> dict[str, float]:
     """Total embedding training time divided by node count, per method.
 
-    ``engine`` and ``n_jobs`` select the pipeline being timed; the report
-    row records them so runs with different pipelines stay comparable.
-    When ``ctx`` carries an artifact store, warm reruns time the memoised
-    lookup (same caveat as the census timing).
+    The context's ``n_jobs`` sets the worker processes being timed; the
+    report row records it so runs stay comparable.  When ``ctx`` carries
+    an artifact store, warm reruns time the memoised lookup (same caveat
+    as the census timing).
     """
     telemetry = get_telemetry()
-    telemetry.annotate("embed/engine", engine)
     per_node = {}
     probe = [0]
     for method in EMBEDDING_METHODS:
@@ -135,8 +130,6 @@ def time_embeddings_per_node(
                 method,
                 params,
                 seed=seed,
-                engine=engine,
-                n_jobs=n_jobs,
                 ctx=ctx,
             )
         per_node[method] = span.elapsed / graph.num_nodes
@@ -151,35 +144,23 @@ def runtime_report(
     dmax_percentile: float = 90.0,
     embedding_params: EmbeddingParams | None = None,
     seed: int = 0,
-    engine: EngineMode = "fast",
-    embedding_engine: str = "fast",
-    embedding_n_jobs: int = 1,
     ctx: RunContext | None = None,
 ) -> RuntimeReport:
     """Build one Table 3 row for a dataset.
 
-    ``engine`` selects the census implementation, ``embedding_engine`` and
-    ``embedding_n_jobs`` the embedding pipeline; both are recorded.  The
+    The context's ``engine`` selects the census engine and its
+    ``n_jobs`` the embedding worker processes; both are recorded.  The
     census and embedding phases land in the ``phase/*`` telemetry timers
     the run manifest reports.  A context store memoises both the
     censuses and the embeddings.
     """
-    ctx = RunContext.ensure(ctx)
+    ctx = ctx if ctx is not None else RunContext()
     telemetry = get_telemetry()
     with telemetry.span("phase/census"):
-        times = time_census_per_node(
-            graph, nodes, emax, dmax_percentile, engine=engine, ctx=ctx
-        )
+        times = time_census_per_node(graph, nodes, emax, dmax_percentile, ctx=ctx)
     params = embedding_params if embedding_params is not None else EmbeddingParams.fast()
     with telemetry.span("phase/embeddings"):
-        embedding_mean = time_embeddings_per_node(
-            graph,
-            params,
-            seed=seed,
-            engine=embedding_engine,
-            n_jobs=embedding_n_jobs,
-            ctx=RunContext(store=ctx.store),
-        )
+        embedding_mean = time_embeddings_per_node(graph, params, seed=seed, ctx=ctx)
     return RuntimeReport(
         dataset=dataset,
         census_mean=float(times.mean()),
@@ -189,6 +170,6 @@ def runtime_report(
         census_max=float(times.max()),
         embedding_mean=embedding_mean,
         num_nodes_timed=len(nodes),
-        embedding_engine=embedding_engine,
-        embedding_n_jobs=embedding_n_jobs,
+        engine=ctx.engine or ENGINE_FAST,
+        embedding_n_jobs=ctx.resolved_n_jobs(default=1),
     )

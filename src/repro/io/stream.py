@@ -401,9 +401,6 @@ def census_stream(
     *,
     batch_size: int = 1024,
     ctx: RunContext | None = None,
-    engine: str | None = None,
-    n_jobs: int | None = None,
-    partitions: int | None = None,
     sampled=None,
     mp_context=None,
 ) -> Iterator[tuple[int, "Counter"]]:
@@ -414,8 +411,9 @@ def census_stream(
     only one ``batch_size`` window of roots and results is ever alive in
     this process.  Each batch runs through
     :meth:`~repro.core.features.SubgraphFeatureExtractor.census_many`,
-    so every engine, ``n_jobs`` fan-out, partitioned dispatch, and the
-    dedup/cache discipline behave exactly as in the list-at-once path —
+    so the context's engine, ``n_jobs`` fan-out and partitioned dispatch,
+    and the dedup/cache discipline, behave exactly as in the list-at-once
+    path —
     and when ``ctx`` carries an :class:`~repro.runtime.store.ArtifactStore`,
     each batch's rows are spilled into its census stage as they are
     computed, which is what keeps warm re-runs and downstream feature
@@ -429,11 +427,7 @@ def census_stream(
     if batch_size < 1:
         raise FeatureError(f"batch_size must be >= 1, got {batch_size}")
     extractor = SubgraphFeatureExtractor(
-        config,
-        sampled=sampled,
-        partitions=partitions,
-        ctx=RunContext.ensure(ctx, engine=engine, n_jobs=n_jobs),
-        mp_context=mp_context,
+        config, sampled=sampled, ctx=ctx, mp_context=mp_context
     )
     telemetry = get_telemetry()
     batch: list[int] = []

@@ -10,21 +10,22 @@ scikit-learn: regressors consider all features, classifiers ``sqrt``.  The
 experiment pipelines pass ``max_features="sqrt"`` for regressors too when
 the subgraph vocabularies are large; that choice is recorded per experiment.
 
-Engines and parallelism
------------------------
-``engine="fast"`` (default) grows all trees level-synchronously through
-:mod:`repro.ml.tree_batched`, amortising numpy dispatch across every
-same-depth node of the whole forest; ``engine="reference"`` fits each tree
-with the plain per-node builder.  Both produce bit-identical estimators.
+Batched growth and parallelism
+------------------------------
+All trees grow level-synchronously through :mod:`repro.ml.tree_batched`,
+amortising numpy dispatch across every same-depth node of the whole
+forest.  The result is bit-identical to fitting each tree on its own with
+the plain per-node builder of :mod:`repro.ml.tree` — the per-tree loop is
+kept as the parity oracle in ``tests/oracles/forest.py``.
 
 ``n_jobs`` fans tree chunks out through
 :func:`repro.runtime.executor.run_tasks`, which ships ``X, y`` once per
 worker rather than once per chunk.  Per-tree RNG seeds — one for the split
 sampler, one for the bootstrap — are pre-drawn from the sequential stream
-of ``random_state`` *before* any fanning, so every worker count (and both
-engines) yields exactly the trees that ``n_jobs=1`` would have grown:
-predictions and ``feature_importances_`` are bit-identical.  Worker
-telemetry merges back into the parent registry.
+of ``random_state`` *before* any fanning, so every worker count yields
+exactly the trees that ``n_jobs=1`` would have grown: predictions and
+``feature_importances_`` are bit-identical.  Worker telemetry merges back
+into the parent registry.
 """
 
 from __future__ import annotations
@@ -41,13 +42,8 @@ from repro.ml.base import (
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.ml.tree_batched import fit_tree_batch
 from repro.obs.telemetry import get_telemetry
-from repro.runtime.context import (  # noqa: F401  (resolve_n_jobs re-exported)
-    RunContext,
-    resolve_n_jobs,
-)
+from repro.runtime.context import resolve_n_jobs
 from repro.runtime.executor import run_tasks
-
-ENGINES = ("fast", "reference")
 
 
 def _draw_tree_tasks(
@@ -75,7 +71,7 @@ def _bootstrap_sample(boot_seed: int, n: int, bootstrap: bool) -> np.ndarray:
 
 
 def _fit_tree_tasks(fit: tuple, tasks: list[tuple[int, int]]) -> list:
-    """Fit the trees for ``tasks`` with the configured engine, in order.
+    """Fit the trees for ``tasks`` in one batched growth, in order.
 
     ``fit`` is ``(X, y, spec)``; this is the forest's fan-out task.
     """
@@ -87,20 +83,12 @@ def _fit_tree_tasks(fit: tuple, tasks: list[tuple[int, int]]) -> list:
     ]
     params = spec["params"]
     classes = spec["classes"]
-    if spec["engine"] == "fast":
-        if classes is not None:
-            y_fit = np.searchsorted(classes, y).astype(np.float64)
-            return fit_tree_batch(
-                X, y_fit, DecisionTreeClassifier, params, samples, classes=classes
-            )
-        return fit_tree_batch(X, y, DecisionTreeRegressor, params, samples)
-    tree_cls = DecisionTreeClassifier if classes is not None else DecisionTreeRegressor
-    trees = []
-    for seed, sample in samples:
-        tree = tree_cls(**params, random_state=seed)
-        tree.fit(X[sample], y[sample])
-        trees.append(tree)
-    return trees
+    if classes is not None:
+        y_fit = np.searchsorted(classes, y).astype(np.float64)
+        return fit_tree_batch(
+            X, y_fit, DecisionTreeClassifier, params, samples, classes=classes
+        )
+    return fit_tree_batch(X, y, DecisionTreeRegressor, params, samples)
 
 
 class _BaseForest(BaseEstimator):
@@ -114,15 +102,9 @@ class _BaseForest(BaseEstimator):
         bootstrap: bool = True,
         random_state: int | None = None,
         n_jobs: int | None = 1,
-        engine: str | None = None,
-        ctx: RunContext | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
-        ctx = RunContext.ensure(ctx, engine=engine)
-        engine = ctx.resolve_engine(ENGINES, default="fast", param="forest engine")
-        if ctx.n_jobs is not None and n_jobs == 1:
-            n_jobs = ctx.n_jobs
         resolve_n_jobs(n_jobs)  # fail fast on a bad spec; resolved again at fit
         self.n_estimators = n_estimators
         self.max_depth = max_depth
@@ -132,7 +114,6 @@ class _BaseForest(BaseEstimator):
         self.bootstrap = bootstrap
         self.random_state = random_state
         self.n_jobs = n_jobs
-        self.engine = engine
         self.estimators_: list = []
         self.feature_importances_: np.ndarray | None = None
 
@@ -147,7 +128,6 @@ class _BaseForest(BaseEstimator):
     def _fit_spec(self) -> dict:
         return {
             "params": self._tree_params(),
-            "engine": self.engine,
             "bootstrap": self.bootstrap,
             "classes": getattr(self, "classes_", None),
         }
@@ -157,7 +137,6 @@ class _BaseForest(BaseEstimator):
         n_jobs = resolve_n_jobs(self.n_jobs)
         tasks = _draw_tree_tasks(self.random_state, self.n_estimators)
         spec = self._fit_spec()
-        telemetry.annotate("forest/engine", self.engine)
         telemetry.count("forest/trees", self.n_estimators)
         with telemetry.span("forest/fit"):
             # One chunk per worker; n_jobs == 1 keeps every tree in one
@@ -201,10 +180,11 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
 class RandomForestClassifier(_BaseForest, ClassifierMixin):
     """Bagged CART classifiers; prediction averages class probabilities.
 
-    Trees may see different bootstrap class subsets (reference engine
-    derives per-tree class axes; the batched engine fits on the forest
-    axis directly), so probabilities are re-aligned to the forest-level
-    ``classes_`` before averaging — the two layouts average identically.
+    Trees may see different bootstrap class subsets (a tree fitted on its
+    own derives its class axis from its sample; the batched growth fits
+    on the forest axis directly), so probabilities are re-aligned to the
+    forest-level ``classes_`` before averaging — the two layouts average
+    identically.
     """
 
     def __init__(self, max_features="sqrt", **kwargs) -> None:

@@ -15,10 +15,10 @@ being recomputed from the raw targets.  This fixes the *semantic contract*
 that :mod:`repro.ml.tree_batched` (the level-batched forest engine)
 reproduces bit-for-bit: node values, impurities, candidate-feature draws,
 split choices and importance accumulation all happen in the same order with
-the same floating-point expressions, so ``engine="fast"`` forests equal
-``engine="reference"`` forests exactly.  Change a formula here and you must
-change it there (the parity tests in tests/test_ml_forest.py will catch a
-drift).
+the same floating-point expressions, so a batched forest equals a forest
+of trees fitted one by one exactly.  Change a formula here and you must
+change it there (the parity tests in tests/test_ml_forest.py, against the
+per-tree oracle in tests/oracles/forest.py, will catch a drift).
 
 Partitioning is positional, as in sklearn: a split sends the first
 ``row + 1`` sorted samples left and the rest right, and stores the midpoint

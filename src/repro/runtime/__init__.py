@@ -1,7 +1,7 @@
 """Unified execution runtime: context, artifact store, pipeline stages.
 
 One layer answering "how should this run execute?" for every stage of
-the library — see :mod:`repro.runtime.context` (engine/n_jobs/seed
+the library — see :mod:`repro.runtime.context` (census engine/n_jobs/seed
 policy), :mod:`repro.runtime.store` (content-addressed cross-stage
 caching), :mod:`repro.runtime.pipeline` (declared CLI stages), and
 :mod:`repro.runtime.executor` (the one local fan-out).
@@ -9,9 +9,7 @@ caching), :mod:`repro.runtime.pipeline` (declared CLI stages), and
 
 from repro.runtime.context import (
     ENGINE_FAST,
-    ENGINE_REFERENCE,
     ENGINE_SAMPLED,
-    EXACT_ENGINES,
     EXECUTOR_LOCAL,
     EXECUTOR_REMOTE,
     VALID_ENGINES,
@@ -38,9 +36,7 @@ __all__ = [
     "resolve_engine",
     "resolve_n_jobs",
     "ENGINE_FAST",
-    "ENGINE_REFERENCE",
     "ENGINE_SAMPLED",
-    "EXACT_ENGINES",
     "VALID_ENGINES",
     "EXECUTOR_LOCAL",
     "EXECUTOR_REMOTE",

@@ -5,15 +5,12 @@ Before this layer existed every stage of the library grew its own
 (``census.py`` raised :class:`~repro.exceptions.CensusError` without
 naming the choices, ``walks.py`` said "unknown walk engine", ``forest.py``
 enumerated its tuple) and its own cache handle.  :class:`RunContext`
-bundles those execution concerns — engine selection, worker count, seed
+bundles those execution concerns — census engine, worker count, seed
 policy, the telemetry registry, and the :class:`~repro.runtime.store.ArtifactStore`
 handle — into a single object that every layer accepts as ``ctx=``.
-
-Legacy call signatures keep working: each public entry point still takes
-its old ``engine=``/``n_jobs=`` keywords and routes them
-through :meth:`RunContext.ensure`, the deprecation shim that builds (or
-specialises) a context from them.  New code should construct one context
-per run and pass it down.
+Each setting has one way in: an entry point that takes ``ctx=`` takes no
+keyword for a setting the context carries.  Construct one context per
+run and pass it down.
 
 :func:`resolve_engine` is the single validator behind every engine
 dispatch; its error message always enumerates the valid choices, so a
@@ -23,7 +20,7 @@ typo'd ``--engine`` reads the same no matter which stage rejects it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.obs.telemetry import Telemetry, get_telemetry
@@ -32,21 +29,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.runtime.store import ArtifactStore
 
 
-#: The engine registry — the single source of truth for engine names.
-#: Every ``--engine`` choice list and every ``resolve_engine`` call site
-#: derives from these constants instead of repeating string literals.
+#: The census engine registry — the single source of truth for engine
+#: names.  Every ``--engine`` choice list and every ``resolve_engine`` call
+#: site derives from these constants instead of repeating string literals.
+#: The census is the only layer with two implementations: the exact
+#: ``fast`` enumeration and the ``sampled`` estimator.  Every other layer
+#: (walks, SGNS, LINE, forests) has exactly one and takes no engine.
 ENGINE_FAST = "fast"
-ENGINE_REFERENCE = "reference"
 ENGINE_SAMPLED = "sampled"
-
-#: Engines that produce bit-identical exact results (interchangeable for
-#: cache keys and any stage without a sampled implementation).
-EXACT_ENGINES = (ENGINE_FAST, ENGINE_REFERENCE)
-
-#: Every engine the library knows about.  Only the census implements
-#: ``"sampled"``; stages without an approximate path validate against
-#: :data:`EXACT_ENGINES`.
-VALID_ENGINES = (ENGINE_FAST, ENGINE_REFERENCE, ENGINE_SAMPLED)
+VALID_ENGINES = (ENGINE_FAST, ENGINE_SAMPLED)
 
 #: Where the sharded census fan-out executes: a local process pool, or
 #: ``repro worker`` daemons reached over :mod:`repro.net`.
@@ -68,10 +59,10 @@ def resolve_engine(
     a message that *always* enumerates the valid choices — the unified
     wording every call site shares::
 
-        unknown engine 'turbo': valid choices are 'fast', 'reference'
+        unknown engine 'turbo': valid choices are 'fast', 'sampled'
 
-    ``param`` names the parameter in the message (``"engine"``,
-    ``"walk engine"``, ...); ``error`` lets domain layers keep their
+    ``param`` names the parameter in the message (``"census engine"``,
+    ``"executor"``, ...); ``error`` lets domain layers keep their
     exception hierarchy (the census raises :class:`CensusError`).
     """
     if name in choices:
@@ -95,17 +86,15 @@ class RunContext:
     """Execution policy for one run.
 
     Every field defaults to ``None`` meaning *unset* — resolution helpers
-    fall back to the caller's legacy default, so a context only overrides
-    what it explicitly carries.  This is what lets the :meth:`ensure` shim
-    layer a context under existing keyword arguments without changing any
-    default behaviour.
+    fall back to the stage's default, so a context only overrides what it
+    explicitly carries.
 
     Attributes
     ----------
     engine:
-        Implementation selector shared by the census, walk/SGNS/LINE, and
-        forest engines (each validates against its own choice tuple via
-        :meth:`resolve_engine`).
+        Census engine (:data:`VALID_ENGINES`).  Only census stages read
+        it; the embedding pipelines ignore it, so one context can drive a
+        sampled census and the embeddings of the same run.
     n_jobs:
         Worker-process count; ``0``/``"auto"`` means all cores.  Stages
         resolve it through :meth:`resolved_n_jobs`.
@@ -139,24 +128,6 @@ class RunContext:
     seed: int | None = None
     store: "ArtifactStore | None" = None
     telemetry: Telemetry | None = field(default=None, repr=False)
-
-    # -- construction shims ------------------------------------------------
-    @classmethod
-    def ensure(cls, ctx: "RunContext | None" = None, **overrides) -> "RunContext":
-        """The deprecation shim behind every legacy call signature.
-
-        Returns ``ctx`` specialised with any non-``None`` keyword
-        overrides (``engine=``, ``n_jobs=``, ``seed=``, ``store=``), or a
-        fresh context built from just the overrides when ``ctx`` is
-        ``None``.  Explicit legacy keywords therefore keep winning over a
-        passed context, which is exactly how the pre-context signatures
-        behaved.
-        """
-        base = ctx if ctx is not None else cls()
-        updates = {
-            key: value for key, value in overrides.items() if value is not None
-        }
-        return replace(base, **updates) if updates else base
 
     # -- resolution --------------------------------------------------------
     def resolve_engine(

@@ -44,7 +44,7 @@ from repro.exceptions import GraphError
 from repro.net.protocol import NetError, require
 from repro.obs.log import get_logger
 from repro.obs.telemetry import get_telemetry
-from repro.runtime.context import EXACT_ENGINES, RunContext
+from repro.runtime.context import ENGINE_FAST, RunContext
 from repro.runtime.store import STAGE_CENSUS, ArtifactStore
 from repro.serve.repair import repair_ball
 
@@ -58,7 +58,7 @@ VARIANTS = ("plain", "masked")
 class ServeConfig:
     """Census and ranking knobs of one serving process.
 
-    ``engine`` must be exact (``fast``/``reference``): incremental repair
+    ``engine`` must be the exact ``fast`` census: incremental repair
     promises bit-identity with a cold recompute, which a budgeted sampled
     estimate keyed on per-root rng seeds cannot (its per-root seeds are
     fingerprint-independent, but serving estimates would still conflate
@@ -74,9 +74,9 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.emax < 1:
             raise ValueError(f"emax must be >= 1, got {self.emax}")
-        if self.engine not in EXACT_ENGINES:
+        if self.engine != ENGINE_FAST:
             raise ValueError(
-                f"serve engine must be one of {EXACT_ENGINES}, got {self.engine!r}"
+                f"serve engine must be {ENGINE_FAST!r}, got {self.engine!r}"
             )
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")

@@ -1,9 +1,9 @@
 """Engine parity: the fast census must match the reference bit-for-bit.
 
-``subgraph_census`` ships two implementations — the straightforward
-reference engine (`_CensusRun`) and the incremental fast engine
-(`_FastCensusRun`).  The fast engine's whole contract is that it is an
-*optimisation*, not an approximation, so these tests assert exact
+The library's exact census (`_FastCensusRun`) is an optimisation of the
+straightforward recursive enumeration kept as the oracle in
+``tests/oracles/census.py``.  The fast engine's whole contract is that
+it is an *optimisation*, not an approximation, so these tests assert exact
 ``Counter`` equality on randomized graphs across every configuration
 axis: key mode, root masking, the grouping heuristic, the ``d_max`` hub
 cut-off, and ``e_max`` from 1 to 5.
@@ -18,8 +18,12 @@ import pytest
 
 from repro.core.census import CensusConfig, CensusError, subgraph_census
 from repro.core.graph import HeteroGraph
+from tests.oracles import reference_census
 
 KEY_MODES = ("canonical", "string", "hash")
+
+#: The two sides of every parity check: the library and the oracle.
+CENSUS = {"fast": subgraph_census, "reference": reference_census}
 
 
 def random_hetero_graph(seed: int) -> HeteroGraph:
@@ -43,7 +47,7 @@ def random_hetero_graph(seed: int) -> HeteroGraph:
 
 def censuses_match(graph: HeteroGraph, root: int, config: CensusConfig) -> bool:
     fast = subgraph_census(graph, root, config, engine="fast")
-    reference = subgraph_census(graph, root, config, engine="reference")
+    reference = reference_census(graph, root, config)
     return fast == reference
 
 
@@ -89,7 +93,7 @@ class TestEngineParity:
         config = CensusConfig(max_edges=3, max_subgraphs=2)
         for engine in ("fast", "reference"):
             with pytest.raises(CensusError, match="max_subgraphs"):
-                subgraph_census(dense_two_label_graph, 0, config, engine=engine)
+                CENSUS[engine](dense_two_label_graph, 0, config)
 
     def test_unknown_engine_rejected(self, triangle_graph):
         with pytest.raises(CensusError, match="engine"):
@@ -104,7 +108,7 @@ class TestKeyTypes:
     def test_hash_keys_are_plain_ints(self, publication_graph, engine):
         config = CensusConfig(max_edges=3, key="hash")
         root = np.int64(3)  # numpy scalar root, as node lists often carry
-        counts = subgraph_census(publication_graph, root, config, engine=engine)
+        counts = CENSUS[engine](publication_graph, root, config)
         assert counts
         for key in counts:
             assert type(key) is int
@@ -115,9 +119,7 @@ class TestKeyTypes:
         self, publication_graph, engine, mask
     ):
         config = CensusConfig(max_edges=3, mask_start_label=mask)
-        counts = subgraph_census(
-            publication_graph, np.int64(0), config, engine=engine
-        )
+        counts = CENSUS[engine](publication_graph, np.int64(0), config)
         assert counts
         for code in counts:
             for row in code:
@@ -127,6 +129,6 @@ class TestKeyTypes:
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     def test_counts_are_plain_ints(self, publication_graph, engine):
         config = CensusConfig(max_edges=3)
-        counts = subgraph_census(publication_graph, 0, config, engine=engine)
+        counts = CENSUS[engine](publication_graph, 0, config)
         for value in counts.values():
             assert type(value) is int

@@ -140,7 +140,7 @@ def test_parity_with_multiprocess_fanout():
     roots = list(range(graph.num_nodes)) + [0, 0]
     expected = single_shard(graph, roots, config)
     got = subgraph_census_sharded(
-        graph, roots, config, partitions=3, n_jobs=2
+        graph, roots, config, partitions=3, ctx=RunContext(n_jobs=2)
     )
     assert got == expected
 
@@ -156,7 +156,7 @@ def test_multiprocess_fanout_keeps_census_counters():
     for n_jobs in (1, 2):
         with fresh_telemetry() as telemetry:
             subgraph_census_sharded(
-                graph, roots, config, partitions=2, n_jobs=n_jobs
+                graph, roots, config, partitions=2, ctx=RunContext(n_jobs=n_jobs)
             )
         stats.append(telemetry)
     serial, parallel = stats

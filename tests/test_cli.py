@@ -290,7 +290,7 @@ class TestEmbed:
 
         matrix = np.load(out_path)
         assert matrix.shape == (7, 8)
-        assert "engine=fast" in capsys.readouterr().out
+        assert "n_jobs=1" in capsys.readouterr().out
 
     def test_writes_json_keyed_by_node_id(self, graph_json, tmp_path):
         out_path = tmp_path / "emb.json"
@@ -336,19 +336,17 @@ class TestEmbed:
                 "0.5",
                 "--q",
                 "2.0",
-                "--engine",
-                "reference",
                 "--n-jobs",
                 "2",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "engine=reference" in out
         assert "n_jobs=2" in out
 
     def test_bad_engine_rejected(self, graph_json, tmp_path):
-        with pytest.raises(SystemExit):
+        """Embeddings have one implementation: ``--engine`` is no flag."""
+        with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "embed",
@@ -358,9 +356,10 @@ class TestEmbed:
                     "--out",
                     str(tmp_path / "x.npy"),
                     "--engine",
-                    "turbo",
+                    "fast",
                 ]
             )
+        assert excinfo.value.code == 2
 
 
 class TestRuntime:
@@ -382,22 +381,6 @@ class TestRuntime:
         assert "Table 3" in out
         assert "engine=fast" in out
         assert "n_jobs=1" in out
-
-    def test_engine_flag_threads_through(self, graph_json, capsys):
-        code = main(
-            [
-                "runtime",
-                graph_json,
-                "--roots",
-                "2",
-                "--emax",
-                "2",
-                "--engine",
-                "reference",
-            ]
-        )
-        assert code == 0
-        assert "engine=reference" in capsys.readouterr().out
 
 
 class TestCollisions:
@@ -556,7 +539,7 @@ class TestArtifactStore:
                 "--emax",
                 "2",
                 "--engine",
-                "reference",
+                "sampled",
                 "--telemetry-out",
                 str(manifest_path),
             ]
@@ -564,7 +547,7 @@ class TestArtifactStore:
         assert code == 0
         assert "Figure 5A-C" in capsys.readouterr().out
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["provenance"]["annotations"]["run/engine"] == "reference"
+        assert manifest["provenance"]["annotations"]["run/engine"] == "sampled"
 
     def test_rank_warm_rerun_skips_census_and_embed(self, tmp_path, capsys):
         """Acceptance gate: against a populated store, ``repro rank``
@@ -835,8 +818,9 @@ class TestNetCLI:
 
 
 class TestSharedFlags:
-    """``--n-jobs/--jobs`` and ``--partitions`` come from one helper each;
-    every subcommand keeps its flags, defaults, dest and help text."""
+    """``--n-jobs/--jobs``, ``--partitions``, ``--engine`` and ``--layout``
+    come from one helper each; every subcommand keeps its flags, defaults,
+    dest and help text."""
 
     CENSUS_JOBS = "worker processes for the census (0 = all cores)"
     CENSUS_PARTITIONS = (
@@ -896,3 +880,70 @@ class TestSharedFlags:
                 assert action.default == default, command
                 found.setdefault(command, {})[action.dest] = action.help
         assert found == self.EXPECTED
+
+    ENGINE_HELP = {
+        "census": "census implementation (sampled = budgeted estimates with "
+        "confidence bounds)",
+        "rank": "census implementation for the subgraph family (sampled = "
+        "budgeted estimates with confidence bounds)",
+        "label": "census implementation for the subgraph features (sampled = "
+        "budgeted estimates with confidence bounds)",
+        "serve": "census implementation (exact only: incremental repair must "
+        "be bit-identical to a cold recompute)",
+    }
+    ENGINE_HELP["features"] = ENGINE_HELP["census"]
+
+    def _actions(self, dest):
+        import argparse
+
+        from repro.cli import build_parser
+
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        return {
+            command: action
+            for command, sub in subparsers.choices.items()
+            for action in sub._actions
+            if action.dest == dest
+        }
+
+    def test_engine_and_layout_flags_per_subcommand(self):
+        engines = self._actions("engine")
+        assert {command: a.help for command, a in engines.items()} == self.ENGINE_HELP
+        for command, action in engines.items():
+            assert action.option_strings == ["--engine"], command
+            assert action.default == "fast", command
+            expected = ("fast",) if command == "serve" else ("fast", "sampled")
+            assert tuple(action.choices) == expected, command
+        layouts = self._actions("layout")
+        assert sorted(layouts) == ["label", "rank"]
+        for command, action in layouts.items():
+            assert action.option_strings == ["--layout"], command
+            assert action.default == "dense", command
+            assert tuple(action.choices) == ("dense", "sparse"), command
+            assert action.help == "count-feature matrix layout", command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "g.json", "--root", "a", "--engine", "reference"],
+            ["features", "g.json", "--nodes", "a", "--out", "f.json",
+             "--engine", "reference"],
+            ["rank", "--engine", "reference"],
+            ["label", "g.json", "--engine", "reference"],
+            ["serve", "g.json", "--socket", "s.sock", "--engine", "reference"],
+            ["embed", "g.json", "--method", "line", "--out", "e.npy",
+             "--engine", "fast"],
+            ["runtime", "g.json", "--engine", "fast"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_removed_engine_choices_exit_2(self, argv):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2

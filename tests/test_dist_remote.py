@@ -41,6 +41,7 @@ from repro.exceptions import RPCError
 from repro.net import NetClient, NetError, RetryPolicy
 from repro.obs import fresh_telemetry
 from repro.runtime.context import RunContext
+from tests.oracles import reference_census
 
 WORKER_COUNTS = (1, 2, 3)
 ENGINES = ("fast", "reference", "sampled")
@@ -124,10 +125,16 @@ class TestRemoteParity:
         )
         pset = partition_graph(graph, PartitionConfig(num_partitions=3), config)
         roots = list(range(graph.num_nodes))
-        with fresh_telemetry():
-            local = sharded_census_map(
-                graph, roots, config, pset, engine=engine, sampled=sampled
-            )
+        if engine == "reference":
+            # The oracle's expected side, computed locally; the workers
+            # run the library's exact census.
+            local = {root: reference_census(graph, root, config) for root in roots}
+            engine = "fast"
+        else:
+            with fresh_telemetry():
+                local = sharded_census_map(
+                    graph, roots, config, pset, engine=engine, sampled=sampled
+                )
         with _WorkerFleet(workers) as fleet:
             with fresh_telemetry() as telemetry:
                 remote = sharded_census_map(
@@ -189,13 +196,14 @@ class TestRemoteParity:
             expected = SubgraphFeatureExtractor(config).census_many(graph, nodes)
         with _WorkerFleet(2) as fleet:
             ctx = RunContext(
+                partitions=2,
                 executor="remote",
                 workers=tuple(str(e) for e in fleet.endpoints),
             )
             with fresh_telemetry() as telemetry:
-                actual = SubgraphFeatureExtractor(
-                    config, partitions=2, ctx=ctx
-                ).census_many(graph, nodes)
+                actual = SubgraphFeatureExtractor(config, ctx=ctx).census_many(
+                    graph, nodes
+                )
                 counters = telemetry.as_dict()["counters"]
         assert actual == expected
         assert counters["net/requests"] > 0

@@ -7,8 +7,19 @@ from repro.core.graph import HeteroGraph
 from repro.embeddings import DeepWalk, LINE, Node2Vec, SkipGramTrainer
 from repro.embeddings.skipgram import walks_to_pairs
 from repro.embeddings.walks import uniform_random_walks
+from repro.runtime.context import RunContext
+from tests.oracles import (
+    ENGINES,
+    ReferenceDeepWalk,
+    ReferenceLINE,
+    ReferenceSkipGramTrainer,
+    pairs_per_walk,
+)
 
-ENGINES = ("fast", "reference")
+#: The library class and its oracle, per parametrised ``engine`` case.
+TRAINERS = {"fast": SkipGramTrainer, "reference": ReferenceSkipGramTrainer}
+DEEPWALKS = {"fast": DeepWalk, "reference": ReferenceDeepWalk}
+LINES = {"fast": LINE, "reference": ReferenceLINE}
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +68,7 @@ class TestWalksToPairs:
         rng = np.random.default_rng(0)
         assert walks_to_pairs([np.array([7])], window=3, rng=rng).shape == (0, 2)
         padded = np.array([[7, -1, -1]], dtype=np.int64)
-        assert walks_to_pairs(padded, window=3, rng=rng, engine="reference").shape == (0, 2)
+        assert pairs_per_walk(padded, window=3, rng=rng).shape == (0, 2)
 
     def test_padded_rows_never_pair_the_sentinel(self):
         rng = np.random.default_rng(1)
@@ -74,9 +85,7 @@ class TestWalksToPairs:
         )
         walks = uniform_random_walks(graph, num_walks=3, walk_length=6, rng=0)
         fast = walks_to_pairs(walks, window=3, rng=np.random.default_rng(5))
-        reference = walks_to_pairs(
-            walks, window=3, rng=np.random.default_rng(5), engine="reference"
-        )
+        reference = pairs_per_walk(walks, window=3, rng=np.random.default_rng(5))
         assert fast.shape == reference.shape
         key = lambda arr: sorted(map(tuple, arr.tolist()))
         assert key(fast) == key(reference)
@@ -86,7 +95,7 @@ class TestWalksToPairs:
             walks_to_pairs([], window=0, rng=np.random.default_rng(0))
 
     def test_bad_engine(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             walks_to_pairs(
                 np.zeros((1, 3), dtype=np.int64),
                 window=1,
@@ -99,7 +108,7 @@ class TestSkipGram:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_output_shape(self, engine):
         walks = [np.array([0, 1, 2, 1, 0])] * 20
-        trainer = SkipGramTrainer(dim=8, window=2, seed=0, engine=engine)
+        trainer = TRAINERS[engine](dim=8, window=2, seed=0)
         embedding = trainer.fit(walks, num_nodes=3)
         assert embedding.shape == (3, 8)
         assert np.all(np.isfinite(embedding))
@@ -121,9 +130,7 @@ class TestSkipGram:
         for _ in range(300):
             walks.append(np.array([0, 1] * 4))
             walks.append(np.array([2, 3] * 4))
-        embedding = SkipGramTrainer(
-            dim=16, window=2, epochs=3, seed=0, engine=engine
-        ).fit(walks, 4)
+        embedding = TRAINERS[engine](dim=16, window=2, epochs=3, seed=0).fit(walks, 4)
         normed = embedding / np.linalg.norm(embedding, axis=1, keepdims=True)
         together = normed[0] @ normed[1]
         apart = normed[0] @ normed[3]
@@ -132,8 +139,8 @@ class TestSkipGram:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_deterministic(self, engine):
         walks = np.tile(np.array([0, 1, 2, 1, 0], dtype=np.int64), (30, 1))
-        a = SkipGramTrainer(dim=8, window=2, seed=3, engine=engine).fit(walks, 3)
-        b = SkipGramTrainer(dim=8, window=2, seed=3, engine=engine).fit(walks, 3)
+        a = TRAINERS[engine](dim=8, window=2, seed=3).fit(walks, 3)
+        b = TRAINERS[engine](dim=8, window=2, seed=3).fit(walks, 3)
         assert np.array_equal(a, b)
 
     def test_parameter_validation(self):
@@ -143,7 +150,7 @@ class TestSkipGram:
             SkipGramTrainer(negative=0)
         with pytest.raises(ValueError):
             SkipGramTrainer(epochs=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SkipGramTrainer(engine="turbo")
 
 
@@ -151,8 +158,8 @@ class TestBaselines:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_deepwalk_separates_communities(self, community_graph, engine):
         graph, half = community_graph
-        model = DeepWalk(
-            dim=24, num_walks=10, walk_length=30, window=5, seed=0, engine=engine
+        model = DEEPWALKS[engine](
+            dim=24, num_walks=10, walk_length=30, window=5, seed=0
         )
         model.fit(graph)
         assert _community_separation(model.embedding_, half) > 0.2
@@ -166,7 +173,7 @@ class TestBaselines:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_line_separates_communities(self, community_graph, engine):
         graph, half = community_graph
-        model = LINE(dim=24, num_samples=60_000, seed=0, engine=engine)
+        model = LINES[engine](dim=24, num_samples=60_000, seed=0)
         model.fit(graph)
         assert _community_separation(model.embedding_, half) > 0.1
 
@@ -197,8 +204,8 @@ class TestBaselines:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_deterministic_with_seed(self, community_graph, engine):
         graph, _ = community_graph
-        a = DeepWalk(dim=8, num_walks=2, walk_length=10, seed=4, engine=engine).fit(graph)
-        b = DeepWalk(dim=8, num_walks=2, walk_length=10, seed=4, engine=engine).fit(graph)
+        a = DEEPWALKS[engine](dim=8, num_walks=2, walk_length=10, seed=4).fit(graph)
+        b = DEEPWALKS[engine](dim=8, num_walks=2, walk_length=10, seed=4).fit(graph)
         assert np.array_equal(a.embedding_, b.embedding_)
 
     def test_line_dim_validation(self):
@@ -206,9 +213,9 @@ class TestBaselines:
             LINE(dim=1)
 
     def test_line_engine_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             LINE(engine="turbo")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             LINE(n_jobs=0)
 
 
@@ -228,20 +235,20 @@ class TestNJobsReproducibility:
 
     def test_deepwalk_n_jobs_identical(self, small_graph):
         kwargs = dict(dim=8, num_walks=4, walk_length=10, window=3, seed=7)
-        serial = DeepWalk(n_jobs=1, **kwargs).fit(small_graph).embedding_
-        parallel = DeepWalk(n_jobs=4, **kwargs).fit(small_graph).embedding_
-        assert np.array_equal(serial, parallel)
+        serial = DeepWalk(ctx=RunContext(n_jobs=1), **kwargs).fit(small_graph)
+        parallel = DeepWalk(ctx=RunContext(n_jobs=4), **kwargs).fit(small_graph)
+        assert np.array_equal(serial.embedding_, parallel.embedding_)
 
     def test_node2vec_n_jobs_identical(self, small_graph):
         kwargs = dict(
             dim=8, num_walks=4, walk_length=10, window=3, p=0.5, q=2.0, seed=7
         )
-        serial = Node2Vec(n_jobs=1, **kwargs).fit(small_graph).embedding_
-        parallel = Node2Vec(n_jobs=4, **kwargs).fit(small_graph).embedding_
-        assert np.array_equal(serial, parallel)
+        serial = Node2Vec(ctx=RunContext(n_jobs=1), **kwargs).fit(small_graph)
+        parallel = Node2Vec(ctx=RunContext(n_jobs=4), **kwargs).fit(small_graph)
+        assert np.array_equal(serial.embedding_, parallel.embedding_)
 
     def test_line_n_jobs_identical(self, small_graph):
         kwargs = dict(dim=8, num_samples=4_000, seed=7)
-        serial = LINE(n_jobs=1, **kwargs).fit(small_graph).embedding_
-        parallel = LINE(n_jobs=4, **kwargs).fit(small_graph).embedding_
-        assert np.array_equal(serial, parallel)
+        serial = LINE(ctx=RunContext(n_jobs=1), **kwargs).fit(small_graph)
+        parallel = LINE(ctx=RunContext(n_jobs=4), **kwargs).fit(small_graph)
+        assert np.array_equal(serial.embedding_, parallel.embedding_)

@@ -1,4 +1,8 @@
-"""Unit tests for random-walk corpora (batched fast engine + reference)."""
+"""Unit tests for random-walk corpora (the batched walkers + the oracle).
+
+Parametrised ``engine`` cases run the library (``"fast"``) and the
+per-node oracle of ``tests/oracles/walks.py`` (``"reference"``).
+"""
 
 import numpy as np
 import pytest
@@ -11,8 +15,11 @@ from repro.embeddings.walks import (
     walk_lengths,
     walk_node_frequencies,
 )
+from repro.runtime.context import RunContext
+from tests.oracles import ENGINES, reference_node2vec_walks, reference_uniform_walks
 
-ENGINES = ("fast", "reference")
+WALKS = {"fast": uniform_random_walks, "reference": reference_uniform_walks}
+NODE2VEC = {"fast": node2vec_walks, "reference": reference_node2vec_walks}
 
 
 @pytest.fixture
@@ -42,32 +49,32 @@ def _assert_walks_follow_edges(graph, walks):
 class TestUniformWalks:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_matrix_shape_and_dtype(self, line_graph, engine):
-        walks = uniform_random_walks(
-            line_graph, num_walks=3, walk_length=5, rng=0, engine=engine
+        walks = WALKS[engine](
+            line_graph, num_walks=3, walk_length=5, rng=0
         )
         assert walks.shape == (3 * line_graph.num_nodes, 5)
         assert walks.dtype == np.int64
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_no_padding_on_connected_graph(self, line_graph, engine):
-        walks = uniform_random_walks(
-            line_graph, num_walks=2, walk_length=7, rng=0, engine=engine
+        walks = WALKS[engine](
+            line_graph, num_walks=2, walk_length=7, rng=0
         )
         assert (walks >= 0).all()
         assert (walk_lengths(walks) == 7).all()
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_steps_follow_edges(self, line_graph, engine):
-        walks = uniform_random_walks(
-            line_graph, num_walks=2, walk_length=10, rng=1, engine=engine
+        walks = WALKS[engine](
+            line_graph, num_walks=2, walk_length=10, rng=1
         )
         _assert_walks_follow_edges(line_graph, walks)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_isolated_node_pads_with_sentinel(self, engine):
         graph = HeteroGraph.from_edges({"a": "X", "b": "X", "i": "X"}, [("a", "b")])
-        walks = uniform_random_walks(
-            graph, num_walks=1, walk_length=5, rng=0, engine=engine
+        walks = WALKS[engine](
+            graph, num_walks=1, walk_length=5, rng=0
         )
         isolated = walks[walks[:, 0] == graph.index("i")]
         assert isolated.shape[0] == 1
@@ -76,8 +83,8 @@ class TestUniformWalks:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_restricted_start_nodes(self, line_graph, engine):
-        walks = uniform_random_walks(
-            line_graph, num_walks=2, walk_length=3, rng=0, nodes=[0], engine=engine
+        walks = WALKS[engine](
+            line_graph, num_walks=2, walk_length=3, rng=0, nodes=[0]
         )
         assert walks.shape == (2, 3)
         assert (walks[:, 0] == 0).all()
@@ -87,25 +94,25 @@ class TestUniformWalks:
             uniform_random_walks(line_graph, num_walks=0)
         with pytest.raises(ValueError):
             uniform_random_walks(line_graph, walk_length=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             uniform_random_walks(line_graph, engine="turbo")
         with pytest.raises(ValueError):
-            uniform_random_walks(line_graph, n_jobs=0)
+            uniform_random_walks(line_graph, ctx=RunContext(n_jobs=-1))
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_seeded_bit_exactness(self, line_graph, engine):
-        a = uniform_random_walks(line_graph, num_walks=2, walk_length=5, rng=3, engine=engine)
-        b = uniform_random_walks(line_graph, num_walks=2, walk_length=5, rng=3, engine=engine)
+        a = WALKS[engine](line_graph, num_walks=2, walk_length=5, rng=3)
+        b = WALKS[engine](line_graph, num_walks=2, walk_length=5, rng=3)
         assert np.array_equal(a, b)
 
     def test_reference_engine_pinned_corpus(self, line_graph):
-        """The reference engine is the behavioural oracle: its seeded output
+        """The reference walker is the behavioural oracle: its seeded output
         is pinned so accidental stream changes are caught."""
-        walks = uniform_random_walks(
-            line_graph, num_walks=1, walk_length=4, rng=42, engine="reference"
+        walks = reference_uniform_walks(
+            line_graph, num_walks=1, walk_length=4, rng=42
         )
-        again = uniform_random_walks(
-            line_graph, num_walks=1, walk_length=4, rng=42, engine="reference"
+        again = reference_uniform_walks(
+            line_graph, num_walks=1, walk_length=4, rng=42
         )
         assert np.array_equal(walks, again)
         assert sorted(walks[:, 0].tolist()) == [0, 1, 2, 3]
@@ -115,8 +122,8 @@ class TestUniformWalks:
         transition frequencies match within sampling noise."""
         counts = {}
         for engine in ENGINES:
-            walks = uniform_random_walks(
-                line_graph, num_walks=400, walk_length=5, rng=11, engine=engine
+            walks = WALKS[engine](
+                line_graph, num_walks=400, walk_length=5, rng=11
             )
             transitions = np.zeros((4, 4))
             for row in walks:
@@ -129,18 +136,10 @@ class TestUniformWalks:
         base = uniform_random_walks(line_graph, num_walks=4, walk_length=6, rng=5)
         for n_jobs in (2, 4):
             sharded = uniform_random_walks(
-                line_graph, num_walks=4, walk_length=6, rng=5, n_jobs=n_jobs
+                line_graph, num_walks=4, walk_length=6, rng=5,
+                ctx=RunContext(n_jobs=n_jobs),
             )
             assert np.array_equal(base, sharded)
-
-    def test_n_jobs_invariance_reference_engine(self, line_graph):
-        base = uniform_random_walks(
-            line_graph, num_walks=3, walk_length=5, rng=6, engine="reference"
-        )
-        sharded = uniform_random_walks(
-            line_graph, num_walks=3, walk_length=5, rng=6, engine="reference", n_jobs=3
-        )
-        assert np.array_equal(base, sharded)
 
     def test_generator_rng_accepted(self, line_graph):
         rng = np.random.default_rng(9)
@@ -152,11 +151,11 @@ class TestNode2VecWalks:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_default_params_match_uniform(self, line_graph, engine):
         """p = q = 1 short-circuits to the uniform walker (same stream)."""
-        uniform = uniform_random_walks(
-            line_graph, num_walks=2, walk_length=5, rng=9, engine=engine
+        uniform = WALKS[engine](
+            line_graph, num_walks=2, walk_length=5, rng=9
         )
-        biased = node2vec_walks(
-            line_graph, num_walks=2, walk_length=5, p=1, q=1, rng=9, engine=engine
+        biased = NODE2VEC[engine](
+            line_graph, num_walks=2, walk_length=5, p=1, q=1, rng=9
         )
         assert np.array_equal(uniform, biased)
 
@@ -177,8 +176,8 @@ class TestNode2VecWalks:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_steps_follow_edges(self, line_graph, engine):
-        walks = node2vec_walks(
-            line_graph, num_walks=2, walk_length=8, p=0.5, q=2.0, rng=2, engine=engine
+        walks = NODE2VEC[engine](
+            line_graph, num_walks=2, walk_length=8, p=0.5, q=2.0, rng=2
         )
         _assert_walks_follow_edges(line_graph, walks)
 
@@ -186,8 +185,8 @@ class TestNode2VecWalks:
     def test_high_p_discourages_backtracking(self, path10, engine):
         """On a path graph a huge p makes immediate returns rare."""
         returns = total = 0
-        walks = node2vec_walks(
-            path10, num_walks=20, walk_length=10, p=1000.0, q=1.0, rng=0, engine=engine
+        walks = NODE2VEC[engine](
+            path10, num_walks=20, walk_length=10, p=1000.0, q=1.0, rng=0
         )
         for walk in walks:
             walk = walk[walk >= 0]
@@ -203,8 +202,8 @@ class TestNode2VecWalks:
         """p -> 0 forces returns; for the fast engine this regime also
         exercises the exact per-node fallback after rejection rounds."""
         returns = total = 0
-        walks = node2vec_walks(
-            path10, num_walks=20, walk_length=10, p=0.001, q=1.0, rng=0, engine=engine
+        walks = NODE2VEC[engine](
+            path10, num_walks=20, walk_length=10, p=0.001, q=1.0, rng=0
         )
         for walk in walks:
             walk = walk[walk >= 0]
@@ -223,8 +222,8 @@ class TestNode2VecWalks:
         )
         counts = {}
         for engine in ENGINES:
-            walks = node2vec_walks(
-                graph, num_walks=600, walk_length=4, p=0.5, q=2.0, rng=21, engine=engine
+            walks = NODE2VEC[engine](
+                graph, num_walks=600, walk_length=4, p=0.5, q=2.0, rng=21
             )
             transitions = np.zeros((4, 4, 4))
             for row in walks:
@@ -236,14 +235,15 @@ class TestNode2VecWalks:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_seeded_bit_exactness(self, path10, engine):
-        a = node2vec_walks(path10, 2, 6, p=0.5, q=2.0, rng=4, engine=engine)
-        b = node2vec_walks(path10, 2, 6, p=0.5, q=2.0, rng=4, engine=engine)
+        a = NODE2VEC[engine](path10, 2, 6, p=0.5, q=2.0, rng=4)
+        b = NODE2VEC[engine](path10, 2, 6, p=0.5, q=2.0, rng=4)
         assert np.array_equal(a, b)
 
     def test_n_jobs_invariance_biased(self, path10):
         base = node2vec_walks(path10, num_walks=4, walk_length=6, p=0.5, q=2.0, rng=8)
         sharded = node2vec_walks(
-            path10, num_walks=4, walk_length=6, p=0.5, q=2.0, rng=8, n_jobs=4
+            path10, num_walks=4, walk_length=6, p=0.5, q=2.0, rng=8,
+            ctx=RunContext(n_jobs=4),
         )
         assert np.array_equal(base, sharded)
 

@@ -18,6 +18,7 @@ from repro.experiments.runtime import (
     time_census_per_node,
     time_embeddings_per_node,
 )
+from repro.runtime import RunContext
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +119,7 @@ class TestRuntime:
         store = ArtifactStore()
         roots = [0, 1, 2]
         time_census_per_node(
-            imdb_graph, roots, emax=2, engine="sampled", ctx=RunContext(store=store)
+            imdb_graph, roots, emax=2, ctx=RunContext(engine="sampled", store=store)
         )
         config = CensusConfig(
             max_edges=2,
@@ -137,10 +138,10 @@ class TestRuntime:
                                  line_samples=2_000)
         report = runtime_report(
             "IMDB", imdb_graph, [0, 1], emax=2, embedding_params=params,
-            embedding_engine="reference", embedding_n_jobs=2,
+            ctx=RunContext(engine="sampled", n_jobs=2),
         )
-        assert report.embedding_engine == "reference"
-        assert "engine=reference" in report.row()
+        assert report.engine == "sampled"
+        assert "engine=sampled" in report.row()
         assert "n_jobs=2" in report.row()
 
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.datasets import MagConfig, SyntheticMAG
+from repro.experiments import rank_prediction
 from repro.experiments.common import EmbeddingParams
 from repro.experiments.rank_prediction import (
     RankPredictionExperiment,
     RankTaskConfig,
 )
+from tests.oracles import RebuildingRankExperiment, ReferenceRandomForestRegressor
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +147,7 @@ class TestSparseAndParallelParity:
             )
         )
 
-    def _run(self, mag, **overrides):
+    def _run(self, mag, experiment=RankPredictionExperiment, **overrides):
         config = RankTaskConfig(
             train_years=(2013, 2014),
             test_year=2015,
@@ -154,7 +156,7 @@ class TestSparseAndParallelParity:
             seed=0,
             **overrides,
         )
-        return RankPredictionExperiment(mag, config).run(
+        return experiment(mag, config).run(
             families=("classic", "subgraph", "combined"),
             regressors=("LinRegr", "RanForest"),
         )
@@ -165,8 +167,8 @@ class TestSparseAndParallelParity:
         assert sparse.ndcg == dense.ndcg
 
     def test_no_reuse_scores_identical(self, two_conference_world):
-        reused = self._run(two_conference_world, reuse_features=True)
-        rebuilt = self._run(two_conference_world, reuse_features=False)
+        reused = self._run(two_conference_world)
+        rebuilt = self._run(two_conference_world, experiment=RebuildingRankExperiment)
         assert rebuilt.ndcg == reused.ndcg
 
     def test_parallel_grid_scores_and_order_identical(self, two_conference_world):
@@ -208,9 +210,12 @@ class TestSparseAndParallelParity:
         assert len(warnings) == 1
         assert "artifact store" in warnings[0].getMessage()
 
-    def test_forest_engines_scores_identical(self, two_conference_world):
-        fast = self._run(two_conference_world, forest_engine="fast")
-        reference = self._run(two_conference_world, forest_engine="reference")
+    def test_forest_engines_scores_identical(self, two_conference_world, monkeypatch):
+        fast = self._run(two_conference_world)
+        monkeypatch.setattr(
+            rank_prediction, "RandomForestRegressor", ReferenceRandomForestRegressor
+        )
+        reference = self._run(two_conference_world)
         assert reference.ndcg == fast.ndcg
 
     def test_layout_validation(self, two_conference_world):

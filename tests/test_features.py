@@ -6,6 +6,7 @@ import pytest
 from repro.core.census import CensusConfig, subgraph_census
 from repro.core.features import FeatureSpace, SubgraphFeatureExtractor
 from repro.exceptions import FeatureError
+from repro.runtime.context import RunContext
 
 
 class TestFeatureSpace:
@@ -92,17 +93,18 @@ class TestExtractor:
             extractor.fit_transform(graph, [0, 1])
 
     def test_bad_n_jobs(self):
-        with pytest.raises(FeatureError):
-            SubgraphFeatureExtractor(n_jobs=0)
+        with pytest.raises(ValueError, match="n_jobs"):
+            SubgraphFeatureExtractor(ctx=RunContext(n_jobs=-1))
 
     def test_parallel_matches_serial(self, publication_graph):
         config = CensusConfig(max_edges=3)
-        serial = SubgraphFeatureExtractor(config, n_jobs=1).fit_transform(
-            publication_graph, list(range(publication_graph.num_nodes))
-        )
-        parallel = SubgraphFeatureExtractor(config, n_jobs=2).fit_transform(
-            publication_graph, list(range(publication_graph.num_nodes))
-        )
+        nodes = list(range(publication_graph.num_nodes))
+        serial = SubgraphFeatureExtractor(
+            config, ctx=RunContext(n_jobs=1)
+        ).fit_transform(publication_graph, nodes)
+        parallel = SubgraphFeatureExtractor(
+            config, ctx=RunContext(n_jobs=2)
+        ).fit_transform(publication_graph, nodes)
         assert serial.space.keys == parallel.space.keys
         assert np.array_equal(serial.matrix, parallel.matrix)
 
@@ -119,7 +121,9 @@ class TestExtractor:
 
 class TestCensusManyScheduling:
     def test_empty_nodes_returns_empty(self, publication_graph):
-        extractor = SubgraphFeatureExtractor(CensusConfig(max_edges=3), n_jobs=4)
+        extractor = SubgraphFeatureExtractor(
+            CensusConfig(max_edges=3), ctx=RunContext(n_jobs=4)
+        )
         assert extractor.census_many(publication_graph, []) == []
 
     def test_small_batch_never_spawns_pool(self, publication_graph, monkeypatch):
@@ -130,7 +134,9 @@ class TestCensusManyScheduling:
             raise AssertionError("ProcessPoolExecutor should not be created")
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", boom)
-        extractor = SubgraphFeatureExtractor(CensusConfig(max_edges=3), n_jobs=8)
+        extractor = SubgraphFeatureExtractor(
+            CensusConfig(max_edges=3), ctx=RunContext(n_jobs=8)
+        )
         results = extractor.census_many(publication_graph, [0, 1])
         expected = [
             subgraph_census(publication_graph, n, extractor.config) for n in (0, 1)
@@ -145,9 +151,9 @@ class TestCensusManyScheduling:
             range(publication_graph.num_nodes),
             key=lambda n: publication_graph.degree(n),
         )
-        parallel = SubgraphFeatureExtractor(config, n_jobs=2).census_many(
-            publication_graph, nodes
-        )
+        parallel = SubgraphFeatureExtractor(
+            config, ctx=RunContext(n_jobs=2)
+        ).census_many(publication_graph, nodes)
         serial = [subgraph_census(publication_graph, n, config) for n in nodes]
         assert parallel == serial
 
@@ -231,7 +237,7 @@ class TestCensusManyTelemetry:
         nodes = list(range(graph.num_nodes))
         with fresh_telemetry() as telemetry:
             results = SubgraphFeatureExtractor(
-                CensusConfig(max_edges=3), n_jobs=n_jobs
+                CensusConfig(max_edges=3), ctx=RunContext(n_jobs=n_jobs)
             ).census_many(graph, nodes)
         return results, telemetry
 

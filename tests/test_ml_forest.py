@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from tests.oracles import (
+    ReferenceRandomForestClassifier,
+    ReferenceRandomForestRegressor,
+)
 
 
 def _friedmanish(n=300, seed=0):
@@ -104,16 +108,16 @@ class TestClassifierForest:
 
 
 class TestEnginesAndParallelism:
-    """The batched engine and the process fan-out are bit-exact
-    reformulations of the sequential reference builder."""
+    """The batched growth and the process fan-out are bit-exact
+    reformulations of the sequential per-tree oracle."""
 
     def test_fast_engine_matches_reference_regressor(self):
         X, y = _friedmanish(n=150)
         fast = RandomForestRegressor(
-            n_estimators=15, max_features="sqrt", random_state=4, engine="fast"
+            n_estimators=15, max_features="sqrt", random_state=4
         ).fit(X, y)
-        reference = RandomForestRegressor(
-            n_estimators=15, max_features="sqrt", random_state=4, engine="reference"
+        reference = ReferenceRandomForestRegressor(
+            n_estimators=15, max_features="sqrt", random_state=4
         ).fit(X, y)
         assert np.array_equal(fast.predict(X), reference.predict(X))
         assert np.array_equal(
@@ -123,11 +127,9 @@ class TestEnginesAndParallelism:
     def test_fast_engine_matches_reference_classifier(self):
         X, y = _friedmanish(n=150)
         labels = (y > np.median(y)).astype(int)
-        fast = RandomForestClassifier(
-            n_estimators=15, random_state=4, engine="fast"
-        ).fit(X, labels)
-        reference = RandomForestClassifier(
-            n_estimators=15, random_state=4, engine="reference"
+        fast = RandomForestClassifier(n_estimators=15, random_state=4).fit(X, labels)
+        reference = ReferenceRandomForestClassifier(
+            n_estimators=15, random_state=4
         ).fit(X, labels)
         assert np.array_equal(fast.predict_proba(X), reference.predict_proba(X))
         assert np.array_equal(
@@ -162,7 +164,7 @@ class TestEnginesAndParallelism:
         )
 
     def test_engine_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RandomForestRegressor(engine="warp")
         with pytest.raises(ValueError):
             RandomForestRegressor(n_jobs=-1)

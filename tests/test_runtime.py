@@ -11,6 +11,7 @@ across mixed stage types — and :func:`run_tasks`, the one local fan-out.
 import logging
 import os
 import pickle
+import re
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -19,10 +20,13 @@ import numpy as np
 import pytest
 
 from repro.core.census import CensusConfig, subgraph_census
+from repro.core.features import SubgraphFeatureExtractor
 from repro.embeddings.line import LINE
 from repro.embeddings.skipgram import SkipGramTrainer, walks_to_pairs
+from repro.embeddings import walks as walks_module
 from repro.embeddings.walks import node2vec_walks, uniform_random_walks
 from repro.exceptions import CensusError
+from repro.experiments.common import EmbeddingParams, embedding_matrix
 from repro.ml.forest import RandomForestRegressor
 from repro.obs import fresh_telemetry, get_telemetry
 from repro.runtime import (
@@ -59,77 +63,51 @@ class TestResolveEngine:
 
 
 class TestEngineValidationCallSites:
-    """Every engine dispatch shares the unified wording (the PR-5 bugfix:
-    previously each site raised a differently-shaped error, some without
-    naming the valid choices)."""
+    """The census is the one layer with an engine choice, and its error
+    enumerates the valid choices.  Every other layer has one
+    implementation and takes no ``engine=`` keyword at all."""
 
     def test_census_site(self, publication_graph):
         with pytest.raises(
             CensusError,
             match="unknown census engine 'turbo': valid choices are "
-            "'fast', 'reference'",
+            "'fast', 'sampled'",
         ):
             subgraph_census(
                 publication_graph, 0, CensusConfig(max_edges=2), engine="turbo"
             )
 
     def test_walks_site(self, publication_graph):
-        with pytest.raises(ValueError, match="unknown walk engine 'turbo'"):
+        with pytest.raises(TypeError, match="engine"):
             uniform_random_walks(
                 publication_graph, num_walks=1, walk_length=2, engine="turbo"
             )
 
     def test_node2vec_walks_site(self, publication_graph):
-        with pytest.raises(ValueError, match="unknown walk engine 'turbo'"):
+        with pytest.raises(TypeError, match="engine"):
             node2vec_walks(
                 publication_graph, num_walks=1, walk_length=2, q=2.0, engine="turbo"
             )
 
     def test_pairs_site(self):
         walks = np.array([[0, 1, 2]], dtype=np.int64)
-        with pytest.raises(
-            ValueError, match="unknown pairs engine 'turbo': valid choices are"
-        ):
+        with pytest.raises(TypeError, match="engine"):
             walks_to_pairs(walks, 1, np.random.default_rng(0), engine="turbo")
 
     def test_trainer_site(self):
-        with pytest.raises(
-            ValueError, match="unknown trainer engine 'turbo': valid choices are"
-        ):
+        with pytest.raises(TypeError, match="engine"):
             SkipGramTrainer(dim=4, engine="turbo")
 
     def test_line_site(self):
-        with pytest.raises(
-            ValueError, match="unknown LINE engine 'turbo': valid choices are"
-        ):
+        with pytest.raises(TypeError, match="engine"):
             LINE(dim=4, engine="turbo")
 
     def test_forest_site(self):
-        with pytest.raises(
-            ValueError,
-            match="unknown forest engine 'turbo': valid choices are "
-            "'fast', 'reference'",
-        ):
+        with pytest.raises(TypeError, match="engine"):
             RandomForestRegressor(n_estimators=2, engine="turbo")
 
 
 class TestRunContext:
-    def test_ensure_builds_fresh_context(self):
-        ctx = RunContext.ensure(None, engine="reference")
-        assert ctx.engine == "reference"
-        assert ctx.n_jobs is None
-
-    def test_ensure_legacy_kwargs_override_context(self):
-        base = RunContext(engine="fast", n_jobs=2)
-        ctx = RunContext.ensure(base, engine="reference")
-        assert ctx.engine == "reference"
-        assert ctx.n_jobs == 2  # untouched fields survive
-        assert base.engine == "fast"  # original context is not mutated
-
-    def test_ensure_none_overrides_are_ignored(self):
-        base = RunContext(engine="reference")
-        assert RunContext.ensure(base, engine=None) is base
-
     def test_resolve_engine_uses_default_when_unset(self):
         assert RunContext().resolve_engine(("fast", "reference")) == "fast"
 
@@ -168,6 +146,94 @@ class TestRunContext:
         assert annotations["run/workers"] == "2"
 
 
+class TestOneWayIn:
+    """An execution setting has one way in — the context — and means the
+    same at every entry point."""
+
+    ALL_CORES = max(1, os.cpu_count() or 1)
+
+    def test_n_jobs_zero_is_all_cores_for_the_extractor(self):
+        extractor = SubgraphFeatureExtractor(ctx=RunContext(n_jobs=0))
+        assert extractor.n_jobs == self.ALL_CORES
+        with pytest.raises(TypeError, match="n_jobs"):
+            SubgraphFeatureExtractor(n_jobs=0)
+
+    def test_n_jobs_zero_is_all_cores_for_the_walks(
+        self, publication_graph, monkeypatch
+    ):
+        seen = []
+        real = walks_module.run_tasks
+
+        def spy(fn, tasks, *, n_jobs=1, **kwargs):
+            seen.append(n_jobs)
+            return real(fn, tasks, n_jobs=1, **kwargs)
+
+        monkeypatch.setattr(walks_module, "run_tasks", spy)
+        ctx = RunContext(n_jobs=0)
+        uniform_random_walks(publication_graph, 2, 4, rng=0, ctx=ctx)
+        node2vec_walks(publication_graph, 2, 4, p=0.5, rng=0, ctx=ctx)
+        assert seen == [self.ALL_CORES, self.ALL_CORES]
+        with pytest.raises(TypeError, match="n_jobs"):
+            uniform_random_walks(publication_graph, 2, 4, rng=0, n_jobs=0)
+        with pytest.raises(TypeError, match="n_jobs"):
+            node2vec_walks(publication_graph, 2, 4, p=0.5, rng=0, n_jobs=0)
+
+    def test_sampled_census_context_drives_embeddings(self, publication_graph):
+        """One context carrying the sampled census engine also runs the
+        embeddings, which ignore the census engine."""
+        sampled, plain = RunContext(engine="sampled"), RunContext()
+        np.testing.assert_array_equal(
+            uniform_random_walks(publication_graph, 2, 5, rng=3, ctx=sampled),
+            uniform_random_walks(publication_graph, 2, 5, rng=3, ctx=plain),
+        )
+        params = EmbeddingParams(dim=4, num_walks=2, walk_length=5, window=2)
+        nodes = list(range(publication_graph.num_nodes))
+        np.testing.assert_array_equal(
+            embedding_matrix(publication_graph, nodes, "deepwalk", params, ctx=sampled),
+            embedding_matrix(publication_graph, nodes, "deepwalk", params, ctx=plain),
+        )
+
+
+class TestOneImplementationPerLayer:
+    """The parity oracles live in tests/oracles/; the package keeps one
+    implementation per layer and no way to select another."""
+
+    @staticmethod
+    def _package_sources():
+        package = Path(__file__).resolve().parents[1] / "src" / "repro"
+        return {
+            str(path.relative_to(package)): path.read_text(encoding="utf-8")
+            for path in package.rglob("*.py")
+        }
+
+    def test_no_run_context_ensure(self):
+        ensure = re.compile(r"def ensure\b|\.ensure\(")
+        offenders = sorted(
+            name
+            for name, text in self._package_sources().items()
+            if ensure.search(text)
+        )
+        assert offenders == []
+
+    def test_no_reference_engine_literal(self):
+        literal = re.compile(r"""["']reference["']""")
+        offenders = sorted(
+            name
+            for name, text in self._package_sources().items()
+            if literal.search(text)
+        )
+        assert offenders == []
+
+    def test_package_never_imports_tests(self):
+        importing = re.compile(r"^\s*(from|import)\s+tests\b", re.MULTILINE)
+        offenders = sorted(
+            name
+            for name, text in self._package_sources().items()
+            if importing.search(text)
+        )
+        assert offenders == []
+
+
 class TestFreezeConfig:
     def test_dict_order_is_canonicalised(self):
         assert freeze_config({"b": 1, "a": [1, 2]}) == freeze_config(
@@ -201,6 +267,30 @@ class TestFreezeConfig:
         frozen = freeze_config({"n": scalar, "f": np.float64(0.5)})
         assert frozen == (("f", 0.5), ("n", 3))
         assert [type(value) for _, value in frozen] == [np.float64, np.int64]
+
+    def test_pinned_walk_and_embed_keys(self):
+        # The walk and embed configs keep the engine slot of earlier
+        # releases as the literal "fast", so their stores load warm.
+        from repro.embeddings.walks import _corpus_key
+        from repro.experiments.common import EmbeddingParams, _embed_key
+
+        pinned = [
+            (
+                _corpus_key("node2vec", 4, 15, 0.5, 2.0, 7, [3, 1]),
+                ("node2vec", 4, 15, 0.5, 2.0, 7, "fast", (3, 1)),
+            ),
+            (
+                _corpus_key("uniform", 4, 15, 1.0, 1.0, 7, None),
+                ("uniform", 4, 15, 1.0, 1.0, 7, "fast", None),
+            ),
+            (
+                _embed_key("line", EmbeddingParams.fast(), 202, np.array([0, 5])),
+                ("line", 32, 4, 15, 5, 5, 1.0, 1.0, 40000, 202, "fast", (0, 5)),
+            ),
+        ]
+        for key, expected in pinned:
+            assert freeze_config(key) == expected
+            assert pickle.dumps(freeze_config(key)) == pickle.dumps(expected)
 
 
 class TestArtifactStoreKeys:

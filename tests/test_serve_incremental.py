@@ -5,9 +5,10 @@ mutations, every tracked root's census — repaired incrementally via the
 d_max-ball (:func:`repro.serve.repair.repair_ball`) — is **bit-identical**
 to a census computed from scratch on the mutated graph.  These tests
 drive k random insertions/deletions through
-:meth:`FeatureService.apply_mutation` and compare every root, for every
-exact engine, at ``n_jobs`` in {1, 2}, in both serving variants
-(plain and masked-start-label).
+:meth:`FeatureService.apply_mutation` and compare every root — against
+the library's cold census and against the reference oracle — at
+``n_jobs`` in {1, 2}, in both serving variants (plain and
+masked-start-label).
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import pytest
 from repro.core import CensusConfig, MutableHeteroGraph, SubgraphFeatureExtractor
 from repro.core.graph import HeteroGraph
 from repro.exceptions import GraphError
-from repro.runtime import EXACT_ENGINES, ArtifactStore
+from repro.runtime import ArtifactStore
 from repro.runtime.store import STAGE_CENSUS
 from repro.serve import FeatureService, ServeConfig, repair_ball
 from repro.serve.service import VARIANTS
+from tests.oracles import ENGINES, reference_census
 
 
 def _random_graph(seed: int = 0, mean_degree: float = 3.0) -> HeteroGraph:
@@ -64,13 +66,17 @@ def _apply_random_mutations(
     return applied
 
 
-def _assert_bit_identical(service: FeatureService) -> None:
-    """Every tracked census must equal a cold recompute on a fresh graph."""
+def _assert_bit_identical(service: FeatureService, engine: str = "fast") -> None:
+    """Every tracked census must equal a cold recompute on a fresh graph
+    (by the library, or by the oracle for ``engine="reference"``)."""
     cold_graph = service.graph.snapshot()
+    roots = list(range(cold_graph.num_nodes))
     for variant in VARIANTS:
         config = service._census_configs[variant]
-        extractor = SubgraphFeatureExtractor(config)
-        cold = extractor.census_many(cold_graph, list(range(cold_graph.num_nodes)))
+        if engine == "reference":
+            cold = [reference_census(cold_graph, root, config) for root in roots]
+        else:
+            cold = SubgraphFeatureExtractor(config).census_many(cold_graph, roots)
         for root, expected in enumerate(cold):
             got = service.census(variant, root)
             assert dict(got) == dict(expected), (
@@ -80,17 +86,17 @@ def _assert_bit_identical(service: FeatureService) -> None:
 
 
 class TestIncrementalParity:
-    @pytest.mark.parametrize("engine", EXACT_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_random_mutations_bit_identical(self, engine, n_jobs):
         graph = _random_graph(seed=11)
         service = FeatureService(
-            graph, ServeConfig(emax=3, dmax=None, engine=engine, n_jobs=n_jobs)
+            graph, ServeConfig(emax=3, dmax=None, n_jobs=n_jobs)
         )
         service.warm()
         applied = _apply_random_mutations(service, k=8, seed=23)
         assert len(applied) == 8
-        _assert_bit_identical(service)
+        _assert_bit_identical(service, engine)
 
     def test_parity_with_hub_cutoff(self):
         # d_max pruning is where the repair-ball math is subtle (endpoint
