@@ -621,6 +621,23 @@ def build_parser() -> argparse.ArgumentParser:
     def engine_arg(p, help):
         p.add_argument("--engine", choices=VALID_ENGINES, default="fast", help=help)
 
+    def size_args(p, emax: int, dmax: str | None = "degree"):
+        """``--emax`` with the command's default, and the hub cut-off as an
+        absolute ``--dmax`` (``"degree"``), a ``--dmax-percentile``
+        (``"percentile"``), or not at all (``None``)."""
+        p.add_argument("--emax", type=int, default=emax, help="max subgraph edges")
+        if dmax == "degree":
+            p.add_argument(
+                "--dmax", type=int, default=None, help="hub degree cut-off"
+            )
+        elif dmax == "percentile":
+            p.add_argument(
+                "--dmax-percentile",
+                type=float,
+                default=90.0,
+                help="hub degree cut-off percentile",
+            )
+
     def layout_arg(p):
         p.add_argument(
             "--layout",
@@ -726,8 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def census_args(p):
         p.add_argument("graph")
-        p.add_argument("--emax", type=int, default=4, help="max subgraph edges")
-        p.add_argument("--dmax", type=int, default=None, help="hub degree cut-off")
+        size_args(p, emax=4)
         p.add_argument("--mask", action="store_true", help="mask the start label")
         engine_arg(
             p,
@@ -793,13 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_runtime.add_argument(
         "--roots", type=int, default=25, help="number of census roots to time"
     )
-    p_runtime.add_argument("--emax", type=int, default=3, help="max subgraph edges")
-    p_runtime.add_argument(
-        "--dmax-percentile",
-        type=float,
-        default=90.0,
-        help="hub degree cut-off percentile",
-    )
+    size_args(p_runtime, emax=3, dmax="percentile")
     p_runtime.add_argument(
         "--preset",
         choices=("fast", "paper"),
@@ -832,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated training sample years",
     )
     p_rank.add_argument("--test-year", type=int, default=2015)
-    p_rank.add_argument("--emax", type=int, default=3, help="max subgraph edges")
+    size_args(p_rank, emax=3, dmax=None)
     p_rank.add_argument("--trees", type=int, default=150, help="random forest size")
     p_rank.add_argument(
         "--institutions", type=int, default=60, help="synthetic world size"
@@ -874,8 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="training-size sweep (5A-C) or label removal (5D-F)",
     )
     p_label.add_argument("--per-label", type=int, default=40)
-    p_label.add_argument("--emax", type=int, default=3, help="max subgraph edges")
-    p_label.add_argument("--dmax-percentile", type=float, default=90.0)
+    size_args(p_label, emax=3, dmax="percentile")
     p_label.add_argument(
         "--features", default=None, help="feature types (default: all)"
     )
@@ -921,8 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP endpoint to listen on instead of a unix socket "
         "(port 0 binds an ephemeral port; the resolved address is logged)",
     )
-    p_serve.add_argument("--emax", type=int, default=4, help="max subgraph edges")
-    p_serve.add_argument("--dmax", type=int, default=None, help="hub degree cut-off")
+    size_args(p_serve, emax=4)
     p_serve.add_argument(
         "--engine",
         choices=(ENGINE_FAST,),
@@ -1008,8 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I[,I...]",
         help="shard ids to preload (default: all of them)",
     )
-    p_worker.add_argument("--emax", type=int, default=4, help="max subgraph edges")
-    p_worker.add_argument("--dmax", type=int, default=None, help="hub degree cut-off")
+    size_args(p_worker, emax=4)
     mmap_args(p_worker)
     common_args(p_worker)
     p_worker.set_defaults(func=cmd_worker)

@@ -125,9 +125,10 @@ def _cap_exceeded(root: int, cap) -> CensusError:
 class _FastCensusRun:
     """Fast census engine: flat snapshot, incremental code, iterative DFS.
 
-    Three changes over the straightforward recursive enumeration (kept as
+    Four changes over the straightforward recursive enumeration (kept as
     the parity oracle in ``tests/oracles/census.py``), none of which alter
-    the emitted keys or counts:
+    the emitted keys, their counts, or the order in which each key is
+    first inserted into the result:
 
     * **Flat per-run arrays.** The graph is snapshotted once per process
       (``HeteroGraph.flat()``) into plain-int CSR adjacency with dense edge
@@ -144,6 +145,10 @@ class _FastCensusRun:
       single C-level ``tuple()`` call.
     * **Explicit-stack DFS.** The recursive ``_grow`` becomes a frame stack,
       removing Python call overhead per branch and the recursion limit.
+    * **Counted last edge slot.** A state one edge short of ``e_max`` is
+      not a DFS level: nothing descends from it, so its one-edge
+      extensions are counted in place by :meth:`_count_last_slot` instead
+      of being applied and undone one by one.
     """
 
     __slots__ = (
@@ -155,23 +160,27 @@ class _FastCensusRun:
         "root_label",
         "degrees",
         "indptr",
+        "neighbors",
         "edge_ids",
         "edge_u",
         "edge_v",
         "dmax",
         "in_sub",
         "banned",
-        "num_in_sub",
         "counts",
         "members",
         "hash_mod",
         "hash_deltas",
         "use_hash",
-        "current_hash",
         "row_of",
         "rows",
         "dirty",
-        "emitted",
+        "strings",
+        "leaf_keys",
+        "leaf_rows",
+        "label_degrees",
+        "codes_built",
+        "frames",
     )
 
     def __init__(self, graph: HeteroGraph, root: int, config: CensusConfig) -> None:
@@ -188,6 +197,7 @@ class _FastCensusRun:
         )
         self.degrees = flat.degrees
         self.indptr = flat.indptr
+        self.neighbors = flat.neighbors
         self.edge_ids = flat.edge_ids
         self.edge_u = flat.edge_u
         self.edge_v = flat.edge_v
@@ -195,7 +205,6 @@ class _FastCensusRun:
         num_edges = len(flat.edge_u)
         self.in_sub = bytearray(num_edges)
         self.banned = bytearray(num_edges)
-        self.num_in_sub = 0
         self.counts: Counter = Counter()
         # Per-member state: [effective label, t_0, ..., t_k] — the row
         # tuple of Eq. 1/2 is exactly tuple(list).
@@ -216,12 +225,23 @@ class _FastCensusRun:
         else:
             self.hash_mod = 0
             self.hash_deltas = []
-        self.current_hash = 0
         row = (self.root_label, *([0] * num_labels))
         self.row_of: dict[int, tuple] = {root: row}
         self.rows: list[tuple] = [row]
         self.dirty: set[int] = set()
-        self.emitted = 0
+        # Per-run memo tables: rendered strings by canonical code (the
+        # paper's "conversion to strings can be costly" — render each class
+        # once); last-slot [key, deferred count] cells by the state's key,
+        # then by (anchor row, leaf label) or (row, row) for a chord;
+        # single-edge leaf rows by (leaf, anchor) label pair (shared row
+        # objects also keep pickled censuses small); and per node its
+        # neighbour set plus (label, count) pairs.
+        self.strings: dict = {}
+        self.leaf_keys: dict = {}
+        self.leaf_rows: dict[int, tuple] = {}
+        self.label_degrees: dict[int, tuple] = {}
+        self.codes_built = 0
+        self.frames = 0
 
     # -- candidate generation ----------------------------------------------
     def _expansion(self, node: int) -> list[int]:
@@ -256,14 +276,159 @@ class _FastCensusRun:
         self.dirty.clear()
         return rows
 
-    def _key(self):
-        if self.use_hash:
-            return self.current_hash
+    def _key(self, old: tuple = (), new: tuple = ()):
+        """Materialise the key of the current code with rows ``old`` swapped
+        for rows ``new`` (the only place a canonical code is built)."""
         rows = self._flush_rows() if self.dirty else self.rows
+        if old:
+            rows = rows.copy()
+            for row in old:
+                del rows[bisect_left(rows, row)]
+            for row in new:
+                insort(rows, row)
         code = tuple(rows[::-1])
-        if self.config.key == "string":
-            return code_to_string(code, self.labelset)
-        return code
+        if self.config.key != "string":
+            return code
+        rendered = self.strings.get(code)
+        if rendered is None:
+            rendered = self.strings[code] = code_to_string(code, self.labelset)
+        return rendered
+
+    # -- the last edge slot -------------------------------------------------
+    def _count_last_slot(
+        self, remaining: list, new_node: int, joined: int, state_key, current_hash
+    ) -> tuple[int, int]:
+        """Count every one-edge extension of a state one edge short of e_max.
+
+        The extensions are the state's candidates: ``remaining`` (the
+        parent's unexplored candidates) followed by the edges ``new_node``
+        (the node the state's last edge added, joined through member
+        ``joined``; ``-1`` for none) exposes.  Each one either hangs a new
+        leaf off an anchor member or closes a chord between two members.
+        A leaf's key is a pure function of (state key, anchor row, leaf
+        label), so runs of same-anchor, same-label leaves are counted as
+        one group and every group's key is memoised per run.  A new node
+        with no chord back into the state exposes exactly its other edges
+        (any of its edges that is banned or already listed leads to a
+        member), all leaves: one group per neighbour label, sized from its
+        label degrees without walking them.  With a chord they are walked.
+
+        Groups are counted in candidate order, so each key is first
+        inserted exactly where the edge-by-edge walk inserted it.  Only a
+        cell's first group touches the Counter; later ones add to the cell,
+        folded in at the end of the run, sparing two code hashes per group.
+        Returns ``(subgraphs counted, keys built)``.
+        """
+        members = self.members
+        labels = self.labels
+        tail = ()
+        dmax = self.dmax
+        if new_node >= 0 and (
+            dmax is None or new_node == self.root or self.degrees[new_node] <= dmax
+        ):
+            neighbours, label_degrees = self.label_degrees.get(
+                new_node
+            ) or self._label_degrees(new_node)
+            for m in members:
+                if m in neighbours and m != joined:
+                    seen = set(remaining)
+                    remaining = remaining + [
+                        e for e in self._expansion(new_node) if e not in seen
+                    ]
+                    break
+            else:
+                skip = labels[joined] if joined >= 0 else -1
+                tail = [
+                    (new_node, label, n - (label == skip))
+                    for label, n in label_degrees
+                    if n - (label == skip)
+                ]
+        # [anchor, leaf label, count] per leaf run; (a, -1 - b, 1) per chord.
+        edge_u = self.edge_u
+        edge_v = self.edge_v
+        groups: list = []
+        last = None
+        for eid in remaining:
+            a = edge_u[eid]
+            b = edge_v[eid]
+            if a not in members:
+                a, b = b, a
+            elif b in members:
+                groups.append((a, -1 - b, 1))
+                last = None
+                continue
+            label = labels[b]
+            if last is not None and last[1] == label and last[0] == a:
+                last[2] += 1
+            else:
+                last = [a, label, 1]
+                groups.append(last)
+        groups.extend(tail)
+
+        counts = self.counts
+        total = 0
+        if self.use_hash:
+            deltas = self.hash_deltas
+            num_labels = self.num_labels
+            mod = self.hash_mod
+            for a, other, n in groups:
+                other = members[-1 - other][0] if other < 0 else other
+                counts[
+                    (current_hash + deltas[members[a][0] * num_labels + other]) % mod
+                ] += n
+                total += n
+            return total, len(groups)
+        memo = self.leaf_keys.get(state_key)
+        if memo is None:
+            memo = self.leaf_keys[state_key] = {}
+        built = 0
+        for a, other, n in groups:
+            sub = (
+                tuple(members[a]),
+                tuple(members[-1 - other]) if other < 0 else other,
+            )
+            cell = memo.get(sub)
+            if cell is None:
+                key = self._extension_key(*sub)
+                counts[key] += n
+                memo[sub] = [key, 0]
+                built += 1
+            else:
+                cell[1] += n
+            total += n
+        return total, built
+
+    def _extension_key(self, row: tuple, other):
+        """Key after adding one edge at the member with ``row``: to a new leaf
+        labelled ``other`` (an int), or a chord to the member with row
+        ``other`` (a tuple)."""
+        label = row[0]
+        if isinstance(other, tuple):
+            peer = other[0]
+            old = (row, other)
+            new = (
+                row[: peer + 1] + (row[peer + 1] + 1,) + row[peer + 2:],
+                other[: label + 1] + (other[label + 1] + 1,) + other[label + 2:],
+            )
+        else:
+            pair = other * self.num_labels + label
+            leaf = self.leaf_rows.get(pair)
+            if leaf is None:
+                template = [other] + [0] * self.num_labels
+                template[label + 1] = 1
+                leaf = self.leaf_rows[pair] = tuple(template)
+            old = (row,)
+            new = (row[: other + 1] + (row[other + 1] + 1,) + row[other + 2:], leaf)
+        return self._key(old, new)
+
+    def _label_degrees(self, node: int) -> tuple:
+        """Memoise ``(neighbour set, ((label, count), ...))`` for ``node``."""
+        row = self.neighbors[self.indptr[node]: self.indptr[node + 1]]
+        entry = self.label_degrees[node] = (
+            set(row),
+            tuple(Counter(map(self.labels.__getitem__, row)).items()),
+        )
+        return entry
 
     # -- the enumeration ----------------------------------------------------
     def run(self) -> Counter:
@@ -277,8 +442,6 @@ class _FastCensusRun:
         max_edges = config.max_edges
         grouping = config.group_by_label
         hashing = self.use_hash
-        stringify = config.key == "string"
-        labelset = self.labelset
         num_labels = self.num_labels
         labels = self.labels
         root = self.root
@@ -295,35 +458,36 @@ class _FastCensusRun:
         edge_v = self.edge_v
         hash_deltas = self.hash_deltas
         hash_mod = self.hash_mod
+        make_key = self._key
+        count_last_slot = self._count_last_slot
         current_hash = 0
         num_in_sub = 0
-        flush = self._flush_rows
-        # Per-run memo tables: single-edge leaf rows by (leaf, anchor)
-        # label pair, and rendered strings by canonical code (the paper's
-        # "conversion to strings can be costly" — render each class once).
-        leaf_rows: dict[int, tuple] = {}
-        strings: dict = {}
-        emitted = 0
+        emitted = built = 0
 
         if config.include_trivial:
-            counts[self._key()] += 1
-            emitted += 1
-            if cap is not None and emitted > cap:
-                self.emitted = emitted
-                self._raise_cap()
-
-        root_candidates = self._expansion(root)
-        # Frame layout: [candidates, next index, local bans, group anchor,
-        # batch key, batch count, pending edge id (-1 = none), pending new
-        # node].  "Batch" is the Counter-update batch: consecutive
-        # emissions of one reused key are counted locally and flushed to
-        # the Counter in one update (hashing a canonical tuple key is not
-        # free, and grouped runs reuse the same key many times).
-        stack = (
-            [[root_candidates, 0, [], None, None, 0, -1, -1]]
-            if root_candidates
-            else []
-        )
+            counts[0 if hashing else make_key()] += 1
+            emitted = built = 1
+        stack = []
+        if max_edges == 1:
+            # The root alone is already the last slot: its own edges are
+            # the extensions, with the root as the state's "new" node.
+            extra, fresh = count_last_slot([], root, -1, None, 0)
+            emitted += extra
+            built += fresh
+        else:
+            root_candidates = self._expansion(root)
+            # Frame layout: [candidates, next index, local bans, group
+            # anchor, batch key, batch count, pending edge id (-1 = none),
+            # pending new node].  "Batch" is the Counter-update batch:
+            # consecutive emissions of one reused key are counted locally
+            # and flushed to the Counter in one update (hashing a canonical
+            # tuple key is not free, and grouped runs reuse the same key
+            # many times).
+            if root_candidates:
+                stack.append([root_candidates, 0, [], None, None, 0, -1, -1])
+        frames = len(stack)
+        if cap is not None and emitted > cap:
+            raise _cap_exceeded(root, cap)
         while stack:
             frame = stack[-1]
             pending = frame[6]
@@ -371,82 +535,6 @@ class _FastCensusRun:
                 a = edge_u[eid]
                 b = edge_v[eid]
 
-                # ---- mutation-free leaf path ----
-                # At the last edge slot no descent can follow, so when the
-                # edge attaches a *new* leaf node the subgraph state never
-                # needs to change: either the grouping heuristic reuses the
-                # previous key outright, or the key is synthesized from the
-                # clean parent rows (leaf row from a memo table, anchor row
-                # bumped by one count) — no add/remove churn either way.
-                # (Every candidate has >= 1 endpoint in the subgraph, so
-                # the new node — if any — is the endpoint that is not.)
-                if num_in_sub + 1 == max_edges:
-                    if a in members:
-                        leaf = -1 if b in members else b
-                    else:
-                        leaf = a
-                    if leaf >= 0:
-                        anchor = a if leaf == b else b
-                        leaf_label = labels[leaf]
-                        anchor_state = frame[3]
-                        if (
-                            grouping
-                            and batch_count
-                            and anchor_state is not None
-                            and anchor_state[1] == leaf_label
-                            and anchor_state[0] == anchor
-                        ):
-                            batch_count += 1
-                        else:
-                            if batch_count:
-                                counts[batch_key] += batch_count
-                            anchor_label = members[anchor][0]
-                            if hashing:
-                                batch_key = (
-                                    current_hash
-                                    + hash_deltas[
-                                        anchor_label * num_labels + leaf_label
-                                    ]
-                                ) % hash_mod
-                            else:
-                                if dirty:
-                                    flush()
-                                old_row = row_of[anchor]
-                                idx = leaf_label + 1
-                                new_row = (
-                                    old_row[:idx]
-                                    + (old_row[idx] + 1,)
-                                    + old_row[idx + 1:]
-                                )
-                                pair = leaf_label * num_labels + anchor_label
-                                leaf_row = leaf_rows.get(pair)
-                                if leaf_row is None:
-                                    template = [leaf_label] + zeros
-                                    template[anchor_label + 1] = 1
-                                    leaf_row = leaf_rows[pair] = tuple(template)
-                                work = rows.copy()
-                                del work[bisect_left(work, old_row)]
-                                insort(work, new_row)
-                                insort(work, leaf_row)
-                                batch_key = tuple(work[::-1])
-                                if stringify:
-                                    rendered = strings.get(batch_key)
-                                    if rendered is None:
-                                        rendered = strings[batch_key] = (
-                                            code_to_string(batch_key, labelset)
-                                        )
-                                    batch_key = rendered
-                            batch_count = 1
-                            frame[3] = (anchor, leaf_label) if grouping else None
-                        emitted += 1
-                        if cap is not None and emitted > cap:
-                            counts[batch_key] += batch_count
-                            self.emitted = emitted
-                            self._raise_cap()
-                        banned[eid] = 1
-                        frame[2].append(eid)
-                        continue
-
                 # ---- apply edge (inline _add_edge) ----
                 new_node = -1
                 counts_a = members.get(a)
@@ -487,31 +575,27 @@ class _FastCensusRun:
                 else:
                     if batch_count:
                         counts[batch_key] += batch_count
-                    if hashing:
-                        batch_key = current_hash
-                    else:
-                        if dirty:
-                            flush()
-                        batch_key = tuple(rows[::-1])
-                        if stringify:
-                            rendered = strings.get(batch_key)
-                            if rendered is None:
-                                rendered = strings[batch_key] = code_to_string(
-                                    batch_key, labelset
-                                )
-                            batch_key = rendered
+                    batch_key = current_hash if hashing else make_key()
+                    built += 1
                     batch_count = 1
                     if grouping and new_node >= 0:
                         frame[3] = ((a if b == new_node else b), labels[new_node])
                     else:
                         frame[3] = None
                 emitted += 1
+                if num_in_sub + 1 == max_edges:
+                    extra, fresh = count_last_slot(
+                        candidates[i:],
+                        new_node,
+                        a if b == new_node else b,
+                        batch_key,
+                        current_hash,
+                    )
+                    emitted += extra
+                    built += fresh
                 if cap is not None and emitted > cap:
-                    counts[batch_key] += batch_count
-                    self.emitted = emitted
-                    self._raise_cap()
-
-                if num_in_sub < max_edges:
+                    raise _cap_exceeded(root, cap)
+                if num_in_sub + 1 < max_edges:
                     exposed = self._expansion(new_node) if new_node >= 0 else ()
                     remaining = candidates[i:]
                     if exposed:
@@ -528,6 +612,7 @@ class _FastCensusRun:
                         frame[6] = eid
                         frame[7] = new_node
                         stack.append([child, 0, [], None, None, 0, -1, -1])
+                        frames += 1
                         pushed = True
                         break
 
@@ -560,11 +645,15 @@ class _FastCensusRun:
             for eid in frame[2]:
                 banned[eid] = 0
             stack.pop()
-        self.emitted = emitted
+        # Fold in the deferred last-slot counts; every such key is already
+        # in place, so no key moves.
+        for memo in self.leaf_keys.values():
+            for key, n in memo.values():
+                if n:
+                    counts[key] += n
+        self.codes_built = built
+        self.frames = frames
         return counts
-
-    def _raise_cap(self) -> None:
-        raise _cap_exceeded(self.root, self.config.max_subgraphs)
 
 
 def subgraph_census(
@@ -652,7 +741,13 @@ def subgraph_census(
                 "sampled= is only valid with engine='sampled', "
                 f"got engine={engine!r}"
             )
-        counts = _FastCensusRun(graph, root, config).run()
+        run = _FastCensusRun(graph, root, config)
+        counts = run.run()
+        # Work counters, accumulated in run locals and recorded once per
+        # call: keys actually built (the rest were reused by grouping or
+        # the last-slot memo) and DFS frames pushed.
+        telemetry.count("census/codes_built", run.codes_built)
+        telemetry.count("census/frames", run.frames)
     # Coarse per-call accounting only — the enumeration inner loop stays
     # untouched so the engine perf gates keep measuring real work.
     telemetry.count("census/calls")

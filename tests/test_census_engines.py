@@ -132,3 +132,90 @@ class TestKeyTypes:
         counts = CENSUS[engine](publication_graph, 0, config)
         for value in counts.values():
             assert type(value) is int
+
+
+def _all_configs(max_edges: int, **extra):
+    """Every key mode x masking x grouping combination at one ``e_max``."""
+    for key in KEY_MODES:
+        for mask in (False, True):
+            for group in (False, True):
+                yield CensusConfig(
+                    max_edges=max_edges,
+                    key=key,
+                    mask_start_label=mask,
+                    group_by_label=group,
+                    **extra,
+                )
+
+
+class TestLastSlotParity:
+    """The branches of the counted last edge slot, against the oracle."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")],  # triangle
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "e")],  # 4-cycle
+            [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d"), ("b", "d")],
+        ],
+        ids=["triangle", "four-cycle", "k4"],
+    )
+    def test_chord_through_new_node(self, edges):
+        """A new node with an edge back to a member walks its edges."""
+        nodes = {name: "XYX"[i % 3] for i, name in enumerate("abcde")}
+        graph = HeteroGraph.from_edges(
+            {n: nodes[n] for e in edges for n in e}, edges
+        )
+        for emax in (2, 3, 4, 5):
+            for config in _all_configs(emax, include_trivial=emax == 3):
+                for root in range(graph.num_nodes):
+                    assert censuses_match(graph, root, config), (emax, root, config)
+
+    def test_new_node_is_capped_hub(self):
+        """A d_max hub joined at the last slot exposes nothing."""
+        nodes = {"r": "R", "h": "H", "x": "X"}
+        edges = [("r", "h"), ("r", "x")]
+        for i in range(6):
+            nodes[f"l{i}"] = "AB"[i % 2]
+            edges.append(("h", f"l{i}"))
+        edges.append(("x", "l0"))
+        graph = HeteroGraph.from_edges(nodes, edges)
+        root = graph.index("r")
+        for emax in (2, 3, 4):
+            for dmax in (None, 2, 5):
+                for config in _all_configs(emax, max_degree=dmax):
+                    assert censuses_match(graph, root, config), (emax, config)
+
+    def test_single_edge_census(self, publication_graph):
+        """``max_edges == 1`` counts the root's own edges by neighbour label."""
+        graph = publication_graph
+        for config in _all_configs(1, include_trivial=True, max_degree=1):
+            for root in range(graph.num_nodes):
+                assert censuses_match(graph, root, config)
+        for root in range(graph.num_nodes):
+            counts = subgraph_census(graph, root, CensusConfig(max_edges=1))
+            assert sum(counts.values()) == graph.degree(root)
+            assert len(counts) == len({graph.label_of(v) for v in graph.neighbors(root)})
+
+    def test_cap_overflow_inside_counted_group(self):
+        """A cap crossed inside one counted group raises as the walk did."""
+        nodes = {"r": "R", "w": "W"}
+        edges = [("r", "w")]
+        for i in range(8):
+            nodes[f"l{i}"] = "L"
+            edges.append(("w", f"l{i}"))
+        graph = HeteroGraph.from_edges(nodes, edges)
+        root = graph.index("r")
+        total = sum(subgraph_census(graph, root, CensusConfig(max_edges=2)).values())
+        assert total == 9
+        for cap in range(1, total + 2):
+            config = CensusConfig(max_edges=2, max_subgraphs=cap)
+            errors = []
+            for census in CENSUS.values():
+                try:
+                    census(graph, root, config)
+                    errors.append(None)
+                except CensusError as error:
+                    errors.append(str(error))
+            assert errors[0] == errors[1], cap
+            assert (errors[0] is None) == (cap >= total), cap

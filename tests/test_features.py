@@ -261,6 +261,18 @@ class TestCensusManyTelemetry:
         for name in ("census/calls", "census/subgraphs"):
             assert parallel.counters[name] == serial.counters[name]
 
+    def test_work_counters_reach_manifest(self, publication_graph):
+        """The census work counters land in the manifest, inline or pooled."""
+        from repro.obs.manifest import build_manifest
+
+        manifests = [
+            build_manifest("features", telemetry=self._run(publication_graph, n_jobs)[1])
+            for n_jobs in (1, 2)
+        ]
+        for name in ("census/codes_built", "census/frames"):
+            inline, pooled = (m["counters"][name] for m in manifests)
+            assert inline == pooled > 0
+
     def test_cache_hits_counted(self, publication_graph):
         from repro.obs.telemetry import fresh_telemetry
         from repro.runtime import ArtifactStore, RunContext
