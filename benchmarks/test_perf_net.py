@@ -4,9 +4,10 @@ Two measurements on one artefact:
 
 * **Remote sharded census** — a 2-worker TCP fleet (in-process threads,
   so the numbers isolate protocol + pickle overhead, not machine count)
-  censuses the same root set as the local pool; the bench records
-  roots/s for both and their ratio, and asserts bit-identical results
-  (the acceptance criterion that matters at any speed).
+  censuses the same root set as a local ``census_many`` (root fan-out,
+  one process); the bench records roots/s for both and their ratio, and
+  asserts bit-identical results (the acceptance criterion that matters
+  at any speed).
 * **Serve over TCP** — the replay harness from ``test_perf_serve`` runs
   against ``127.0.0.1`` instead of a unix socket, recording sustained
   req/s with client-side p50/p99.
@@ -22,26 +23,20 @@ Writes ``BENCH_net.json`` next to the repo root.
 
 from __future__ import annotations
 
-import asyncio
 import os
-import threading
 import time
 
 import numpy as np
 
 from _bench import gate_block, write_bench
 from repro.core.census import CensusConfig
+from repro.core.features import SubgraphFeatureExtractor
 from repro.datasets.synthetic import affinity_graph
-from repro.dist import (
-    PartitionConfig,
-    ShardWorker,
-    partition_graph,
-    sharded_census_map,
-)
-from repro.net import NetClient, NetError, RetryPolicy
 from repro.obs import fresh_telemetry
+from repro.runtime import RunContext
 from repro.serve import ReplayConfig, ServeConfig
 from repro.serve.replay import run_in_process
+from tests.shards import WorkerFleet
 
 #: TCP serve must sustain this many mixed requests/s when gated.
 MIN_TCP_RPS = 800.0
@@ -55,6 +50,9 @@ MIN_CORES_FOR_GATE = 2
 
 WORKER_COUNT = 2
 
+#: Shards cut for the fleet (two per worker).
+PARTITIONS = 4
+
 
 def _bench_graph(scale: int = 1):
     return affinity_graph(
@@ -65,81 +63,28 @@ def _bench_graph(scale: int = 1):
     )
 
 
-class _Fleet:
-    """N in-process TCP ShardWorkers (same shape as the dist tests)."""
-
-    def __init__(self, count: int):
-        self.workers = [ShardWorker("127.0.0.1:0") for _ in range(count)]
-        self.threads = []
-        self._started = threading.Semaphore(0)
-        for worker in self.workers:
-            thread = threading.Thread(
-                target=self._serve, args=(worker,), daemon=True
-            )
-            thread.start()
-            self.threads.append(thread)
-        for _ in self.workers:
-            assert self._started.acquire(timeout=10), "worker failed to start"
-
-    def _serve(self, worker: ShardWorker) -> None:
-        async def main():
-            ready = asyncio.Event()
-            task = asyncio.ensure_future(worker.run(ready))
-            await ready.wait()
-            self._started.release()
-            await task
-
-        asyncio.run(main())
-
-    @property
-    def endpoints(self) -> list[str]:
-        return [str(worker.endpoint) for worker in self.workers]
-
-    def __enter__(self) -> "_Fleet":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for worker in self.workers:
-            try:
-                with NetClient(
-                    worker.endpoint, retry=RetryPolicy(retries=0)
-                ) as client:
-                    client.call({"op": "shutdown"})
-            except NetError:
-                pass
-        for thread in self.threads:
-            thread.join(timeout=5)
-
-
 def test_net_remote_census_and_tcp_serve(smoke):
     scale = 1 if smoke else 3
     graph = _bench_graph(scale)
     config = CensusConfig(max_edges=3)
-    pset = partition_graph(
-        graph, PartitionConfig(num_partitions=4), config
-    )
     roots = list(range(graph.num_nodes))
 
-    # -- remote sharded census vs the local pool --------------------------
+    # -- remote sharded census vs local root fan-out ----------------------
     with fresh_telemetry():
         started = time.perf_counter()
-        local = sharded_census_map(graph, roots, config, pset)
+        local = SubgraphFeatureExtractor(config).census_many(graph, roots)
         local_s = time.perf_counter() - started
-    with _Fleet(WORKER_COUNT) as fleet:
+    with WorkerFleet(WORKER_COUNT) as fleet:
+        ctx = RunContext(partitions=PARTITIONS, workers=fleet.specs)
         with fresh_telemetry() as telemetry:
             started = time.perf_counter()
-            remote = sharded_census_map(
-                graph,
-                roots,
-                config,
-                pset,
-                executor="remote",
-                workers=fleet.endpoints,
+            remote = SubgraphFeatureExtractor(config, ctx=ctx).census_many(
+                graph, roots
             )
             remote_s = time.perf_counter() - started
             net_counters = telemetry.as_dict()["counters"]
-    assert remote == local, "remote census diverged from the local pool"
-    assert net_counters["net/shards_shipped"] == len(pset)
+    assert remote == local, "remote census diverged from the local census"
+    assert net_counters["net/shards_shipped"] == PARTITIONS
     overhead = remote_s / local_s if local_s > 0 else float("inf")
     remote_rps = len(roots) / remote_s
 
@@ -163,7 +108,7 @@ def test_net_remote_census_and_tcp_serve(smoke):
     print()
     print(
         f"net perf: remote census {remote_rps:.0f} roots/s over "
-        f"{WORKER_COUNT} TCP workers ({overhead:.2f}x local pool), "
+        f"{WORKER_COUNT} TCP workers ({overhead:.2f}x local), "
         f"serve-over-TCP {report.summary()} "
         f"({cores} cores"
         + ("" if gated else ", waived: needs >= 2 cores")
@@ -181,7 +126,7 @@ def test_net_remote_census_and_tcp_serve(smoke):
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
             "num_roots": len(roots),
-            "partitions": len(pset),
+            "partitions": PARTITIONS,
             "workers": WORKER_COUNT,
             "transport": "tcp",
             "serve_requests": requests,

@@ -52,6 +52,7 @@ from repro.core import (
     label_connectivity,
 )
 from repro.core.census import effective_labelset
+from repro.exceptions import PartitionError
 from repro.io import read_edgelist, read_graph_json, write_features_json
 from repro.obs import (
     add_logging_args,
@@ -65,7 +66,6 @@ from repro.runtime import (
     ENGINE_FAST,
     ENGINE_SAMPLED,
     VALID_ENGINES,
-    VALID_EXECUTORS,
     ArtifactStore,
     Pipeline,
     RunContext,
@@ -158,7 +158,6 @@ def _build_context(args) -> RunContext:
         engine=getattr(args, "engine", None),
         n_jobs=getattr(args, "n_jobs", None),
         partitions=getattr(args, "partitions", None),
-        executor=getattr(args, "executor", None),
         workers=workers or None,
         seed=getattr(args, "seed", None),
         store=store,
@@ -723,22 +722,15 @@ def build_parser() -> argparse.ArgumentParser:
             "run; results are bit-identical (see docs/out_of_core.md)",
         )
 
-    def executor_args(p):
-        p.add_argument(
-            "--executor",
-            choices=VALID_EXECUTORS,
-            default=None,
-            help="where sharded census tasks run: a local process pool "
-            "(default) or repro worker daemons (requires --partitions "
-            "and --workers; see docs/distributed_census.md)",
-        )
+    def workers_arg(p):
         p.add_argument(
             "--workers",
             action="append",
             default=None,
             metavar="ENDPOINT[,ENDPOINT...]",
-            help="worker endpoints (host:port or unix:path) for "
-            "--executor remote; repeat the flag or comma-separate",
+            help="run the census on these repro worker daemons "
+            "(host:port or unix:path; repeat the flag or comma-separate; "
+            "see docs/distributed_census.md)",
         )
 
     def census_args(p):
@@ -754,10 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
         jobs_arg(p, "worker processes for the census (0 = all cores)")
         partitions_arg(
             p,
-            "shard the census over this many halo-complete graph "
-            "partitions (default: fan out individual roots)",
+            "halo-complete graph shards to cut for --workers "
+            "(default: one per worker)",
         )
-        executor_args(p)
+        workers_arg(p)
         mmap_args(p)
         store_args(p)
         common_args(p)
@@ -819,11 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline_args(p_runtime)
     p_runtime.set_defaults(func=cmd_runtime)
 
-    grid_partitions_help = (
-        "shard the census stage over this many halo-complete graph "
-        "partitions (results are identical for any value)"
-    )
-
     p_rank = sub.add_parser(
         "rank", help="Table-1 style rank prediction on a synthetic MAG world"
     )
@@ -867,7 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker processes for the experiment grid and forests "
         "(results are identical for any value)",
     )
-    partitions_arg(p_rank, grid_partitions_help)
     mmap_args(p_rank)
     store_args(p_rank)
     common_args(p_rank)
@@ -908,7 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker processes for the training sweep "
         "(results are identical for any value)",
     )
-    partitions_arg(p_label, grid_partitions_help)
     mmap_args(p_label)
     store_args(p_label)
     common_args(p_label)
@@ -989,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_worker = sub.add_parser(
         "worker",
-        help="shard-census worker daemon for --executor remote "
+        help="shard-census worker daemon for census/features --workers "
         "(see docs/distributed_census.md)",
     )
     p_worker.add_argument(
@@ -1043,7 +1028,12 @@ def main(argv=None) -> int:
     configure_logging(args.log_level, args.verbosity)
     with fresh_telemetry() as telemetry:
         with telemetry.span("phase/total"):
-            code = args.func(args)
+            try:
+                code = args.func(args)
+            except PartitionError as exc:
+                # A shard setting the run cannot use, such as --partitions
+                # without --workers, is a usage error.
+                parser.error(str(exc))
         if getattr(args, "telemetry_out", None):
             config = {
                 key: value

@@ -686,8 +686,8 @@ def subgraph_census(
         relative-error target); defaults to ``SampledCensusConfig()``.
         Rejected for the exact engine.
     sample_root_key:
-        Seed key for the per-root probe RNG (defaults to ``root``).  The
-        sharded driver passes the *global* node id here so estimates are
+        Seed key for the per-root probe RNG (defaults to ``root``).  A
+        shard worker passes the *global* node id here so estimates are
         bit-identical at any partition count.
 
     Returns

@@ -231,11 +231,11 @@ class SubgraphFeatureExtractor:
         execution settings: the census ``engine``; ``n_jobs`` worker
         processes (1 by default runs in-process; ``0`` means all cores;
         workers each receive the read-only graph, mirroring the paper's
-        shared edge-list parallelisation); ``partitions``, the shard
-        count for the partitioned census (see :mod:`repro.dist`: uncached
-        roots are routed through halo-complete graph shards instead of
-        fanning individual roots over the whole graph, with bit-identical
-        results); and the artifact store.  With a context store,
+        shared edge-list parallelisation); ``workers``, ``repro worker``
+        endpoints that take the census remotely (see :mod:`repro.dist`:
+        uncached roots go to halo-complete graph shards on those daemons,
+        with bit-identical results) and ``partitions``, their shard
+        count; and the artifact store.  With a context store,
         stored roots are served without recomputation and fresh censuses
         are written back, so ablation grids that re-census overlapping
         node sets under one config pay for each root once; the store
@@ -260,7 +260,6 @@ class SubgraphFeatureExtractor:
         ctx = ctx if ctx is not None else RunContext()
         self.config = config if config is not None else CensusConfig()
         self.n_jobs = ctx.resolved_n_jobs(default=1)
-        self.partitions = ctx.resolved_partitions()
         self.ctx = ctx
         #: Census engine, validated up front; threaded into every
         #: subgraph_census call, including pool workers.
@@ -281,11 +280,7 @@ class SubgraphFeatureExtractor:
         self.mp_context = mp_context
 
     def census_many(
-        self,
-        graph: HeteroGraph,
-        nodes: Sequence[int],
-        *,
-        partitions: int | None = None,
+        self, graph: HeteroGraph, nodes: Sequence[int]
     ) -> list[Counter]:
         """Run the rooted census for every node in ``nodes``.
 
@@ -301,20 +296,18 @@ class SubgraphFeatureExtractor:
         than workers); worker-side timing and census counters are
         merged back into the parent's telemetry either way.
 
-        ``partitions`` (or the extractor-level setting) switches the
-        uncached roots onto the sharded driver of
-        :mod:`repro.dist.sharded`: the graph is cut into that many
-        halo-complete shards (memoised in the context's artifact store)
-        and each worker censuses only the roots its shard owns.
-        Results are bit-identical either way.
+        A context with ``workers`` sends the uncached roots to those
+        ``repro worker`` daemons instead: the graph is cut into
+        ``ctx.partitions`` (default: one per worker) halo-complete shards,
+        memoised in the context's artifact store, and each shard
+        censuses the roots it owns (:mod:`repro.dist.remote`).  Results
+        are bit-identical either way.  ``partitions`` without
+        ``workers`` raises :class:`~repro.exceptions.PartitionError`.
         """
         config = self.config
         store = self.ctx.store
         sampled = self.sampled
-        if partitions is None:
-            partitions = self.partitions
-        elif partitions < 1:
-            raise FeatureError(f"partitions must be >= 1, got {partitions}")
+        partitions = self.ctx.resolved_partitions()
         telemetry = get_telemetry()
         telemetry.annotate(
             "census/storage", getattr(graph, "storage_kind", "dict")
@@ -345,12 +338,12 @@ class SubgraphFeatureExtractor:
             pending = list(positions)
         if pending:
             if partitions is not None:
-                # Shard fan-out: cut (or fetch) halo-complete partitions
-                # and census each pending root inside its owning shard.
-                from repro.dist.partition import PartitionConfig
-                from repro.dist.sharded import (
+                # Remote: cut (or fetch) halo-complete shards and ship
+                # each pending root to the worker holding its shard.
+                from repro.dist import (
+                    PartitionConfig,
+                    RemoteExecutor,
                     ensure_partitions,
-                    sharded_census_map,
                 )
 
                 pset = ensure_partitions(
@@ -360,16 +353,13 @@ class SubgraphFeatureExtractor:
                     self.ctx,
                 )
                 computed.update(
-                    sharded_census_map(
+                    RemoteExecutor(self.ctx.workers).census_map(
                         graph,
                         pending,
                         config,
                         pset,
                         engine=self.engine,
                         sampled=sampled,
-                        n_jobs=self.n_jobs,
-                        executor=self.ctx.resolved_executor(),
-                        workers=self.ctx.workers,
                     )
                 )
             else:

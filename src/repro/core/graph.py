@@ -82,7 +82,7 @@ class FlatGraph:
     """Read-only graph backed directly by a :class:`FlatAdjacency`.
 
     This is the *flat-adjacency contract*: the exact surface every census
-    engine (fast, reference, sampled), the partitioned driver, and the
+    engine (fast, reference, sampled), the shard workers, and the
     serve-layer repair BFS consume — ``flat()``, ``labelset``,
     ``num_nodes``/``num_edges``, ``label_of``, ``degree`` and
     ``neighbors``.  Anything exposing this surface can be censused;

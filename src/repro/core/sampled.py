@@ -38,7 +38,7 @@ what makes easy roots cheap and keeps stragglers bounded by ``budget``.
 Determinism contract: the probe RNG is seeded from ``(seed, root_key)``
 where ``root_key`` defaults to the root's node index, so a fixed
 :class:`SampledCensusConfig` yields bit-identical estimates at any
-``n_jobs``.  The sharded driver passes the *global* root id as
+``n_jobs``.  A shard worker passes the *global* root id as
 ``root_key`` (shard-local indices differ per partition count), and the
 halo-complete shards preserve neighbour order and global degrees, so the
 same estimates come back at any partition count too.
@@ -477,7 +477,7 @@ def run_sampled_census(
     """Estimate the rooted census by budgeted DFS-branch sampling.
 
     ``root_key`` seeds the per-root RNG stream (defaults to ``root``);
-    the sharded driver passes the *global* node id so estimates are
+    a shard worker passes the *global* node id so estimates are
     bit-identical at any partition count.
     """
     key = root if root_key is None else int(root_key)

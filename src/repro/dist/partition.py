@@ -49,8 +49,12 @@ from repro.core.census import CensusConfig
 from repro.core.graph import FlatAdjacency, FlatGraph, HeteroGraph
 from repro.core.labels import LabelSet
 from repro.exceptions import PartitionError
+from repro.obs.log import get_logger
 from repro.obs.telemetry import get_telemetry
-from repro.runtime.context import resolve_engine
+from repro.runtime.context import RunContext, resolve_engine
+from repro.runtime.store import STAGE_PARTITION
+
+logger = get_logger(__name__)
 
 #: Valid partitioning strategies: ``"contiguous"`` slices the node index
 #: space into k near-equal ranges (preserves locality of index-clustered
@@ -357,6 +361,12 @@ def partition_graph(
     explicit ``halo_depth``; an explicit depth below the derived
     requirement is rejected because it would silently undercount.
     Partition-size telemetry lands under ``dist/*`` counters.
+
+    A shard whose halo grows it to the whole graph is *degenerate*: it
+    costs a full copy of the graph and saves nothing.  Such shards are
+    counted as ``dist/degenerate_shards``, and the build logs one
+    warning.  A single shard owning every node has no halo and is not
+    counted.
     """
     census_config = census_config if census_config is not None else CensusConfig()
     needed = required_halo_depth(census_config)
@@ -394,4 +404,44 @@ def partition_graph(
     telemetry.count("dist/halo_nodes", stats["halo_nodes"])
     telemetry.count("dist/owned_nodes", stats["owned_nodes"])
     telemetry.gauge_max("dist/halo_ratio_max", stats["halo_ratio"])
+    degenerate = sum(
+        1
+        for part in partitions
+        if part.halo_count and len(part.global_ids) == graph.num_nodes
+    )
+    if degenerate:
+        telemetry.count("dist/degenerate_shards", degenerate)
+        logger.warning(
+            "degenerate cut: %d of %d shards hold all %d nodes "
+            "(halo depth %d, d_max %s); fewer partitions or a smaller "
+            "d_max ship less",
+            degenerate,
+            len(partitions),
+            graph.num_nodes,
+            depth,
+            census_config.max_degree,
+        )
+    return pset
+
+
+def ensure_partitions(
+    graph: HeteroGraph,
+    config: PartitionConfig,
+    census_config: CensusConfig,
+    ctx: RunContext | None = None,
+) -> PartitionSet:
+    """Fetch the partition set from the context store, or build it.
+
+    Store hits/misses land under ``artifact/partition/*`` like every
+    other stage, so a warm rerun's skipped partitioning is auditable.
+    """
+    store = ctx.store if ctx is not None else None
+    if store is None:
+        return partition_graph(graph, config, census_config)
+    stage_config = partition_store_config(config, census_config)
+    cached = store.get(graph.fingerprint(), STAGE_PARTITION, stage_config)
+    if cached is not None:
+        return cached
+    pset = partition_graph(graph, config, census_config)
+    store.put(graph.fingerprint(), STAGE_PARTITION, stage_config, pset)
     return pset

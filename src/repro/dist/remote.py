@@ -1,14 +1,12 @@
-"""Remote shard executor: fan census tasks across worker processes.
+"""Remote shard executor: run the census on ``repro worker`` daemons.
 
-This is the ``executor="remote"`` arm of
-:func:`repro.dist.sharded.sharded_census_map`: instead of a local
-process pool, shard tasks go over the :mod:`repro.net` wire to
-:class:`~repro.dist.worker.ShardWorker` daemons (``repro worker``) that
-may live on other machines.  The task list, the per-shard census code
-(:func:`~repro.dist.sharded._census_partition` runs *inside the
-worker*), and the merge are identical to the local pool — which is the
-whole bit-identity argument: the only thing that changes is where the
-loop body executes.
+:meth:`RemoteExecutor.census_map` routes each root to the
+halo-complete shard that owns it and sends the shard tasks over the
+:mod:`repro.net` wire to :class:`~repro.dist.worker.ShardWorker`
+daemons, which may live on other machines.  Each worker runs
+:func:`~repro.dist.worker._census_partition` on its shard, so the
+results are bit-identical to ``subgraph_census`` on the whole graph;
+only where the loop body executes changes.
 
 Scheduling is pull-based: one coordinator thread per worker drains a
 shared task queue, shipping each shard (pickled, once per worker) on
@@ -41,9 +39,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.census import CensusConfig
+from repro.core.graph import HeteroGraph
 from repro.core.sampled import SampledCensusConfig
-from repro.dist.partition import GraphPartition
-from repro.exceptions import RPCError
+from repro.dist.partition import GraphPartition, PartitionSet
+from repro.exceptions import PartitionError, RPCError
 from repro.net.client import NetClient, RetryPolicy
 from repro.net.endpoint import Endpoint, parse_endpoint
 from repro.net.protocol import NetError, decode_blob, encode_blob
@@ -157,21 +156,46 @@ class RemoteExecutor:
     # -- public API --------------------------------------------------------
     def census_map(
         self,
-        tasks: list,
+        graph: HeteroGraph,
+        roots,
         config: CensusConfig,
+        partitions: PartitionSet,
         *,
         engine: str | None = None,
         sampled: SampledCensusConfig | None = None,
         telemetry: Telemetry | None = None,
     ) -> dict:
-        """Run ``[(partition, roots), ...]`` on the workers; merge results.
+        """Census the unique global ``roots`` on the workers; return a dict.
 
-        Raises :class:`RPCError` when the work cannot complete: every
-        worker died with tasks outstanding, a task exhausted its
-        reassignment budget, or a worker reported a census failure.
+        Each root goes to the shard of ``partitions`` that owns it, and
+        shard tasks are queued heaviest-first (summed root degree) so
+        straggler shards start early.
+
+        Raises :class:`PartitionError` when ``partitions`` was cut from
+        another graph, and :class:`RPCError` when the work cannot
+        complete: every worker died with tasks outstanding, a task
+        exhausted its reassignment budget, or a worker reported a census
+        failure.
         """
+        if partitions.fingerprint != graph.fingerprint():
+            raise PartitionError("partition set was built for a different graph")
         telemetry = telemetry if telemetry is not None else get_telemetry()
-        queue = _TaskQueue([_Task(partition, roots) for partition, roots in tasks])
+        telemetry.annotate("dist/partitions", len(partitions))
+        telemetry.annotate("dist/strategy", partitions.config.strategy)
+        owned: dict[int, list] = {}
+        for root in roots:
+            root = int(root)
+            owned.setdefault(partitions.owner_of(root), []).append(root)
+        degrees = graph.flat().degrees
+        tasks = sorted(
+            (
+                _Task(partitions.partitions[part_id], part_roots)
+                for part_id, part_roots in owned.items()
+            ),
+            key=lambda task: sum(degrees[r] for r in task.roots),
+            reverse=True,
+        )
+        queue = _TaskQueue(tasks)
         results: dict = {}
         merge_lock = threading.Lock()
         stop_heartbeat = threading.Event()

@@ -17,11 +17,11 @@ not the open internet):
   heartbeat and scheduling both key off this).
 * ``load_shard`` — install a shipped :class:`GraphPartition` under its
   partition id; idempotent, so a retried ship is harmless.
-* ``census`` — census the given global roots against a loaded shard via
-  the exact :func:`repro.dist.sharded._census_partition` the local pool
-  runs, returning results plus the worker-side telemetry snapshot —
-  this shared code path is what makes remote results bit-identical to
-  the in-process executor.
+* ``census`` — census the given global roots against a loaded shard
+  (:func:`_census_partition`), returning results plus the worker-side
+  telemetry snapshot.  A halo-complete shard holds every node and edge
+  an owned root's census can reach, with global degrees, so the
+  results are bit-identical to ``subgraph_census`` on the whole graph.
 * ``stats`` — counters for inspection.
 * ``shutdown`` — acknowledge, drain, exit (built into the server).
 
@@ -35,15 +35,59 @@ from __future__ import annotations
 
 import os
 
+from repro.core.census import CensusConfig, subgraph_census
+from repro.core.sampled import SampledCensusConfig
 from repro.dist.partition import GraphPartition
-from repro.dist.sharded import _census_partition
-from repro.exceptions import ReproError
+from repro.exceptions import CensusError, ReproError
 from repro.net.protocol import NetError, decode_blob, encode_blob, require
 from repro.net.server import OpServer
 from repro.obs.log import get_logger
 from repro.obs.telemetry import Telemetry, get_telemetry
 
 logger = get_logger(__name__)
+
+
+def _census_partition(
+    partition: GraphPartition,
+    roots: list,
+    config: CensusConfig,
+    engine: str | None,
+    telemetry: Telemetry,
+    sampled: SampledCensusConfig | None = None,
+) -> dict:
+    """Census the owned ``roots`` (global ids) against one shard.
+
+    Sampled censuses seed their probe RNG from the *global* root id
+    (``sample_root_key``), not the shard-local index — local indices
+    depend on the partition count, and the determinism contract promises
+    bit-identical estimates at any ``k``.
+    """
+    results: dict = {}
+    part_graph = partition.graph
+    with telemetry.span("dist/partition_wall") as span:
+        for root in roots:
+            local = partition.local(root)
+            with telemetry.span("census/root"):
+                try:
+                    results[root] = subgraph_census(
+                        part_graph,
+                        local,
+                        config,
+                        engine=engine,
+                        sampled=sampled,
+                        sample_root_key=root,
+                    )
+                except CensusError as exc:
+                    # Shard-local node ids are meaningless to the caller:
+                    # re-raise with the global root and the shard named.
+                    raise CensusError(
+                        f"{exc} [global root {root}, "
+                        f"partition {partition.part_id}]"
+                    ) from exc
+    telemetry.count("dist/partition_tasks")
+    telemetry.count("dist/roots_censused", len(roots))
+    telemetry.gauge_max("dist/straggler_s", span.elapsed)
+    return results
 
 
 class ShardWorker(OpServer):

@@ -58,17 +58,6 @@ def _draw_split_seeds(rng: np.random.Generator, count: int) -> list[int]:
     return [int(rng.integers(0, 2**31 - 1)) for _ in range(count)]
 
 
-def _grid_experiment(graph, config, partitions) -> "LabelPredictionExperiment":
-    """A pool worker's own experiment, built once per worker.
-
-    It carries the parent's census shard count but not its artifact
-    store, which stays in the parent process.
-    """
-    return LabelPredictionExperiment(
-        graph, config, RunContext(partitions=partitions)
-    )
-
-
 def _score_feature(experiment, task) -> dict:
     """Score every (fraction, seeds) cell of one feature type: the
     training-sweep fan-out task."""
@@ -184,11 +173,9 @@ class LabelPredictionExperiment:
             )
         self.ctx = ctx if ctx is not None else RunContext()
         # Feature stages take the config's census engine and the context's
-        # store (plus the census shard count); n_jobs stays with the sweep
-        # fan-out, not the extractors.
+        # store; n_jobs stays with the sweep fan-out, not the extractors.
         self._stage_ctx = RunContext(
             engine=self.config.engine,
-            partitions=self.ctx.partitions,
             store=self.ctx.store,
         )
         rng = np.random.default_rng(self.config.seed)
@@ -322,8 +309,9 @@ class LabelPredictionExperiment:
                     "parallel label sweep: workers neither read nor write "
                     "the artifact store"
                 )
-            setup = _grid_experiment
-            shared = (self.graph, replace(cfg, n_jobs=1), self.ctx.partitions)
+            # Each worker builds its own experiment, without the store.
+            setup = LabelPredictionExperiment
+            shared = (self.graph, replace(cfg, n_jobs=1))
         scores: dict[tuple[str, float], list[float]] = {}
         for feature_scores in run_tasks(
             _score_feature, plan, n_jobs=n_jobs, setup=setup, shared=shared

@@ -57,15 +57,6 @@ def _hstack_blocks(blocks):
     return np.hstack(blocks)
 
 
-def _grid_experiment(mag, config, partitions) -> "RankPredictionExperiment":
-    """A pool worker's own experiment, built once per worker.
-
-    It carries the parent's census shard count but not its artifact
-    store, which stays in the parent process.
-    """
-    return RankPredictionExperiment(mag, config, RunContext(partitions=partitions))
-
-
 def _run_conference(experiment, task) -> tuple[dict, dict]:
     """One conference's (conference, family) cells: the grid fan-out task.
 
@@ -184,11 +175,10 @@ class RankPredictionExperiment:
                 f"layout must be 'dense' or 'sparse', got {self.config.layout!r}"
             )
         self.ctx = ctx if ctx is not None else RunContext()
-        # Stages take the store and census shard count from the context;
-        # the census engine and n_jobs live in the experiment config.
+        # Stages take the store from the context; the census engine and
+        # n_jobs live in the experiment config.
         self._stage_ctx = RunContext(
             engine=self.config.engine,
-            partitions=self.ctx.partitions,
             store=self.ctx.store,
         )
         self._graphs: dict[tuple[str, int], object] = {}
@@ -435,13 +425,10 @@ class RankPredictionExperiment:
                     "the artifact store"
                 )
             # The grid consumes the workers; cells run forests
-            # sequentially (no nested pools).
-            setup = _grid_experiment
-            shared = (
-                self.mag,
-                replace(cfg, n_jobs=1, conferences=None),
-                self.ctx.partitions,
-            )
+            # sequentially (no nested pools).  Each worker builds its own
+            # experiment, without the store.
+            setup = RankPredictionExperiment
+            shared = (self.mag, replace(cfg, n_jobs=1, conferences=None))
         ndcg: dict[tuple[str, str, str], float] = {}
         timings: dict[str, float] = {}
         for task_ndcg, task_timings in run_tasks(

@@ -411,7 +411,7 @@ def census_stream(
     only one ``batch_size`` window of roots and results is ever alive in
     this process.  Each batch runs through
     :meth:`~repro.core.features.SubgraphFeatureExtractor.census_many`,
-    so the context's engine, ``n_jobs`` fan-out and partitioned dispatch,
+    so the context's engine, ``n_jobs`` fan-out and remote dispatch,
     and the dedup/cache discipline, behave exactly as in the list-at-once
     path —
     and when ``ctx`` carries an :class:`~repro.runtime.store.ArtifactStore`,

@@ -10,10 +10,7 @@ caching), :mod:`repro.runtime.pipeline` (declared CLI stages), and
 from repro.runtime.context import (
     ENGINE_FAST,
     ENGINE_SAMPLED,
-    EXECUTOR_LOCAL,
-    EXECUTOR_REMOTE,
     VALID_ENGINES,
-    VALID_EXECUTORS,
     RunContext,
     resolve_engine,
     resolve_n_jobs,
@@ -38,9 +35,6 @@ __all__ = [
     "ENGINE_FAST",
     "ENGINE_SAMPLED",
     "VALID_ENGINES",
-    "EXECUTOR_LOCAL",
-    "EXECUTOR_REMOTE",
-    "VALID_EXECUTORS",
     "run_tasks",
     "Pipeline",
     "STAGES",

@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+from repro.exceptions import PartitionError
 from repro.obs.telemetry import Telemetry, get_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -38,12 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 ENGINE_FAST = "fast"
 ENGINE_SAMPLED = "sampled"
 VALID_ENGINES = (ENGINE_FAST, ENGINE_SAMPLED)
-
-#: Where the sharded census fan-out executes: a local process pool, or
-#: ``repro worker`` daemons reached over :mod:`repro.net`.
-EXECUTOR_LOCAL = "local"
-EXECUTOR_REMOTE = "remote"
-VALID_EXECUTORS = (EXECUTOR_LOCAL, EXECUTOR_REMOTE)
 
 
 def resolve_engine(
@@ -62,7 +57,7 @@ def resolve_engine(
         unknown engine 'turbo': valid choices are 'fast', 'sampled'
 
     ``param`` names the parameter in the message (``"census engine"``,
-    ``"executor"``, ...); ``error`` lets domain layers keep their
+    ``"partition strategy"``, ...); ``error`` lets domain layers keep their
     exception hierarchy (the census raises :class:`CensusError`).
     """
     if name in choices:
@@ -99,16 +94,14 @@ class RunContext:
         Worker-process count; ``0``/``"auto"`` means all cores.  Stages
         resolve it through :meth:`resolved_n_jobs`.
     partitions:
-        Shard count for the partitioned census (see :mod:`repro.dist`);
-        ``None`` keeps the single-shard root-fanning path.  Stages
-        resolve it through :meth:`resolved_partitions`.
-    executor:
-        Where shard tasks run: ``"local"`` (process pool) or
-        ``"remote"`` (``repro worker`` daemons over :mod:`repro.net`).
-        Resolved through :meth:`resolved_executor`.
+        Shard count for the remote census (see :mod:`repro.dist`);
+        ``None`` means one shard per worker.  Only meaningful with
+        ``workers``; stages resolve it through :meth:`resolved_partitions`.
     workers:
-        Worker endpoint specs (``host:port`` / ``unix:path``) for
-        ``executor="remote"``.
+        ``repro worker`` endpoint specs (``host:port`` / ``unix:path``).
+        Non-empty means the census runs remotely, on halo-complete
+        shards shipped to those daemons; empty or ``None`` keeps it
+        local, fanned out by root.
     seed:
         Base RNG seed for stages that need one (embedding pipelines, the
         experiment drivers).
@@ -123,7 +116,6 @@ class RunContext:
     engine: str | None = None
     n_jobs: int | None = None
     partitions: int | None = None
-    executor: str | None = None
     workers: "tuple | list | None" = None
     seed: int | None = None
     store: "ArtifactStore | None" = None
@@ -147,20 +139,27 @@ class RunContext:
         spec = self.n_jobs if self.n_jobs is not None else default
         return resolve_n_jobs(spec)
 
-    def resolved_partitions(self, default: int | None = None) -> int | None:
-        """The census shard count, or ``default`` when unset (validated)."""
-        spec = self.partitions if self.partitions is not None else default
-        if spec is None:
-            return None
-        count = int(spec)
-        if count < 1:
-            raise ValueError(f"partitions must be >= 1, got {spec}")
-        return count
+    def resolved_partitions(self) -> int | None:
+        """The remote census shard count, or ``None`` for a local census.
 
-    def resolved_executor(self, default: str = EXECUTOR_LOCAL) -> str:
-        """The shard executor (or ``default``), validated."""
-        name = self.executor if self.executor is not None else default
-        return resolve_engine(name, VALID_EXECUTORS, param="executor")
+        Shards exist only to be shipped, so a shard count without
+        ``workers`` raises :class:`~repro.exceptions.PartitionError`;
+        with workers it defaults to one shard per worker.
+        """
+        if not self.workers:
+            if self.partitions is not None:
+                raise PartitionError(
+                    f"partitions={self.partitions} needs worker endpoints "
+                    "(--workers HOST:PORT[,HOST:PORT...]); a local census "
+                    "fans out by root"
+                )
+            return None
+        count = int(
+            self.partitions if self.partitions is not None else len(self.workers)
+        )
+        if count < 1:
+            raise PartitionError(f"partitions must be >= 1, got {count}")
+        return count
 
     def resolved_seed(self, default: int = 0) -> int:
         """The context seed, or ``default`` when unset."""
@@ -189,12 +188,9 @@ class RunContext:
             telemetry.annotate(f"{prefix}/engine", self.engine)
         if self.n_jobs is not None:
             telemetry.annotate(f"{prefix}/n_jobs", self.resolved_n_jobs())
-        if self.partitions is not None:
-            telemetry.annotate(f"{prefix}/partitions", self.resolved_partitions())
-        if self.executor is not None:
-            telemetry.annotate(f"{prefix}/executor", self.resolved_executor())
         if self.workers:
             telemetry.annotate(f"{prefix}/workers", len(self.workers))
+            telemetry.annotate(f"{prefix}/partitions", self.resolved_partitions())
         if self.seed is not None:
             telemetry.annotate(f"{prefix}/seed", self.seed)
         if self.store is not None and self.store.path is not None:

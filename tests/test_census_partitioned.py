@@ -1,17 +1,23 @@
 """Randomized parity suite for the partitioned census (`repro.dist`).
 
-The contract under test is absolute: for every root, the sharded census
-must return a ``Counter`` *bit-identical* to the single-shard fast
-engine, across shard counts, partitioning strategies, masked/unmasked
-configs, hub-capped and uncapped runs, and duplicate/out-of-order root
-lists.  The suite also pins the partitioner invariants the guarantee
-rests on: exact-cover ownership, global degrees inside shards, and the
-rejection of halos too shallow for the census radius.
+The contract under test is absolute: for every root, the census a shard
+worker computes on the root's owning shard must be a ``Counter``
+*bit-identical* to ``subgraph_census`` on the whole graph, across shard
+counts, partitioning strategies, masked/unmasked configs, hub-capped and
+uncapped runs, and duplicate/out-of-order root lists.  The parity tests
+run the worker's shard-census body in-process, once per shard
+(:func:`tests.shards.census_per_shard`); the runtime-integration tests
+go through ``census_many`` to loopback workers.  The suite also pins the
+partitioner invariants the guarantee rests on: exact-cover ownership,
+global degrees inside shards, the rejection of halos too shallow for
+the census radius, and the warning on a degenerate cut.
 """
 
 from __future__ import annotations
 
+import logging
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,15 +26,17 @@ from repro.core.features import SubgraphFeatureExtractor
 from repro.dist import (
     PartitionConfig,
     PartitionSet,
+    RemoteExecutor,
     ensure_partitions,
     partition_graph,
     required_halo_depth,
-    subgraph_census_sharded,
 )
 from repro.core.graph import HeteroGraph
-from repro.exceptions import FeatureError, PartitionError
+from repro.exceptions import PartitionError
+from repro.obs.telemetry import fresh_telemetry
 from repro.runtime.context import RunContext
 from repro.runtime.store import STAGE_PARTITION, ArtifactStore
+from tests.shards import WorkerFleet, census_per_shard
 
 PARTITION_COUNTS = (1, 2, 3, 7)
 
@@ -89,7 +97,7 @@ def single_shard(graph, roots, config):
 
 
 # ---------------------------------------------------------------------------
-# parity: sharded == single-shard fast engine, bit for bit
+# parity: per-shard census == whole-graph census, bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -112,7 +120,7 @@ def test_randomized_parity(seed, strategy):
     expected = single_shard(graph, roots, config)
     for k in PARTITION_COUNTS:
         pconfig = PartitionConfig(num_partitions=k, strategy=strategy)
-        got = subgraph_census_sharded(graph, roots, config, partitions=pconfig)
+        got = census_per_shard(graph, roots, config, pconfig)
         assert got == expected, f"k={k} strategy={strategy}"
 
 
@@ -125,41 +133,42 @@ def test_hub_graph_parity(max_degree):
     expected = single_shard(graph, roots, config)
     for k in PARTITION_COUNTS:
         for strategy in ("contiguous", "hash"):
-            got = subgraph_census_sharded(
+            got = census_per_shard(
                 graph,
                 roots,
                 config,
-                partitions=PartitionConfig(num_partitions=k, strategy=strategy),
+                PartitionConfig(num_partitions=k, strategy=strategy),
             )
             assert got == expected
 
 
+def remote_census(graph, roots, config, fleet, partitions=None):
+    """``census_many`` with its census taken by the ``fleet``'s workers."""
+    ctx = RunContext(partitions=partitions, workers=fleet.specs)
+    return SubgraphFeatureExtractor(config, ctx=ctx).census_many(graph, roots)
+
+
 def test_parity_with_multiprocess_fanout():
+    """Shard tasks fanned over two worker daemons match the plain census."""
     graph = random_hetero_graph(42)
     config = CensusConfig(max_edges=3, max_degree=4, mask_start_label=True)
     roots = list(range(graph.num_nodes)) + [0, 0]
     expected = single_shard(graph, roots, config)
-    got = subgraph_census_sharded(
-        graph, roots, config, partitions=3, ctx=RunContext(n_jobs=2)
-    )
+    with WorkerFleet(2) as fleet, fresh_telemetry():
+        got = remote_census(graph, roots, config, fleet, partitions=3)
     assert got == expected
 
 
 def test_multiprocess_fanout_keeps_census_counters():
-    """Counters the census records inside shard workers reach the parent."""
-    from repro.obs.telemetry import fresh_telemetry
-
+    """Counters the census records inside shard workers reach the parent,
+    equal to those of a local census."""
     graph = random_hetero_graph(42)
     config = CensusConfig(max_edges=3)
     roots = list(range(graph.num_nodes))
-    stats = []
-    for n_jobs in (1, 2):
-        with fresh_telemetry() as telemetry:
-            subgraph_census_sharded(
-                graph, roots, config, partitions=2, ctx=RunContext(n_jobs=n_jobs)
-            )
-        stats.append(telemetry)
-    serial, parallel = stats
+    with fresh_telemetry() as serial:
+        SubgraphFeatureExtractor(config).census_many(graph, roots)
+    with WorkerFleet(2) as fleet, fresh_telemetry() as parallel:
+        remote_census(graph, roots, config, fleet)
     for name in ("census/calls", "census/subgraphs"):
         assert parallel.counters[name] == serial.counters[name] > 0
     assert (
@@ -171,7 +180,8 @@ def test_multiprocess_fanout_keeps_census_counters():
 def test_duplicate_roots_are_independent_counters():
     graph = random_hetero_graph(7)
     config = CensusConfig(max_edges=2)
-    results = subgraph_census_sharded(graph, [0, 0], config, partitions=2)
+    with WorkerFleet(2) as fleet, fresh_telemetry():
+        results = remote_census(graph, [0, 0], config, fleet)
     assert results[0] == results[1]
     results[0]["poison"] = 99
     assert "poison" not in results[1]
@@ -183,7 +193,7 @@ def test_key_modes_and_cap_survive_sharding():
         config = CensusConfig(max_edges=2, key=key)
         roots = [0, 1, 2]
         assert (
-            subgraph_census_sharded(graph, roots, config, partitions=3)
+            census_per_shard(graph, roots, config, 3)
             == single_shard(graph, roots, config)
         )
 
@@ -296,9 +306,10 @@ def test_mismatched_partition_set_is_rejected():
         graph, PartitionConfig(num_partitions=2), CensusConfig(max_edges=2)
     )
     assert isinstance(pset, PartitionSet)
+    # Checked before any worker is contacted (none listens on port 1).
     with pytest.raises(PartitionError, match="different graph"):
-        subgraph_census_sharded(
-            other, [0], CensusConfig(max_edges=2), partitions=pset
+        RemoteExecutor(["127.0.0.1:1"]).census_map(
+            other, [0], CensusConfig(max_edges=2), pset
         )
 
 
@@ -307,7 +318,7 @@ def test_cap_error_names_global_root_and_partition():
     graph = hubby_graph()
     config = CensusConfig(max_edges=3, max_subgraphs=1)
     with pytest.raises(Exception) as excinfo:
-        subgraph_census_sharded(graph, [graph.num_nodes - 1], config, partitions=3)
+        census_per_shard(graph, [graph.num_nodes - 1], config, 3)
     assert "global root" in str(excinfo.value)
     assert "partition" in str(excinfo.value)
 
@@ -343,24 +354,80 @@ def test_extractor_routes_through_shards(tmp_path):
     roots = list(range(0, graph.num_nodes, 2)) + [1, 1]
     expected = single_shard(graph, roots, config)
 
-    plain = SubgraphFeatureExtractor(config)
-    assert plain.census_many(graph, roots, partitions=3) == expected
-    assert plain.partitions is None  # per-call override leaves the policy
-
     store = ArtifactStore(tmp_path / "store.pkl")
-    ctx = RunContext(partitions=3, store=store)
-    sharded = SubgraphFeatureExtractor(config, ctx=ctx)
-    assert sharded.partitions == 3
-    assert sharded.census_many(graph, roots) == expected
+    with WorkerFleet(2) as fleet, fresh_telemetry():
+        ctx = RunContext(partitions=3, workers=fleet.specs, store=store)
+        sharded = SubgraphFeatureExtractor(config, ctx=ctx)
+        assert sharded.census_many(graph, roots) == expected
     # shards were cut once and cached alongside the per-root censuses
     assert store.stage_entries(STAGE_PARTITION) == 1
-    with pytest.raises(FeatureError):
-        sharded.census_many(graph, roots, partitions=0)
+    bad = RunContext(partitions=0, workers=("127.0.0.1:1",))
+    with pytest.raises(PartitionError):
+        SubgraphFeatureExtractor(config, ctx=bad).census_many(graph, roots)
 
 
 def test_context_resolves_partitions():
     assert RunContext().resolved_partitions() is None
-    assert RunContext(partitions=4).resolved_partitions() == 4
-    assert RunContext().resolved_partitions(default=2) == 2
-    with pytest.raises(ValueError):
-        RunContext(partitions=0).resolved_partitions()
+    workers = ("127.0.0.1:1", "127.0.0.1:2")
+    assert RunContext(workers=workers).resolved_partitions() == 2
+    assert RunContext(partitions=4, workers=workers).resolved_partitions() == 4
+    with pytest.raises(PartitionError, match="worker endpoints"):
+        RunContext(partitions=4).resolved_partitions()
+    with pytest.raises(PartitionError):
+        RunContext(partitions=0, workers=workers).resolved_partitions()
+
+
+# ---------------------------------------------------------------------------
+# degenerate cuts
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def partition_warnings():
+    """Collect the partitioner's warnings.
+
+    ``caplog`` cannot be used: the ``repro`` hierarchy stops propagating
+    once the CLI has configured logging (other tests in the session do).
+    """
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("repro.dist.partition")
+    old_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(old_level)
+
+
+def test_degenerate_cut_is_counted_and_warned():
+    """On a small dense graph every shard's halo is the whole graph."""
+    nodes = {f"n{i}": "AB"[i % 2] for i in range(6)}
+    edges = [(f"n{i}", f"n{j}") for i in range(6) for j in range(i + 1, 6)]
+    graph = HeteroGraph.from_edges(nodes, edges)
+    with partition_warnings() as records, fresh_telemetry() as telemetry:
+        partition_graph(
+            graph, PartitionConfig(num_partitions=3), CensusConfig(max_edges=2)
+        )
+    assert telemetry.counters["dist/degenerate_shards"] == 3
+    assert len(records) == 1
+    assert "degenerate cut" in records[0].getMessage()
+
+
+def test_proper_cut_is_not_degenerate():
+    """A path cut in two keeps each shard's halo short; one shard owning
+    every node has no halo at all."""
+    graph = HeteroGraph.from_edges(
+        {f"n{i}": "A" for i in range(12)},
+        [(f"n{i}", f"n{i + 1}") for i in range(11)],
+    )
+    with partition_warnings() as records, fresh_telemetry() as telemetry:
+        for k in (1, 2):
+            partition_graph(
+                graph, PartitionConfig(num_partitions=k), CensusConfig(max_edges=2)
+            )
+    assert "dist/degenerate_shards" not in telemetry.counters
+    assert records == []

@@ -25,10 +25,10 @@ from repro.core.sampled import (
     run_sampled_census,
     sampled_config_key,
 )
-from repro.dist import subgraph_census_sharded
 from repro.exceptions import CensusError, FeatureError
 from repro.runtime import VALID_ENGINES, ArtifactStore, RunContext
 from repro.runtime.store import STAGE_CENSUS
+from tests.shards import census_per_shard
 
 
 @pytest.fixture
@@ -238,13 +238,9 @@ class TestDeterminism:
             )
             for node in nodes
         ]
-        sharded = subgraph_census_sharded(
-            publication_graph,
-            nodes,
-            config,
-            partitions=k,
-            sampled=cfg,
-            ctx=RunContext(engine="sampled"),
+        # The shard worker's census body, run once per shard.
+        sharded = census_per_shard(
+            publication_graph, nodes, config, k, engine="sampled", sampled=cfg
         )
         assert sharded == direct
         for a, b in zip(sharded, direct):

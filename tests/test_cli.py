@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.io import write_edgelist, write_graph_json
+from tests.shards import WorkerFleet
 
 
 @pytest.fixture
@@ -694,71 +695,115 @@ class TestTelemetryAndLogging:
 
 
 class TestPartitionedCensusCLI:
+    """``--workers`` alone sends the census to ``repro worker`` daemons;
+    ``--partitions`` only sets their shard count."""
+
     def test_census_partitions_matches_plain(self, graph_json, capsys):
         assert main(["census", graph_json, "--root", "i1", "--emax", "2"]) == 0
         plain = capsys.readouterr().out
-        assert main(
-            [
-                "census",
-                graph_json,
-                "--root",
-                "i1",
-                "--emax",
-                "2",
-                "--partitions",
-                "3",
-            ]
-        ) == 0
-        assert capsys.readouterr().out == plain
+        with WorkerFleet(2) as fleet:
+            workers = ",".join(fleet.specs)
+            for extra in ([], ["--partitions", "3"]):
+                assert main(
+                    [
+                        "census",
+                        graph_json,
+                        "--root",
+                        "i1",
+                        "--emax",
+                        "2",
+                        "--workers",
+                        workers,
+                        *extra,
+                    ]
+                ) == 0
+                assert capsys.readouterr().out == plain
 
     def test_partitioned_run_manifest_and_store(self, graph_json, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"
         store_path = tmp_path / "run.store"
-        assert main(
-            [
-                "features",
-                graph_json,
-                "--nodes",
-                "i1,a1,p1",
-                "--emax",
-                "2",
-                "--partitions",
-                "2",
-                "--artifact-store",
-                str(store_path),
-                "--out",
-                str(tmp_path / "features.json"),
-            ]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            [
-                "census",
-                graph_json,
-                "--root",
-                "i1",
-                "--emax",
-                "2",
-                "--partitions",
-                "2",
-                "--artifact-store",
-                str(store_path),
-                "--telemetry-out",
-                str(manifest_path),
-            ]
-        ) == 0
+        with WorkerFleet(2) as fleet:
+            workers = ",".join(fleet.specs)
+            assert main(
+                [
+                    "features",
+                    graph_json,
+                    "--nodes",
+                    "i1,a1,p1",
+                    "--emax",
+                    "2",
+                    "--workers",
+                    workers,
+                    "--artifact-store",
+                    str(store_path),
+                    "--out",
+                    str(tmp_path / "features.json"),
+                ]
+            ) == 0
+            capsys.readouterr()
+            assert main(
+                [
+                    "census",
+                    graph_json,
+                    "--root",
+                    "i1",
+                    "--emax",
+                    "2",
+                    "--workers",
+                    workers,
+                    "--artifact-store",
+                    str(store_path),
+                    "--telemetry-out",
+                    str(manifest_path),
+                ]
+            ) == 0
         capsys.readouterr()
         manifest = json.loads(manifest_path.read_text())
         assert manifest["provenance"]["annotations"]["run/partitions"] == "2"
+        assert manifest["provenance"]["annotations"]["run/workers"] == "2"
         # the store still holds the partition set cut by the features run
         # (the warm census cache short-circuits before it is consulted)
         assert manifest["artifact_store"]["entries"] > 0
         assert manifest["artifact_store"]["approx_payload_bytes"] > 0
         assert manifest["artifact_store"]["stages"]["partition"]["entries"] == 1
 
+    @pytest.mark.parametrize("command", ("census", "features"))
+    def test_partitions_without_workers_exit_2(self, graph_json, tmp_path, command):
+        target = (
+            ["--root", "i1"]
+            if command == "census"
+            else ["--nodes", "i1", "--out", str(tmp_path / "f.json")]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, graph_json, *target, "--partitions", "2"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rank", "--partitions", "2"], ["label", "g.json", "--partitions", "2"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_grid_commands_take_no_partitions(self, argv):
+        """rank/label have no --workers, so a shard count has no use."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    def test_dead_worker_fails_instead_of_a_local_census(self, graph_json, capsys):
+        """Nothing listens on port 1: the run must fail, not quietly print
+        a census computed locally."""
+        from repro.exceptions import RPCError
+
+        with pytest.raises(RPCError):
+            main(["census", graph_json, "--root", "i1", "--emax", "2",
+                  "--workers", "127.0.0.1:1"])
+        assert capsys.readouterr().out == ""
+
 
 class TestNetCLI:
-    """Parser plumbing for the net layer: serve transports, worker, executor."""
+    """Parser plumbing for the net layer: serve transports, worker, workers."""
 
     def test_serve_requires_a_listen_flag(self, graph_json):
         from repro.cli import build_parser
@@ -797,24 +842,14 @@ class TestNetCLI:
         args = parser.parse_args(
             [
                 "census", graph_json, "--root", "i1",
-                "--executor", "remote",
                 "--workers", "127.0.0.1:9001,127.0.0.1:9002",
                 "--workers", "unix:/run/w3.sock",
             ]
         )
         ctx = _build_context(args)
-        assert ctx.executor == "remote"
         assert ctx.workers == (
             "127.0.0.1:9001", "127.0.0.1:9002", "unix:/run/w3.sock"
         )
-
-    def test_bad_executor_rejected(self, graph_json):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["census", graph_json, "--root", "i1", "--executor", "carrier"]
-            )
 
 
 class TestSharedFlags:
@@ -824,14 +859,10 @@ class TestSharedFlags:
 
     CENSUS_JOBS = "worker processes for the census (0 = all cores)"
     CENSUS_PARTITIONS = (
-        "shard the census over this many halo-complete graph partitions "
-        "(default: fan out individual roots)"
+        "halo-complete graph shards to cut for --workers "
+        "(default: one per worker)"
     )
     CORPUS_JOBS = "worker processes for corpus generation"
-    GRID_PARTITIONS = (
-        "shard the census stage over this many halo-complete graph "
-        "partitions (results are identical for any value)"
-    )
     EXPECTED = {
         "census": {"n_jobs": CENSUS_JOBS, "partitions": CENSUS_PARTITIONS},
         "features": {"n_jobs": CENSUS_JOBS, "partitions": CENSUS_PARTITIONS},
@@ -840,12 +871,10 @@ class TestSharedFlags:
         "rank": {
             "n_jobs": "worker processes for the experiment grid and forests "
             "(results are identical for any value)",
-            "partitions": GRID_PARTITIONS,
         },
         "label": {
             "n_jobs": "worker processes for the training sweep "
             "(results are identical for any value)",
-            "partitions": GRID_PARTITIONS,
         },
         "serve": {"n_jobs": "worker processes for warm-up and repair censuses"},
         "worker": {

@@ -1,11 +1,12 @@
 """Remote shard executor tests: parity, fault tolerance, worker RPC.
 
-The headline contract: ``executor="remote"`` returns results
-**bit-identical** to the local ``sharded_census_map`` pool for every
-engine at any worker count — the shard census runs the same code, only
-the location changes.  The fault-tolerance contract: a worker killed
-mid-census loses nothing; its task is reassigned to a survivor and the
-run completes with the same results.
+The headline contract: a census taken by ``repro worker`` daemons is
+**bit-identical** to ``subgraph_census`` on the whole graph for every
+engine, at any worker and partition count, on dict and mmap storage —
+and a context with ``workers`` alone is enough to send it there.  The
+fault-tolerance contract: a worker killed mid-census loses nothing; its
+task is reassigned to a survivor and the run completes with the same
+results.
 
 In-process workers (one thread + event loop each) cover parity and the
 worker protocol; the kill test uses a real ``repro worker`` subprocess
@@ -29,19 +30,21 @@ import pytest
 from repro.core.census import CensusConfig, subgraph_census
 from repro.core.features import SubgraphFeatureExtractor
 from repro.core.graph import HeteroGraph
+from repro.core.mmap_graph import MmapGraph
 from repro.core.sampled import SampledCensusConfig
 from repro.dist import (
     PartitionConfig,
     RemoteExecutor,
     ShardWorker,
     partition_graph,
-    sharded_census_map,
 )
-from repro.exceptions import RPCError
+from repro.exceptions import PartitionError, RPCError
+from repro.io.stream import write_mmap_graph
 from repro.net import NetClient, NetError, RetryPolicy
 from repro.obs import fresh_telemetry
 from repro.runtime.context import RunContext
 from tests.oracles import reference_census
+from tests.shards import WorkerFleet
 
 WORKER_COUNTS = (1, 2, 3)
 ENGINES = ("fast", "reference", "sampled")
@@ -60,58 +63,12 @@ def _random_graph(seed: int = 11, n: int = 36) -> HeteroGraph:
     )
 
 
-class _WorkerFleet:
-    """N in-process ShardWorkers, each on its own thread + event loop."""
-
-    def __init__(self, count: int, transport: str = "tcp", tmp_path=None):
-        self.workers: list[ShardWorker] = []
-        self.threads: list[threading.Thread] = []
-        self.endpoints: list = []
-        self._lock = threading.Lock()
-        for i in range(count):
-            spec = (
-                "127.0.0.1:0"
-                if transport == "tcp"
-                else tmp_path / f"worker{i}.sock"
-            )
-            worker = ShardWorker(spec)
-            thread = threading.Thread(
-                target=self._serve, args=(worker,), daemon=True
-            )
-            thread.start()
-            self.workers.append(worker)
-            self.threads.append(thread)
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            with self._lock:
-                if len(self.endpoints) == count:
-                    return
-            time.sleep(0.02)
-        raise RuntimeError("workers failed to start")
-
-    def _serve(self, worker: ShardWorker) -> None:
-        async def main():
-            ready = asyncio.Event()
-            task = asyncio.ensure_future(worker.run(ready))
-            await ready.wait()
-            with self._lock:
-                self.endpoints.append(worker.endpoint)
-            await task
-
-        asyncio.run(main())
-
-    def __enter__(self) -> "_WorkerFleet":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for endpoint in self.endpoints:
-            try:
-                with NetClient(endpoint, retry=RetryPolicy(retries=0)) as client:
-                    client.call({"op": "shutdown"})
-            except NetError:
-                pass
-        for thread in self.threads:
-            thread.join(timeout=5)
+def _plain_census(graph, roots, config, engine="fast", sampled=None) -> dict:
+    """The expected side: ``subgraph_census`` on the whole graph."""
+    return {
+        root: subgraph_census(graph, root, config, engine=engine, sampled=sampled)
+        for root in roots
+    }
 
 
 class TestRemoteParity:
@@ -131,27 +88,17 @@ class TestRemoteParity:
             local = {root: reference_census(graph, root, config) for root in roots}
             engine = "fast"
         else:
-            with fresh_telemetry():
-                local = sharded_census_map(
-                    graph, roots, config, pset, engine=engine, sampled=sampled
-                )
-        with _WorkerFleet(workers) as fleet:
+            local = _plain_census(graph, roots, config, engine, sampled)
+        with WorkerFleet(workers) as fleet:
             with fresh_telemetry() as telemetry:
-                remote = sharded_census_map(
-                    graph,
-                    roots,
-                    config,
-                    pset,
-                    engine=engine,
-                    sampled=sampled,
-                    executor="remote",
-                    workers=[str(e) for e in fleet.endpoints],
+                remote = RemoteExecutor(fleet.specs).census_map(
+                    graph, roots, config, pset, engine=engine, sampled=sampled
                 )
                 counters = telemetry.as_dict()["counters"]
         assert set(remote) == set(local)
         for root in local:
             assert remote[root] == local[root], f"root {root} diverged"
-        # Worker-side telemetry merged back like the local pool's.
+        # Worker-side telemetry merged back into the coordinator's.
         assert counters["dist/roots_censused"] == len(roots)
         assert counters["net/shards_shipped"] == len(pset)
 
@@ -160,46 +107,37 @@ class TestRemoteParity:
         config = CensusConfig(max_edges=3)
         pset = partition_graph(graph, PartitionConfig(num_partitions=2), config)
         roots = list(range(graph.num_nodes))
-        with fresh_telemetry():
-            local = sharded_census_map(graph, roots, config, pset)
-        with _WorkerFleet(2, transport="unix", tmp_path=tmp_path) as fleet:
+        local = _plain_census(graph, roots, config)
+        with WorkerFleet(2, transport="unix", tmp_path=tmp_path) as fleet:
             with fresh_telemetry():
-                remote = sharded_census_map(
-                    graph, roots, config, pset,
-                    executor="remote",
-                    workers=[str(e) for e in fleet.endpoints],
+                remote = RemoteExecutor(fleet.specs).census_map(
+                    graph, roots, config, pset
                 )
         assert remote == local
 
     def test_matches_unsharded_census(self):
-        """Transitivity check: remote == local shards == plain census."""
+        """Remote shards == plain census, root by root."""
         graph = _random_graph(seed=9, n=24)
         config = CensusConfig(max_edges=3)
         pset = partition_graph(graph, PartitionConfig(num_partitions=2), config)
-        with _WorkerFleet(2) as fleet:
+        with WorkerFleet(2) as fleet:
             with fresh_telemetry():
-                remote = sharded_census_map(
-                    graph, list(range(graph.num_nodes)), config, pset,
-                    executor="remote",
-                    workers=[str(e) for e in fleet.endpoints],
+                remote = RemoteExecutor(fleet.specs).census_map(
+                    graph, list(range(graph.num_nodes)), config, pset
                 )
         for root in range(graph.num_nodes):
             assert remote[root] == subgraph_census(graph, root, config)
 
     def test_census_many_routes_through_remote_executor(self):
-        """RunContext(executor=, workers=) reaches the wire from the
-        feature-extraction layer."""
+        """``RunContext(workers=)`` with no other setting reaches the wire
+        from the feature-extraction layer."""
         graph = _random_graph(seed=21, n=20)
         config = CensusConfig(max_edges=3)
         nodes = list(range(graph.num_nodes))
         with fresh_telemetry():
             expected = SubgraphFeatureExtractor(config).census_many(graph, nodes)
-        with _WorkerFleet(2) as fleet:
-            ctx = RunContext(
-                partitions=2,
-                executor="remote",
-                workers=tuple(str(e) for e in fleet.endpoints),
-            )
+        with WorkerFleet(2) as fleet:
+            ctx = RunContext(workers=fleet.specs)
             with fresh_telemetry() as telemetry:
                 actual = SubgraphFeatureExtractor(config, ctx=ctx).census_many(
                     graph, nodes
@@ -207,6 +145,38 @@ class TestRemoteParity:
                 counters = telemetry.as_dict()["counters"]
         assert actual == expected
         assert counters["net/requests"] > 0
+
+    @pytest.mark.parametrize("engine", ("fast", "sampled"))
+    @pytest.mark.parametrize("storage", ("dict", "mmap"))
+    def test_census_many_parity_at_any_partition_count(
+        self, tmp_path, storage, engine
+    ):
+        """Through ``census_many``, at k = 1, 2, 3 and the one-shard-per-
+        worker default, remote equals ``subgraph_census`` bit for bit."""
+        graph = _random_graph(seed=13, n=30)
+        target = graph
+        if storage == "mmap":
+            target = MmapGraph(write_mmap_graph(graph, tmp_path / "g.hmg"))
+        config = CensusConfig(max_edges=3, max_degree=6)
+        sampled = (
+            SampledCensusConfig(budget=80, seed=2) if engine == "sampled" else None
+        )
+        roots = list(range(graph.num_nodes)) + [4, 4]
+        expected = [
+            subgraph_census(graph, root, config, engine=engine, sampled=sampled)
+            for root in roots
+        ]
+        with WorkerFleet(2) as fleet:
+            for k in (1, 2, 3, None):
+                ctx = RunContext(engine=engine, partitions=k, workers=fleet.specs)
+                extractor = SubgraphFeatureExtractor(config, sampled=sampled, ctx=ctx)
+                with fresh_telemetry() as telemetry:
+                    got = extractor.census_many(target, roots)
+                annotations = telemetry.as_dict()["annotations"]
+                assert got == expected, f"k={k}"
+                if engine == "sampled":
+                    assert [c.report for c in got] == [c.report for c in expected]
+                assert annotations["dist/partitions"] == str(k or 2)
 
 
 class TestFaultTolerance:
@@ -217,8 +187,7 @@ class TestFaultTolerance:
         config = CensusConfig(max_edges=4)
         pset = partition_graph(graph, PartitionConfig(num_partitions=4), config)
         roots = list(range(graph.num_nodes))
-        with fresh_telemetry():
-            local = sharded_census_map(graph, roots, config, pset)
+        local = _plain_census(graph, roots, config)
 
         socket_a = tmp_path / "victim.sock"
         env = dict(os.environ)
@@ -236,7 +205,7 @@ class TestFaultTolerance:
                 assert victim.poll() is None, "victim worker exited early"
                 time.sleep(0.05)
 
-            with _WorkerFleet(1, transport="unix", tmp_path=tmp_path) as fleet:
+            with WorkerFleet(1, transport="unix", tmp_path=tmp_path) as fleet:
                 killer_done = threading.Event()
 
                 def kill_when_busy():
@@ -259,11 +228,9 @@ class TestFaultTolerance:
                 killer.start()
                 try:
                     with fresh_telemetry() as telemetry:
-                        remote = sharded_census_map(
-                            graph, roots, config, pset,
-                            executor="remote",
-                            workers=[f"unix:{socket_a}", str(fleet.endpoints[0])],
-                        )
+                        remote = RemoteExecutor(
+                            [f"unix:{socket_a}", str(fleet.endpoints[0])]
+                        ).census_map(graph, roots, config, pset)
                         counters = telemetry.as_dict()["counters"]
                 finally:
                     killer_done.set()
@@ -286,10 +253,10 @@ class TestFaultTolerance:
             connect_timeout=0.2,
             retry=RetryPolicy(retries=0),
         )
-        tasks = [(pset.partitions[i], [i]) for i in range(len(pset))]
+        roots = [0, graph.num_nodes - 1]  # one per shard
         with fresh_telemetry():
             with pytest.raises(RPCError):
-                executor.census_map(tasks, config)
+                executor.census_map(graph, roots, config, pset)
 
     def test_task_retry_budget_exhaustion_is_fatal(self):
         """A worker that always times out condemns the task after the
@@ -328,11 +295,10 @@ class TestFaultTolerance:
             max_task_retries=0,
             heartbeat_interval=10.0,
         )
-        tasks = [(pset.partitions[0], [0, 1])]
         try:
             with fresh_telemetry():
                 with pytest.raises(RPCError):
-                    executor.census_map(tasks, config)
+                    executor.census_map(graph, [0, 1], config, pset)
         finally:
             try:
                 with NetClient(box["endpoint"], retry=RetryPolicy(retries=0)) as c:
@@ -350,7 +316,7 @@ class TestWorkerProtocol:
     def test_census_on_unloaded_shard_is_shard_error(self):
         from repro.net.protocol import encode_blob
 
-        with _WorkerFleet(1) as fleet:
+        with WorkerFleet(1) as fleet:
             with fresh_telemetry():
                 with NetClient(fleet.endpoints[0]) as client:
                     with pytest.raises(NetError) as excinfo:
@@ -371,7 +337,7 @@ class TestWorkerProtocol:
         graph = _random_graph(seed=2, n=14)
         config = CensusConfig(max_edges=3)
         pset = partition_graph(graph, PartitionConfig(num_partitions=2), config)
-        with _WorkerFleet(1) as fleet:
+        with WorkerFleet(1) as fleet:
             with fresh_telemetry():
                 with NetClient(fleet.endpoints[0]) as client:
                     for _ in range(2):  # a retried ship must be harmless
@@ -396,7 +362,7 @@ class TestWorkerProtocol:
         graph = _random_graph(seed=2, n=14)
         config = CensusConfig(max_edges=3)
         pset = partition_graph(graph, PartitionConfig(num_partitions=1), config)
-        with _WorkerFleet(1) as fleet:
+        with WorkerFleet(1) as fleet:
             with fresh_telemetry() as telemetry:
                 with NetClient(fleet.endpoints[0]) as client:
                     client.call(
@@ -450,13 +416,11 @@ class TestWorkerProtocol:
         while "endpoint" not in box and time.monotonic() < deadline:
             time.sleep(0.02)
         roots = list(range(graph.num_nodes))
-        with fresh_telemetry():
-            local = sharded_census_map(graph, roots, config, pset)
+        local = _plain_census(graph, roots, config)
         try:
             with fresh_telemetry() as telemetry:
-                remote = sharded_census_map(
-                    graph, roots, config, pset,
-                    executor="remote", workers=[str(box["endpoint"])],
+                remote = RemoteExecutor([str(box["endpoint"])]).census_map(
+                    graph, roots, config, pset
                 )
                 counters = telemetry.as_dict()["counters"]
         finally:
@@ -470,17 +434,13 @@ class TestWorkerProtocol:
         assert counters.get("net/shards_shipped", 0) == 0
 
     def test_remote_requires_worker_endpoints(self):
+        """Shards exist only to be shipped: a shard count without worker
+        endpoints is a typed error, not a silently local census."""
         graph = _random_graph(seed=1, n=12)
         config = CensusConfig(max_edges=3)
-        pset = partition_graph(graph, PartitionConfig(num_partitions=2), config)
-        from repro.exceptions import PartitionError
-
+        extractor = SubgraphFeatureExtractor(
+            config, ctx=RunContext(partitions=2)
+        )
         with fresh_telemetry():
-            with pytest.raises(PartitionError):
-                sharded_census_map(
-                    graph, [0], config, pset, executor="remote"
-                )
-        with pytest.raises(ValueError):
-            sharded_census_map(
-                graph, [0], config, pset, executor="teleport"
-            )
+            with pytest.raises(PartitionError, match="worker endpoints"):
+                extractor.census_many(graph, [0])

@@ -177,9 +177,8 @@ class TestSparseAndParallelParity:
         assert parallel.ndcg == serial.ndcg
         assert list(parallel.ndcg) == list(serial.ndcg)
 
-    def test_parallel_grid_keeps_partitions(self, two_conference_world):
-        """Grid workers census through the parent's shard count, and a
-        parent store draws one warning (workers do not use it)."""
+    def test_parallel_grid_warns_once_about_store(self, two_conference_world):
+        """A parent store draws one warning: grid workers do not use it."""
         import logging
 
         from repro.obs.telemetry import fresh_telemetry
@@ -191,7 +190,7 @@ class TestSparseAndParallelParity:
         experiment = RankPredictionExperiment(
             two_conference_world,
             config,
-            RunContext(partitions=2, store=ArtifactStore()),
+            RunContext(store=ArtifactStore()),
         )
         warnings = []
         handler = logging.Handler(logging.WARNING)
@@ -201,12 +200,11 @@ class TestSparseAndParallelParity:
         logger.addHandler(handler)
         logger.setLevel(logging.WARNING)
         try:
-            with fresh_telemetry() as telemetry:
+            with fresh_telemetry():
                 experiment.run(families=("subgraph",), regressors=("LinRegr",))
         finally:
             logger.removeHandler(handler)
             logger.setLevel(old_level)
-        assert telemetry.annotations["dist/partitions"] == "2"
         assert len(warnings) == 1
         assert "artifact store" in warnings[0].getMessage()
 

@@ -28,13 +28,14 @@ from repro.core.graph import FlatGraph, HeteroGraph
 from repro.core.labels import LabelSet
 from repro.core.mmap_graph import HMG_MAGIC, MmapGraph, _PREAMBLE
 from repro.core.sampled import SampledCensusConfig
-from repro.dist import PartitionConfig, subgraph_census_sharded
+from repro.dist import PartitionConfig
 from repro.exceptions import FeatureError, GraphError
 from repro.io.edgelist import read_edgelist, write_edgelist
 from repro.io.stream import build_mmap_graph, census_stream, write_mmap_graph
 from repro.runtime.context import RunContext
 from repro.runtime.store import ArtifactStore
 from tests.oracles import reference_census
+from tests.shards import census_per_shard
 
 #: Expected censuses per parity case: the library's, or the oracle's.
 CENSUS = {"fast": subgraph_census, "reference": reference_census}
@@ -342,8 +343,9 @@ class TestCensusParity:
         config = CensusConfig(max_edges=3)
         roots = list(range(graph.num_nodes))
         expected = [subgraph_census(graph, r, config) for r in roots]
-        got = subgraph_census_sharded(
-            mg, roots, config, partitions=PartitionConfig(num_partitions=3)
+        # The shard worker's census body, run once per shard.
+        got = census_per_shard(
+            mg, roots, config, PartitionConfig(num_partitions=3)
         )
         assert got == expected
 

@@ -124,25 +124,13 @@ class TestRunContext:
         assert RunContext(seed=9).resolved_seed() == 9
         assert RunContext().resolved_seed(default=4) == 4
 
-    def test_resolved_executor(self):
-        from repro.runtime.context import VALID_EXECUTORS
-
-        assert RunContext().resolved_executor() == "local"
-        assert RunContext(executor="remote").resolved_executor() == "remote"
-        assert "remote" in VALID_EXECUTORS
-        with pytest.raises(ValueError, match="executor"):
-            RunContext(executor="warp").resolved_executor()
-
     def test_executor_and_workers_in_provenance(self):
         from repro.obs import fresh_telemetry
 
-        ctx = RunContext(
-            executor="remote", workers=("h1:9000", "h2:9000")
-        )
+        ctx = RunContext(workers=("h1:9000", "h2:9000"))
         with fresh_telemetry() as telemetry:
             ctx.annotate_provenance()
             annotations = telemetry.as_dict()["annotations"]
-        assert annotations["run/executor"] == "remote"
         assert annotations["run/workers"] == "2"
 
 
