@@ -10,13 +10,14 @@ scikit-learn: regressors consider all features, classifiers ``sqrt``.  The
 experiment pipelines pass ``max_features="sqrt"`` for regressors too when
 the subgraph vocabularies are large; that choice is recorded per experiment.
 
-Batched growth and parallelism
-------------------------------
+Batched growth, prediction and parallelism
+------------------------------------------
 All trees grow level-synchronously through :mod:`repro.ml.tree_batched`,
-amortising numpy dispatch across every same-depth node of the whole
-forest.  The result is bit-identical to fitting each tree on its own with
-the plain per-node builder of :mod:`repro.ml.tree` — the per-tree loop is
-kept as the parity oracle in ``tests/oracles/forest.py``.
+which keeps each level of the whole forest as flat arrays.  The result is
+bit-identical to fitting each tree on its own with the per-node builder
+kept as the parity oracle in ``tests/oracles/tree.py`` and
+``tests/oracles/forest.py``.  ``predict`` routes every tree at once
+through one concatenated node table.
 
 ``n_jobs`` fans tree chunks out through
 :func:`repro.runtime.executor.run_tasks`, which ships ``X, y`` once per
@@ -39,7 +40,7 @@ from repro.ml.base import (
     check_X_y,
     check_array,
 )
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _leaf_values
 from repro.ml.tree_batched import fit_tree_batch
 from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import resolve_n_jobs
@@ -83,12 +84,21 @@ def _fit_tree_tasks(fit: tuple, tasks: list[tuple[int, int]]) -> list:
     ]
     params = spec["params"]
     classes = spec["classes"]
-    if classes is not None:
+    if classes is None:
+        tree_cls, y_fit = DecisionTreeRegressor, y
+    else:
+        tree_cls = DecisionTreeClassifier
         y_fit = np.searchsorted(classes, y).astype(np.float64)
-        return fit_tree_batch(
-            X, y_fit, DecisionTreeClassifier, params, samples, classes=classes
-        )
-    return fit_tree_batch(X, y, DecisionTreeRegressor, params, samples)
+    trees = []
+    for (seed, _), grown in zip(
+        samples, fit_tree_batch(X, y_fit, params, samples, classes=classes)
+    ):
+        tree = tree_cls(**params, random_state=seed)
+        if classes is not None:
+            tree.classes_ = classes
+        tree._load(grown)
+        trees.append(tree)
+    return trees
 
 
 class _BaseForest(BaseEstimator):
@@ -160,6 +170,10 @@ class _BaseForest(BaseEstimator):
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
 
+    def _leaf_values(self, X) -> np.ndarray:
+        self._check_fitted()
+        return _leaf_values(self.estimators_, X)
+
 
 class RandomForestRegressor(_BaseForest, RegressorMixin):
     """Bagged CART regressors; prediction is the mean over trees."""
@@ -171,20 +185,14 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
         return self
 
     def predict(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = check_array(X)
-        predictions = np.stack([tree.predict(X) for tree in self.estimators_])
-        return predictions.mean(axis=0)
+        return self._leaf_values(X).mean(axis=0)
 
 
 class RandomForestClassifier(_BaseForest, ClassifierMixin):
     """Bagged CART classifiers; prediction averages class probabilities.
 
-    Trees may see different bootstrap class subsets (a tree fitted on its
-    own derives its class axis from its sample; the batched growth fits
-    on the forest axis directly), so probabilities are re-aligned to the
-    forest-level ``classes_`` before averaging — the two layouts average
-    identically.
+    Every tree is fitted on the forest-level ``classes_`` axis, so a class
+    missing from a tree's bootstrap simply has probability 0 there.
     """
 
     def __init__(self, max_features="sqrt", **kwargs) -> None:
@@ -202,15 +210,7 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = check_array(X)
-        total = np.zeros((X.shape[0], self.classes_.size))
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        for tree in self.estimators_:
-            probabilities = tree.predict_proba(X)
-            columns = [class_index[c] for c in tree.classes_]
-            total[:, columns] += probabilities
-        return total / len(self.estimators_)
+        return self._leaf_values(X).sum(axis=0) / len(self.estimators_)
 
     def predict(self, X) -> np.ndarray:
         probabilities = self.predict_proba(X)

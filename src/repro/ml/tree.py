@@ -1,40 +1,29 @@
 """CART decision trees (regressor and classifier).
 
 Used directly as the "decision tree" method of Section 4.2.3 and as the base
-learner of :mod:`repro.ml.forest`.  Split search is vectorised across the
-candidate features of a node: one ``argsort`` per node over the feature
-submatrix, then cumulative-sum scans give every possible threshold's
-impurity in closed form (variance reduction for regression, Gini for
-classification).  Per-node cost is ``O(n_node * log n_node * n_candidates)``
-so a fully grown tree costs roughly ``depth`` passes over the data.
-
-The tree is grown breadth-first (level order) and every node's summary
-statistics — target sum and sum of squares for regression, per-class counts
-for classification — are handed down from the parent's split scan instead of
-being recomputed from the raw targets.  This fixes the *semantic contract*
-that :mod:`repro.ml.tree_batched` (the level-batched forest engine)
-reproduces bit-for-bit: node values, impurities, candidate-feature draws,
-split choices and importance accumulation all happen in the same order with
-the same floating-point expressions, so a batched forest equals a forest
-of trees fitted one by one exactly.  Change a formula here and you must
-change it there (the parity tests in tests/test_ml_forest.py, against the
-per-tree oracle in tests/oracles/forest.py, will catch a drift).
+learner of :mod:`repro.ml.forest`.  A tree is grown breadth-first by the
+level-array grower of :mod:`repro.ml.tree_batched`, as a batch of one:
+split search is vectorised across the candidate features of every node of
+a level, with one stable ``argsort`` over the feature submatrix and
+cumulative-sum scans giving every threshold's impurity in closed form
+(variance reduction for regression, Gini for classification).  Each node's
+summary statistics — target sum and sum of squares for regression,
+per-class counts for classification — are handed down from the parent's
+split scan instead of being recomputed from the raw targets.
 
 Partitioning is positional, as in sklearn: a split sends the first
 ``row + 1`` sorted samples left and the rest right, and stores the midpoint
-threshold for prediction-time routing.  Child index sets are re-sorted
-ascending so the next level's stable argsort sees ties in the original row
-order regardless of which feature was split on.
+threshold for prediction-time routing.
 
 Impurity-decrease feature importances follow sklearn's definition: each
 split contributes ``(n_node/n) * (impurity - weighted child impurity)`` to
 its feature, normalised to sum to one.  These drive Figure 4.
+
+The per-node builder the grower reformulates lives on as the parity oracle
+in ``tests/oracles/tree.py``.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,59 +34,43 @@ from repro.ml.base import (
     check_X_y,
     check_array,
 )
+from repro.ml.tree_batched import GrownTree, fit_tree_batch
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves keep ``feature == -1``."""
+def _leaf_values(trees, X) -> np.ndarray:
+    """Every tree's leaf value for every row of ``X``.
 
-    value: np.ndarray  # mean (regression, shape ()) or class proportions
-    impurity: float
-    n_samples: int
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-
-
-@dataclass
-class _Split:
-    """A chosen split plus the statistics handed down to the children."""
-
-    feature: int
-    threshold: float
-    score: float  # total child impurity (lower is better)
-    row: int  # split position in the sorted order
-    order_col: np.ndarray = field(repr=False)  # sort order of the split column
-    left_stats: object = field(repr=False, default=None)
-    right_stats: object = field(repr=False, default=None)
-
-
-def _resolve_max_features(max_features, n_features: int) -> int:
-    """Translate the sklearn-style ``max_features`` spec to a count >= 1."""
-    if max_features is None:
-        return n_features
-    if max_features == "sqrt":
-        return max(1, int(np.sqrt(n_features)))
-    if max_features == "log2":
-        return max(1, int(np.log2(n_features))) if n_features > 1 else 1
-    if isinstance(max_features, (bool, np.bool_)):
-        raise ValueError(f"unsupported max_features spec {max_features!r}")
-    if isinstance(max_features, (float, np.floating)):
-        if not 0.0 < max_features <= 1.0:
-            raise ValueError(f"max_features fraction must be in (0, 1], got {max_features}")
-        # Small fractions on small vocabularies can round to 0 columns;
-        # always keep at least one candidate.
-        return max(1, int(max_features * n_features))
-    if isinstance(max_features, (int, np.integer)):
-        if max_features < 1:
-            raise ValueError(f"max_features must be >= 1, got {max_features}")
-        return min(int(max_features), n_features)
-    raise ValueError(f"unsupported max_features spec {max_features!r}")
+    Shape ``(trees, rows)``, plus a class axis for classifiers.  All trees
+    route at once: their node tables are concatenated and a flat
+    (tree, row) position array descends until every position sits on a
+    leaf, with each step making the single tree's comparison.
+    """
+    X = check_array(X)
+    n_features = trees[0].n_features_
+    if X.shape[1] != n_features:
+        raise ValueError(f"fitted on {n_features} features, got {X.shape[1]}")
+    sizes = np.array([tree._feat.size for tree in trees])
+    offsets = np.cumsum(sizes) - sizes
+    shift = np.repeat(offsets, sizes)
+    feat = np.concatenate([tree._feat for tree in trees])
+    thr = np.concatenate([tree._thr for tree in trees])
+    left = np.concatenate([tree._left for tree in trees]) + shift
+    right = np.concatenate([tree._right for tree in trees]) + shift
+    n_rows = X.shape[0]
+    node = np.repeat(offsets, n_rows)
+    row = np.tile(np.arange(n_rows), len(trees))
+    live = np.flatnonzero(feat[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = X[row[live], feat[at]] <= thr[at]
+        node[live] = np.where(go_left, left[at], right[at])
+        live = live[feat[node[live]] >= 0]
+    values = np.concatenate([tree._values for tree in trees])[node]
+    return values.reshape(len(trees), n_rows, *values.shape[1:])
 
 
 class _BaseDecisionTree(BaseEstimator):
-    """Shared breadth-first builder; subclasses define the statistics."""
+    """Shared fit plumbing and node-array prediction."""
 
     def __init__(
         self,
@@ -118,237 +91,66 @@ class _BaseDecisionTree(BaseEstimator):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self._nodes: list[_Node] = []
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
 
-    # -- subclass hooks: the statistics contract ---------------------------
-    # tree_batched.py vectorises exactly these expressions; keep in sync.
-    def _root_stats(self, y: np.ndarray):
-        raise NotImplementedError
-
-    def _node_summary(self, stats, m: int) -> tuple[np.ndarray, float]:
-        """(leaf value, impurity) from the handed-down statistics."""
-        raise NotImplementedError
-
-    def _stats_pure(self, stats) -> bool:
-        """True when the statistics prove the node is single-valued."""
-        raise NotImplementedError
-
-    def _targets_constant(self, y_node: np.ndarray) -> bool:
-        """Exact constancy check on the gathered targets (regression)."""
-        raise NotImplementedError
-
-    def _prepare_targets(self, y_node: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _split_scan(self, ys_sorted: np.ndarray):
-        """(scores, scan) for every split position of every feature.
-
-        ``ys_sorted`` has shape ``(m, f)`` (regression) or ``(m, f, k)``
-        (one-hot classification); ``scores`` has shape ``(m - 1, f)`` and
-        ``scan`` carries the cumulative sums that :meth:`_child_stats`
-        extracts the children's statistics from.
-        """
-        raise NotImplementedError
-
-    def _child_stats(self, scan, row: int, col: int):
-        raise NotImplementedError
-
     # -- fitting -------------------------------------------------------------
-    def _fit_tree(self, X: np.ndarray, y: np.ndarray) -> None:
-        n, p = X.shape
-        self.n_features_ = p
-        self._nodes = []
-        importances = np.zeros(p)
-        rng = np.random.default_rng(self.random_state)
-        n_candidates = _resolve_max_features(self.max_features, p)
+    def _grow(self, X: np.ndarray, y: np.ndarray, classes=None) -> None:
+        params = {
+            "max_depth": self.max_depth,
+            "min_samples_split": self.min_samples_split,
+            "min_samples_leaf": self.min_samples_leaf,
+            "max_features": self.max_features,
+        }
+        task = (self.random_state, np.arange(X.shape[0]))
+        (grown,) = fit_tree_batch(X, y, params, [task], classes=classes)
+        self._load(grown)
 
-        # Breadth-first queue: (row indices, depth, stats, parent id, side).
-        queue: deque = deque()
-        queue.append((np.arange(n), 0, self._root_stats(y), -1, False))
-        while queue:
-            indices, depth, stats, parent_id, is_right = queue.popleft()
-            m = int(indices.size)
-            value, impurity = self._node_summary(stats, m)
-            node = _Node(value=value, impurity=impurity, n_samples=m)
-            node_id = len(self._nodes)
-            self._nodes.append(node)
-            if parent_id >= 0:
-                parent = self._nodes[parent_id]
-                if is_right:
-                    parent.right = node_id
-                else:
-                    parent.left = node_id
-
-            depth_ok = self.max_depth is None or depth < self.max_depth
-            if not (depth_ok and m >= self.min_samples_split):
-                continue
-            if self._stats_pure(stats):
-                continue
-            y_node = y[indices]
-            if self._targets_constant(y_node):
-                continue
-            split = self._best_split(X, y_node, indices, n_candidates, rng)
-            if split is None:
-                continue
-            node.feature = split.feature
-            node.threshold = split.threshold
-            # Positional partition; children re-sorted to original row order.
-            left_idx = np.sort(indices[split.order_col[: split.row + 1]])
-            right_idx = np.sort(indices[split.order_col[split.row + 1 :]])
-            queue.append((left_idx, depth + 1, split.left_stats, node_id, False))
-            queue.append((right_idx, depth + 1, split.right_stats, node_id, True))
-            importances[split.feature] += (impurity * m - split.score) / n
-
-        total = importances.sum()
-        self.feature_importances_ = importances / total if total > 0 else importances
-        self._compile_nodes()
-
-    def _best_split(
-        self,
-        X: np.ndarray,
-        y_node: np.ndarray,
-        indices: np.ndarray,
-        n_candidates: int,
-        rng: np.random.Generator,
-    ) -> _Split | None:
-        p = X.shape[1]
-        if n_candidates < p:
-            features = rng.choice(p, size=n_candidates, replace=False)
-        else:
-            features = np.arange(p)
-        sub = X[np.ix_(indices, features)]
-        order = np.argsort(sub, axis=0, kind="stable")
-        xs = np.take_along_axis(sub, order, axis=0)
-        targets = self._prepare_targets(y_node)
-        ys_sorted = targets[order]  # fancy indexing broadcasts any class axis
-
-        scores, scan = self._split_scan(ys_sorted)  # (m - 1, f)
-
-        m = indices.size
-        left_sizes = np.arange(1, m)
-        size_ok = (left_sizes >= self.min_samples_leaf) & (
-            (m - left_sizes) >= self.min_samples_leaf
-        )
-        distinct = xs[1:] != xs[:-1]
-        valid = distinct & size_ok[:, None]
-        if not np.any(valid):
-            return None
-        scores = np.where(valid, scores, np.inf)
-        flat_best = int(np.argmin(scores))
-        row, col = np.unravel_index(flat_best, scores.shape)
-        if not np.isfinite(scores[row, col]):
-            return None
-        left_stats, right_stats = self._child_stats(scan, int(row), int(col))
-        return _Split(
-            feature=int(features[col]),
-            threshold=float((xs[row, col] + xs[row + 1, col]) / 2.0),
-            score=float(scores[row, col]),
-            row=int(row),
-            order_col=order[:, col],
-            left_stats=left_stats,
-            right_stats=right_stats,
-        )
-
-    def _compile_nodes(self) -> None:
-        """Flatten the node list into arrays for vectorised prediction."""
-        nodes = self._nodes
-        self._feat = np.array([nd.feature for nd in nodes], dtype=np.int64)
-        self._thr = np.array([nd.threshold for nd in nodes], dtype=np.float64)
-        self._left = np.array([nd.left for nd in nodes], dtype=np.int64)
-        self._right = np.array([nd.right for nd in nodes], dtype=np.int64)
-        self._values = np.stack(
-            [np.asarray(nd.value, dtype=np.float64) for nd in nodes]
-        )
+    def _load(self, grown: GrownTree) -> None:
+        """Adopt a grown tree's node arrays (breadth-first node order)."""
+        self._feat = grown.feature
+        self._thr = grown.threshold
+        self._left = grown.left
+        self._right = grown.right
+        self._values = grown.value
+        self._n_samples = grown.n_samples
+        self.n_features_ = grown.importances.size
+        self.feature_importances_ = grown.importances
+        self._fitted = True
 
     # -- prediction -----------------------------------------------------------
-    def _decision_path_values(self, X: np.ndarray) -> np.ndarray:
+    def _decision_path_values(self, X) -> np.ndarray:
         self._check_fitted()
-        X = check_array(X)
-        if X.shape[1] != self.n_features_:
-            raise ValueError(f"fitted on {self.n_features_} features, got {X.shape[1]}")
-        current = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feats = self._feat[current]
-            rows = np.flatnonzero(feats >= 0)
-            if rows.size == 0:
-                break
-            at = current[rows]
-            go_left = X[rows, feats[rows]] <= self._thr[at]
-            current[rows] = np.where(go_left, self._left[at], self._right[at])
-        return self._values[current]
+        return _leaf_values([self], X)[0]
 
     @property
     def tree_depth_(self) -> int:
         """Depth of the fitted tree (root at depth 0)."""
         self._check_fitted()
-
-        def depth(node_id: int) -> int:
-            node = self._nodes[node_id]
-            if node.feature == -1:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        return depth(0)
+        depth, level = 0, np.zeros(1, dtype=np.int64)
+        while True:
+            inner = level[self._feat[level] >= 0]
+            if inner.size == 0:
+                return depth
+            level = np.concatenate([self._left[inner], self._right[inner]])
+            depth += 1
 
     @property
     def n_leaves_(self) -> int:
         self._check_fitted()
-        return sum(1 for node in self._nodes if node.feature == -1)
+        return int(np.count_nonzero(self._feat < 0))
 
 
 class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
     """CART regressor minimising within-node variance."""
 
-    def _root_stats(self, y: np.ndarray):
-        return (float(np.sum(y)), float(np.dot(y, y)))
-
-    def _node_summary(self, stats, m: int) -> tuple[np.ndarray, float]:
-        s, sq = stats
-        mean = s / m
-        impurity = sq / m - mean * mean
-        if impurity < 0.0:
-            impurity = 0.0
-        return np.asarray(mean), float(impurity)
-
-    def _stats_pure(self, stats) -> bool:
-        return False  # fp sums can't prove purity; _targets_constant does.
-
-    def _targets_constant(self, y_node: np.ndarray) -> bool:
-        return bool(y_node.min() == y_node.max())
-
-    def _prepare_targets(self, y_node: np.ndarray) -> np.ndarray:
-        return y_node
-
-    def _split_scan(self, ys_sorted: np.ndarray):
-        m = ys_sorted.shape[0]
-        csum = np.cumsum(ys_sorted, axis=0)
-        csq = np.cumsum(ys_sorted**2, axis=0)
-        total = csum[-1]
-        total_sq = csq[-1]
-        left_n = np.arange(1, m, dtype=np.float64)[:, None]
-        right_n = m - left_n
-        left_sse = csq[:-1] - csum[:-1] ** 2 / left_n
-        right_sse = (total_sq - csq[:-1]) - (total - csum[:-1]) ** 2 / right_n
-        return left_sse + right_sse, (csum, csq)
-
-    def _child_stats(self, scan, row: int, col: int):
-        csum, csq = scan
-        left_s = float(csum[row, col])
-        left_sq = float(csq[row, col])
-        right_s = float(csum[-1, col]) - left_s
-        right_sq = float(csq[-1, col]) - left_sq
-        return (left_s, left_sq), (right_s, right_sq)
-
     def fit(self, X, y) -> "DecisionTreeRegressor":
         X, y = check_X_y(X, y)
-        self._fit_tree(X, y)
-        self._fitted = True
+        self._grow(X, y)
         return self
 
     def predict(self, X) -> np.ndarray:
-        return self._decision_path_values(np.asarray(X, dtype=np.float64))
+        return self._decision_path_values(X)
 
 
 class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
@@ -358,56 +160,17 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
         super().__init__(**kwargs)
         self.classes_: np.ndarray | None = None
 
-    def _root_stats(self, y: np.ndarray):
-        return np.bincount(
-            y.astype(np.int64), minlength=self.classes_.size
-        ).astype(np.float64)
-
-    def _node_summary(self, stats, m: int) -> tuple[np.ndarray, float]:
-        proportion = stats / m
-        impurity = 1.0 - float(np.sum(proportion**2))
-        return proportion, impurity
-
-    def _stats_pure(self, stats) -> bool:
-        return int(np.count_nonzero(stats)) <= 1
-
-    def _targets_constant(self, y_node: np.ndarray) -> bool:
-        return False  # class counts already give an exact purity check.
-
-    def _prepare_targets(self, y_node: np.ndarray) -> np.ndarray:
-        # y arrives as class indices; one-hot for the cumulative Gini scan.
-        return np.eye(self.classes_.size, dtype=np.float64)[y_node.astype(np.int64)]
-
-    def _split_scan(self, ys_sorted: np.ndarray):
-        # ys_sorted: (m, f, k) one-hot.
-        m = ys_sorted.shape[0]
-        ccum = np.cumsum(ys_sorted, axis=0)
-        total = ccum[-1]  # (f, k)
-        left_counts = ccum[:-1]  # (m-1, f, k)
-        right_counts = total[None, :, :] - left_counts
-        left_n = np.arange(1, m, dtype=np.float64)[:, None]
-        right_n = m - left_n
-        left_gini = left_n - np.sum(left_counts**2, axis=2) / left_n
-        right_gini = right_n - np.sum(right_counts**2, axis=2) / right_n
-        return left_gini + right_gini, ccum
-
-    def _child_stats(self, scan, row: int, col: int):
-        left_counts = scan[row, col].copy()
-        right_counts = scan[-1, col] - left_counts
-        return left_counts, right_counts
-
     def fit(self, X, y) -> "DecisionTreeClassifier":
         X = check_array(X)
         y = np.asarray(y)
         if y.shape[0] != X.shape[0]:
             raise ValueError(f"X has {X.shape[0]} samples but y has {y.shape[0]}")
         self.classes_, y_indices = np.unique(y, return_inverse=True)
-        self._fit_tree(X, y_indices.astype(np.float64))
-        self._fitted = True
+        self._grow(X, y_indices.astype(np.float64), self.classes_)
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        return self._decision_path_values(np.asarray(X, dtype=np.float64))
+        return self._decision_path_values(X)
 
     def predict(self, X) -> np.ndarray:
         probabilities = self.predict_proba(X)

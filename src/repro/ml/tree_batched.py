@@ -1,363 +1,356 @@
-"""Level-batched tree growing: the forest ``engine="fast"`` builder.
+"""Level-array CART growth: the one grower behind every tree and forest.
 
-The reference forest grows each tree node by node: every node pays ~20
-numpy dispatches on a shrinking sample, so deep levels with hundreds of
-tiny nodes are dominated by interpreter and dispatch overhead, not
-arithmetic.  This module grows a whole *chunk of trees simultaneously,
-level by level*: all nodes at the current depth — across every tree in the
-chunk — are grouped into size buckets, padded to a common width, and their
-split scans (stable argsort + cumulative-sum impurity) run as single 3-D/4-D
-vectorised operations.  Per-level numpy dispatch is ``O(buckets)`` instead
-of ``O(nodes)``.
+Growing a tree node by node pays ~20 numpy dispatches and a few Python
+objects per node on a shrinking sample, so deep levels with hundreds of
+tiny nodes cost interpreter overhead, not arithmetic.  This module grows a
+whole batch of trees (a forest chunk, or one tree) simultaneously, level
+by level, and keeps each level of the batch as a handful of flat arrays:
 
-Bit-identity with :class:`repro.ml.tree._BaseDecisionTree` is a hard
-contract (asserted by tests/test_ml_forest.py):
+* ``tree`` and ``size`` — each node's tree and sample count;
+* ``pos`` and ``start`` — the node's sample positions in CSR form,
+  ascending within a node.  Positions index the concatenation of every
+  tree's bootstrap sample, so bootstrap rows are never materialised;
+* ``stats`` — the target statistics handed down from the parent's split
+  scan: ``(sum, sum of squares)`` per node for regression, per-class
+  counts for classification.
 
-* node creation, candidate-feature draws and importance accumulation all
-  happen in breadth-first node order per tree, with each tree using its own
-  ``default_rng(seed)`` — so interleaving trees changes nothing;
+Split scans (stable argsort plus cumulative-sum impurity) run over
+power-of-two size buckets, each padded only to its widest node, as a few
+3-D/4-D array operations per bucket.  A split's children are the next
+level's arrays, and each tree's ``_feat/_thr/_left/_right/_values`` are
+sliced out of the per-level node tables at the end.
+
+Bit-identity with the per-node breadth-first builder in
+``tests/oracles/tree.py`` is a hard contract (tests/test_ml_tree.py and
+tests/test_ml_forest.py compare every node array):
+
+* nodes are created, candidate features drawn and importances accumulated
+  in breadth-first order per tree, each tree with its own
+  ``default_rng(seed)``, so growing trees side by side changes nothing;
 * every floating-point expression (cumulative sums, SSE/Gini scores,
-  midpoint thresholds, ``s/m`` summaries) mirrors the reference formulas
-  elementwise — padded slots hold ``+inf`` feature values (sorted to the
-  end, masked by size validity) and ``0`` targets (identity under the
-  prefix sums that are actually read);
-* the flat argmin tie-break is preserved: within a node the padded score
-  block keeps the reference's row-major ``row * k + col`` ordering, and
-  padded slots are ``inf`` so they never win;
-* bootstrap rows are never materialised — node index sets are positions
-  into the tree's ``sample`` array and gathers go through
-  ``X[sample[positions], features]``, which yields the exact same floats as
-  the reference's ``X[sample]`` copy.
+  midpoint thresholds, ``s/m`` summaries) mirrors the per-node formulas
+  elementwise.  Padded slots hold ``+inf`` feature values, which sort
+  last and fail the size mask, and ``0`` targets, which leave the prefix
+  sums that are read unchanged;
+* the flat argmin tie-break is kept: candidates are visited in the
+  row-major ``row * k + col`` order of the per-node score block;
+* a split partitions by value, ``X[row, f] <= xs[split row]``.  That is
+  the positional partition (the first ``row + 1`` sorted samples go
+  left) because ``X`` is finite and a split only sits between distinct
+  sorted values.  One stable argsort on ``2 * node + side`` then lays
+  out the children, each still ascending in sample position;
+* importances are summed with ``np.add.at`` in breadth-first order, the
+  per-node builder's summation order.
 
-Only the forest should call :func:`fit_tree_batch`; it returns fully
-fitted tree estimator objects that predict through the shared compiled-node
-path.
+Candidate features stay one ``rng.choice`` draw per node:
+``Generator.choice`` on small populations is Floyd's algorithm followed by
+a masked-rejection shuffle, which has no bit-exact batched form.
 """
 
 from __future__ import annotations
 
+from itertools import count
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.ml.tree import _Node, _resolve_max_features
+from repro.obs.telemetry import get_telemetry
 
 #: Soft cap on ``batch * width * candidates`` cells per scan chunk; keeps
 #: peak scratch memory around tens of MB regardless of forest size.
 CELL_BUDGET = 1_000_000
 
 
-class _TreeState:
-    """Per-tree growth state shared by all of the tree's live nodes."""
+class GrownTree(NamedTuple):
+    """One fitted tree's node arrays, in breadth-first node order."""
 
-    __slots__ = ("tree", "rng", "sample", "y_boot", "n", "off", "importances")
-
-    def __init__(self, tree, rng, sample, y_boot, off, importances):
-        self.tree = tree
-        self.rng = rng
-        self.sample = sample
-        self.y_boot = y_boot
-        self.n = int(sample.size)
-        self.off = off  # this tree's slice offset in the concatenated arrays
-        self.importances = importances
+    feature: np.ndarray  # split feature, -1 at leaves
+    threshold: np.ndarray  # midpoint threshold, 0.0 at leaves
+    left: np.ndarray  # child node ids, -1 at leaves
+    right: np.ndarray
+    value: np.ndarray  # mean (nodes,) or class proportions (nodes, classes)
+    n_samples: np.ndarray
+    importances: np.ndarray  # normalised impurity-decrease importances
 
 
-class _Entry:
-    """One live node: its tree, sample positions and handed-down stats."""
+def _resolve_max_features(max_features, n_features: int) -> int:
+    """Translate the sklearn-style ``max_features`` spec to a count >= 1."""
+    if max_features is None:
+        return n_features
+    if max_features == "sqrt":
+        return max(1, int(np.sqrt(n_features)))
+    if max_features == "log2":
+        return max(1, int(np.log2(n_features))) if n_features > 1 else 1
+    if isinstance(max_features, (bool, np.bool_)):
+        raise ValueError(f"unsupported max_features spec {max_features!r}")
+    if isinstance(max_features, (float, np.floating)):
+        if not 0.0 < max_features <= 1.0:
+            raise ValueError(f"max_features fraction must be in (0, 1], got {max_features}")
+        # Small fractions on small vocabularies can round to 0 columns;
+        # always keep at least one candidate.
+        return max(1, int(max_features * n_features))
+    if isinstance(max_features, (int, np.integer)):
+        if max_features < 1:
+            raise ValueError(f"max_features must be >= 1, got {max_features}")
+        return min(int(max_features), n_features)
+    raise ValueError(f"unsupported max_features spec {max_features!r}")
 
-    __slots__ = (
-        "state", "indices", "stats", "parent", "is_right",
-        "node", "node_id", "m", "impurity", "gpos", "feats", "split",
-    )
 
-    def __init__(self, state, indices, stats, parent, is_right):
-        self.state = state
-        self.indices = indices
-        self.stats = stats
-        self.parent = parent
-        self.is_right = is_right
-        self.split = None
+def _segments(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Indices of the CSR segments ``[start_i, start_i + size_i)``, concatenated."""
+    ends = np.cumsum(size)
+    return np.repeat(start - (ends - size), size) + np.arange(ends[-1])
 
 
-def fit_tree_batch(X, y, tree_cls, params, tasks, classes=None):
-    """Fit one tree per ``(seed, sample)`` task, level-synchronously.
+@np.errstate(over="ignore", invalid="ignore")  # astronomically large targets
+def fit_tree_batch(X, y, params, tasks, classes=None) -> list[GrownTree]:
+    """Grow one tree per ``(seed, sample)`` task, level-synchronously.
 
-    ``X``/``y`` must already be validated float64 arrays (the forest runs
-    ``check_X_y`` once).  For classifiers ``classes`` is the forest-level
-    class vector and ``y`` holds class indices; every tree is fitted
-    against the full class axis, which scores identically to the
-    reference's bootstrap-local axis because absent classes contribute
-    exact zeros to every sum.
+    ``X``/``y`` must already be validated float64 arrays.  For classifiers
+    ``classes`` is the class vector and ``y`` holds class indices; every
+    tree is fitted against the full class axis, which scores identically
+    to a bootstrap-local axis because absent classes contribute exact
+    zeros to every sum.  Records ``forest/nodes`` (nodes grown) and
+    ``forest/levels`` (levels of the deepest tree) in the telemetry.
     """
     p = X.shape[1]
-    is_classifier = classes is not None
-    n_classes = int(classes.size) if is_classifier else 0
+    n_classes = int(classes.size) if classes is not None else 0
     min_samples_split = params.get("min_samples_split", 2)
     min_samples_leaf = params.get("min_samples_leaf", 1)
     max_depth = params.get("max_depth")
     n_candidates = _resolve_max_features(params.get("max_features"), p)
-    all_features = np.arange(p)
-    eye = np.eye(n_classes, dtype=np.float64) if is_classifier else None
+    eye = np.eye(n_classes) if n_classes else None
 
-    states = []
-    frontier: list[_Entry] = []
-    for i, (seed, sample) in enumerate(tasks):
-        tree = tree_cls(**params, random_state=seed)
-        tree.n_features_ = p
-        tree._nodes = []
-        if is_classifier:
-            tree.classes_ = classes
-        y_boot = y[sample]
-        state = _TreeState(
-            tree, np.random.default_rng(seed), sample, y_boot,
-            i * int(sample.size), np.zeros(p),
-        )
-        states.append(state)
-        frontier.append(
-            _Entry(state, np.arange(state.n), tree._root_stats(y_boot), -1, False)
-        )
-    # Concatenated bootstrap row ids / targets: per-level work gathers from
-    # these with a single fancy index instead of one small gather per node.
-    sample_cat = np.concatenate([s.sample for s in states]).astype(np.int64)
-    y_cat = np.concatenate([s.y_boot for s in states])
+    rngs = [np.random.default_rng(seed) for seed, _ in tasks]
+    y_boots = [y[sample] for _, sample in tasks]
+    n_trees = len(tasks)
+    n_boot = np.array([yb.size for yb in y_boots], dtype=np.int64)
+    sample_cat = np.concatenate([np.asarray(s, dtype=np.int64) for _, s in tasks])
+    y_cat = np.concatenate(y_boots)
+    importances = np.zeros((n_trees, p))
 
-    level = 0
-    while frontier:
-        # 1. Materialise this level's nodes in frontier (== BFS) order.
-        #    Node summaries (value, impurity) are computed for the whole
-        #    level at once with the exact reference formulas.
-        m_arr = np.array([e.indices.size for e in frontier], dtype=np.int64)
-        if is_classifier:
-            counts = np.stack([e.stats for e in frontier])
-            values = counts / m_arr[:, None].astype(np.float64)
-            impurities = 1.0 - np.sum(values**2, axis=1)
-            value_list = list(values)  # one (n_classes,) row view per node
+    # Level 0: one root per tree, statistics from its whole sample.
+    tree = np.arange(n_trees)
+    size = n_boot.copy()
+    start = np.cumsum(size) - size
+    pos = np.arange(sample_cat.size)
+    if n_classes:
+        stats = np.stack(
+            [np.bincount(yb.astype(np.int64), minlength=n_classes) for yb in y_boots]
+        ).astype(np.float64)
+    else:
+        stats = np.array([(np.sum(yb), np.dot(yb, yb)) for yb in y_boots])
+
+    tables = []  # per level: (tree, feature, threshold, value, size, child)
+    n_nodes = 0  # nodes in all levels so far: the next level's first id
+    for level in count():
+        if n_classes:
+            value = stats / size[:, None]
+            impurity = 1.0 - np.sum(value**2, axis=1)
         else:
-            s_arr = np.array([e.stats[0] for e in frontier])
-            sq_arr = np.array([e.stats[1] for e in frontier])
-            values = s_arr / m_arr
-            impurities = sq_arr / m_arr - values * values
-            impurities[impurities < 0.0] = 0.0  # matches the scalar clamp
-            # tolist() is exact for float64; _compile_nodes re-wraps with
-            # np.asarray, so a python float here is bit-identical to the
-            # reference's 0-d array.
-            value_list = values.tolist()
-        imp_list = impurities.tolist()
-        m_list = m_arr.tolist()
-        for i, entry in enumerate(frontier):
-            tree = entry.state.tree
-            entry.m = m_list[i]
-            entry.impurity = imp_list[i]
-            node = _Node(
-                value=value_list[i],
-                impurity=imp_list[i],
-                n_samples=entry.m,
-            )
-            node_id = len(tree._nodes)
-            tree._nodes.append(node)
-            entry.node = node
-            entry.node_id = node_id
-            if entry.parent >= 0:
-                parent = tree._nodes[entry.parent]
-                if entry.is_right:
-                    parent.right = node_id
-                else:
-                    parent.left = node_id
+            value = stats[:, 0] / size
+            impurity = stats[:, 1] / size - value * value
+            impurity[impurity < 0.0] = 0.0
+        feature = np.full(tree.size, -1, dtype=np.int64)
+        threshold = np.zeros(tree.size)
+        child = np.full(tree.size, -1, dtype=np.int64)
+        tables.append((tree, feature, threshold, value, size, child))
+        n_nodes += tree.size
 
-        # 2. Select splittable nodes and draw their candidate features —
-        #    still in BFS order, so each tree's rng stream matches the
-        #    reference builder draw for draw.  The per-node guards run as
-        #    level-wide array ops: class purity straight off the stacked
-        #    stats, target constancy as segmented min == max over one
-        #    concatenated gather.
-        scannable: list[_Entry] = []
-        if max_depth is None or level < max_depth:
-            splittable = m_arr >= min_samples_split
-            if is_classifier:
-                splittable &= np.count_nonzero(counts, axis=1) > 1
-            candidates = [e for i, e in enumerate(frontier) if splittable[i]]
-            if candidates:
-                sizes = np.array([e.m for e in candidates], dtype=np.int64)
-                offs = np.array(
-                    [e.state.off for e in candidates], dtype=np.int64
-                )
-                gpos = np.concatenate([e.indices for e in candidates])
-                gpos += np.repeat(offs, sizes)
-                starts = np.zeros(sizes.size, dtype=np.int64)
-                np.cumsum(sizes[:-1], out=starts[1:])
-                if is_classifier:
-                    constant = [False] * sizes.size
-                else:
-                    yv = y_cat[gpos]
-                    constant = (
-                        np.minimum.reduceat(yv, starts)
-                        == np.maximum.reduceat(yv, starts)
-                    ).tolist()
-                starts_list = starts.tolist()
-                sizes_list = sizes.tolist()
-                for i, entry in enumerate(candidates):
-                    if constant[i]:
-                        continue
-                    entry.gpos = gpos[starts_list[i] : starts_list[i] + sizes_list[i]]
-                    if n_candidates < p:
-                        entry.feats = entry.state.rng.choice(
-                            p, size=n_candidates, replace=False
-                        )
-                    else:
-                        entry.feats = all_features
-                    scannable.append(entry)
-
-        # 3. Bucket nodes of similar size (power-of-two classes) and run the
-        #    vectorised split scans, padding only to each bucket's true max
-        #    width — at the root level every node has the same m, so the
-        #    biggest scans carry no padding at all.
-        buckets: dict[int, list[_Entry]] = {}
-        for entry in scannable:
-            buckets.setdefault((entry.m - 1).bit_length(), []).append(entry)
-        for _, entries in sorted(buckets.items()):
-            cap = max(e.m for e in entries)
-            _scan_bucket(
-                X, entries, cap, sample_cat, y_cat,
-                min_samples_leaf, is_classifier, n_classes, eye,
+        # Splittable nodes: depth, size and purity guards as level-wide
+        # array ops (class purity off the counts, target constancy as a
+        # segmented min == max).
+        if max_depth is not None and level >= max_depth:
+            break
+        ok = size >= min_samples_split
+        if n_classes:
+            ok &= np.count_nonzero(stats, axis=1) > 1
+        scan = np.flatnonzero(ok)
+        if not n_classes and scan.size:
+            yv = y_cat[pos[_segments(start[scan], size[scan])]]
+            offs = np.cumsum(size[scan]) - size[scan]
+            scan = scan[np.minimum.reduceat(yv, offs) != np.maximum.reduceat(yv, offs)]
+        if not scan.size:
+            break
+        if n_candidates < p:
+            feats = np.array(
+                [
+                    rngs[t].choice(p, size=n_candidates, replace=False)
+                    for t in tree[scan].tolist()
+                ]
             )
-
-        # 4. Apply the chosen splits in BFS order: record the split on the
-        #    node, enqueue children, accumulate importances.
-        next_frontier: list[_Entry] = []
-        for entry in scannable:
-            if entry.split is None:
-                continue
-            feature, threshold, score, row, order_col, left_stats, right_stats = (
-                entry.split
-            )
-            node = entry.node
-            node.feature = feature
-            node.threshold = threshold
-            # order_col is a permutation of 0..m-1; picking the ascending
-            # positions of each side from the ascending entry.indices IS the
-            # sorted child partition the reference builds with np.sort.
-            left_idx = entry.indices[np.sort(order_col[: row + 1])]
-            right_idx = entry.indices[np.sort(order_col[row + 1 : entry.m])]
-            next_frontier.append(
-                _Entry(entry.state, left_idx, left_stats, entry.node_id, False)
-            )
-            next_frontier.append(
-                _Entry(entry.state, right_idx, right_stats, entry.node_id, True)
-            )
-            entry.state.importances[feature] += (
-                entry.impurity * entry.m - score
-            ) / entry.state.n
-        frontier = next_frontier
-        level += 1
-
-    fitted = []
-    for state in states:
-        tree = state.tree
-        total = state.importances.sum()
-        tree.feature_importances_ = (
-            state.importances / total if total > 0 else state.importances
+        else:
+            feats = np.broadcast_to(np.arange(p), (scan.size, p))
+        found, chosen, thr, split_value, score, left_stats, right_stats = _scan_level(
+            X, sample_cat, y_cat, pos, start[scan], size[scan], feats,
+            min_samples_leaf, eye,
         )
-        tree._compile_nodes()
-        tree._fitted = True
-        fitted.append(tree)
-    return fitted
+        split = scan[found]
+        if not split.size:
+            break
 
-
-def _scan_bucket(
-    X, entries, cap, sample_cat, y_cat,
-    min_samples_leaf, is_classifier, n_classes, eye,
-):
-    """Vectorised split scan for same-width nodes; writes ``entry.split``."""
-    k = entries[0].feats.size
-    width = k * (n_classes if is_classifier else 1)
-    chunk = max(1, CELL_BUDGET // max(1, cap * width))
-    for start in range(0, len(entries), chunk):
-        _scan_chunk(
-            X,
-            entries[start : start + chunk],
-            cap,
-            sample_cat,
-            y_cat,
-            min_samples_leaf,
-            is_classifier,
-            eye,
+        n_split = split.size
+        split_tree = tree[split]
+        split_size = size[split]
+        feature[split] = chosen
+        threshold[split] = thr
+        child[split] = n_nodes + 2 * np.arange(n_split)
+        np.add.at(
+            importances,
+            (split_tree, chosen),
+            (impurity[split] * split_size - score) / n_boot[split_tree],
         )
+        # Value-compare partition; the stable sort on 2*node + side keeps
+        # each child's positions ascending.
+        moved = pos[_segments(start[split], split_size)]
+        goes_right = X[sample_cat[moved], np.repeat(chosen, split_size)] > np.repeat(
+            split_value, split_size
+        )
+        key = 2 * np.repeat(np.arange(n_split), split_size) + goes_right
+        pos = moved[np.argsort(key, kind="stable")]
+        size = np.bincount(key, minlength=2 * n_split)
+        start = np.cumsum(size) - size
+        tree = np.repeat(split_tree, 2)
+        stats = np.empty((2 * n_split, stats.shape[1]))
+        stats[0::2] = left_stats
+        stats[1::2] = right_stats
+
+    grown = _slice_trees(tables, n_trees, importances)
+    telemetry = get_telemetry()
+    telemetry.count("forest/nodes", n_nodes)
+    telemetry.gauge_max("forest/levels", len(tables))
+    return grown
 
 
-def _scan_chunk(X, entries, cap, sample_cat, y_cat, min_samples_leaf,
-                is_classifier, eye):
-    B = len(entries)
-    k = entries[0].feats.size
-    m_arr = np.array([e.m for e in entries], dtype=np.int64)
-    feats = np.stack([e.feats for e in entries])  # (B, k)
-    # One concatenated gather fills every node's rows/targets at once; the
-    # boolean scatter through ``fill`` walks row-major, matching the
-    # concatenation order exactly.
-    gcat = np.concatenate([e.gpos for e in entries])
-    pad = np.arange(cap)[None, :] >= m_arr[:, None]
-    fill = ~pad
-    rows = np.zeros((B, cap), dtype=np.int64)
-    rows[fill] = sample_cat[gcat]
-    sub = X[rows[:, :, None], feats[:, None, :]]  # (B, cap, k)
+def _slice_trees(tables, n_trees, importances) -> list[GrownTree]:
+    """Cut the per-level node tables into per-tree breadth-first arrays.
+
+    Globally, nodes are ordered by (level, tree, position in level) and
+    ``child`` holds a split's first child in that order; a stable sort on
+    the tree id gives each tree's breadth-first order, and a split's two
+    children sit side by side.
+    """
+    tree, feature, threshold, value, size, child = (
+        np.concatenate(column) for column in zip(*tables)
+    )
+    internal = child >= 0
+    order = np.argsort(tree, kind="stable")
+    counts = np.bincount(tree, minlength=n_trees)
+    ends = np.cumsum(counts)
+    local = np.empty(tree.size, dtype=np.int64)
+    local[order] = np.arange(tree.size)
+    local -= (ends - counts)[tree]
+    left = np.full(tree.size, -1, dtype=np.int64)
+    left[internal] = local[child[internal]]
+    right = np.where(internal, left + 1, -1)
+    columns = [
+        column[order] for column in (feature, threshold, left, right, value, size)
+    ]
+    grown = []
+    for t, (lo, hi) in enumerate(zip((ends - counts).tolist(), ends.tolist())):
+        total = importances[t].sum()
+        grown.append(
+            GrownTree(
+                *(column[lo:hi] for column in columns),
+                importances[t] / total if total > 0 else importances[t],
+            )
+        )
+    return grown
+
+
+def _scan_level(X, sample_cat, y_cat, pos, start, size, feats, min_samples_leaf, eye):
+    """Best split of every node in ``start``/``size`` that has one.
+
+    Returns ``(node, feature, threshold, split_value, score, left_stats,
+    right_stats)``, one row per splitting node in ascending ``node``
+    order; ``split_value`` is the last sorted value that goes left.  Nodes
+    are scanned in power-of-two size buckets, each padded only to its
+    widest node and cut into chunks of at most :data:`CELL_BUDGET` cells;
+    at the root level every node has the same size, so the biggest scans
+    carry no padding at all.
+    """
+    width = feats.shape[1] * (eye.shape[0] if eye is not None else 1)
+    bucket = np.frexp(size - 1)[1]  # == (size - 1).bit_length()
+    parts = []
+    for b in np.unique(bucket).tolist():
+        members = np.flatnonzero(bucket == b)
+        cap = int(size[members].max())
+        chunk = max(1, CELL_BUDGET // (cap * width))
+        for lo in range(0, members.size, chunk):
+            sel = members[lo : lo + chunk]
+            found, *split = _scan_chunk(
+                X, sample_cat, y_cat, pos, start[sel], size[sel], feats[sel],
+                cap, min_samples_leaf, eye,
+            )
+            parts.append((sel[found], *split))
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    order = np.argsort(columns[0])
+    return [column[order] for column in columns]
+
+
+def _scan_chunk(X, sample_cat, y_cat, pos, start, size, feats, cap,
+                min_samples_leaf, eye):
+    """Split scan of ``B`` nodes padded to width ``cap``; see :func:`_scan_level`.
+
+    Returns the chunk-local indices of the nodes that split, then their
+    split columns.
+    """
+    B, k = feats.shape
+    slot = np.arange(cap)
+    pad = slot[None, :] >= size[:, None]
+    at = pos[np.minimum(start[:, None] + slot, pos.size - 1)]  # (B, cap)
+    sub = X[sample_cat[at][:, :, None], feats[:, None, :]]  # (B, cap, k)
     sub[pad] = np.inf  # padding sorts last; masked out by size validity
     order = np.argsort(sub, axis=1, kind="stable")
     b_idx = np.arange(B)[:, None, None]
-    xs = sub[b_idx, order, np.arange(k)[None, None, :]]
+    xs = sub[b_idx, order, np.arange(k)]
 
     # Cumulative scans over the full padded block (zero-padded targets are
     # exact identities under prefix sums)...
-    with np.errstate(over="ignore"):
-        if is_classifier:
-            targets = np.zeros((B, cap, eye.shape[0]))
-            targets[fill] = eye[y_cat[gcat].astype(np.int64)]
-            ys = targets[b_idx, order]  # (B, cap, k, n_classes)
-            ccum = np.cumsum(ys, axis=1)
-            scan = ccum
-        else:
-            ypad = np.zeros((B, cap), dtype=np.float64)
-            ypad[fill] = y_cat[gcat]
-            ys = ypad[b_idx, order]  # (B, cap, k)
-            csum = np.cumsum(ys, axis=1)
-            csq = np.cumsum(ys**2, axis=1)
-            scan = (csum, csq)
+    if eye is not None:
+        targets = eye[y_cat[at].astype(np.int64)]
+        targets[pad] = 0.0
+        ccum = np.cumsum(targets[b_idx, order], axis=1)  # (B, cap, k, K)
+    else:
+        ypad = np.where(pad, 0.0, y_cat[at])
+        ys = ypad[b_idx, order]  # (B, cap, k)
+        csum = np.cumsum(ys, axis=1)
+        csq = np.cumsum(ys**2, axis=1)
 
     # ... but impurity scores only at *valid* split positions.  On the
     # heavy-tailed count features most positions sit inside runs of tied
-    # values, so this gather-based scoring skips the bulk of the reference
+    # values, so this gather-based scoring skips the bulk of the per-node
     # formula's arithmetic while reproducing it exactly where it counts.
     left_sizes = np.arange(1, cap)[None, :]
     size_ok = (left_sizes >= min_samples_leaf) & (
-        (m_arr[:, None] - left_sizes) >= min_samples_leaf
+        (size[:, None] - left_sizes) >= min_samples_leaf
     )  # padded rows have non-positive right size -> invalid
     distinct = xs[:, 1:, :] != xs[:, :-1, :]
     valid = (distinct & size_ok[:, :, None]).reshape(B, -1)
     batch_ids, flat = np.nonzero(valid)
-    if batch_ids.size == 0:
-        for entry in entries:
-            entry.split = None
-        return
     r = flat // k
     c = flat % k
-    ln = (r + 1).astype(np.float64)  # == reference's left_n at this row
-    rn = m_arr[batch_ids] - ln
-    with np.errstate(over="ignore", invalid="ignore"):
-        if is_classifier:
-            lc = ccum[batch_ids, r, c]  # (V, n_classes)
-            rc = ccum[batch_ids, cap - 1, c] - lc
-            left_gini = ln - np.sum(lc**2, axis=1) / ln
-            right_gini = rn - np.sum(rc**2, axis=1) / rn
-            scores_v = left_gini + right_gini
-        else:
-            ls = csum[batch_ids, r, c]
-            lq = csq[batch_ids, r, c]
-            ts = csum[batch_ids, cap - 1, c]
-            tq = csq[batch_ids, cap - 1, c]
-            left_sse = lq - ls**2 / ln
-            right_sse = (tq - lq) - (ts - ls) ** 2 / rn
-            scores_v = left_sse + right_sse
+    ln = (r + 1).astype(np.float64)  # == the per-node builder's left_n
+    rn = size[batch_ids] - ln
+    if eye is not None:
+        lc = ccum[batch_ids, r, c]  # (V, n_classes)
+        rc = ccum[batch_ids, cap - 1, c] - lc
+        left_gini = ln - np.sum(lc**2, axis=1) / ln
+        right_gini = rn - np.sum(rc**2, axis=1) / rn
+        scores_v = left_gini + right_gini
+    else:
+        ls = csum[batch_ids, r, c]
+        lq = csq[batch_ids, r, c]
+        ts = csum[batch_ids, cap - 1, c]
+        tq = csq[batch_ids, cap - 1, c]
+        left_sse = lq - ls**2 / ln
+        right_sse = (tq - lq) - (ts - ls) ** 2 / rn
+        scores_v = left_sse + right_sse
 
     # Segment-wise first-minimum: batch_ids/flat arrive in row-major order,
     # so taking the smallest flat position among the minima reproduces the
-    # reference's ``argmin`` row*k+col tie-break.  A NaN score (targets
-    # astronomically large) makes the reference argmin land on the NaN and
+    # per-node ``argmin`` row*k+col tie-break.  A NaN score (targets
+    # astronomically large) makes the per-node argmin land on the NaN and
     # fail its isfinite check; mirror that by disqualifying the node.
     counts = np.bincount(batch_ids, minlength=B)
     present = np.flatnonzero(counts)
@@ -366,54 +359,33 @@ def _scan_chunk(X, entries, cap, sample_cat, y_cat, min_samples_leaf,
     at_min = scores_v == np.repeat(min_scores, counts[present])
     sentinel = cap * k
     first_at_min = np.minimum.reduceat(np.where(at_min, flat, sentinel), starts)
-    nan_any = np.isnan(scores_v)
-    best = np.full(B, -1, dtype=np.int64)
+    best = np.full(B, sentinel, dtype=np.int64)
     best_scores = np.full(B, np.inf)
     best[present] = first_at_min
     best_scores[present] = min_scores
-    usable = (best >= 0) & (best < sentinel) & np.isfinite(best_scores)
+    usable = (best < sentinel) & np.isfinite(best_scores)
+    nan_any = np.isnan(scores_v)
     if nan_any.any():
-        usable &= ~(np.bincount(batch_ids, weights=nan_any, minlength=B) > 0)
-    best = np.where(best >= 0, best, 0)  # placeholder rows; masked by usable
-    best_rows = best // k
-    best_cols = best % k
-    # Vectorised extraction of the per-node winners: thresholds, chosen
-    # features and the child statistics read off the cumulative scans.
-    batch = np.arange(B)
-    thresholds = (
-        (xs[batch, best_rows, best_cols] + xs[batch, best_rows + 1, best_cols]) / 2.0
-    ).tolist()
-    chosen = feats[batch, best_cols].tolist()
-    scores_out = best_scores.tolist()
-    if is_classifier:
-        left_counts = scan[batch, best_rows, best_cols]  # (B, n_classes)
-        right_counts = scan[batch, -1, best_cols] - left_counts
+        usable &= np.bincount(batch_ids, weights=nan_any, minlength=B) == 0
+    # Gather winners of usable nodes only: an unusable node's ``best`` may
+    # be the sentinel, one row past the padded block.
+    batch = np.flatnonzero(usable)
+    best_rows = best[batch] // k
+    best_cols = best[batch] % k
+    split_value = xs[batch, best_rows, best_cols]
+    threshold = (split_value + xs[batch, best_rows + 1, best_cols]) / 2.0
+    chosen = feats[batch, best_cols]
+    if eye is not None:
+        left_stats = ccum[batch, best_rows, best_cols]  # (B, n_classes)
+        right_stats = ccum[batch, -1, best_cols] - left_stats
     else:
-        csum, csq = scan
-        left_s = csum[batch, best_rows, best_cols].tolist()
-        left_sq = csq[batch, best_rows, best_cols].tolist()
-        right_s = (csum[batch, -1, best_cols] - csum[batch, best_rows, best_cols]).tolist()
-        right_sq = (csq[batch, -1, best_cols] - csq[batch, best_rows, best_cols]).tolist()
-
-    usable_list = usable.tolist()
-    rows_list = best_rows.tolist()
-    cols_list = best_cols.tolist()
-    for b, entry in enumerate(entries):
-        if not usable_list[b]:
-            entry.split = None
-            continue
-        if is_classifier:
-            left_stats = left_counts[b]
-            right_stats = right_counts[b]
-        else:
-            left_stats = (left_s[b], left_sq[b])
-            right_stats = (right_s[b], right_sq[b])
-        entry.split = (
-            chosen[b],
-            thresholds[b],
-            scores_out[b],
-            rows_list[b],
-            order[b, : entry.m, cols_list[b]],  # padding sorts last; first m real
-            left_stats,
-            right_stats,
+        left_s = csum[batch, best_rows, best_cols]
+        left_sq = csq[batch, best_rows, best_cols]
+        left_stats = np.stack([left_s, left_sq], axis=1)
+        right_stats = np.stack(
+            [csum[batch, -1, best_cols] - left_s, csq[batch, -1, best_cols] - left_sq],
+            axis=1,
         )
+    return (
+        batch, chosen, threshold, split_value, best_scores[batch], left_stats, right_stats
+    )

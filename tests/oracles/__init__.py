@@ -11,8 +11,11 @@ in behaviour, as parity oracles:
 * :class:`ReferenceLINE` — per-edge LINE negatives, float64;
 * :class:`ReferenceDeepWalk`, :class:`ReferenceNode2Vec` — the oracle
   walks fed to the oracle trainer;
+* :class:`ReferenceDecisionTreeRegressor`,
+  :class:`ReferenceDecisionTreeClassifier` — the per-node tree builder;
 * :class:`ReferenceRandomForestRegressor`,
-  :class:`ReferenceRandomForestClassifier` — one plain tree fit at a time;
+  :class:`ReferenceRandomForestClassifier` — one per-node tree fit and
+  predict at a time;
 * :class:`RebuildingRankExperiment` — the rank grid without family reuse.
 
 The tier-1 parity suites import them (no ``test_*`` module lives here, so
@@ -32,6 +35,10 @@ from tests.oracles.forest import (
 from tests.oracles.line import ReferenceLINE
 from tests.oracles.rank import RebuildingRankExperiment
 from tests.oracles.sgns import ReferenceSkipGramTrainer, pairs_per_walk
+from tests.oracles.tree import (
+    ReferenceDecisionTreeClassifier,
+    ReferenceDecisionTreeRegressor,
+)
 from tests.oracles.walks import reference_node2vec_walks, reference_uniform_walks
 
 ENGINES = ("fast", "reference")
@@ -39,6 +46,8 @@ ENGINES = ("fast", "reference")
 __all__ = [
     "ENGINES",
     "RebuildingRankExperiment",
+    "ReferenceDecisionTreeClassifier",
+    "ReferenceDecisionTreeRegressor",
     "ReferenceDeepWalk",
     "ReferenceLINE",
     "ReferenceNode2Vec",

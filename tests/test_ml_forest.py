@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from repro.obs.telemetry import fresh_telemetry
 from tests.oracles import (
     ReferenceRandomForestClassifier,
     ReferenceRandomForestRegressor,
 )
+
+NODE_ARRAYS = ("_feat", "_thr", "_left", "_right", "_n_samples")
 
 
 def _friedmanish(n=300, seed=0):
@@ -15,6 +18,31 @@ def _friedmanish(n=300, seed=0):
     X = rng.uniform(size=(n, 5))
     y = 10 * np.sin(np.pi * X[:, 0] * X[:, 1]) + 5 * X[:, 2] + rng.normal(0, 0.2, n)
     return X, y
+
+
+def _counts(n=120, p=8, seed=0):
+    """Heavy-tailed integer features with many ties, like subgraph counts."""
+    rng = np.random.default_rng(seed)
+    X = np.floor(rng.pareto(1.5, size=(n, p))).astype(np.float64)
+    y = np.log1p(X[:, 0] + 2 * X[:, 1]) + rng.integers(0, 3, size=n)
+    return X, y
+
+
+def _assert_same_trees(fast, reference):
+    """Every tree's node arrays, values (on the forest class axis) and
+    importances are equal bit for bit."""
+    classes = getattr(fast, "classes_", None)
+    assert len(fast.estimators_) == len(reference.estimators_)
+    for a, b in zip(fast.estimators_, reference.estimators_):
+        for name in NODE_ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        values = b._values
+        if classes is not None:
+            values = np.zeros((b._values.shape[0], classes.size))
+            values[:, np.searchsorted(classes, b.classes_)] = b._values
+        assert np.array_equal(a._values, values)
+        assert np.array_equal(a.feature_importances_, b.feature_importances_)
+    assert np.array_equal(fast.feature_importances_, reference.feature_importances_)
 
 
 class TestRegressorForest:
@@ -163,8 +191,115 @@ class TestEnginesAndParallelism:
             serial.feature_importances_, parallel.feature_importances_
         )
 
+    def test_wrong_column_count_raises(self):
+        X, y = _friedmanish(n=60)
+        forest = RandomForestRegressor(n_estimators=3, random_state=0).fit(X, y)
+        with pytest.raises(ValueError, match="fitted on 5 features"):
+            forest.predict(X[:, :4])
+        labels = (y > np.median(y)).astype(int)
+        forest = RandomForestClassifier(n_estimators=3, random_state=0).fit(X, labels)
+        with pytest.raises(ValueError, match="fitted on 5 features"):
+            forest.predict_proba(np.hstack([X, X]))
+
     def test_engine_validation(self):
         with pytest.raises(TypeError):
             RandomForestRegressor(engine="warp")
         with pytest.raises(ValueError):
             RandomForestRegressor(n_jobs=-1)
+
+
+#: Forest settings the oracle parity grid crosses with both data sets.
+PARITY_PARAMS = [
+    pytest.param({}, id="defaults"),
+    pytest.param({"max_depth": 3}, id="max_depth"),
+    pytest.param({"min_samples_leaf": 4}, id="min_samples_leaf"),
+    pytest.param({"min_samples_split": 9}, id="min_samples_split"),
+    pytest.param({"bootstrap": False}, id="no_bootstrap"),
+    *(
+        pytest.param({"max_features": spec}, id=f"max_features={spec}")
+        for spec in (None, "sqrt", "log2", 0.5, 3)
+    ),
+]
+
+
+class TestOracleParity:
+    """The level-array grower and the all-trees predict equal the per-node
+    oracle tree by tree, on tie-heavy integer data as well as continuous."""
+
+    @pytest.mark.parametrize("data", [_friedmanish, _counts], ids=["continuous", "counts"])
+    @pytest.mark.parametrize("params", PARITY_PARAMS)
+    def test_regressor(self, data, params):
+        X, y = data(n=90)
+        fast = RandomForestRegressor(n_estimators=6, random_state=3, **params).fit(X, y)
+        reference = ReferenceRandomForestRegressor(
+            n_estimators=6, random_state=3, **params
+        ).fit(X, y)
+        _assert_same_trees(fast, reference)
+        assert np.array_equal(fast.predict(X), reference.predict(X))
+
+    @pytest.mark.parametrize("data", [_friedmanish, _counts], ids=["continuous", "counts"])
+    @pytest.mark.parametrize("params", PARITY_PARAMS)
+    def test_classifier(self, data, params):
+        X, y = data(n=90)
+        labels = np.digitize(y, np.quantile(y, [0.3, 0.7]))
+        fast = RandomForestClassifier(n_estimators=6, random_state=3, **params).fit(
+            X, labels
+        )
+        reference = ReferenceRandomForestClassifier(
+            n_estimators=6, random_state=3, **params
+        ).fit(X, labels)
+        _assert_same_trees(fast, reference)
+        assert np.array_equal(fast.predict_proba(X), reference.predict_proba(X))
+
+    def test_classifier_rare_class_missing_from_bootstraps(self):
+        X, _ = _counts(n=60)
+        labels = np.array(["common"] * 40 + ["other"] * 19 + ["rare"])
+        fast = RandomForestClassifier(n_estimators=12, random_state=1).fit(X, labels)
+        reference = ReferenceRandomForestClassifier(
+            n_estimators=12, random_state=1
+        ).fit(X, labels)
+        # The case under test: some bootstraps drew no "rare" sample.
+        assert any(tree.classes_.size == 2 for tree in reference.estimators_)
+        _assert_same_trees(fast, reference)
+        assert np.array_equal(fast.predict_proba(X), reference.predict_proba(X))
+
+    @pytest.mark.parametrize("forest_cls", [RandomForestRegressor, RandomForestClassifier])
+    def test_node_arrays_equal_across_n_jobs(self, forest_cls):
+        X, y = _counts(n=80)
+        if forest_cls is RandomForestClassifier:
+            y = (y > np.median(y)).astype(int)
+        serial = forest_cls(n_estimators=5, random_state=2, n_jobs=1).fit(X, y)
+        parallel = forest_cls(n_estimators=5, random_state=2, n_jobs=2).fit(X, y)
+        _assert_same_trees(serial, parallel)
+
+    def test_astronomical_targets(self):
+        """Squares of ~1e300 targets overflow and split scores go NaN; the
+        grower must then refuse the split as the oracle does, not crash."""
+        X, y = _counts(n=60, p=4)
+        y[::7] = 1e300
+        y[3::11] = -1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast = RandomForestRegressor(n_estimators=10, random_state=0).fit(X, y)
+            reference = ReferenceRandomForestRegressor(
+                n_estimators=10, random_state=0
+            ).fit(X, y)
+        _assert_same_trees(fast, reference)
+        assert np.array_equal(fast.predict(X), reference.predict(X))
+
+
+class TestWorkCounters:
+    @pytest.mark.parametrize("forest_cls", [RandomForestRegressor, RandomForestClassifier])
+    def test_inline_and_pooled_manifests_agree(self, forest_cls):
+        X, y = _counts(n=80)
+        if forest_cls is RandomForestClassifier:
+            y = (y > np.median(y)).astype(int)
+        with fresh_telemetry() as serial:
+            forest = forest_cls(n_estimators=6, random_state=2, n_jobs=1).fit(X, y)
+        with fresh_telemetry() as parallel:
+            forest_cls(n_estimators=6, random_state=2, n_jobs=2).fit(X, y)
+        nodes = sum(tree._feat.size for tree in forest.estimators_)
+        levels = 1 + max(tree.tree_depth_ for tree in forest.estimators_)
+        for manifest in (serial.as_dict(), parallel.as_dict()):
+            assert manifest["counters"]["forest/trees"] == 6
+            assert manifest["counters"]["forest/nodes"] == nodes
+            assert manifest["gauges"]["forest/levels"] == levels

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError
-from repro.ml.tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    _resolve_max_features,
-)
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree_batched import _resolve_max_features
+from tests.oracles import ReferenceDecisionTreeClassifier, ReferenceDecisionTreeRegressor
 
 
 class TestMaxFeaturesSpec:
@@ -82,13 +80,8 @@ class TestRegressor:
         y = rng.normal(size=64)
         tree = DecisionTreeRegressor(min_samples_leaf=8).fit(X, y)
 
-        def leaf_sizes(node_id):
-            node = tree._nodes[node_id]
-            if node.feature == -1:
-                return [node.n_samples]
-            return leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert min(leaf_sizes(0)) >= 8
+        leaf_sizes = tree._n_samples[tree._feat == -1]
+        assert min(leaf_sizes) >= 8
 
     def test_constant_target_single_leaf(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
@@ -182,3 +175,51 @@ class TestClassifier:
         for labels in (np.array([0, 0, 1, 1]), np.array(["a", "a", "b", "b"])):
             tree = DecisionTreeClassifier().fit(X, labels)
             assert tree.predict(X).tolist() == labels.tolist()
+
+
+class TestOracleParity:
+    """A single tree is the array grower with one task; it must equal the
+    per-node oracle builder node array for node array."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {},
+            {"max_depth": 2},
+            {"min_samples_leaf": 5},
+            {"max_features": "sqrt", "random_state": 4},
+            {"max_features": 0.5, "random_state": 9},
+        ],
+    )
+    @pytest.mark.parametrize("integer_X", [False, True])
+    def test_regressor_and_classifier(self, params, integer_X):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(70, 6))
+        if integer_X:
+            X = np.floor(np.abs(X) * 2)
+        y = X[:, 0] - X[:, 3] + rng.normal(size=70)
+        labels = np.digitize(y, [-1.0, 1.0])
+        pairs = [
+            (DecisionTreeRegressor, ReferenceDecisionTreeRegressor, y),
+            (DecisionTreeClassifier, ReferenceDecisionTreeClassifier, labels),
+        ]
+        for tree_cls, oracle_cls, target in pairs:
+            fast = tree_cls(**params).fit(X, target)
+            reference = oracle_cls(**params).fit(X, target)
+            for name in ("_feat", "_thr", "_left", "_right", "_values", "_n_samples"):
+                assert np.array_equal(getattr(fast, name), getattr(reference, name)), name
+            assert np.array_equal(
+                fast.feature_importances_, reference.feature_importances_
+            )
+            assert fast.tree_depth_ == max(_depths(reference))
+            assert fast.n_leaves_ == int(np.sum(reference._feat == -1))
+            assert np.array_equal(fast.predict(X), reference.predict(X))
+
+
+def _depths(tree, node=0, depth=0):
+    """Leaf depths by recursive descent (independent of ``tree_depth_``)."""
+    if tree._feat[node] == -1:
+        return [depth]
+    return _depths(tree, tree._left[node], depth + 1) + _depths(
+        tree, tree._right[node], depth + 1
+    )
