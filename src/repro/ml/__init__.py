@@ -36,7 +36,7 @@ from repro.ml.preprocessing import (
 )
 from repro.ml.selection import SelectKBest, f_classif_scores, f_regression_scores
 from repro.ml.sgd import SGDClassifier, SGDRegressor
-from repro.ml.svm import LinearSVC, LinearSVR
+from repro.ml.svm import LinearSVR
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
     "LinearRegression",
-    "LinearSVC",
     "LinearSVR",
     "SGDClassifier",
     "SGDRegressor",

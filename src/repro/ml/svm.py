@@ -1,31 +1,20 @@
-"""Linear support vector machines (the paper's omitted baselines).
+"""Linear support vector regression (the paper's omitted baseline).
 
 Section 4.2.3 notes that SVMs were evaluated for the ranking task but
-"performed poorly across all features" and were omitted from the figures.
-To reproduce that omission honestly, the repository includes the models:
-
-* :class:`LinearSVR` — epsilon-insensitive regression with L2 penalty,
-* :class:`LinearSVC` — binary classification with (squared) hinge loss.
-
-Both use smooth loss variants (squared epsilon-insensitive / squared
-hinge), solved with L-BFGS via scipy — the same strategy as liblinear's
-dual-free modes and accurate enough at the evaluation's scale.  The
-appendix bench ``benchmarks/test_ablation_omitted_models.py`` confirms the
-paper's observation on the rank-prediction task.
+"performed poorly across all features" and were omitted from the figures;
+the appendix bench ``benchmarks/test_ablation_omitted_models.py``
+reproduces that with :class:`LinearSVR`.  Its squared epsilon-insensitive
+loss is piecewise quadratic, so the batched Newton solver of
+:mod:`repro.ml.newton` fits it with the loss's generalised Hessian, as
+liblinear does for its L2-loss SVMs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
-from repro.ml.base import (
-    BaseEstimator,
-    ClassifierMixin,
-    RegressorMixin,
-    check_X_y,
-    check_array,
-)
+from repro.ml.base import BaseEstimator, RegressorMixin, check_X_y, check_array
+from repro.ml.newton import newton_fit
 
 
 class LinearSVR(BaseEstimator, RegressorMixin):
@@ -48,26 +37,18 @@ class LinearSVR(BaseEstimator, RegressorMixin):
 
     def fit(self, X, y) -> "LinearSVR":
         X, y = check_X_y(X, y)
-        n, p = X.shape
 
-        def objective(params):
-            w, b = params[:p], params[p]
-            residual = y - X @ w - b
+        def loss(z, target):
+            # The objective divided by C: same minimiser, penalty 1 / C.
+            residual = target - z
             slack = np.maximum(np.abs(residual) - self.epsilon, 0.0)
-            loss = 0.5 * (w @ w) + self.C * np.sum(slack**2)
-            # d/d residual of slack^2 = 2 slack * sign(residual) on active set
-            grad_residual = -2.0 * self.C * slack * np.sign(residual)
-            grad_w = w + X.T @ grad_residual
-            grad_b = float(np.sum(grad_residual))
-            return loss, np.concatenate([grad_w, [grad_b]])
+            return slack**2, -2.0 * slack * np.sign(residual), 2.0 * (slack > 0.0)
 
-        start = np.zeros(p + 1)
-        result = minimize(
-            objective, start, jac=True, method="L-BFGS-B",
-            options={"maxiter": self.max_iter},
+        coef, intercept, _, _ = newton_fit(
+            X, loss, y[None], [1.0 / self.C], self.max_iter
         )
-        self.coef_ = result.x[:p]
-        self.intercept_ = float(result.x[p])
+        self.coef_ = coef[0]
+        self.intercept_ = float(intercept[0])
         self._fitted = True
         return self
 
@@ -79,64 +60,3 @@ class LinearSVR(BaseEstimator, RegressorMixin):
                 f"fitted on {self.coef_.shape[0]} features, got {X.shape[1]}"
             )
         return X @ self.coef_ + self.intercept_
-
-
-class LinearSVC(BaseEstimator, ClassifierMixin):
-    """Binary linear SVM with squared hinge loss.
-
-    Minimises ``0.5 ||w||^2 + C * sum max(0, 1 - t (Xw + b))^2`` with
-    targets ``t in {-1, +1}`` (``classes_[1]`` is positive).
-    """
-
-    def __init__(self, C: float = 1.0, max_iter: int = 300) -> None:
-        if C <= 0:
-            raise ValueError(f"C must be > 0, got {C}")
-        self.C = C
-        self.max_iter = max_iter
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
-        self.classes_: np.ndarray | None = None
-
-    def fit(self, X, y) -> "LinearSVC":
-        X = check_array(X)
-        y = np.asarray(y)
-        self.classes_ = np.unique(y)
-        if self.classes_.size != 2:
-            raise ValueError(
-                f"binary classifier got {self.classes_.size} classes"
-            )
-        target = np.where(y == self.classes_[1], 1.0, -1.0)
-        n, p = X.shape
-
-        def objective(params):
-            w, b = params[:p], params[p]
-            margin = target * (X @ w + b)
-            slack = np.maximum(1.0 - margin, 0.0)
-            loss = 0.5 * (w @ w) + self.C * np.sum(slack**2)
-            grad_margin = -2.0 * self.C * slack
-            grad_w = w + X.T @ (grad_margin * target)
-            grad_b = float(np.sum(grad_margin * target))
-            return loss, np.concatenate([grad_w, [grad_b]])
-
-        start = np.zeros(p + 1)
-        result = minimize(
-            objective, start, jac=True, method="L-BFGS-B",
-            options={"maxiter": self.max_iter},
-        )
-        self.coef_ = result.x[:p]
-        self.intercept_ = float(result.x[p])
-        self._fitted = True
-        return self
-
-    def decision_function(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = check_array(X)
-        if X.shape[1] != self.coef_.shape[0]:
-            raise ValueError(
-                f"fitted on {self.coef_.shape[0]} features, got {X.shape[1]}"
-            )
-        return X @ self.coef_ + self.intercept_
-
-    def predict(self, X) -> np.ndarray:
-        scores = self.decision_function(X)
-        return np.where(scores >= 0, self.classes_[1], self.classes_[0])

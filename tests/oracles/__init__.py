@@ -16,7 +16,13 @@ in behaviour, as parity oracles:
 * :class:`ReferenceRandomForestRegressor`,
   :class:`ReferenceRandomForestClassifier` — one per-node tree fit and
   predict at a time;
-* :class:`RebuildingRankExperiment` — the rank grid without family reuse.
+* :class:`RebuildingRankExperiment` — the rank grid without family reuse;
+* :class:`ReferenceLogisticRegression`, :class:`ReferenceOneVsRest`,
+  :func:`reference_tune_regularization` — one scipy L-BFGS-B solve per
+  binary problem and per grid value;
+* :class:`ReferenceLinearSVR` — the linear SVR solved with L-BFGS-B.
+
+The scipy oracles need scipy, a test-only dependency (the ``dev`` extra).
 
 The tier-1 parity suites import them (no ``test_*`` module lives here, so
 pytest collects nothing from this package), and the ``benchmarks/``
@@ -33,8 +39,14 @@ from tests.oracles.forest import (
     ReferenceRandomForestRegressor,
 )
 from tests.oracles.line import ReferenceLINE
+from tests.oracles.logistic import (
+    ReferenceLogisticRegression,
+    ReferenceOneVsRest,
+    reference_tune_regularization,
+)
 from tests.oracles.rank import RebuildingRankExperiment
 from tests.oracles.sgns import ReferenceSkipGramTrainer, pairs_per_walk
+from tests.oracles.svm import ReferenceLinearSVR
 from tests.oracles.tree import (
     ReferenceDecisionTreeClassifier,
     ReferenceDecisionTreeRegressor,
@@ -50,12 +62,16 @@ __all__ = [
     "ReferenceDecisionTreeRegressor",
     "ReferenceDeepWalk",
     "ReferenceLINE",
+    "ReferenceLinearSVR",
+    "ReferenceLogisticRegression",
+    "ReferenceOneVsRest",
     "ReferenceNode2Vec",
     "ReferenceRandomForestClassifier",
     "ReferenceRandomForestRegressor",
     "ReferenceSkipGramTrainer",
     "pairs_per_walk",
     "reference_census",
+    "reference_tune_regularization",
     "reference_node2vec_walks",
     "reference_uniform_walks",
 ]

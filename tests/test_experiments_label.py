@@ -12,6 +12,7 @@ from repro.experiments.label_prediction import (
     UNLABELED,
     with_removed_labels,
 )
+from repro.obs.telemetry import fresh_telemetry
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,22 @@ class TestSweepParallelParity:
         parallel = self._sweep(load_graph, n_jobs=2)
         assert parallel.scores == serial.scores
         assert list(parallel.scores) == list(serial.scores)
+
+    def test_parallel_sweep_solver_counters_identical(self, load_graph):
+        """Pooled workers' logistic work counters merge into the manifest."""
+        names = ("logreg/problems", "logreg/newton_iters", "logreg/unconverged")
+        counters = []
+        for n_jobs in (1, 2):
+            with fresh_telemetry() as telemetry:
+                self._sweep(load_graph, n_jobs=n_jobs)
+            manifest = telemetry.as_dict()["counters"]
+            counters.append({name: manifest[name] for name in names})
+        assert counters[0] == counters[1]
+        # 2 features x 2 fractions x 2 repeats tunes, each a (grid x label)
+        # batch plus a per-label refit.
+        grid, labels = len(LabelTaskConfig().logreg_grid), 4
+        assert counters[0]["logreg/problems"] == 8 * (grid + 1) * labels
+        assert counters[0]["logreg/newton_iters"] > 0
 
     def test_sparse_layout_scores_identical(self, load_graph):
         dense = self._sweep(load_graph, layout="dense")

@@ -1,11 +1,12 @@
-"""Tests for the omitted-baseline models: linear SVMs and SGD."""
+"""Tests for the omitted-baseline models: the linear SVR and SGD."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError
 from repro.ml.sgd import SGDClassifier, SGDRegressor
-from repro.ml.svm import LinearSVC, LinearSVR
+from repro.ml.svm import LinearSVR
+from tests.oracles.svm import ReferenceLinearSVR, svr_objective
 
 
 def _linear_data(n=300, p=4, noise=0.05, seed=0):
@@ -51,28 +52,35 @@ class TestLinearSVR:
         with pytest.raises(ValueError):
             model.predict(np.ones((2, 9)))
 
+    @pytest.mark.parametrize(
+        "case", ["standard", "badly_scaled", "wide", "zero_columns", "heavy_tailed"]
+    )
+    @pytest.mark.parametrize("C, epsilon", [(0.1, 0.1), (1.0, 0.5), (100.0, 0.01)])
+    def test_objective_no_worse_than_tight_oracle(self, case, C, epsilon):
+        """The Newton fit reaches the optimum scipy reaches at tight tolerances."""
+        rng = np.random.default_rng(7)
+        X, y, _ = _linear_data(n=60, p=8, noise=0.5, seed=3)
+        if case == "badly_scaled":
+            X = X * np.logspace(-2, np.log10(30), X.shape[1])
+        elif case == "wide":
+            X, y, _ = _linear_data(n=30, p=80, noise=0.5, seed=3)
+        elif case == "zero_columns":
+            X[:, [1, 4]] = 0.0
+        elif case == "heavy_tailed":
+            rates = rng.gamma(0.5, 4.0, size=X.shape[1])
+            X = rng.poisson(rates, size=X.shape).astype(float)
+            y = np.log1p(X).sum(axis=1) + rng.normal(size=X.shape[0])
+        model = LinearSVR(C=C, epsilon=epsilon).fit(X, y)
+        oracle = ReferenceLinearSVR(
+            C=C, epsilon=epsilon, max_iter=20000, ftol=1e-15, gtol=1e-10
+        ).fit(X, y)
 
-class TestLinearSVC:
-    def test_separates_blobs(self):
-        X, y = _blobs()
-        model = LinearSVC(C=1.0).fit(X, y)
-        assert model.score(X, y) > 0.95
+        def objective(est):
+            params = np.append(est.coef_, est.intercept_)
+            return svr_objective(params, X, y, C, epsilon)[0]
 
-    def test_decision_sign_matches_prediction(self):
-        X, y = _blobs()
-        model = LinearSVC().fit(X, y)
-        scores = model.decision_function(X)
-        assert np.array_equal(model.predict(X) == "pos", scores >= 0)
-
-    def test_regularisation_shrinks(self):
-        X, y = _blobs()
-        loose = LinearSVC(C=100.0).fit(X, y)
-        tight = LinearSVC(C=0.001).fit(X, y)
-        assert np.linalg.norm(tight.coef_) < np.linalg.norm(loose.coef_)
-
-    def test_multiclass_rejected(self):
-        with pytest.raises(ValueError):
-            LinearSVC().fit(np.ones((6, 2)), [0, 1, 2, 0, 1, 2])
+        assert np.all(np.isfinite(model.coef_)) and np.isfinite(model.intercept_)
+        assert objective(model) <= objective(oracle) * (1 + 1e-9)
 
 
 class TestSGDRegressor:
