@@ -205,26 +205,8 @@ def test_out_of_core_census(benchmark, smoke, tmp_path):
     if smoke:
         return
 
-    # The workload only proves anything if the graph out-sizes the very
-    # budget the out-of-core pipeline is held to, in both of its other
-    # representations: the raw file and the extrapolated dict footprint.
-    assert ingest["file_bytes"] / 1024 > PIPELINE_BUDGET_KB, (
-        f"workload too small: .hmg file is {ingest['file_bytes']} bytes, "
-        f"under the {PIPELINE_BUDGET_KB} KiB working-set budget"
-    )
-    assert dict_extrapolated_kb > cap_kb, (
-        f"workload too small: dict graph extrapolates to "
-        f"{dict_extrapolated_kb:.0f} KiB, under the {cap_kb:.0f} KiB cap"
-    )
-    assert pipeline["peak_rss_kb"] <= cap_kb, (
-        f"pipeline peak RSS {pipeline['peak_rss_kb']:.0f} KiB over the "
-        f"{cap_kb:.0f} KiB cap"
-    )
-    assert ingest["peak_rss_kb"] <= ingest_cap_kb, (
-        f"ingest peak RSS {ingest['peak_rss_kb']:.0f} KiB over the "
-        f"{ingest_cap_kb:.0f} KiB ingest cap"
-    )
-
+    # Recorded before the gates are asserted, so a failing run leaves
+    # its numbers behind.
     write_bench(
         "census_mmap",
         workload={
@@ -271,6 +253,26 @@ def test_out_of_core_census(benchmark, smoke, tmp_path):
             else f"parallel gate needs >= {MIN_CORES_FOR_GATE} cores, "
             f"box has {cores}",
         ),
+    )
+
+    # The workload only proves anything if the graph out-sizes the very
+    # budget the out-of-core pipeline is held to, in both of its other
+    # representations: the raw file and the extrapolated dict footprint.
+    assert ingest["file_bytes"] / 1024 > PIPELINE_BUDGET_KB, (
+        f"workload too small: .hmg file is {ingest['file_bytes']} bytes, "
+        f"under the {PIPELINE_BUDGET_KB} KiB working-set budget"
+    )
+    assert dict_extrapolated_kb > cap_kb, (
+        f"workload too small: dict graph extrapolates to "
+        f"{dict_extrapolated_kb:.0f} KiB, under the {cap_kb:.0f} KiB cap"
+    )
+    assert pipeline["peak_rss_kb"] <= cap_kb, (
+        f"pipeline peak RSS {pipeline['peak_rss_kb']:.0f} KiB over the "
+        f"{cap_kb:.0f} KiB cap"
+    )
+    assert ingest["peak_rss_kb"] <= ingest_cap_kb, (
+        f"ingest peak RSS {ingest['peak_rss_kb']:.0f} KiB over the "
+        f"{ingest_cap_kb:.0f} KiB ingest cap"
     )
 
     if gated:

@@ -17,9 +17,12 @@ The two orders are trained on independent child generators spawned from the
 seed, so they can run sequentially (``n_jobs=1``) or as two worker
 processes (``n_jobs >= 2``) with bit-identical results.  Both alias tables
 are built once in :meth:`LINE.fit` and shared by every batch of both
-orders (workers receive them pickled rather than rebuilding).  Each
-batch shares one rescaled negative pool exactly like
-:class:`~repro.embeddings.skipgram.SkipGramTrainer`; the exact per-edge
+orders (workers receive them pickled rather than rebuilding).  A batch of
+edge samples is a batch of (vertex, context) pairs of the SGNS objective,
+so each order draws its edges and its shared negative pool and calls
+:func:`~repro.embeddings.skipgram.sgd_step`, the one update
+:class:`~repro.embeddings.skipgram.SkipGramTrainer` uses; the first order
+passes its vertex matrix as its own context.  The exact per-edge
 formulation is kept as the parity oracle in ``tests/oracles/line.py``.
 """
 
@@ -31,24 +34,10 @@ import numpy as np
 
 from repro.core.graph import HeteroGraph
 from repro.embeddings.alias import AliasTable
+from repro.embeddings.skipgram import negative_pool_size, sgd_step
 from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import RunContext
 from repro.runtime.executor import run_tasks
-
-#: Elementwise gradient bound, far above any healthy gradient magnitude.
-#: It turns the geometric blow-up that occurs when ``batch_size >>
-#: num_nodes`` (many stale-value updates piling on the same row per step,
-#: overflowing float32 and silently diverging float64) into bounded linear
-#: growth, without touching normal training dynamics.
-_GRAD_CLIP = 1000.0
-
-
-def _spawn_children(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    try:
-        return list(rng.spawn(n))
-    except AttributeError:  # numpy < 1.25
-        seeds = rng.integers(np.iinfo(np.int64).max, size=n)
-        return [np.random.default_rng(int(s)) for s in seeds]
 
 
 def _train_order(shared: tuple, order: tuple) -> np.ndarray:
@@ -70,41 +59,17 @@ def _train_order(shared: tuple, order: tuple) -> np.ndarray:
     # float64 first so the init matches the oracle's stream.
     vertex = rng.uniform(-scale, scale, size=(num_nodes, dim)).astype(np.float32)
     context = np.zeros((num_nodes, dim), dtype=vertex.dtype) if second_order else vertex
-    pool = min(max(8 * negative, 64), noise.size)
+    pool = negative_pool_size(negative, noise)
 
     steps = max(1, samples // batch_size)
     started = time.perf_counter()
     for step in range(steps):
         lr = learning_rate * max(1.0 - step / steps, 1e-4)
         batch_edges = directed[edge_table.sample(rng, batch_size)]
-        sources = batch_edges[:, 0]
-        targets = batch_edges[:, 1]
-
-        source_vecs = vertex[sources]
-        target_vecs = context[targets]
-        pos_scores = 1.0 / (
-            1.0 + np.exp(-np.clip(np.sum(source_vecs * target_vecs, axis=1), -30, 30))
-        )
-        pos_coeff = (pos_scores - 1.0)[:, None]
-        grad_source = pos_coeff * target_vecs
-        grad_target = pos_coeff * source_vecs
-
-        # Shared negative pool: two GEMMs and a pool-sized scatter in
-        # place of a (batch * K)-row gather/scatter.
         negatives = noise.sample(rng, pool)
-        neg_vecs = context[negatives]  # (pool, d)
-        neg_scores = 1.0 / (
-            1.0 + np.exp(-np.clip(source_vecs @ neg_vecs.T, -30, 30))
+        sgd_step(
+            vertex, context, batch_edges[:, 0], batch_edges[:, 1], negatives, negative, lr
         )
-        rescale = negative / pool
-        grad_source += rescale * (neg_scores @ neg_vecs)
-        grad_negative = rescale * (neg_scores.T @ source_vecs)
-        np.clip(grad_source, -_GRAD_CLIP, _GRAD_CLIP, out=grad_source)
-        np.clip(grad_target, -_GRAD_CLIP, _GRAD_CLIP, out=grad_target)
-        np.clip(grad_negative, -_GRAD_CLIP, _GRAD_CLIP, out=grad_negative)
-        np.add.at(vertex, sources, -lr * grad_source)
-        np.add.at(context, targets, -lr * grad_target)
-        np.add.at(context, negatives, -lr * grad_negative)
     telemetry.timer(f"line/order_{order_name}", time.perf_counter() - started)
     telemetry.count("line/samples", steps * batch_size)
     return vertex.astype(np.float64, copy=False)
@@ -170,7 +135,7 @@ class LINE:
         if samples is None:
             samples = max(200 * graph.num_edges, self.batch_size)
 
-        first_rng, second_rng = _spawn_children(rng, 2)
+        first_rng, second_rng = rng.spawn(2)
         first, second = run_tasks(
             _train_order,
             [(half, first_rng, False), (self.dim - half, second_rng, True)],

@@ -25,6 +25,11 @@ per-pair objective with lower per-sample variance.  One noise
 :class:`AliasTable` is built per fit and reused across all epochs.  The
 exact per-pair formulation (``K`` negatives per pair, scattered through
 ``np.add.at``) is kept as the parity oracle in ``tests/oracles/sgns.py``.
+
+:func:`sgd_step` is the one update: LINE's edge samples are pairs of the
+same objective, so :mod:`repro.embeddings.line` calls it too.  Callers
+draw every random number.  Its row scatters take numpy's 1-D
+``ufunc.at`` fast path (:func:`_scatter_rows`), bit-identically.
 """
 
 from __future__ import annotations
@@ -41,6 +46,72 @@ from repro.obs.telemetry import get_telemetry
 #: overflowing float32) into bounded linear growth, without touching
 #: normal training dynamics.
 _GRAD_CLIP = 1000.0
+
+
+def negative_pool_size(negative: int, noise: AliasTable) -> int:
+    """Shared negatives per batch: diverse even for small ``negative``, but
+    never more than the support of the noise distribution."""
+    return min(max(8 * negative, 64), noise.size)
+
+
+def _scatter_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(table, rows, values)`` through the 1-D ``ufunc.at`` path.
+
+    Row ``rows[i]`` of ``table`` gains ``values[i]``, duplicates
+    accumulating.  The flat index is row-major, so every element receives
+    its additions in ascending batch position, exactly as the 2-D form
+    adds them, with the same rounding: the result is bit-identical.
+    ``table`` must be C-contiguous, so that ``reshape(-1)`` is a view and
+    not a silent copy that would drop the update.
+    """
+    d = table.shape[1]
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    np.add.at(table.reshape(-1), flat, values.reshape(-1))
+
+
+def sgd_step(
+    inputs: np.ndarray,
+    outputs: np.ndarray,
+    centres: np.ndarray,
+    contexts: np.ndarray,
+    negatives: np.ndarray,
+    negative: int,
+    lr: float,
+) -> None:
+    """One shared-pool negative-sampling SGD step, in place.
+
+    Pairs ``(centres[i], contexts[i])`` pull ``inputs[centre]`` towards
+    ``outputs[context]``; every pair pushes away from the whole pool
+    ``outputs[negatives]``, rescaled by ``negative / pool`` so the
+    expected gradient equals ``negative`` negatives per pair.  ``outputs``
+    may be ``inputs`` itself (LINE's first order): every row is gathered
+    before the first scatter, and the scatters run centres, contexts,
+    negatives.
+    """
+    centre_vecs = inputs[centres]  # (b, d)
+    context_vecs = outputs[contexts]
+    pos_scores = 1.0 / (
+        1.0 + np.exp(-np.clip(np.sum(centre_vecs * context_vecs, axis=1), -30, 30))
+    )
+    pos_coeff = (pos_scores - 1.0)[:, None]
+    grad_centre = pos_coeff * context_vecs
+    grad_context = pos_coeff * centre_vecs
+
+    # Shared negative pass: score every pair against one pool via GEMM.
+    neg_vecs = outputs[negatives]  # (pool, d)
+    neg_scores = 1.0 / (
+        1.0 + np.exp(-np.clip(centre_vecs @ neg_vecs.T, -30, 30))
+    )  # (b, pool)
+    rescale = negative / negatives.shape[0]
+    grad_centre += rescale * (neg_scores @ neg_vecs)
+    grad_negs = rescale * (neg_scores.T @ centre_vecs)  # (pool, d)
+
+    np.clip(grad_centre, -_GRAD_CLIP, _GRAD_CLIP, out=grad_centre)
+    np.clip(grad_context, -_GRAD_CLIP, _GRAD_CLIP, out=grad_context)
+    np.clip(grad_negs, -_GRAD_CLIP, _GRAD_CLIP, out=grad_negs)
+    _scatter_rows(inputs, centres, -lr * grad_centre)
+    _scatter_rows(outputs, contexts, -lr * grad_context)
+    _scatter_rows(outputs, negatives, -lr * grad_negs)
 
 
 def _pairs_from_matrix(
@@ -161,6 +232,7 @@ class SkipGramTrainer:
         )
         output_vectors = np.zeros((num_nodes, self.dim), dtype=np.float32)
 
+        pool = negative_pool_size(self.negative, noise)
         total_steps = self.epochs * ((pairs.shape[0] + self.batch_size - 1) // self.batch_size)
         step = 0
         for _ in range(self.epochs):
@@ -171,50 +243,11 @@ class SkipGramTrainer:
                     lr = self.learning_rate * max(
                         1.0 - step / max(total_steps, 1), 1e-4
                     )
-                    self._sgd_step(batch, input_vectors, output_vectors, noise, rng, lr)
+                    negatives = noise.sample(rng, pool)
+                    sgd_step(
+                        input_vectors, output_vectors, batch[:, 0], batch[:, 1],
+                        negatives, self.negative, lr,
+                    )
                     step += 1
             telemetry.count("sgns/pairs_trained", pairs.shape[0])
         return input_vectors.astype(np.float64, copy=False)
-
-    def _negative_pool_size(self, noise: AliasTable) -> int:
-        # Enough shared samples to keep the pool diverse even for small K,
-        # but never more than the support of the noise distribution.
-        return min(max(8 * self.negative, 64), noise.size)
-
-    def _sgd_step(
-        self,
-        batch: np.ndarray,
-        input_vectors: np.ndarray,
-        output_vectors: np.ndarray,
-        noise: AliasTable,
-        rng: np.random.Generator,
-        lr: float,
-    ) -> None:
-        centres = batch[:, 0]
-        positives = batch[:, 1]
-        pool = self._negative_pool_size(noise)
-        negatives = noise.sample(rng, pool)
-
-        centre_vecs = input_vectors[centres]  # (b, d)
-        pos_vecs = output_vectors[positives]
-        pos_scores = 1.0 / (1.0 + np.exp(-np.clip(np.sum(centre_vecs * pos_vecs, axis=1), -30, 30)))
-        pos_coeff = (pos_scores - 1.0)[:, None]
-        grad_centre = pos_coeff * pos_vecs
-        grad_pos = pos_coeff * centre_vecs
-
-        # Shared negative pass: score every pair against one pool via GEMM,
-        # rescaled so the expected gradient equals K negatives per pair.
-        neg_vecs = output_vectors[negatives]  # (pool, d)
-        neg_scores = 1.0 / (
-            1.0 + np.exp(-np.clip(centre_vecs @ neg_vecs.T, -30, 30))
-        )  # (b, pool)
-        rescale = self.negative / pool
-        grad_centre += rescale * (neg_scores @ neg_vecs)
-        grad_negs = rescale * (neg_scores.T @ centre_vecs)  # (pool, d)
-
-        np.clip(grad_centre, -_GRAD_CLIP, _GRAD_CLIP, out=grad_centre)
-        np.clip(grad_pos, -_GRAD_CLIP, _GRAD_CLIP, out=grad_pos)
-        np.clip(grad_negs, -_GRAD_CLIP, _GRAD_CLIP, out=grad_negs)
-        np.add.at(input_vectors, centres, -lr * grad_centre)
-        np.add.at(output_vectors, positives, -lr * grad_pos)
-        np.add.at(output_vectors, negatives, -lr * grad_negs)

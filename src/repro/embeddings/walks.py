@@ -91,11 +91,7 @@ def _epoch_rngs(rng, num_walks: int) -> list[np.random.Generator]:
     the corpus: epoch ``e`` always consumes stream ``e``.
     """
     if isinstance(rng, np.random.Generator):
-        try:
-            return list(rng.spawn(num_walks))
-        except AttributeError:  # numpy < 1.25
-            seeds = rng.integers(np.iinfo(np.int64).max, size=num_walks)
-            return [np.random.default_rng(int(s)) for s in seeds]
+        return list(rng.spawn(num_walks))
     seq = np.random.SeedSequence(rng)
     return [np.random.default_rng(child) for child in seq.spawn(num_walks)]
 

@@ -12,7 +12,8 @@ import numpy as np
 
 from repro.core.graph import HeteroGraph
 from repro.embeddings.alias import AliasTable
-from repro.embeddings.line import _GRAD_CLIP, LINE, _spawn_children
+from repro.embeddings.line import LINE
+from repro.embeddings.skipgram import _GRAD_CLIP
 
 
 def train_order(shared: tuple, order: tuple) -> np.ndarray:
@@ -85,7 +86,7 @@ class ReferenceLINE(LINE):
             directed, edge_table, noise, graph.num_nodes, samples,
             self.negative, self.learning_rate, self.batch_size,
         )
-        first_rng, second_rng = _spawn_children(rng, 2)
+        first_rng, second_rng = rng.spawn(2)
         first = train_order(shared, (half, first_rng, False))
         second = train_order(shared, (self.dim - half, second_rng, True))
         self.embedding_ = np.hstack([first, second])

@@ -1,11 +1,13 @@
 """Tests for the skip-gram trainer and the three embedding baselines."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.graph import HeteroGraph
 from repro.embeddings import DeepWalk, LINE, Node2Vec, SkipGramTrainer
-from repro.embeddings.skipgram import walks_to_pairs
+from repro.embeddings.skipgram import _scatter_rows, walks_to_pairs
 from repro.embeddings.walks import uniform_random_walks
 from repro.runtime.context import RunContext
 from tests.oracles import (
@@ -252,3 +254,67 @@ class TestNJobsReproducibility:
         serial = LINE(ctx=RunContext(n_jobs=1), **kwargs).fit(small_graph)
         parallel = LINE(ctx=RunContext(n_jobs=4), **kwargs).fit(small_graph)
         assert np.array_equal(serial.embedding_, parallel.embedding_)
+
+
+class TestScatterRows:
+    """The flat 1-D scatter adds exactly what ``np.add.at`` adds by rows."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_rows", [7, 2048])
+    def test_matches_row_scatter_bitwise(self, dtype, num_rows):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((13, 6)).astype(dtype)
+        # Duplicate-heavy: most rows repeat; 2048 rows is far more than
+        # the table has, so each row takes a long chain of additions.
+        rows = rng.integers(0, 4, size=num_rows)
+        values = (rng.standard_normal((num_rows, 6)) * 1e3).astype(dtype)
+        expected = table.copy()
+        np.add.at(expected, rows, values)
+        _scatter_rows(table, rows, values)
+        assert table.tobytes() == expected.tobytes()
+
+
+class TestEmbeddingDigests:
+    """Pinned bits of every trainer: any change to an SGD step, its random
+    stream or its rounding shows here, not only in the benchmark's scores.
+
+    The digests assume numpy's float32 ``exp`` and the BLAS ``sgemm``
+    round as on the machine that recorded them.  If they fail on a new
+    CPU family or BLAS build with no code change, re-record them there
+    from the previous commit, never from the change under test.
+    """
+
+    DIGESTS = {
+        "deepwalk": "90578521341c302936ffdcfb9ee85c4ff25df6f2148900793045a0c24cd483f5",
+        "node2vec": "ef430a22eb6a1e3b11e8d599b7fb059d4576868921ef45d075388e6cc16aec51",
+        "line": "d433d42a3529f4cad59c750db617cf1a0eeb6789d4eaca723f19e6fa16a10d53",
+        "line_batch_over_nodes": "775b7c5fa1a9ec68b08ee079ac2b07aa99c53954d4dab6be8bc60ad0dd85488c",
+    }
+
+    MODELS = {
+        "deepwalk": lambda: DeepWalk(dim=8, num_walks=10, walk_length=20, window=3, seed=7),
+        "node2vec": lambda: Node2Vec(
+            dim=8, num_walks=10, walk_length=20, window=3, p=0.5, q=2.0, seed=7
+        ),
+        "line": lambda: LINE(dim=8, num_samples=4_000, batch_size=32, seed=7),
+        "line_batch_over_nodes": lambda: LINE(
+            dim=9, num_samples=4_000, batch_size=256, seed=7
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        rng = np.random.default_rng(1)
+        labels = {f"v{i}": "XY"[i % 2] for i in range(40)}
+        edges = set()
+        while len(edges) < 120:
+            a, b = rng.integers(0, 40, 2)
+            if a != b:
+                edges.add((f"v{min(a, b)}", f"v{max(a, b)}"))
+        return HeteroGraph.from_edges(labels, sorted(edges))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_embedding_digest(self, graph, name):
+        embedding = self.MODELS[name]().fit(graph).embedding_
+        assert embedding.shape[0] == graph.num_nodes
+        assert hashlib.sha256(embedding.tobytes()).hexdigest() == self.DIGESTS[name]
