@@ -8,7 +8,9 @@ library models and once with the reference oracles of ``tests/oracles/``
 ``BENCH_embeddings.json`` next to the repo root so future PRs have a perf
 trajectory to compare against.
 
-The gate asserts the fast pipeline is at least 3x faster in aggregate.
+Each arm first fits every model once, untimed, on the smoke-sized
+preset, so first-call costs do not land in the timed round.  The gate
+asserts the fast pipeline is at least 3x faster in aggregate.
 Both pipelines sample the same distributions (tier-1 covers the
 distributional parity and the oracles' seeded bit-exactness);
 here we only sanity-check that each run produced a finite embedding of
@@ -98,6 +100,11 @@ def test_fast_pipeline_speedup(benchmark, mag_label_graph, smoke):
     graph = mag_label_graph
     params = SMOKE_EMBEDDING if smoke else EmbeddingParams.fast()
     graph.flat()  # build the adjacency snapshot outside the timed region
+    # One untimed smoke-sized fit per model and arm first, so one-off
+    # first-call costs (imports, allocator and cache warm-up) stay out of
+    # the timed round.
+    for engine in MODELS:
+        _time_pipeline(graph, SMOKE_EMBEDDING, engine)
 
     fast = benchmark.pedantic(
         lambda: _time_pipeline(graph, params, "fast"), rounds=1, iterations=1

@@ -131,10 +131,8 @@ class ClassicFeatureExtractor:
     def __init__(self, mag: SyntheticMAG, history_years) -> None:
         self.mag = mag
         self.history_years = tuple(history_years)
-        self._top_words = {
-            conference: top_title_words(mag, conference, self.history_years)
-            for conference in mag.config.conferences
-        }
+        self._conferences: dict[str, tuple] = {}
+        self._titles: dict[str, tuple] = {}
         self._relevance_cache: dict[tuple[str, int], dict[str, float]] = {}
 
     @property
@@ -158,12 +156,40 @@ class ClassicFeatureExtractor:
             self._relevance_cache[key] = self.mag.relevance(conference, year)
         return self._relevance_cache[key]
 
-    def _papers_before(self, conference: str, year: int):
-        for past_year in self.history_years:
-            if past_year >= year:
-                continue
-            for paper_id in self.mag.papers_by_conf_year.get((conference, past_year), ()):
-                yield self.mag.papers[paper_id]
+    def _conference(self, conference: str) -> tuple:
+        """``(top words, institution -> [(paper, involved authors)])``.
+
+        Built on first use.  Each institution's papers are the history
+        papers any of its authors wrote, in history order.
+        """
+        if conference not in self._conferences:
+            by_institution: dict[str, list] = {}
+            for past_year in self.history_years:
+                for paper_id in self.mag.papers_by_conf_year.get((conference, past_year), ()):
+                    paper = self.mag.papers[paper_id]
+                    affiliations = [self.mag.author_affiliations[a] for a in paper.authors]
+                    for institution in {i for affils in affiliations for i in affils}:
+                        involved = [
+                            a for a, affils in zip(paper.authors, affiliations)
+                            if institution in affils
+                        ]
+                        by_institution.setdefault(institution, []).append((paper, involved))
+            self._conferences[conference] = (
+                top_title_words(self.mag, conference, self.history_years),
+                by_institution,
+            )
+        return self._conferences[conference]
+
+    def _title(self, paper) -> tuple:
+        """``(stems, word-class counts, token count)`` of a title, analysed once."""
+        if paper.paper_id not in self._titles:
+            stop = stopwords()
+            tokens = tokenize_title(paper.title)
+            stems = [stem(t) for t in tokens if t not in stop and t.isalnum()]
+            self._titles[paper.paper_id] = (
+                stems, Counter(pos_class(t) for t in tokens), len(tokens)
+            )
+        return self._titles[paper.paper_id]
 
     def features_for(self, institution: str, conference: str, year: int) -> np.ndarray:
         """Feature vector for one ``(institution, conference, year)`` sample."""
@@ -201,12 +227,8 @@ class ClassicFeatureExtractor:
         last_author_count = 0
         author_years: dict[str, set[int]] = {}
         author_papers: dict[str, int] = {}
-        for paper in self._papers_before(conference, year):
-            involved = [
-                a for a in paper.authors
-                if institution in mag.author_affiliations[a]
-            ]
-            if not involved:
+        for paper, involved in self._conference(conference)[1].get(institution, ()):
+            if paper.year >= year:
                 continue
             all_papers += 1
             if paper.is_full:
@@ -214,7 +236,7 @@ class ClassicFeatureExtractor:
                 full_authors.update(involved)
             else:
                 short_authors.update(involved)
-            if institution in mag.author_affiliations[paper.authors[-1]]:
+            if paper.authors[-1] in involved:
                 last_author_count += 1
             for author in involved:
                 author_years.setdefault(author, set()).add(paper.year)
@@ -240,15 +262,12 @@ class ClassicFeatureExtractor:
         )
 
     def _linguistic_block(self, institution: str, conference: str, year: int) -> np.ndarray:
-        mag = self.mag
-        stop = stopwords()
+        top_words, by_institution = self._conference(conference)
         papers = [
             paper
-            for paper in self._papers_before(conference, year)
+            for paper, _ in by_institution.get(institution, ())
             if paper.year == year - 1
-            and any(institution in mag.author_affiliations[a] for a in paper.authors)
         ]
-        top_words = self._top_words[conference]
         if not papers:
             return np.zeros(12 + len(top_words))
 
@@ -267,17 +286,13 @@ class ClassicFeatureExtractor:
             }
             institutions_per_paper.append(len(institutions_involved))
             keywords_per_paper.append(len(paper.keywords))
-            tokens = tokenize_title(paper.title)
-            content = [t for t in tokens if t not in stop and t.isalnum()]
-            stems = [stem(t) for t in content]
+            stems, classes, n_tokens = self._title(paper)
             words_per_title.append(len(stems))
             chars_per_title.append(len(paper.title))
             distinct_per_title.append(len(set(stems)))
-            for token in tokens:
-                class_counts[pos_class(token)] += 1
-                total_tokens += 1
-            for s in stems:
-                all_stems[s] += 1
+            class_counts.update(classes)
+            total_tokens += n_tokens
+            all_stems.update(stems)
             for i, word in enumerate(top_words):
                 top_usage[i] += stems.count(word)
 

@@ -42,14 +42,24 @@ tests/test_ml_forest.py compare every node array):
 * importances are summed with ``np.add.at`` in breadth-first order, the
   per-node builder's summation order.
 
-Candidate features stay one ``rng.choice`` draw per node:
-``Generator.choice`` on small populations is Floyd's algorithm followed by
-a masked-rejection shuffle, which has no bit-exact batched form.
+Candidate features are drawn a level at a time, yet equal one
+``rng.choice(p, k, replace=False)`` per node in breadth-first order.  This
+relies on numpy's ``Generator.choice``: Floyd's algorithm over
+``j = p-k .. p-1``, then a Fisher-Yates shuffle of the ``k`` picks, each
+step one Lemire-bounded 32-bit word (for ``p > 10000`` and ``k > p // 50``,
+a shuffle of the population's tail instead).  A level draws one block of
+``nodes * (2k - 1)`` words per tree and replays Floyd and the shuffle as
+array operations over all its nodes.  A tree whose block holds a word
+Lemire rejects (about one in 10⁷) takes the level through a scalar
+emulator, which reads the same block and then continues the tree's own
+stream, so its next level stays aligned.  The tail branch always takes
+that path.
+``tests/test_ml_tree_draws.py`` pins this against ``Generator.choice``.
 """
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import chain, count
 from typing import NamedTuple
 
 import numpy as np
@@ -110,8 +120,10 @@ def fit_tree_batch(X, y, params, tasks, classes=None) -> list[GrownTree]:
     ``classes`` is the class vector and ``y`` holds class indices; every
     tree is fitted against the full class axis, which scores identically
     to a bootstrap-local axis because absent classes contribute exact
-    zeros to every sum.  Records ``forest/nodes`` (nodes grown) and
-    ``forest/levels`` (levels of the deepest tree) in the telemetry.
+    zeros to every sum.  Records ``forest/nodes`` (nodes grown),
+    ``forest/levels`` (levels of the deepest tree) and
+    ``forest/draw_rejections`` (tree levels whose candidate draws took the
+    scalar path) in the telemetry.
     """
     p = X.shape[1]
     n_classes = int(classes.size) if classes is not None else 0
@@ -143,6 +155,7 @@ def fit_tree_batch(X, y, params, tasks, classes=None) -> list[GrownTree]:
 
     tables = []  # per level: (tree, feature, threshold, value, size, child)
     n_nodes = 0  # nodes in all levels so far: the next level's first id
+    draw_rejections = 0
     for level in count():
         if n_classes:
             value = stats / size[:, None]
@@ -173,12 +186,8 @@ def fit_tree_batch(X, y, params, tasks, classes=None) -> list[GrownTree]:
         if not scan.size:
             break
         if n_candidates < p:
-            feats = np.array(
-                [
-                    rngs[t].choice(p, size=n_candidates, replace=False)
-                    for t in tree[scan].tolist()
-                ]
-            )
+            feats, rejected = _draw_candidates(rngs, tree[scan], p, n_candidates)
+            draw_rejections += rejected
         else:
             feats = np.broadcast_to(np.arange(p), (scan.size, p))
         found, chosen, thr, split_value, score, left_stats, right_stats = _scan_level(
@@ -219,7 +228,76 @@ def fit_tree_batch(X, y, params, tasks, classes=None) -> list[GrownTree]:
     telemetry = get_telemetry()
     telemetry.count("forest/nodes", n_nodes)
     telemetry.gauge_max("forest/levels", len(tables))
+    telemetry.count("forest/draw_rejections", draw_rejections)
     return grown
+
+
+def _draw_candidates(rngs, node_tree, p, k):
+    """``rngs[t].choice(p, k, replace=False)`` for each node, in node order.
+
+    ``node_tree`` must be non-decreasing (a level's nodes grouped by tree)
+    and ``0 < k < p < 2**32``.  Returns the ``(nodes, k)`` draws and the
+    number of trees whose block held a rejected word.
+    """
+    trees, counts = np.unique(node_tree, return_counts=True)
+    floyd = p <= 10000 or k <= p // 50  # Generator.choice's branch
+    # Bounds of the words: Floyd's j = p-k .. p-1, then the shuffle's
+    # i = k-1 .. 1; or the tail shuffle's i = p-1 .. p-k.
+    bounds = np.r_[p - k : p, k - 1 : 0 : -1] if floyd else np.arange(p - 1, p - k - 1, -1)
+    blocks = [
+        rngs[t].integers(0, 2**32, size=c * bounds.size, dtype=np.uint32)
+        for t, c in zip(trees.tolist(), counts.tolist())
+    ]
+    bounds = bounds.astype(np.uint64)
+    scaled = np.concatenate(blocks).reshape(-1, bounds.size) * (bounds + 1)
+    values = (scaled >> 32).astype(np.int64)
+    # Lemire's test.  A tree's first flagged word is a real rejection, since
+    # every word before it was accepted and so read where numpy reads it.
+    flagged = (scaled & 0xFFFFFFFF) < (0xFFFFFFFF - bounds) % (bounds + 1)
+    ends = np.cumsum(counts)
+    rejected = np.logical_or.reduceat(flagged.any(axis=1), ends - counts)
+
+    feats = values[:, :k].copy()
+    if floyd:
+        for i in range(1, k):  # Floyd: a repeated pick takes j itself
+            repeat = (feats[:, :i] == feats[:, i : i + 1]).any(axis=1)
+            feats[repeat, i] = p - k + i
+        rows = np.arange(feats.shape[0])
+        for i in range(k - 1, 0, -1):  # Fisher-Yates over the picks
+            j = values[:, 2 * k - 1 - i]
+            feats[rows, j], feats[:, i] = feats[:, i], feats[rows, j]
+    for g in np.flatnonzero(rejected | (not floyd)).tolist():
+        rng = rngs[trees[g]]
+        more = iter(lambda: int(rng.integers(2**32, dtype=np.uint32)), None)
+        words = chain(blocks[g].tolist(), more)
+        for row in range(ends[g] - counts[g], ends[g]):
+            feats[row] = _choice_from_words(p, k, floyd, words)
+    return feats, int(rejected.sum())
+
+
+def _choice_from_words(p, k, floyd, words):
+    """``Generator.choice(p, k, replace=False)`` fed from 32-bit ``words``."""
+
+    def bounded(j):  # uniform on [0, j]: numpy's buffered_bounded_lemire_uint32
+        scaled = next(words) * (j + 1)
+        while scaled & 0xFFFFFFFF < (0xFFFFFFFF - j) % (j + 1):
+            scaled = next(words) * (j + 1)
+        return scaled >> 32
+
+    if not floyd:  # Fisher-Yates over the population's last k slots
+        tail = {}
+        for i in range(p - 1, p - k - 1, -1):
+            j = bounded(i)
+            tail[i], tail[j] = tail.get(j, j), tail.get(i, i)
+        return [tail.get(i, i) for i in range(p - k, p)]
+    picks = []
+    for j in range(p - k, p):
+        value = bounded(j)
+        picks.append(j if value in picks else value)
+    for i in range(k - 1, 0, -1):
+        j = bounded(i)
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
 
 
 def _slice_trees(tables, n_trees, importances) -> list[GrownTree]:

@@ -1,5 +1,7 @@
 """Tests for classic engineered features (Section 4.2.2)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,25 @@ class TestFeatureVector:
         )
         lag1 = matrix[:, 0]
         assert np.corrcoef(lag1, target)[0, 1] > 0.2
+
+
+#: SHA-256 of ``extractor.matrix(mag.institutions, "KDD", year).tobytes()``
+#: for every year of the fixture world.  The features are float sums over
+#: an institution's past papers, so any change to which papers are visited,
+#: or in what order, shows here.
+MATRIX_DIGESTS = {
+    2010: "9b00b8930d66b11eb3cc96e31d08b2889160b0e617f1f6c229fa37c92578c23c",
+    2011: "55cbf0d515c2e4bb1d1a7f0ab498a385cb84d84f4da4b840b5b88b28033b72b5",
+    2012: "7225ddf7f86956490d765d7046540f7f8def3c5ab50119e6e44eef2177caa80a",
+    2013: "90a361db2cc9e9f61a1416423dcc6e71983b8b3c4541adfeb4717e2a4ddd186a",
+    2014: "739effba393cb4d6a78fd734e7e74650d67260a1daf19a5082ff34e8249ad7c2",
+    2015: "822f05e30f56e285361fb0866a606c2565b4b7d7136ba7dd22b49238f489c84d",
+}
+
+
+@pytest.mark.parametrize("year", sorted(MATRIX_DIGESTS))
+def test_matrix_digest(world, year):
+    """The feature matrix is bit-identical to the recorded one."""
+    mag, extractor = world
+    matrix = extractor.matrix(mag.institutions, "KDD", year)
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == MATRIX_DIGESTS[year]
