@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -326,20 +327,19 @@ class HeteroGraph:
         ``label_starts[v]`` is an array of length ``num_labels + 1`` with the
         boundaries of same-label runs inside ``adjacency[v]``, so neighbours
         of ``v`` with label ``l`` are ``adjacency[v][starts[l]:starts[l+1]]``.
+        One lexsort orders every directed edge by (node, neighbour label,
+        neighbour); the rows are slices of the result.
         """
-        adjacency: list[np.ndarray] = []
-        label_starts: list[np.ndarray] = []
-        for neighbours in neighbour_sets:
-            ordered = sorted(neighbours, key=lambda w: (labels[w], w))
-            arr = np.asarray(ordered, dtype=np.int64)
-            counts = np.bincount(labels[arr], minlength=num_labels) if ordered else np.zeros(
-                num_labels, dtype=np.int64
-            )
-            starts = np.zeros(num_labels + 1, dtype=np.int64)
-            np.cumsum(counts, out=starts[1:])
-            adjacency.append(arr)
-            label_starts.append(starts)
-        return adjacency, label_starts
+        n = len(neighbour_sets)
+        degrees = np.fromiter(map(len, neighbour_sets), dtype=np.int64, count=n)
+        node = np.repeat(np.arange(n), degrees)
+        neighbour = np.fromiter(chain.from_iterable(neighbour_sets), np.int64, node.size)
+        neighbour = neighbour[np.lexsort((neighbour, labels[neighbour], node))]
+        counts = np.bincount(node * num_labels + labels[neighbour], minlength=n * num_labels)
+        starts = np.zeros((n, num_labels + 1), dtype=np.int64)
+        np.cumsum(counts.reshape(n, num_labels), axis=1, out=starts[:, 1:])
+        ends = np.cumsum(degrees).tolist()
+        return [neighbour[a:b] for a, b in zip([0, *ends], ends)], list(starts)
 
     @classmethod
     def from_networkx(cls, graph, label_attr: str = "label", labelset: LabelSet | None = None) -> "HeteroGraph":

@@ -125,6 +125,61 @@ class TestAdjacency:
         assert len(set(edges)) == len(edges)
 
 
+def _per_node_pack(neighbour_sets, labels, num_labels):
+    """One (label, index) sort and one label count per node."""
+    adjacency, label_starts = [], []
+    for neighbours in neighbour_sets:
+        row = np.array(sorted(neighbours, key=lambda w: (labels[w], w)), dtype=np.int64)
+        starts = np.zeros(num_labels + 1, dtype=np.int64)
+        np.cumsum(np.bincount(labels[row], minlength=num_labels), out=starts[1:])
+        adjacency.append(row)
+        label_starts.append(starts)
+    return adjacency, label_starts
+
+
+class TestPackAdjacency:
+    """The one-lexsort packing equals a per-node sort, and graph
+    fingerprints (census store keys) did not move with it."""
+
+    @pytest.mark.parametrize("num_labels", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_per_node_sort(self, num_labels, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        labels = rng.integers(0, num_labels, size=n)
+        neighbour_sets = [set() for _ in range(n)]
+        for u, v in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist():
+            if u != v:
+                neighbour_sets[u].add(v)
+                neighbour_sets[v].add(u)
+        isolated = [v for v in range(n) if not neighbour_sets[v]]
+        packed = HeteroGraph._pack_adjacency(neighbour_sets, labels, num_labels)
+        expected = _per_node_pack(neighbour_sets, labels, num_labels)
+        for got, want in zip(packed, expected):
+            assert len(got) == len(want) == n
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert all(packed[0][v].size == 0 for v in isolated)
+
+    def test_graph_without_edges(self):
+        adjacency, label_starts = HeteroGraph._pack_adjacency(
+            [set(), set()], np.array([0, 1]), 2
+        )
+        assert [row.size for row in adjacency] == [0, 0]
+        assert all(np.array_equal(s, [0, 0, 0]) for s in label_starts)
+
+    def test_fingerprints_recorded_before_vectorising(self, publication_graph):
+        from repro.datasets import MagConfig, SyntheticMAG
+
+        assert publication_graph.fingerprint() == "c41f6311816a07d5e5483e16fe6e09c2"
+        config = MagConfig(
+            num_institutions=14, authors_per_institution=4, papers_per_conference_year=16
+        )
+        mag = SyntheticMAG(config)
+        graph = mag.build_label_graph(years=mag.config.years[-2:])
+        assert graph.fingerprint() == "2c51cbd1dd80e0bfb4b9bdbe69a78332"
+
+
 class TestConversion:
     def test_networkx_roundtrip(self, publication_graph):
         import networkx as nx
