@@ -52,7 +52,6 @@ from repro.core import (
     label_connectivity,
 )
 from repro.core.census import effective_labelset
-from repro.exceptions import PartitionError
 from repro.io import read_edgelist, read_graph_json, write_features_json
 from repro.obs import (
     add_logging_args,
@@ -157,7 +156,6 @@ def _build_context(args) -> RunContext:
     return RunContext(
         engine=getattr(args, "engine", None),
         n_jobs=getattr(args, "n_jobs", None),
-        partitions=getattr(args, "partitions", None),
         workers=workers or None,
         seed=getattr(args, "seed", None),
         store=store,
@@ -544,27 +542,15 @@ def cmd_serve(args) -> int:
 def cmd_worker(args) -> int:
     import asyncio
 
-    from repro.dist import PartitionConfig, ShardWorker, partition_graph
+    from repro.dist import CensusWorker
     from repro.net import parse_endpoint
 
     endpoint = parse_endpoint(args.listen)
-    shards = None
+    graphs = []
     if args.graph is not None:
-        if args.partitions is None:
-            raise SystemExit("error: --graph preloading requires --partitions")
-        graph = _load_graph(args.graph, mmap=getattr(args, "mmap_graph", False))
-        config = CensusConfig(max_edges=args.emax, max_degree=args.dmax)
-        pset = partition_graph(
-            graph, PartitionConfig(num_partitions=args.partitions), config
-        )
-        wanted = (
-            sorted(int(s) for s in args.shards.split(","))
-            if args.shards
-            else range(len(pset))
-        )
-        shards = {i: pset.partitions[i] for i in wanted}
-        logger.info("preloaded shards %s", sorted(shards))
-    worker = ShardWorker(endpoint, partitions=shards)
+        graphs.append(_load_graph(args.graph, mmap=args.mmap_graph))
+        logger.info("preloaded graph %s", graphs[0].fingerprint())
+    worker = CensusWorker(endpoint, graphs=graphs)
     asyncio.run(worker.run())
     print(
         f"worker stopped after {worker.requests} requests "
@@ -613,9 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--n-jobs", "--jobs", dest="n_jobs", type=int, default=1, help=help
         )
-
-    def partitions_arg(p, help):
-        p.add_argument("--partitions", type=int, default=None, help=help)
 
     def engine_arg(p, help):
         p.add_argument("--engine", choices=VALID_ENGINES, default="fast", help=help)
@@ -744,11 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sample_args(p)
         jobs_arg(p, "worker processes for the census (0 = all cores)")
-        partitions_arg(
-            p,
-            "halo-complete graph shards to cut for --workers "
-            "(default: one per worker)",
-        )
         workers_arg(p)
         mmap_args(p)
         store_args(p)
@@ -974,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_worker = sub.add_parser(
         "worker",
-        help="shard-census worker daemon for census/features --workers "
+        help="census worker daemon for census/features --workers "
         "(see docs/distributed_census.md)",
     )
     p_worker.add_argument(
@@ -987,21 +965,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--graph",
         default=None,
-        help="optional graph file to preload shards from (otherwise the "
-        "coordinator ships shards over the wire)",
+        help="optional graph file to preload (otherwise the coordinator "
+        "ships each graph over the wire once)",
     )
-    partitions_arg(
-        p_worker,
-        "partition count used to cut preloaded shards (must match "
-        "the coordinator's --partitions)",
-    )
-    p_worker.add_argument(
-        "--shards",
-        default=None,
-        metavar="I[,I...]",
-        help="shard ids to preload (default: all of them)",
-    )
-    size_args(p_worker, emax=4)
     mmap_args(p_worker)
     common_args(p_worker)
     p_worker.set_defaults(func=cmd_worker)
@@ -1028,12 +994,7 @@ def main(argv=None) -> int:
     configure_logging(args.log_level, args.verbosity)
     with fresh_telemetry() as telemetry:
         with telemetry.span("phase/total"):
-            try:
-                code = args.func(args)
-            except PartitionError as exc:
-                # A shard setting the run cannot use, such as --partitions
-                # without --workers, is a usage error.
-                parser.error(str(exc))
+            code = args.func(args)
         if getattr(args, "telemetry_out", None):
             config = {
                 key: value

@@ -663,7 +663,6 @@ def subgraph_census(
     *,
     engine: EngineMode | None = None,
     sampled: "SampledCensusConfig | None" = None,
-    sample_root_key: int | None = None,
 ) -> Counter:
     """Count rooted heterogeneous subgraphs around one node.
 
@@ -685,10 +684,6 @@ def subgraph_census(
         Estimator knobs for ``engine="sampled"`` (budget, seed,
         relative-error target); defaults to ``SampledCensusConfig()``.
         Rejected for the exact engine.
-    sample_root_key:
-        Seed key for the per-root probe RNG (defaults to ``root``).  A
-        shard worker passes the *global* node id here so estimates are
-        bit-identical at any partition count.
 
     Returns
     -------
@@ -714,9 +709,7 @@ def subgraph_census(
 
         if sampled is None:
             sampled = SampledCensusConfig()
-        counts = run_sampled_census(
-            graph, root, config, sampled, root_key=sample_root_key
-        )
+        counts = run_sampled_census(graph, root, config, sampled)
         report = counts.report
         telemetry.count("census/sampled_roots")
         telemetry.count("census/sampled_draws", report.draws)

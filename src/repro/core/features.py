@@ -233,13 +233,13 @@ class SubgraphFeatureExtractor:
         workers each receive the read-only graph, mirroring the paper's
         shared edge-list parallelisation); ``workers``, ``repro worker``
         endpoints that take the census remotely (see :mod:`repro.dist`:
-        uncached roots go to halo-complete graph shards on those daemons,
-        with bit-identical results) and ``partitions``, their shard
-        count; and the artifact store.  With a context store,
-        stored roots are served without recomputation and fresh censuses
-        are written back, so ablation grids that re-census overlapping
-        node sets under one config pay for each root once; the store
-        also memoises whole matrices in :meth:`fit_transform`.
+        uncached roots go in the same chunks to daemons holding the whole
+        graph, with bit-identical results); and the artifact store.  With
+        a context store, stored roots are served without recomputation
+        and fresh censuses are written back, so ablation grids that
+        re-census overlapping node sets under one config pay for each
+        root once; the store also memoises whole matrices in
+        :meth:`fit_transform`.
     mp_context:
         Multiprocessing start method for the worker pool (``"fork"``,
         ``"spawn"``, ``"forkserver"``, or a ready context object);
@@ -296,18 +296,14 @@ class SubgraphFeatureExtractor:
         than workers); worker-side timing and census counters are
         merged back into the parent's telemetry either way.
 
-        A context with ``workers`` sends the uncached roots to those
-        ``repro worker`` daemons instead: the graph is cut into
-        ``ctx.partitions`` (default: one per worker) halo-complete shards,
-        memoised in the context's artifact store, and each shard
-        censuses the roots it owns (:mod:`repro.dist.remote`).  Results
-        are bit-identical either way.  ``partitions`` without
-        ``workers`` raises :class:`~repro.exceptions.PartitionError`.
+        A context with ``workers`` sends the same chunks of uncached roots
+        to those ``repro worker`` daemons instead, each holding the whole
+        graph (shipped once per fingerprint; :mod:`repro.dist.remote`).
+        Results are bit-identical either way.
         """
         config = self.config
         store = self.ctx.store
         sampled = self.sampled
-        partitions = self.ctx.resolved_partitions()
         telemetry = get_telemetry()
         telemetry.annotate(
             "census/storage", getattr(graph, "storage_kind", "dict")
@@ -337,57 +333,42 @@ class SubgraphFeatureExtractor:
         else:
             pending = list(positions)
         if pending:
-            if partitions is not None:
-                # Remote: cut (or fetch) halo-complete shards and ship
-                # each pending root to the worker holding its shard.
-                from repro.dist import (
-                    PartitionConfig,
-                    RemoteExecutor,
-                    ensure_partitions,
+            workers = self.ctx.workers
+            slots = len(workers) if workers else self.n_jobs
+            # Stricter than the executor's rule: fewer pending roots than
+            # slots run as one chunk locally.  Remote runs always chunk,
+            # which bounds each response frame and each failover.
+            if len(pending) < slots:
+                slots = 1
+            chunksize = len(pending)
+            if workers or slots > 1:
+                degrees = graph.flat().degrees
+                pending = sorted(
+                    pending, key=lambda node: degrees[node], reverse=True
                 )
+                # ~4 chunks per slot balances scheduling overhead against
+                # load skew from uneven per-root cost.
+                chunksize = max(1, len(pending) // (slots * 4))
+            chunks = [
+                pending[start: start + chunksize]
+                for start in range(0, len(pending), chunksize)
+            ]
+            if workers:
+                from repro.dist import RemoteExecutor
 
-                pset = ensure_partitions(
-                    graph,
-                    PartitionConfig(num_partitions=partitions),
-                    config,
-                    self.ctx,
-                )
-                computed.update(
-                    RemoteExecutor(self.ctx.workers).census_map(
-                        graph,
-                        pending,
-                        config,
-                        pset,
-                        engine=self.engine,
-                        sampled=sampled,
-                    )
+                censuses = RemoteExecutor(workers).census_map(
+                    graph, chunks, config, engine=self.engine, sampled=sampled
                 )
             else:
-                # Stricter than the executor's rule: fewer pending roots
-                # than workers run in-process, as one chunk.
-                n_jobs = self.n_jobs if len(pending) >= self.n_jobs else 1
-                chunksize = len(pending)
-                if n_jobs > 1:
-                    degrees = graph.flat().degrees
-                    pending = sorted(
-                        pending, key=lambda node: degrees[node], reverse=True
-                    )
-                    # ~4 chunks per worker balances scheduling overhead
-                    # against load skew from uneven per-root cost.
-                    chunksize = max(1, len(pending) // (n_jobs * 4))
-                chunks = [
-                    pending[start: start + chunksize]
-                    for start in range(0, len(pending), chunksize)
-                ]
                 censuses = run_tasks(
                     _census_chunk,
                     chunks,
-                    n_jobs=n_jobs,
+                    n_jobs=slots,
                     shared=(graph, config, self.engine, sampled),
                     mp_context=self.mp_context,
                 )
-                for chunk, chunk_censuses in zip(chunks, censuses):
-                    computed.update(zip(chunk, chunk_censuses))
+            for chunk, chunk_censuses in zip(chunks, censuses):
+                computed.update(zip(chunk, chunk_censuses))
             if store is not None:
                 fingerprint = graph.fingerprint()
                 for node in pending:

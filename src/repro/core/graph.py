@@ -83,14 +83,14 @@ class FlatGraph:
     """Read-only graph backed directly by a :class:`FlatAdjacency`.
 
     This is the *flat-adjacency contract*: the exact surface every census
-    engine (fast, reference, sampled), the shard workers, and the
+    engine (fast, reference, sampled), the census workers, and the
     serve-layer repair BFS consume — ``flat()``, ``labelset``,
     ``num_nodes``/``num_edges``, ``label_of``, ``degree`` and
     ``neighbors``.  Anything exposing this surface can be censused;
     nothing in those layers may touch :class:`HeteroGraph` internals.
 
     The snapshot fields only need to be indexable/sliceable containers of
-    plain Python ints — lists (dict-backed graphs, partition shards) and
+    plain Python ints — lists (dict-backed graphs, shipped worker snapshots) and
     ``memoryview("q")`` windows over memory-mapped files
     (:class:`~repro.core.mmap_graph.MmapGraph`) both qualify, and both
     produce bit-identical census results because the engines never see

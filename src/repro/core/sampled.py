@@ -35,13 +35,10 @@ estimate.  With ``rel_err`` set, sampling stops early once the half
 width undercuts ``rel_err * mean`` (after ``min_draws`` draws), which is
 what makes easy roots cheap and keeps stragglers bounded by ``budget``.
 
-Determinism contract: the probe RNG is seeded from ``(seed, root_key)``
-where ``root_key`` defaults to the root's node index, so a fixed
-:class:`SampledCensusConfig` yields bit-identical estimates at any
-``n_jobs``.  A shard worker passes the *global* root id as
-``root_key`` (shard-local indices differ per partition count), and the
-halo-complete shards preserve neighbour order and global degrees, so the
-same estimates come back at any partition count too.
+Determinism contract: the probe RNG is seeded from ``(seed, root)``,
+so a fixed :class:`SampledCensusConfig` yields bit-identical estimates
+at any ``n_jobs`` and on any remote worker (workers hold the whole
+graph, so a root has the same index everywhere).
 
 ``max_subgraphs`` is ignored by this engine: the sample budget already
 bounds per-root work, which is the very explosion the cap guards
@@ -74,8 +71,8 @@ class SampledCensusConfig:
         guidance.
     seed:
         Base RNG seed.  The per-root stream is derived from
-        ``(seed, root_key)``, so estimates are bit-identical at any
-        worker or partition count.
+        ``(seed, root)``, so estimates are bit-identical at any worker
+        count.
     rel_err:
         Optional relative-error target for the *total* estimate.  When
         set, sampling stops as soon as the CI half width is at most
@@ -133,8 +130,7 @@ class SampledCensusReport:
     Attributes
     ----------
     root:
-        The root the estimate is for (the *global* node id when the
-        census ran inside a shard).
+        The root the estimate is for.
     draws:
         Probes actually spent (``< budget`` when early-stopped).
     budget:
@@ -186,9 +182,9 @@ class SampledCensus(Counter):
         return (_rebuild_sampled, (dict(self), self.report))
 
 
-def _probe_seed(seed: int, root_key: int) -> int:
+def _probe_seed(seed: int, root: int) -> int:
     """Deterministic 64-bit mix of the config seed and the root key."""
-    return ((seed * 0x9E3779B97F4A7C15) ^ (root_key * 0xBF58476D1CE4E5B9)) & (
+    return ((seed * 0x9E3779B97F4A7C15) ^ (root * 0xBF58476D1CE4E5B9)) & (
         (1 << 64) - 1
     )
 
@@ -200,7 +196,6 @@ class _SampledCensusRun:
         "config",
         "sampled",
         "root",
-        "root_key",
         "labelset",
         "num_labels",
         "labels",
@@ -225,13 +220,11 @@ class _SampledCensusRun:
         root: int,
         config: CensusConfig,
         sampled: SampledCensusConfig,
-        root_key: int,
     ) -> None:
         flat = graph.flat()
         self.config = config
         self.sampled = sampled
         self.root = root
-        self.root_key = root_key
         labelset = effective_labelset(graph, config)
         self.labelset = labelset
         num_labels = len(labelset)
@@ -301,7 +294,7 @@ class _SampledCensusRun:
         hash_deltas = self.hash_deltas
         hash_mod = self.hash_mod
 
-        rng = random.Random(_probe_seed(sampled.seed, self.root_key))
+        rng = random.Random(_probe_seed(sampled.seed, self.root))
         randrange = rng.randrange
 
         root_row = [root_label] + zeros
@@ -452,7 +445,7 @@ class _SampledCensusRun:
         else:
             half_width = 0.0
         report = SampledCensusReport(
-            root=self.root_key,
+            root=self.root,
             draws=n,
             budget=budget,
             total_estimate=mean,
@@ -471,14 +464,6 @@ def run_sampled_census(
     root: int,
     config: CensusConfig,
     sampled: SampledCensusConfig,
-    *,
-    root_key: int | None = None,
 ) -> SampledCensus:
-    """Estimate the rooted census by budgeted DFS-branch sampling.
-
-    ``root_key`` seeds the per-root RNG stream (defaults to ``root``);
-    a shard worker passes the *global* node id so estimates are
-    bit-identical at any partition count.
-    """
-    key = root if root_key is None else int(root_key)
-    return _SampledCensusRun(graph, root, config, sampled, key).run()
+    """Estimate the rooted census by budgeted DFS-branch sampling."""
+    return _SampledCensusRun(graph, root, config, sampled).run()

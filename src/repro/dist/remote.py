@@ -1,18 +1,21 @@
-"""Remote shard executor: run the census on ``repro worker`` daemons.
+"""Remote census executor: run root batches on ``repro worker`` daemons.
 
-:meth:`RemoteExecutor.census_map` routes each root to the
-halo-complete shard that owns it and sends the shard tasks over the
-:mod:`repro.net` wire to :class:`~repro.dist.worker.ShardWorker`
-daemons, which may live on other machines.  Each worker runs
-:func:`~repro.dist.worker._census_partition` on its shard, so the
-results are bit-identical to ``subgraph_census`` on the whole graph;
+:meth:`RemoteExecutor.census_map` takes the same heaviest-first root
+chunks the local fan-out hands to
+:func:`~repro.runtime.executor.run_tasks` and sends them over the
+:mod:`repro.net` wire to :class:`~repro.dist.worker.CensusWorker`
+daemons, which may live on other machines.  Each worker holds the whole
+graph, keyed by its fingerprint, and runs the local fan-out's chunk
+body on it, so the results are bit-identical to ``subgraph_census``;
 only where the loop body executes changes.
 
 Scheduling is pull-based: one coordinator thread per worker drains a
-shared task queue, shipping each shard (pickled, once per worker) on
-first use and reusing it for later tasks.  Fault handling layers:
+shared task queue, shipping the graph (one list-backed
+:class:`~repro.core.graph.FlatGraph` snapshot, pickled once per run) to
+any worker whose ``ping`` inventory lacks its fingerprint.  Fault
+handling layers:
 
-* **Per-shard request timeouts** — a census RPC is bounded by
+* **Per-request timeouts** — a census RPC is bounded by
   ``request_timeout``; a worker that blows the deadline is treated as
   dead for scheduling purposes.
 * **Bounded retry with backoff** — transport-level failures reconnect
@@ -22,13 +25,13 @@ first use and reusing it for later tasks.  Fault handling layers:
   ``heartbeat_interval`` over a separate connection (workers answer
   pings even mid-census), so a crashed worker is detected while its
   census RPC is still waiting out the timeout.
-* **Reassignment** — a dead worker's in-flight task goes back on the
-  queue and a survivor picks it up; each task survives at most
+* **Reassignment** — a dead worker's in-flight chunk goes back on the
+  queue and a survivor picks it up; each chunk survives at most
   ``max_task_retries`` reassignments before the run fails with
   :class:`~repro.exceptions.RPCError`.  Results are per-root and
-  deterministic, so a task that ran 1.5 times merges identically.
+  deterministic, so a chunk that ran 1.5 times merges identically.
 
-Worker deaths, shard ships, reassignments, and census RPC latencies all
+Worker deaths, graph ships, reassignments, and census RPC latencies all
 land under ``net/*`` in the run manifest.
 """
 
@@ -36,13 +39,12 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.census import CensusConfig
-from repro.core.graph import HeteroGraph
+from repro.core.graph import FlatAdjacency, FlatGraph, HeteroGraph
 from repro.core.sampled import SampledCensusConfig
-from repro.dist.partition import GraphPartition, PartitionSet
-from repro.exceptions import PartitionError, RPCError
+from repro.exceptions import RPCError
 from repro.net.client import NetClient, RetryPolicy
 from repro.net.endpoint import Endpoint, parse_endpoint
 from repro.net.protocol import NetError, decode_blob, encode_blob
@@ -53,7 +55,20 @@ logger = get_logger(__name__)
 
 #: Protocol error codes that condemn the *task*, not the worker: the
 #: census itself failed, and retrying elsewhere would fail identically.
-_TASK_FATAL_CODES = ("shard_error", "bad_request", "unknown_op", "unknown_node")
+_TASK_FATAL_CODES = ("census_error", "bad_request", "unknown_op", "unknown_node")
+
+
+def _graph_blob(graph: HeteroGraph) -> str:
+    """The graph as one list-backed :class:`FlatGraph`, ready to ship.
+
+    Lists pickle as values on any storage (an mmap graph would pickle
+    as its path), and the worker rehashes them to the same fingerprint.
+    """
+    flat = graph.flat()
+    snapshot = FlatAdjacency(
+        **{f.name: list(getattr(flat, f.name)) for f in fields(FlatAdjacency)}
+    )
+    return encode_blob(FlatGraph(snapshot, graph.labelset))
 
 
 @dataclass
@@ -62,8 +77,7 @@ class _WorkerState:
 
     endpoint: Endpoint
     alive: bool = True
-    loaded: set = field(default_factory=set)
-    tasks_done: int = 0
+    has_graph: bool = False
 
 
 class _TaskQueue:
@@ -112,15 +126,35 @@ class _TaskQueue:
 
 @dataclass
 class _Task:
-    """One shard census assignment plus its reassignment history."""
+    """One root chunk, its slot in the results, and its reassignments."""
 
-    partition: GraphPartition
+    index: int
     roots: list
     attempts: int = 0
 
 
+@dataclass
+class _Run:
+    """What every coordinator thread of one :meth:`census_map` shares."""
+
+    graph: HeteroGraph
+    fingerprint: str
+    payload: tuple
+    results: list
+    telemetry: Telemetry
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    blob: str | None = None
+
+    def graph_blob(self) -> str:
+        """The shipped graph, encoded once on first need."""
+        with self.lock:
+            if self.blob is None:
+                self.blob = _graph_blob(self.graph)
+            return self.blob
+
+
 class RemoteExecutor:
-    """Census executor running shard tasks on remote workers.
+    """Census executor running root chunks on remote workers.
 
     ``workers`` is a sequence of endpoint specs (anything
     :func:`repro.net.parse_endpoint` accepts).  The executor is
@@ -157,53 +191,39 @@ class RemoteExecutor:
     def census_map(
         self,
         graph: HeteroGraph,
-        roots,
+        chunks,
         config: CensusConfig,
-        partitions: PartitionSet,
         *,
         engine: str | None = None,
         sampled: SampledCensusConfig | None = None,
         telemetry: Telemetry | None = None,
-    ) -> dict:
-        """Census the unique global ``roots`` on the workers; return a dict.
+    ) -> list:
+        """Census each chunk of root indices on the workers.
 
-        Each root goes to the shard of ``partitions`` that owns it, and
-        shard tasks are queued heaviest-first (summed root degree) so
-        straggler shards start early.
+        Returns one list of censuses per chunk, aligned with ``chunks``
+        like :func:`~repro.runtime.executor.run_tasks`.  Chunks are
+        dispatched in the given order, so heaviest-first input starts
+        the stragglers early.
 
-        Raises :class:`PartitionError` when ``partitions`` was cut from
-        another graph, and :class:`RPCError` when the work cannot
-        complete: every worker died with tasks outstanding, a task
-        exhausted its reassignment budget, or a worker reported a census
-        failure.
+        Raises :class:`RPCError` when the work cannot complete: every
+        worker died with chunks outstanding, a chunk exhausted its
+        reassignment budget, or a worker reported a census failure.
         """
-        if partitions.fingerprint != graph.fingerprint():
-            raise PartitionError("partition set was built for a different graph")
         telemetry = telemetry if telemetry is not None else get_telemetry()
-        telemetry.annotate("dist/partitions", len(partitions))
-        telemetry.annotate("dist/strategy", partitions.config.strategy)
-        owned: dict[int, list] = {}
-        for root in roots:
-            root = int(root)
-            owned.setdefault(partitions.owner_of(root), []).append(root)
-        degrees = graph.flat().degrees
-        tasks = sorted(
-            (
-                _Task(partitions.partitions[part_id], part_roots)
-                for part_id, part_roots in owned.items()
-            ),
-            key=lambda task: sum(degrees[r] for r in task.roots),
-            reverse=True,
+        tasks = [_Task(index, list(chunk)) for index, chunk in enumerate(chunks)]
+        run = _Run(
+            graph=graph,
+            fingerprint=graph.fingerprint(),
+            payload=(config, engine, sampled),
+            results=[None] * len(tasks),
+            telemetry=telemetry,
         )
         queue = _TaskQueue(tasks)
-        results: dict = {}
-        merge_lock = threading.Lock()
         stop_heartbeat = threading.Event()
         threads = [
             threading.Thread(
                 target=self._serve_tasks,
-                args=(worker, queue, config, engine, sampled,
-                      results, merge_lock, telemetry),
+                args=(worker, queue, run),
                 name=f"repro-remote-{i}",
                 daemon=True,
             )
@@ -229,27 +249,20 @@ class RemoteExecutor:
         leftover = queue.next()
         if leftover is not None:
             raise RPCError(
-                f"all {len(self.workers)} workers died with shard tasks "
-                f"outstanding (first unfinished: partition "
-                f"{leftover.partition.part_id})"
+                f"all {len(self.workers)} workers died with census tasks "
+                f"outstanding (first unfinished: chunk {leftover.index} "
+                f"of {len(tasks)})"
             )
         telemetry.annotate(
             "net/workers_alive", sum(1 for w in self.workers if w.alive)
         )
-        return results
+        return run.results
 
     # -- worker conversation ----------------------------------------------
     def _serve_tasks(
-        self,
-        worker: _WorkerState,
-        queue: _TaskQueue,
-        config: CensusConfig,
-        engine: str | None,
-        sampled: SampledCensusConfig | None,
-        results: dict,
-        merge_lock: threading.Lock,
-        telemetry: Telemetry,
+        self, worker: _WorkerState, queue: _TaskQueue, run: _Run
     ) -> None:
+        telemetry = run.telemetry
         client = NetClient(
             worker.endpoint,
             connect_timeout=self.connect_timeout,
@@ -264,19 +277,16 @@ class RemoteExecutor:
                 worker.alive = False
                 telemetry.count("net/worker_deaths")
                 return
-            worker.loaded.update(inventory.get("shards", ()))
+            worker.has_graph = run.fingerprint in inventory.get("graphs", ())
             while worker.alive:
                 task = queue.next()
                 if task is None:
                     return
                 try:
-                    self._run_task(
-                        client, worker, task, config, engine, sampled,
-                        results, merge_lock, telemetry,
-                    )
+                    self._run_task(client, worker, task, run)
                 except NetError as exc:
                     if exc.code in _TASK_FATAL_CODES:
-                        # The shard itself failed; no worker can save it.
+                        # The census itself failed; no worker can save it.
                         queue.abort(exc)
                         queue.complete()
                         return
@@ -288,7 +298,7 @@ class RemoteExecutor:
                     if task.attempts > self.max_task_retries:
                         queue.abort(
                             RPCError(
-                                f"partition {task.partition.part_id} failed on "
+                                f"chunk {task.index} failed on "
                                 f"{task.attempts} workers (last: "
                                 f"{worker.endpoint}): {exc}"
                             )
@@ -296,52 +306,41 @@ class RemoteExecutor:
                         queue.complete()
                     else:
                         logger.warning(
-                            "worker %s lost (%s); reassigning partition %d",
-                            worker.endpoint, exc, task.partition.part_id,
+                            "worker %s lost (%s); reassigning chunk %d",
+                            worker.endpoint, exc, task.index,
                         )
                         telemetry.count("net/reassignments")
                         queue.requeue(task)
                     return
-                else:
-                    worker.tasks_done += 1
-                    queue.complete()
+                queue.complete()
         finally:
             client.close()
 
     def _run_task(
-        self,
-        client: NetClient,
-        worker: _WorkerState,
-        task: _Task,
-        config: CensusConfig,
-        engine: str | None,
-        sampled: SampledCensusConfig | None,
-        results: dict,
-        merge_lock: threading.Lock,
-        telemetry: Telemetry,
+        self, client: NetClient, worker: _WorkerState, task: _Task, run: _Run
     ) -> None:
-        shard_id = task.partition.part_id
-        if shard_id not in worker.loaded:
+        telemetry = run.telemetry
+        if not worker.has_graph:
             client.call(
                 {
-                    "op": "load_shard",
-                    "shard": shard_id,
-                    "blob": encode_blob(task.partition),
+                    "op": "load_graph",
+                    "graph": run.fingerprint,
+                    "blob": run.graph_blob(),
                 },
             )
-            worker.loaded.add(shard_id)
-            telemetry.count("net/shards_shipped")
+            worker.has_graph = True
+            telemetry.count("net/graphs_shipped")
         with telemetry.span("net/census_rpc"):
             response = client.call(
                 {
                     "op": "census",
-                    "shard": shard_id,
-                    "blob": encode_blob((task.roots, config, engine, sampled)),
+                    "graph": run.fingerprint,
+                    "blob": encode_blob((task.roots, *run.payload)),
                 },
             )
-        shard_results, snapshot = decode_blob(response["blob"])
-        with merge_lock:
-            results.update(shard_results)
+        censuses, snapshot = decode_blob(response["blob"])
+        with run.lock:
+            run.results[task.index] = censuses
             telemetry.merge(snapshot)
         telemetry.count("net/tasks_dispatched")
 

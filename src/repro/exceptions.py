@@ -32,14 +32,9 @@ class CensusError(ReproError):
     maximum edge count."""
 
 
-class PartitionError(ReproError):
-    """Raised for invalid graph-partitioning configurations or for nodes
-    routed to a shard that does not contain them (see :mod:`repro.dist`)."""
-
-
 class RPCError(ReproError):
     """Raised when a distributed run cannot complete over the wire: every
-    worker died, a shard could not be shipped, or a worker answered a
+    worker died, a graph could not be shipped, or a worker answered a
     census RPC with a non-retryable protocol error (see
     :mod:`repro.dist.remote`)."""
 

@@ -53,8 +53,8 @@ def write_mmap_graph(graph, path, *, store_ids: bool = True) -> Path:
     """Dump an in-memory graph to a ``.hmg`` file.
 
     Works for any graph exposing the flat-adjacency contract plus
-    ``fingerprint()`` (``HeteroGraph``, ``MmapGraph``, partition
-    shards).  ``store_ids=False`` skips the external-id sections for
+    ``fingerprint()`` (``HeteroGraph``, ``MmapGraph``,
+    ``FlatGraph``).  ``store_ids=False`` skips the external-id sections for
     graphs addressed purely by index.  Returns the written path; open
     it with :class:`~repro.core.mmap_graph.MmapGraph`.
     """

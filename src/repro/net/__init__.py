@@ -1,7 +1,7 @@
-"""Shared network substrate: framed transport for serving and shard RPC.
+"""Shared network substrate: framed transport for serving and census RPC.
 
 One wire format, two workloads.  The feature-serving daemon
-(:mod:`repro.serve`) and the shard-worker RPC layer
+(:mod:`repro.serve`) and the census-worker RPC layer
 (:mod:`repro.dist.worker` / :mod:`repro.dist.remote`) both speak the
 newline-framed JSON protocol defined here, over either transport a
 deployment wants: a unix domain socket (single box, lowest latency) or

@@ -6,7 +6,7 @@ transport with the same ``(reader, writer)`` contract.
 
 :class:`NetClient` is the synchronous side: one persistent connection
 with per-request timeouts and bounded reconnect-and-retry under an
-exponential :class:`RetryPolicy`.  The remote shard executor
+exponential :class:`RetryPolicy`.  The remote census executor
 (:mod:`repro.dist.remote`) runs its worker conversations through it
 from plain threads — no event loop required.
 

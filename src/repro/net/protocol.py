@@ -12,11 +12,11 @@ distinguish overload shedding (retry later) from a bad request (don't).
 
 This module is transport- and service-agnostic: the serving daemon
 (:mod:`repro.serve.protocol` layers its operation tables on top) and the
-shard-worker RPC (:mod:`repro.dist.worker`) frame their traffic through
+census-worker RPC (:mod:`repro.dist.worker`) frame their traffic through
 the same helpers, over unix sockets or TCP alike.
 
 Payloads that JSON cannot carry faithfully (census ``Counter`` objects
-with tuple keys, pickled graph shards) travel as *blobs*: pickled,
+with tuple keys, pickled graphs) travel as *blobs*: pickled,
 compressed, base64-armoured strings inside the JSON frame
 (:func:`encode_blob`/:func:`decode_blob`).  Blobs are only exchanged
 between mutually trusting processes of one deployment — the worker RPC
@@ -45,8 +45,8 @@ MAX_LINE_BYTES = 1 << 20
 #: ``shutting_down``   received while the server is draining
 #: ``internal``        unexpected server-side failure
 #: ``unavailable``     client-side: the peer could not be reached at all
-#: ``shard_error``     worker RPC: a shard the worker does not hold, or a
-#:                     census failure inside one
+#: ``census_error``    worker RPC: a graph the worker does not hold, or a
+#:                     census failure on one
 ERROR_CODES = (
     "bad_request",
     "unknown_op",
@@ -57,7 +57,7 @@ ERROR_CODES = (
     "shutting_down",
     "internal",
     "unavailable",
-    "shard_error",
+    "census_error",
 )
 
 #: Codes a client may safely retry (the request never executed, or the
@@ -169,7 +169,7 @@ def encode_blob(obj) -> str:
     """Pickle + compress + base64 an object into a JSON-safe string.
 
     The armour for payloads JSON cannot carry (tuple-keyed census
-    Counters, graph shards).  Only ever exchanged between the mutually
+    Counters, graphs).  Only ever exchanged between the mutually
     trusting processes of one deployment — see the module docstring.
     """
     return base64.b64encode(

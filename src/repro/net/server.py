@@ -1,8 +1,8 @@
 """One asyncio op-table server over either transport.
 
 :class:`OpServer` is the server both daemons run on — the feature-serving
-:class:`~repro.serve.daemon.ServeDaemon` and the shard-census
-:class:`~repro.dist.worker.ShardWorker`.  It owns everything but the
+:class:`~repro.serve.daemon.ServeDaemon` and the census
+:class:`~repro.dist.worker.CensusWorker`.  It owns everything but the
 operations themselves: bind, ready, stop and teardown; the decode → op
 lookup → handler → typed-response loop; mapping failures to
 :data:`~repro.net.protocol.ERROR_CODES`; the built-in ``shutdown`` op;

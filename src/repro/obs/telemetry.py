@@ -21,8 +21,9 @@ Design constraints:
   per-worker snapshots of an ``n_jobs = 2`` run therefore reproduces the
   stats of the same run at ``n_jobs = 1``.
 
-Instrumented code records into the process-global registry returned by
-:func:`get_telemetry`; tests and pool tasks isolate themselves with
+Instrumented code records into the registry returned by
+:func:`get_telemetry` (process-global unless the thread opted out with
+:func:`thread_telemetry`); tests and pool tasks isolate themselves with
 :func:`fresh_telemetry`.
 """
 
@@ -336,9 +337,14 @@ class Telemetry:
 _GLOBAL = Telemetry()
 
 
+#: Per-thread override of the global registry (see :func:`thread_telemetry`).
+_THREAD = threading.local()
+
+
 def get_telemetry() -> Telemetry:
-    """The process-global telemetry registry."""
-    return _GLOBAL
+    """The calling thread's registry, else the process-global one."""
+    registry = getattr(_THREAD, "registry", None)
+    return _GLOBAL if registry is None else registry
 
 
 @contextmanager
@@ -355,3 +361,19 @@ def fresh_telemetry():
         yield _GLOBAL
     finally:
         _GLOBAL = previous
+
+
+@contextmanager
+def thread_telemetry():
+    """Record the calling thread into a fresh registry for the block.
+
+    Unlike :func:`fresh_telemetry` this leaves every other thread on the
+    registry it had, so a census worker's compute thread can ship its
+    own snapshot back while the rest of the process keeps recording.
+    """
+    previous = getattr(_THREAD, "registry", None)
+    _THREAD.registry = registry = Telemetry()
+    try:
+        yield registry
+    finally:
+        _THREAD.registry = previous

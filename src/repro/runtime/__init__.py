@@ -22,7 +22,6 @@ from repro.runtime.store import (
     STAGE_CENSUS,
     STAGE_EMBED,
     STAGE_FEATURES,
-    STAGE_PARTITION,
     STAGE_WALKS,
     artifact_key,
     freeze_config,
@@ -45,5 +44,4 @@ __all__ = [
     "STAGE_WALKS",
     "STAGE_EMBED",
     "STAGE_FEATURES",
-    "STAGE_PARTITION",
 ]

@@ -23,7 +23,6 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.exceptions import PartitionError
 from repro.obs.telemetry import Telemetry, get_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -56,9 +55,9 @@ def resolve_engine(
 
         unknown engine 'turbo': valid choices are 'fast', 'sampled'
 
-    ``param`` names the parameter in the message (``"census engine"``,
-    ``"partition strategy"``, ...); ``error`` lets domain layers keep their
-    exception hierarchy (the census raises :class:`CensusError`).
+    ``param`` names the parameter in the message (``"census engine"``);
+    ``error`` lets domain layers keep their exception hierarchy (the
+    census raises :class:`CensusError`).
     """
     if name in choices:
         return name
@@ -93,15 +92,11 @@ class RunContext:
     n_jobs:
         Worker-process count; ``0``/``"auto"`` means all cores.  Stages
         resolve it through :meth:`resolved_n_jobs`.
-    partitions:
-        Shard count for the remote census (see :mod:`repro.dist`);
-        ``None`` means one shard per worker.  Only meaningful with
-        ``workers``; stages resolve it through :meth:`resolved_partitions`.
     workers:
         ``repro worker`` endpoint specs (``host:port`` / ``unix:path``).
-        Non-empty means the census runs remotely, on halo-complete
-        shards shipped to those daemons; empty or ``None`` keeps it
-        local, fanned out by root.
+        Non-empty means the census runs remotely, in root batches on
+        daemons holding the whole graph; empty or ``None`` keeps it
+        local.  Either way it fans out by root.
     seed:
         Base RNG seed for stages that need one (embedding pipelines, the
         experiment drivers).
@@ -115,7 +110,6 @@ class RunContext:
 
     engine: str | None = None
     n_jobs: int | None = None
-    partitions: int | None = None
     workers: "tuple | list | None" = None
     seed: int | None = None
     store: "ArtifactStore | None" = None
@@ -138,28 +132,6 @@ class RunContext:
         """The context worker count (or ``default``), ``0``/"auto"-expanded."""
         spec = self.n_jobs if self.n_jobs is not None else default
         return resolve_n_jobs(spec)
-
-    def resolved_partitions(self) -> int | None:
-        """The remote census shard count, or ``None`` for a local census.
-
-        Shards exist only to be shipped, so a shard count without
-        ``workers`` raises :class:`~repro.exceptions.PartitionError`;
-        with workers it defaults to one shard per worker.
-        """
-        if not self.workers:
-            if self.partitions is not None:
-                raise PartitionError(
-                    f"partitions={self.partitions} needs worker endpoints "
-                    "(--workers HOST:PORT[,HOST:PORT...]); a local census "
-                    "fans out by root"
-                )
-            return None
-        count = int(
-            self.partitions if self.partitions is not None else len(self.workers)
-        )
-        if count < 1:
-            raise PartitionError(f"partitions must be >= 1, got {count}")
-        return count
 
     def resolved_seed(self, default: int = 0) -> int:
         """The context seed, or ``default`` when unset."""
@@ -190,7 +162,6 @@ class RunContext:
             telemetry.annotate(f"{prefix}/n_jobs", self.resolved_n_jobs())
         if self.workers:
             telemetry.annotate(f"{prefix}/workers", len(self.workers))
-            telemetry.annotate(f"{prefix}/partitions", self.resolved_partitions())
         if self.seed is not None:
             telemetry.annotate(f"{prefix}/seed", self.seed)
         if self.store is not None and self.store.path is not None:

@@ -1,7 +1,7 @@
 """Content-addressed artifact store shared by every pipeline stage.
 
-Census counters, walk corpora, embedding matrices, partition sets and
-feature matrices all memoise through one store, so a warm
+Census counters, walk corpora, embedding matrices and feature
+matrices all memoise through one store, so a warm
 rerun of ``repro rank``/``repro label``/``repro runtime`` skips every
 already-computed stage end to end.
 
@@ -63,16 +63,12 @@ STAGE_CENSUS = "census"
 STAGE_WALKS = "walks"
 STAGE_EMBED = "embed"
 STAGE_FEATURES = "features"
-STAGE_PARTITION = "partition"
 
 #: Default per-stage eviction floors: the last N entries of these stages
-#: are never evicted to make room for another stage's flood.  Partition
-#: sets and embedding matrices are exactly the "expensive to rebuild,
-#: few in number" artifacts a census burst used to wash out.
-DEFAULT_STAGE_FLOORS: Mapping[str, int] = {
-    STAGE_PARTITION: 4,
-    STAGE_EMBED: 4,
-}
+#: are never evicted to make room for another stage's flood.  Embedding
+#: matrices are exactly the "expensive to rebuild, few in number"
+#: artifacts a census burst used to wash out.
+DEFAULT_STAGE_FLOORS: Mapping[str, int] = {STAGE_EMBED: 4}
 
 ArtifactKey = tuple[str, str, tuple]
 
@@ -146,8 +142,8 @@ class ArtifactStore:
         Per-stage protected floors for eviction: an entry is skipped by
         the eviction scan whenever removing it would drop its stage's
         entry count to below (or at) the floor, so e.g. a flood of
-        census entries can never push out the last few ``partition`` or
-        ``embed`` artifacts.  Defaults to :data:`DEFAULT_STAGE_FLOORS`;
+        census entries can never push out the last few ``embed``
+        artifacts.  Defaults to :data:`DEFAULT_STAGE_FLOORS`;
         pass ``{}`` to disable protection.  When nothing is evictable
         the store temporarily overflows ``max_entries`` rather than
         dropping a protected artifact.
@@ -453,8 +449,8 @@ class ArtifactStore:
         """Record :meth:`stats` into the run telemetry (``store/*`` gauges).
 
         The run manifest's ``artifact_store`` section reads exactly
-        these gauges, so partition-artifact reuse (and every other
-        stage's residency) is visible alongside the per-stage hit rates.
+        these gauges, so every stage's residency is visible alongside
+        the per-stage hit rates.
         Returns the recorded stats dict.
         """
         telemetry = telemetry if telemetry is not None else get_telemetry()

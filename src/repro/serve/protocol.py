@@ -2,7 +2,7 @@
 
 The wire format itself — newline-framed JSON, typed error codes, the
 ``require``/response helpers — lives in :mod:`repro.net.protocol`, the
-transport-agnostic substrate this daemon shares with the shard-worker
+transport-agnostic substrate this daemon shares with the census-worker
 RPC layer.  This module layers the *serving* contract on top: which
 operations exist and which side of the reader/writer lock each runs
 under.

@@ -6,7 +6,9 @@ straightforward recursive enumeration kept as the oracle in
 it is an *optimisation*, not an approximation, so these tests assert exact
 ``Counter`` equality on randomized graphs across every configuration
 axis: key mode, root masking, the grouping heuristic, the ``d_max`` hub
-cut-off, and ``e_max`` from 1 to 5.
+cut-off, and ``e_max`` from 1 to 5.  The fan-out tests run the same
+census through ``census_many`` on a two-process pool and on two
+loopback ``repro worker`` daemons, and hold both to the plain census.
 """
 
 from __future__ import annotations
@@ -17,7 +19,11 @@ import numpy as np
 import pytest
 
 from repro.core.census import CensusConfig, CensusError, subgraph_census
+from repro.core.features import SubgraphFeatureExtractor
 from repro.core.graph import HeteroGraph
+from repro.obs.telemetry import fresh_telemetry
+from repro.runtime.context import RunContext
+from tests.fleet import WorkerFleet
 from tests.oracles import reference_census
 
 KEY_MODES = ("canonical", "string", "hash")
@@ -219,3 +225,60 @@ class TestLastSlotParity:
                     errors.append(str(error))
             assert errors[0] == errors[1], cap
             assert (errors[0] is None) == (cap >= total), cap
+
+
+# ---------------------------------------------------------------------------
+# fan-out: a process pool and remote workers, against the plain census
+# ---------------------------------------------------------------------------
+
+
+def _fanout_contexts():
+    """``census_many`` contexts: a 2-process pool, then 2 remote workers."""
+    yield RunContext(n_jobs=2)
+    with WorkerFleet(2) as fleet:
+        yield RunContext(workers=fleet.specs)
+
+
+def test_parity_with_multiprocess_fanout():
+    graph = random_hetero_graph(42)
+    config = CensusConfig(max_edges=3, max_degree=4, mask_start_label=True)
+    roots = list(range(graph.num_nodes))[::-1] + [0, 0]
+    expected = [subgraph_census(graph, root, config) for root in roots]
+    for ctx in _fanout_contexts():
+        with fresh_telemetry():
+            got = SubgraphFeatureExtractor(config, ctx=ctx).census_many(graph, roots)
+        assert got == expected, ctx
+
+
+def test_multiprocess_fanout_keeps_census_counters():
+    """Counters the census records in pool processes or on remote
+    workers reach the parent, equal to those of an in-process census."""
+    graph = random_hetero_graph(42)
+    config = CensusConfig(max_edges=3)
+    roots = list(range(graph.num_nodes))
+    with fresh_telemetry() as serial:
+        SubgraphFeatureExtractor(config).census_many(graph, roots)
+    for ctx in _fanout_contexts():
+        with fresh_telemetry() as fanned:
+            SubgraphFeatureExtractor(config, ctx=ctx).census_many(graph, roots)
+        for name in ("census/calls", "census/subgraphs", "census/codes_built"):
+            assert fanned.counters[name] == serial.counters[name] > 0, (ctx, name)
+        assert (
+            fanned.timers["census/root"].count
+            == serial.timers["census/root"].count
+        ), ctx
+
+
+def test_duplicate_roots_are_independent_counters():
+    graph = random_hetero_graph(7)
+    config = CensusConfig(max_edges=2)
+    roots = list(range(graph.num_nodes)) + [0]
+    for ctx in _fanout_contexts():
+        with fresh_telemetry():
+            results = SubgraphFeatureExtractor(config, ctx=ctx).census_many(
+                graph, roots
+            )
+        assert results[0] == results[-1]
+        results[0]["poison"] = 99
+        assert "poison" not in results[-1], ctx
+

@@ -2,8 +2,8 @@
 
 Covers the estimator's statistical contract (unbiasedness, convergence
 with budget, CI coverage across randomized seeds), the determinism
-contract (fixed seed ⇒ bit-identical estimates at any worker count and
-any partition count), the cache-key separation between sampled and
+contract (fixed seed ⇒ bit-identical estimates at any worker count;
+the remote case lives in ``test_dist_remote.py``), the cache-key separation between sampled and
 exact artifacts, and the cross-cap regression for exact censuses cached
 without a ``max_subgraphs`` cap.
 """
@@ -28,7 +28,6 @@ from repro.core.sampled import (
 from repro.exceptions import CensusError, FeatureError
 from repro.runtime import VALID_ENGINES, ArtifactStore, RunContext
 from repro.runtime.store import STAGE_CENSUS
-from tests.shards import census_per_shard
 
 
 @pytest.fixture
@@ -219,31 +218,6 @@ class TestDeterminism:
             results[n_jobs] = extractor.census_many(publication_graph, nodes)
         assert results[1] == results[2]
         for a, b in zip(results[1], results[2]):
-            assert a.report == b.report
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_sharded_bit_identical_at_any_partition_count(
-        self, publication_graph, config, k
-    ):
-        cfg = SampledCensusConfig(budget=150, seed=4)
-        nodes = list(range(publication_graph.num_nodes))
-        direct = [
-            subgraph_census(
-                publication_graph,
-                node,
-                config,
-                engine="sampled",
-                sampled=cfg,
-                sample_root_key=node,
-            )
-            for node in nodes
-        ]
-        # The shard worker's census body, run once per shard.
-        sharded = census_per_shard(
-            publication_graph, nodes, config, k, engine="sampled", sampled=cfg
-        )
-        assert sharded == direct
-        for a, b in zip(sharded, direct):
             assert a.report == b.report
 
     def test_duplicate_roots_fan_out_with_reports(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.io import write_edgelist, write_graph_json
-from tests.shards import WorkerFleet
+from tests.fleet import WorkerFleet
 
 
 @pytest.fixture
@@ -694,32 +694,28 @@ class TestTelemetryAndLogging:
         assert "census/calls" in err
 
 
-class TestPartitionedCensusCLI:
-    """``--workers`` alone sends the census to ``repro worker`` daemons;
-    ``--partitions`` only sets their shard count."""
+class TestRemoteCensusCLI:
+    """``--workers`` alone sends the census to ``repro worker`` daemons."""
 
-    def test_census_partitions_matches_plain(self, graph_json, capsys):
+    def test_census_workers_matches_plain(self, graph_json, capsys):
         assert main(["census", graph_json, "--root", "i1", "--emax", "2"]) == 0
         plain = capsys.readouterr().out
         with WorkerFleet(2) as fleet:
-            workers = ",".join(fleet.specs)
-            for extra in ([], ["--partitions", "3"]):
-                assert main(
-                    [
-                        "census",
-                        graph_json,
-                        "--root",
-                        "i1",
-                        "--emax",
-                        "2",
-                        "--workers",
-                        workers,
-                        *extra,
-                    ]
-                ) == 0
-                assert capsys.readouterr().out == plain
+            assert main(
+                [
+                    "census",
+                    graph_json,
+                    "--root",
+                    "i1",
+                    "--emax",
+                    "2",
+                    "--workers",
+                    ",".join(fleet.specs),
+                ]
+            ) == 0
+            assert capsys.readouterr().out == plain
 
-    def test_partitioned_run_manifest_and_store(self, graph_json, tmp_path, capsys):
+    def test_remote_run_manifest_and_store(self, graph_json, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"
         store_path = tmp_path / "run.store"
         with WorkerFleet(2) as fleet:
@@ -736,55 +732,37 @@ class TestPartitionedCensusCLI:
                     workers,
                     "--artifact-store",
                     str(store_path),
+                    "--telemetry-out",
+                    str(manifest_path),
                     "--out",
                     str(tmp_path / "features.json"),
                 ]
             ) == 0
-            capsys.readouterr()
-            assert main(
-                [
-                    "census",
-                    graph_json,
-                    "--root",
-                    "i1",
-                    "--emax",
-                    "2",
-                    "--workers",
-                    workers,
-                    "--artifact-store",
-                    str(store_path),
-                    "--telemetry-out",
-                    str(manifest_path),
-                ]
-            ) == 0
         capsys.readouterr()
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["provenance"]["annotations"]["run/partitions"] == "2"
-        assert manifest["provenance"]["annotations"]["run/workers"] == "2"
-        # the store still holds the partition set cut by the features run
-        # (the warm census cache short-circuits before it is consulted)
-        assert manifest["artifact_store"]["entries"] > 0
-        assert manifest["artifact_store"]["approx_payload_bytes"] > 0
-        assert manifest["artifact_store"]["stages"]["partition"]["entries"] == 1
-
-    @pytest.mark.parametrize("command", ("census", "features"))
-    def test_partitions_without_workers_exit_2(self, graph_json, tmp_path, command):
-        target = (
-            ["--root", "i1"]
-            if command == "census"
-            else ["--nodes", "i1", "--out", str(tmp_path / "f.json")]
-        )
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, graph_json, *target, "--partitions", "2"])
-        assert excinfo.value.code == 2
+        annotations = manifest["provenance"]["annotations"]
+        assert annotations["run/workers"] == "2"
+        assert "run/partitions" not in annotations
+        assert manifest["counters"]["net/graphs_shipped"] >= 1
+        # Census counters recorded on the workers reach the manifest.
+        assert manifest["counters"]["census/calls"] == 3
+        # The store holds the censuses and nothing shard-shaped.
+        assert set(manifest["artifact_store"]["stages"]) == {"census", "features"}
+        assert manifest["artifact_store"]["stages"]["census"]["entries"] == 3
 
     @pytest.mark.parametrize(
         "argv",
-        [["rank", "--partitions", "2"], ["label", "g.json", "--partitions", "2"]],
+        [
+            ["census", "g.json", "--root", "i1", "--partitions", "2"],
+            ["features", "g.json", "--nodes", "i1", "--partitions", "2"],
+            ["rank", "--partitions", "2"],
+            ["label", "g.json", "--partitions", "2"],
+            ["worker", "--listen", "127.0.0.1:0", "--partitions", "2"],
+        ],
         ids=lambda argv: argv[0],
     )
-    def test_grid_commands_take_no_partitions(self, argv):
-        """rank/label have no --workers, so a shard count has no use."""
+    def test_partitions_flag_is_gone(self, argv):
+        """Workers hold whole graphs, so no command takes a shard count."""
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit) as excinfo:
@@ -826,14 +804,11 @@ class TestNetCLI:
         with pytest.raises(SystemExit):
             parser.parse_args(["worker"])  # --listen is required
         args = parser.parse_args(
-            ["worker", "--listen", "127.0.0.1:0", "--partitions", "2"]
+            ["worker", "--listen", "127.0.0.1:0", "--graph", "g.hmg", "--mmap-graph"]
         )
         assert args.listen == "127.0.0.1:0"
+        assert (args.graph, args.mmap_graph) == ("g.hmg", True)
         assert args.func is not None
-
-    def test_worker_preload_requires_partitions(self, graph_json):
-        with pytest.raises(SystemExit):
-            main(["worker", "--listen", "127.0.0.1:0", "--graph", graph_json])
 
     def test_workers_flag_builds_context_tuple(self, graph_json):
         from repro.cli import _build_context, build_parser
@@ -853,19 +828,15 @@ class TestNetCLI:
 
 
 class TestSharedFlags:
-    """``--n-jobs/--jobs``, ``--partitions``, ``--engine`` and ``--layout``
-    come from one helper each; every subcommand keeps its flags, defaults,
+    """``--n-jobs/--jobs``, ``--engine`` and ``--layout`` come from one
+    helper each; every subcommand keeps its flags, defaults,
     dest and help text."""
 
     CENSUS_JOBS = "worker processes for the census (0 = all cores)"
-    CENSUS_PARTITIONS = (
-        "halo-complete graph shards to cut for --workers "
-        "(default: one per worker)"
-    )
     CORPUS_JOBS = "worker processes for corpus generation"
     EXPECTED = {
-        "census": {"n_jobs": CENSUS_JOBS, "partitions": CENSUS_PARTITIONS},
-        "features": {"n_jobs": CENSUS_JOBS, "partitions": CENSUS_PARTITIONS},
+        "census": {"n_jobs": CENSUS_JOBS},
+        "features": {"n_jobs": CENSUS_JOBS},
         "embed": {"n_jobs": CORPUS_JOBS},
         "runtime": {"n_jobs": CORPUS_JOBS},
         "rank": {
@@ -877,15 +848,8 @@ class TestSharedFlags:
             "(results are identical for any value)",
         },
         "serve": {"n_jobs": "worker processes for warm-up and repair censuses"},
-        "worker": {
-            "partitions": "partition count used to cut preloaded shards "
-            "(must match the coordinator's --partitions)"
-        },
     }
-    FLAGS = {
-        "n_jobs": (["--n-jobs", "--jobs"], 1),
-        "partitions": (["--partitions"], None),
-    }
+    FLAGS = {"n_jobs": (["--n-jobs", "--jobs"], 1)}
 
     def test_flags_defaults_and_help_per_subcommand(self):
         import argparse

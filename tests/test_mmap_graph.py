@@ -1,6 +1,6 @@
 """Randomized parity + format suite for the out-of-core mmap graph.
 
-The contract under test mirrors the partitioned-census suite: an
+The contract under test mirrors the engine-parity suite: an
 :class:`~repro.core.mmap_graph.MmapGraph` opened from a ``.hmg`` file
 must be *bit-identical* to its dict-backed twin under every census
 engine, worker count, and config axis — masked roots, hub cut-offs, the
@@ -28,14 +28,12 @@ from repro.core.graph import FlatGraph, HeteroGraph
 from repro.core.labels import LabelSet
 from repro.core.mmap_graph import HMG_MAGIC, MmapGraph, _PREAMBLE
 from repro.core.sampled import SampledCensusConfig
-from repro.dist import PartitionConfig
 from repro.exceptions import FeatureError, GraphError
 from repro.io.edgelist import read_edgelist, write_edgelist
 from repro.io.stream import build_mmap_graph, census_stream, write_mmap_graph
 from repro.runtime.context import RunContext
 from repro.runtime.store import ArtifactStore
 from tests.oracles import reference_census
-from tests.shards import census_per_shard
 
 #: Expected censuses per parity case: the library's, or the oracle's.
 CENSUS = {"fast": subgraph_census, "reference": reference_census}
@@ -335,18 +333,6 @@ class TestCensusParity:
         got = SubgraphFeatureExtractor(
             config, ctx=RunContext(n_jobs=n_jobs)
         ).census_many(mg, roots)
-        assert got == expected
-
-    def test_partitioned_census_over_mmap(self, tmp_path):
-        graph = random_hetero_graph(22)
-        mg = as_mmap(graph, tmp_path)
-        config = CensusConfig(max_edges=3)
-        roots = list(range(graph.num_nodes))
-        expected = [subgraph_census(graph, r, config) for r in roots]
-        # The shard worker's census body, run once per shard.
-        got = census_per_shard(
-            mg, roots, config, PartitionConfig(num_partitions=3)
-        )
         assert got == expected
 
 

@@ -3,7 +3,7 @@
 Endpoint parsing, framing/typed-error helpers, blob armouring, the
 retry policy, and the synchronous :class:`NetClient` against a live
 echo-style server on both transports — the pieces every higher layer
-(serving daemon, shard workers, remote executor) builds on.
+(serving daemon, census workers, remote executor) builds on.
 """
 
 from __future__ import annotations

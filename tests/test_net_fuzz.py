@@ -1,7 +1,7 @@
 """Protocol fuzz suite shared by every framed-protocol server.
 
 Both servers on the :mod:`repro.net` substrate — the feature-serving
-:class:`ServeDaemon` and the shard-census :class:`ShardWorker` — must
+:class:`ServeDaemon` and the census :class:`CensusWorker` — must
 survive hostile framing on both transports: malformed JSON gets a typed
 error (never a dropped connection), oversized lines get dropped (never
 buffered without bound), split/partial frames reassemble, binary junk
@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.dist import ShardWorker
+from repro.dist import CensusWorker
 from repro.net import MAX_LINE_BYTES, open_connection
 from repro.obs import fresh_telemetry
 from repro.serve import FeatureService, ServeConfig, ServeDaemon
@@ -42,7 +42,7 @@ def _build_server(kind: str, transport: str, tmp_path):
     spec = tmp_path / f"{kind}.sock" if transport == "unix" else "127.0.0.1:0"
     if kind == "daemon":
         return ServeDaemon(FeatureService(_graph(), ServeConfig(emax=3)), spec)
-    return ShardWorker(spec)
+    return CensusWorker(spec)
 
 
 def _run_against(server, scenario) -> None:

@@ -246,12 +246,12 @@ class TestManifest:
         with fresh_telemetry() as t:
             t.count("artifact/census/hits", 3)
             t.count("artifact/census/misses", 1)
-            t.count("artifact/partition/misses", 1)
+            t.count("artifact/walks/misses", 1)
             t.gauge("store/entries", 5)
             t.gauge("store/evictions", 2)
             t.gauge("store/approx_payload_bytes", 4096)
             t.gauge("store/entries/census", 4)
-            t.gauge("store/entries/partition", 1)
+            t.gauge("store/entries/walks", 1)
             manifest = build_manifest("census")
         section = manifest["artifact_store"]
         assert section["entries"] == 5
@@ -261,7 +261,7 @@ class TestManifest:
         assert census["hits"] == 3
         assert census["hit_rate"] == pytest.approx(0.75)
         assert census["entries"] == 4
-        assert section["stages"]["partition"]["entries"] == 1
+        assert section["stages"]["walks"]["entries"] == 1
 
     def test_artifact_store_section_without_store_has_no_totals(self):
         with fresh_telemetry():

@@ -476,7 +476,7 @@ class TestStoreStats:
     def test_record_stats_emits_store_gauges(self):
         store = ArtifactStore()
         store.put(FP, "census", (1,), "x")
-        store.put(FP, "partition", (1,), "p")
+        store.put(FP, "walks", (1,), "w")
         with fresh_telemetry() as telemetry:
             store.record_stats(telemetry)
             gauges = telemetry.as_dict()["gauges"]
@@ -484,7 +484,7 @@ class TestStoreStats:
         assert gauges["store/evictions"] == 0
         assert gauges["store/approx_payload_bytes"] > 0
         assert gauges["store/entries/census"] == 1
-        assert gauges["store/entries/partition"] == 1
+        assert gauges["store/entries/walks"] == 1
 
     def test_save_records_stats(self, tmp_path):
         store = ArtifactStore(tmp_path / "store.pkl")
@@ -516,17 +516,17 @@ class TestArtifactStoreLRU:
         assert store.get(FP, "census", (2,)) is None
         assert store.get(FP, "census", (1,)) == "a2"
 
-    def test_partition_floor_survives_census_flood(self):
+    def test_embed_floor_survives_census_flood(self):
         # The regression this guards: a long census run used to evict the
-        # halo-complete partition sets it was itself iterating over.
+        # few expensive artifacts the rest of the run still needed.
         store = ArtifactStore(max_entries=6)
         for i in range(4):
-            store.put(FP, "partition", (i,), f"part-{i}")
+            store.put(FP, "embed", (i,), f"matrix-{i}")
         for i in range(40):
             store.put(FP, "census", (i,), i)
-        assert store.stage_entries("partition") == 4
+        assert store.stage_entries("embed") == 4
         for i in range(4):
-            assert store.get(FP, "partition", (i,)) == f"part-{i}"
+            assert store.get(FP, "embed", (i,)) == f"matrix-{i}"
         assert store.stage_entries("census") == 2
         assert len(store) == 6
 
@@ -542,17 +542,17 @@ class TestArtifactStoreLRU:
         # max_entries instead of dropping protected artifacts.
         store = ArtifactStore(max_entries=2)
         for i in range(4):
-            store.put(FP, "partition", (i,), i)
+            store.put(FP, "embed", (i,), i)
         assert len(store) == 4
         assert store.evictions == 0
 
     def test_custom_floors_override_defaults(self):
-        # An explicit empty mapping clears the default partition floor.
+        # An explicit empty mapping clears the default embed floor.
         store = ArtifactStore(max_entries=2, stage_floors={})
-        store.put(FP, "partition", (1,), "p")
+        store.put(FP, "embed", (1,), "m")
         store.put(FP, "census", (1,), "a")
         store.put(FP, "census", (2,), "b")
-        assert store.get(FP, "partition", (1,)) is None  # no floor: evicted
+        assert store.get(FP, "embed", (1,)) is None  # no floor: evicted
         assert store.get(FP, "census", (1,)) == "a"
 
     def test_floor_keeps_stage_at_floor_not_above(self):
@@ -560,11 +560,11 @@ class TestArtifactStoreLRU:
         # entry: the oldest one is still evictable while count > floor.
         store = ArtifactStore(max_entries=2, stage_floors={"census": 1})
         store.put(FP, "census", (1,), "a")
-        store.put(FP, "partition", (1,), "p")
+        store.put(FP, "embed", (1,), "m")
         store.put(FP, "census", (2,), "b")
         assert store.get(FP, "census", (1,)) is None  # oldest, above floor
         assert store.get(FP, "census", (2,)) == "b"
-        assert store.get(FP, "partition", (1,)) == "p"
+        assert store.get(FP, "embed", (1,)) == "m"
 
     def test_discard_removes_without_counting_eviction(self):
         store = ArtifactStore()
@@ -670,7 +670,7 @@ class TestArtifactStoreConcurrency:
         import threading
 
         store = ArtifactStore(tmp_path / "store.pkl", max_entries=64)
-        stages = ("census", "walks", "embed", "features", "partition")
+        stages = ("census", "walks", "embed", "features")
         errors = []
         barrier = threading.Barrier(8)
 
