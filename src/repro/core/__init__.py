@@ -1,7 +1,7 @@
 """Core of the reproduction: heterogeneous graphs, the characteristic-
 sequence encoding, the rooted subgraph census, and feature extraction."""
 
-from repro.core.census import CensusConfig, CensusStats, census_total, subgraph_census
+from repro.core.census import CensusConfig, census_total, subgraph_census
 from repro.core.collisions import CollisionReport, find_collisions
 from repro.core.connectivity import LabelConnectivity, label_connectivity
 from repro.core.encoding import (
@@ -12,7 +12,6 @@ from repro.core.encoding import (
     code_to_string,
     encode_subgraph,
     string_to_code,
-    validate_code,
 )
 from repro.core.features import (
     FeatureSpace,
@@ -43,25 +42,10 @@ from repro.core.sampled import (
     run_sampled_census,
     sampled_config_key,
 )
-from repro.core.stats import (
-    DegreeSummary,
-    degree_summary,
-    hub_fraction,
-    label_assortativity,
-    mixing_matrix,
-    summarize,
-)
 
 __all__ = [
-    "DegreeSummary",
-    "degree_summary",
-    "hub_fraction",
-    "label_assortativity",
-    "mixing_matrix",
-    "summarize",
     "CanonicalCode",
     "CensusConfig",
-    "CensusStats",
     "CollisionReport",
     "CSRMatrix",
     "FeatureSpace",
@@ -99,5 +83,4 @@ __all__ = [
     "sampled_config_key",
     "string_to_code",
     "subgraph_census",
-    "validate_code",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal
 
 from repro.core.encoding import code_to_string
@@ -122,7 +122,91 @@ def _cap_exceeded(root: int, cap) -> CensusError:
     )
 
 
-class _FastCensusRun:
+class _CensusRunState:
+    """Per-root state shared by the exact and the sampled census runs.
+
+    The flat snapshot's arrays, the effective root label (the mask label
+    when masking), one subgraph flag and one ban flag per edge id, the
+    rolling-hash delta table and the ``d_max``-capped candidate filter.
+    Both engines walk the same DFS tree of the exclusion discipline over
+    this state; they differ only in how they walk it.
+    """
+
+    __slots__ = (
+        "config",
+        "root",
+        "labelset",
+        "num_labels",
+        "labels",
+        "root_label",
+        "degrees",
+        "indptr",
+        "neighbors",
+        "edge_ids",
+        "edge_u",
+        "edge_v",
+        "dmax",
+        "in_sub",
+        "banned",
+        "use_hash",
+        "hash_mod",
+        "hash_deltas",
+    )
+
+    def __init__(self, graph: HeteroGraph, root: int, config: CensusConfig) -> None:
+        flat = graph.flat()
+        self.config = config
+        self.root = root
+        labelset = effective_labelset(graph, config)
+        self.labelset = labelset
+        num_labels = len(labelset)
+        self.num_labels = num_labels
+        self.labels = flat.labels
+        self.root_label = (
+            labelset.mask_index if config.mask_start_label else flat.labels[root]
+        )
+        self.degrees = flat.degrees
+        self.indptr = flat.indptr
+        self.neighbors = flat.neighbors
+        self.edge_ids = flat.edge_ids
+        self.edge_u = flat.edge_u
+        self.edge_v = flat.edge_v
+        self.dmax = config.max_degree
+        num_edges = len(flat.edge_u)
+        self.in_sub = bytearray(num_edges)
+        self.banned = bytearray(num_edges)
+        self.use_hash = config.key == "hash"
+        if self.use_hash:
+            hasher = RollingSubgraphHash(num_labels)
+            self.hash_mod = hasher.modulus
+            # Flat (label_u * k + label_v) -> per-edge hash delta table,
+            # replacing two method calls per edge with one list index.
+            self.hash_deltas = [
+                hasher.edge_delta(lu, lv)
+                for lu in range(num_labels)
+                for lv in range(num_labels)
+            ]
+        else:
+            self.hash_mod = 0
+            self.hash_deltas = []
+
+    def _expansion(self, node: int) -> list[int]:
+        """Candidate edge ids exposed by ``node``, unless it is a capped hub."""
+        dmax = self.dmax
+        if dmax is not None and node != self.root and self.degrees[node] > dmax:
+            return []
+        lo = self.indptr[node]
+        hi = self.indptr[node + 1]
+        in_sub = self.in_sub
+        banned = self.banned
+        return [
+            eid
+            for eid in self.edge_ids[lo:hi]
+            if not in_sub[eid] and not banned[eid]
+        ]
+
+
+class _FastCensusRun(_CensusRunState):
     """Fast census engine: flat snapshot, incremental code, iterative DFS.
 
     Four changes over the straightforward recursive enumeration (kept as
@@ -152,26 +236,8 @@ class _FastCensusRun:
     """
 
     __slots__ = (
-        "config",
-        "root",
-        "labelset",
-        "num_labels",
-        "labels",
-        "root_label",
-        "degrees",
-        "indptr",
-        "neighbors",
-        "edge_ids",
-        "edge_u",
-        "edge_v",
-        "dmax",
-        "in_sub",
-        "banned",
         "counts",
         "members",
-        "hash_mod",
-        "hash_deltas",
-        "use_hash",
         "row_of",
         "rows",
         "dirty",
@@ -184,47 +250,14 @@ class _FastCensusRun:
     )
 
     def __init__(self, graph: HeteroGraph, root: int, config: CensusConfig) -> None:
-        flat = graph.flat()
-        self.config = config
-        self.root = root
-        labelset = effective_labelset(graph, config)
-        self.labelset = labelset
-        num_labels = len(labelset)
-        self.num_labels = num_labels
-        self.labels = flat.labels
-        self.root_label = (
-            labelset.mask_index if config.mask_start_label else flat.labels[root]
-        )
-        self.degrees = flat.degrees
-        self.indptr = flat.indptr
-        self.neighbors = flat.neighbors
-        self.edge_ids = flat.edge_ids
-        self.edge_u = flat.edge_u
-        self.edge_v = flat.edge_v
-        self.dmax = config.max_degree
-        num_edges = len(flat.edge_u)
-        self.in_sub = bytearray(num_edges)
-        self.banned = bytearray(num_edges)
+        super().__init__(graph, root, config)
+        num_labels = self.num_labels
         self.counts: Counter = Counter()
         # Per-member state: [effective label, t_0, ..., t_k] — the row
         # tuple of Eq. 1/2 is exactly tuple(list).
         self.members: dict[int, list[int]] = {
             root: [self.root_label] + [0] * num_labels
         }
-        self.use_hash = config.key == "hash"
-        if self.use_hash:
-            hasher = RollingSubgraphHash(num_labels)
-            self.hash_mod = hasher.modulus
-            # Flat (label_u * k + label_v) -> per-edge hash delta table,
-            # replacing two method calls per edge with one list index.
-            self.hash_deltas = [
-                hasher.edge_delta(lu, lv)
-                for lu in range(num_labels)
-                for lv in range(num_labels)
-            ]
-        else:
-            self.hash_mod = 0
-            self.hash_deltas = []
         row = (self.root_label, *([0] * num_labels))
         self.row_of: dict[int, tuple] = {root: row}
         self.rows: list[tuple] = [row]
@@ -243,22 +276,7 @@ class _FastCensusRun:
         self.codes_built = 0
         self.frames = 0
 
-    # -- candidate generation ----------------------------------------------
-    def _expansion(self, node: int) -> list[int]:
-        """Candidate edge ids exposed by ``node``, unless it is a capped hub."""
-        dmax = self.dmax
-        if dmax is not None and node != self.root and self.degrees[node] > dmax:
-            return []
-        lo = self.indptr[node]
-        hi = self.indptr[node + 1]
-        in_sub = self.in_sub
-        banned = self.banned
-        return [
-            eid
-            for eid in self.edge_ids[lo:hi]
-            if not in_sub[eid] and not banned[eid]
-        ]
-
+    # -- key materialisation -----------------------------------------------
     def _flush_rows(self) -> list[tuple]:
         """Repair the sorted row container for the dirty nodes only."""
         rows = self.rows
@@ -755,20 +773,3 @@ def census_total(counts: Counter) -> int:
     """Total number of rooted subgraphs in a census result."""
     return sum(counts.values())
 
-
-@dataclass
-class CensusStats:
-    """Aggregate statistics over per-root censuses (used by Table 3)."""
-
-    roots: int = 0
-    total_subgraphs: int = 0
-    distinct_codes: set = field(default_factory=set)
-
-    def update(self, counts: Counter) -> None:
-        self.roots += 1
-        self.total_subgraphs += census_total(counts)
-        self.distinct_codes.update(counts)
-
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self.distinct_codes)

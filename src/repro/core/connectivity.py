@@ -60,16 +60,6 @@ class LabelConnectivity:
         """
         return 4 if self.has_loops else 5
 
-    def to_networkx(self):
-        """Export as a ``networkx.Graph`` with loops and ``count`` edge data."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self.labelset.names)
-        for a, b, count in self.label_pairs():
-            graph.add_edge(a, b, count=count)
-        return graph
-
     def render(self) -> str:
         """One-line-per-pair text rendering used by the figure benches."""
         lines = [f"label connectivity over {list(self.labelset.names)}"]

@@ -147,29 +147,3 @@ def code_num_edges(code: CanonicalCode) -> int:
     if total % 2:
         raise EncodingError(f"degree sum {total} is odd; corrupted code {code!r}")
     return total // 2
-
-
-def validate_code(code: CanonicalCode, num_labels: int) -> None:
-    """Check structural sanity of a canonical code.
-
-    Verifies sequence width, label ranges, descending order, and an even
-    degree sum.  Raises :class:`EncodingError` on the first violation.  Note
-    that passing this check does not guarantee the code is *realisable* as a
-    graph; use :func:`repro.core.interpret.realize_code` for that.
-    """
-    if not code:
-        raise EncodingError("empty code")
-    previous = None
-    for seq in code:
-        if len(seq) != num_labels + 1:
-            raise EncodingError(
-                f"sequence {seq!r} has width {len(seq)}, expected {num_labels + 1}"
-            )
-        if not 0 <= seq[0] < num_labels:
-            raise EncodingError(f"sequence {seq!r} has label outside the alphabet")
-        if any(c < 0 for c in seq[1:]):
-            raise EncodingError(f"sequence {seq!r} has a negative count")
-        if previous is not None and seq > previous:
-            raise EncodingError("node sequences are not in descending order")
-        previous = seq
-    code_num_edges(code)

@@ -194,8 +194,7 @@ def fingerprint_adjacency(labelset: LabelSet, labels, rows) -> str:
 class HeteroGraph:
     """An immutable undirected node-labelled simple graph.
 
-    Use :meth:`from_edges` or :meth:`from_networkx` rather than calling the
-    constructor directly.
+    Use :meth:`from_edges` rather than calling the constructor directly.
     """
 
     #: Storage backend reported in ``census/storage`` telemetry.
@@ -341,37 +340,6 @@ class HeteroGraph:
         ends = np.cumsum(degrees).tolist()
         return [neighbour[a:b] for a, b in zip([0, *ends], ends)], list(starts)
 
-    @classmethod
-    def from_networkx(cls, graph, label_attr: str = "label", labelset: LabelSet | None = None) -> "HeteroGraph":
-        """Build from a ``networkx.Graph`` whose nodes carry a label attribute.
-
-        Raises
-        ------
-        GraphError
-            If a node is missing the label attribute or the graph is directed.
-        """
-        if graph.is_directed():
-            raise GraphError("HeteroGraph is undirected; pass an undirected networkx graph")
-        node_labels: dict[NodeId, str] = {}
-        for node, data in graph.nodes(data=True):
-            if label_attr not in data:
-                raise GraphError(f"node {node!r} is missing the {label_attr!r} attribute")
-            node_labels[node] = data[label_attr]
-        return cls.from_edges(node_labels, graph.edges(), labelset=labelset)
-
-    def to_networkx(self):
-        """Export to a ``networkx.Graph`` with ``label`` node attributes."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for i, node_id in enumerate(self._ids):
-            graph.add_node(node_id, label=self._labelset.name(int(self._labels[i])))
-        for u in range(self.num_nodes):
-            for v in self._adjacency[u]:
-                if u < v:
-                    graph.add_edge(self._ids[u], self._ids[int(v)])
-        return graph
-
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -444,19 +412,6 @@ class HeteroGraph:
         """Number of neighbours of ``index`` with the given label."""
         starts = self._label_starts[index]
         return int(starts[label + 1] - starts[label])
-
-    def neighbor_label_runs(self, index: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(label, neighbours)`` for each non-empty same-label run.
-
-        This is the access pattern of the heterogeneous grouping heuristic:
-        all same-label neighbours in one step.
-        """
-        starts = self._label_starts[index]
-        adjacency = self._adjacency[index]
-        for label in range(len(self._labelset)):
-            lo, hi = starts[label], starts[label + 1]
-            if hi > lo:
-                yield label, adjacency[lo:hi]
 
     def flat(self) -> FlatAdjacency:
         """The cached :class:`FlatAdjacency` snapshot (built on first use).
@@ -540,66 +495,6 @@ class HeteroGraph:
     def nodes_with_label(self, label: int) -> np.ndarray:
         """Indices of all nodes carrying ``label``."""
         return np.flatnonzero(self._labels == label)
-
-    # ------------------------------------------------------------------
-    # Components
-    # ------------------------------------------------------------------
-    def connected_components(self) -> list[np.ndarray]:
-        """Connected components as arrays of node indices, largest first.
-
-        Isolated nodes form singleton components.  Useful for dataset
-        preprocessing: rooted censuses never cross components, so features
-        of nodes outside the giant component are systematically sparser.
-        """
-        seen = np.zeros(self.num_nodes, dtype=bool)
-        components: list[np.ndarray] = []
-        for start in range(self.num_nodes):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            members = [start]
-            while stack:
-                current = stack.pop()
-                for neighbour in self._adjacency[current]:
-                    neighbour = int(neighbour)
-                    if not seen[neighbour]:
-                        seen[neighbour] = True
-                        stack.append(neighbour)
-                        members.append(neighbour)
-            components.append(np.asarray(sorted(members), dtype=np.int64))
-        components.sort(key=len, reverse=True)
-        return components
-
-    def largest_component(self) -> "HeteroGraph":
-        """Induced subgraph on the largest connected component."""
-        components = self.connected_components()
-        if not components:
-            raise GraphError("graph has no nodes")
-        return self.subgraph(components[0])
-
-    # ------------------------------------------------------------------
-    # Derived graphs
-    # ------------------------------------------------------------------
-    def subgraph(self, indices: Iterable[int]) -> "HeteroGraph":
-        """Induced subgraph on the given node indices.
-
-        External ids and the label alphabet are preserved; only nodes and
-        their mutual edges survive.
-        """
-        keep = sorted(set(int(i) for i in indices))
-        for i in keep:
-            if not 0 <= i < self.num_nodes:
-                raise GraphError(f"node index {i} out of range")
-        keep_set = set(keep)
-        node_labels = {self._ids[i]: self._labelset.name(self.label_of(i)) for i in keep}
-        edges = [
-            (self._ids[u], self._ids[int(v)])
-            for u in keep
-            for v in self._adjacency[u]
-            if u < int(v) and int(v) in keep_set
-        ]
-        return HeteroGraph.from_edges(node_labels, edges, labelset=self._labelset)
 
     def __repr__(self) -> str:
         return (

@@ -144,7 +144,3 @@ class LabelSet:
             If this alphabet was not created via :meth:`with_mask`.
         """
         return self.index(MASK_LABEL)
-
-    def has_mask(self) -> bool:
-        """Whether this alphabet contains the artificial mask label."""
-        return MASK_LABEL in self._index

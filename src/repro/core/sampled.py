@@ -52,10 +52,9 @@ from dataclasses import dataclass
 from math import sqrt
 from statistics import NormalDist
 
-from repro.core.census import CensusConfig, effective_labelset
+from repro.core.census import CensusConfig, _CensusRunState
 from repro.core.encoding import code_to_string
 from repro.core.graph import HeteroGraph
-from repro.core.hashing import RollingSubgraphHash
 from repro.exceptions import CensusError
 
 
@@ -189,30 +188,11 @@ def _probe_seed(seed: int, root: int) -> int:
     )
 
 
-class _SampledCensusRun:
-    """One rooted estimation: budgeted probes over the flat CSR snapshot."""
+class _SampledCensusRun(_CensusRunState):
+    """One rooted estimation: budgeted probes over the exact engine's
+    run state (flat snapshot, edge flags, hash deltas, ``d_max`` filter)."""
 
-    __slots__ = (
-        "config",
-        "sampled",
-        "root",
-        "labelset",
-        "num_labels",
-        "labels",
-        "root_label",
-        "degrees",
-        "indptr",
-        "edge_ids",
-        "edge_u",
-        "edge_v",
-        "dmax",
-        "in_sub",
-        "banned",
-        "members",
-        "use_hash",
-        "hash_mod",
-        "hash_deltas",
-    )
+    __slots__ = ("sampled", "members")
 
     def __init__(
         self,
@@ -221,56 +201,9 @@ class _SampledCensusRun:
         config: CensusConfig,
         sampled: SampledCensusConfig,
     ) -> None:
-        flat = graph.flat()
-        self.config = config
+        super().__init__(graph, root, config)
         self.sampled = sampled
-        self.root = root
-        labelset = effective_labelset(graph, config)
-        self.labelset = labelset
-        num_labels = len(labelset)
-        self.num_labels = num_labels
-        self.labels = flat.labels
-        self.root_label = (
-            labelset.mask_index if config.mask_start_label else flat.labels[root]
-        )
-        self.degrees = flat.degrees
-        self.indptr = flat.indptr
-        self.edge_ids = flat.edge_ids
-        self.edge_u = flat.edge_u
-        self.edge_v = flat.edge_v
-        self.dmax = config.max_degree
-        num_edges = len(flat.edge_u)
-        self.in_sub = bytearray(num_edges)
-        self.banned = bytearray(num_edges)
         self.members: dict[int, list[int]] = {}
-        self.use_hash = config.key == "hash"
-        if self.use_hash:
-            hasher = RollingSubgraphHash(num_labels)
-            self.hash_mod = hasher.modulus
-            self.hash_deltas = [
-                hasher.edge_delta(lu, lv)
-                for lu in range(num_labels)
-                for lv in range(num_labels)
-            ]
-        else:
-            self.hash_mod = 0
-            self.hash_deltas = []
-
-    def _expansion(self, node: int) -> list[int]:
-        """Candidate edge ids exposed by ``node`` — identical filter to
-        the exact engines (``d_max`` hubs capped, root exempt)."""
-        dmax = self.dmax
-        if dmax is not None and node != self.root and self.degrees[node] > dmax:
-            return []
-        lo = self.indptr[node]
-        hi = self.indptr[node + 1]
-        in_sub = self.in_sub
-        banned = self.banned
-        return [
-            eid
-            for eid in self.edge_ids[lo:hi]
-            if not in_sub[eid] and not banned[eid]
-        ]
 
     def run(self) -> SampledCensus:
         import random

@@ -255,9 +255,3 @@ class CSRMatrix:
         :meth:`~repro.core.features.FeatureSpace.prune` thresholds on.
         """
         return np.bincount(self.indices, minlength=self.shape[1]).astype(np.int64)
-
-    def column_sums(self) -> np.ndarray:
-        """Per-column sum of stored values."""
-        return np.bincount(
-            self.indices, weights=self.data, minlength=self.shape[1]
-        ).astype(np.float64)

@@ -25,7 +25,6 @@ from repro.datasets.schema import (
 )
 from repro.datasets.synthetic import (
     affinity_graph,
-    complete_bipartite,
     path,
     powerlaw_weights,
     star,
@@ -46,7 +45,6 @@ __all__ = [
     "SyntheticLOAD",
     "SyntheticMAG",
     "affinity_graph",
-    "complete_bipartite",
     "path",
     "powerlaw_weights",
     "sample_nodes_per_label",

@@ -146,18 +146,3 @@ def path(labels: list[str]) -> HeteroGraph:
     node_labels = {f"p{i}": label for i, label in enumerate(labels)}
     edges = [(f"p{i}", f"p{i + 1}") for i in range(len(labels) - 1)]
     return HeteroGraph.from_edges(node_labels, edges)
-
-
-def complete_bipartite(
-    label_a: str, size_a: int, label_b: str, size_b: int
-) -> HeteroGraph:
-    """Deterministic complete bipartite fixture K_{a,b}."""
-    node_labels = {}
-    for i in range(size_a):
-        node_labels[f"a{i}"] = label_a
-    for j in range(size_b):
-        node_labels[f"b{j}"] = label_b
-    edges = [
-        (f"a{i}", f"b{j}") for i in range(size_a) for j in range(size_b)
-    ]
-    return HeteroGraph.from_edges(node_labels, edges)

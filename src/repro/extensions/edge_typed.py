@@ -47,13 +47,6 @@ class TypedEdge:
     role_u: int
     role_v: int
 
-    def role_at(self, node: int) -> int:
-        if node == self.u:
-            return self.role_u
-        if node == self.v:
-            return self.role_v
-        raise GraphError(f"node {node} is not an endpoint of {self}")
-
     def other(self, node: int) -> int:
         if node == self.u:
             return self.v

@@ -1,7 +1,6 @@
 """Serialisation of heterogeneous graphs and extracted features."""
 
 from repro.io.edgelist import iter_edgelist, read_edgelist, write_edgelist
-from repro.io.graphml import read_graphml, write_graphml
 from repro.io.jsongraph import (
     features_from_dict,
     features_to_dict,
@@ -30,10 +29,8 @@ __all__ = [
     "read_edgelist",
     "read_features_json",
     "read_graph_json",
-    "read_graphml",
     "to_mmap_graph",
     "write_edgelist",
-    "write_graphml",
     "write_features_json",
     "write_graph_json",
     "write_mmap_graph",

@@ -3,13 +3,14 @@
 Implements the estimators, selection, and metrics the paper's evaluation
 uses through scikit-learn (which is unavailable in this environment):
 linear regression, Bayesian ridge, CART trees, random forests, L2 logistic
-regression (one-vs-rest), univariate feature selection, NDCG and macro-F1.
+regression (one-vs-rest), univariate feature selection, NDCG and macro-F1,
+plus the two baselines the paper omitted (linear SVR and SGD regression).
 """
 
 from repro.ml.base import BaseEstimator, check_array, check_X_y
 from repro.ml.bayes import BayesianRidge
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
-from repro.ml.linear import LinearRegression, Ridge
+from repro.ml.linear import LinearRegression
 from repro.ml.logistic import (
     LogisticRegression,
     OneVsRestLogisticRegression,
@@ -17,12 +18,8 @@ from repro.ml.logistic import (
 )
 from repro.ml.metrics import (
     accuracy,
-    micro_f1,
-    confusion_matrix,
     dcg,
     macro_f1,
-    mean_absolute_error,
-    mean_squared_error,
     ndcg_at,
     per_node_f1,
     precision_recall_f1,
@@ -30,12 +27,11 @@ from repro.ml.metrics import (
 )
 from repro.ml.preprocessing import (
     StandardScaler,
-    kfold_indices,
     log1p_counts,
     train_test_split,
 )
 from repro.ml.selection import SelectKBest, f_classif_scores, f_regression_scores
-from repro.ml.sgd import SGDClassifier, SGDRegressor
+from repro.ml.sgd import SGDRegressor
 from repro.ml.svm import LinearSVR
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
@@ -46,28 +42,21 @@ __all__ = [
     "DecisionTreeRegressor",
     "LinearRegression",
     "LinearSVR",
-    "SGDClassifier",
     "SGDRegressor",
     "LogisticRegression",
     "OneVsRestLogisticRegression",
     "RandomForestClassifier",
     "RandomForestRegressor",
-    "Ridge",
     "SelectKBest",
     "StandardScaler",
     "accuracy",
     "check_X_y",
     "check_array",
-    "confusion_matrix",
     "dcg",
     "f_classif_scores",
     "f_regression_scores",
-    "kfold_indices",
     "log1p_counts",
     "macro_f1",
-    "mean_absolute_error",
-    "mean_squared_error",
-    "micro_f1",
     "ndcg_at",
     "per_node_f1",
     "precision_recall_f1",

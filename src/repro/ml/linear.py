@@ -1,9 +1,7 @@
-"""Ordinary least squares and ridge regression.
+"""Ordinary least squares.
 
 ``LinearRegression`` matches the sklearn default used in Section 4.2.3
-(plain OLS via a least-squares solve with an intercept).  ``Ridge`` adds an
-L2 penalty and is used internally by feature-selection smoke tests and the
-Bayesian ridge sanity checks.
+(plain OLS via a least-squares solve with an intercept).
 """
 
 from __future__ import annotations
@@ -50,48 +48,3 @@ class LinearRegression(BaseEstimator, RegressorMixin):
             )
         return X @ self.coef_ + self.intercept_
 
-
-class Ridge(BaseEstimator, RegressorMixin):
-    """L2-regularised least squares, intercept unpenalised.
-
-    Solves ``(X^T X + alpha I) w = X^T y`` on centred data.
-    """
-
-    def __init__(self, alpha: float = 1.0, fit_intercept: bool = True) -> None:
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self.alpha = alpha
-        self.fit_intercept = fit_intercept
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
-
-    def fit(self, X, y) -> "Ridge":
-        X, y = check_X_y(X, y)
-        if self.fit_intercept:
-            x_mean = X.mean(axis=0)
-            y_mean = y.mean()
-            Xc = X - x_mean
-            yc = y - y_mean
-        else:
-            x_mean = np.zeros(X.shape[1])
-            y_mean = 0.0
-            Xc, yc = X, y
-        gram = Xc.T @ Xc
-        gram[np.diag_indices_from(gram)] += self.alpha
-        try:
-            coef = np.linalg.solve(gram, Xc.T @ yc)
-        except np.linalg.LinAlgError:
-            coef, *_ = np.linalg.lstsq(gram, Xc.T @ yc, rcond=None)
-        self.coef_ = coef
-        self.intercept_ = float(y_mean - x_mean @ coef)
-        self._fitted = True
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = check_array(X)
-        if X.shape[1] != self.coef_.shape[0]:
-            raise ValueError(
-                f"fitted on {self.coef_.shape[0]} features, got {X.shape[1]}"
-            )
-        return X @ self.coef_ + self.intercept_

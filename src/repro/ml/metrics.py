@@ -116,28 +116,6 @@ def macro_f1(y_true, y_pred) -> float:
     return float(np.mean(scores))
 
 
-def micro_f1(y_true, y_pred) -> float:
-    """Micro-averaged F1 over classes.
-
-    With exactly one true and one predicted label per node, micro-F1
-    equals accuracy; provided for parity with the embedding papers'
-    reporting, which include both averages.
-    """
-    y_true, y_pred, classes = _as_labels(y_true, y_pred)
-    if classes.size == 0:
-        raise ValueError("empty label arrays")
-    true_positive = predicted = actual = 0
-    for cls in classes:
-        true_positive += np.sum((y_pred == cls) & (y_true == cls))
-        predicted += np.sum(y_pred == cls)
-        actual += np.sum(y_true == cls)
-    precision = true_positive / predicted if predicted else 0.0
-    recall = true_positive / actual if actual else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return float(2.0 * precision * recall / (precision + recall))
-
-
 def per_node_f1(y_true, y_pred) -> float:
     """The literal per-node average of Eq. 7.
 
@@ -147,36 +125,9 @@ def per_node_f1(y_true, y_pred) -> float:
     return accuracy(y_true, y_pred)
 
 
-def confusion_matrix(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(classes, matrix)``; ``matrix[i, j]`` counts true class ``i``
-    predicted as class ``j``."""
-    y_true, y_pred, classes = _as_labels(y_true, y_pred)
-    index = {c: i for i, c in enumerate(classes)}
-    matrix = np.zeros((classes.size, classes.size), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        matrix[index[t], index[p]] += 1
-    return classes, matrix
-
-
 # ---------------------------------------------------------------------------
 # Regression
 # ---------------------------------------------------------------------------
-def mean_squared_error(y_true, y_pred) -> float:
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
-    return float(np.mean((y_true - y_pred) ** 2))
-
-
-def mean_absolute_error(y_true, y_pred) -> float:
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
-    return float(np.mean(np.abs(y_true - y_pred)))
-
-
 def r2_score(y_true, y_pred) -> float:
     """Coefficient of determination; 0 for a constant true signal predicted
     exactly, like sklearn's convention negative values are possible."""

@@ -51,11 +51,6 @@ class StandardScaler(BaseEstimator):
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
 
-    def inverse_transform(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = check_array(X)
-        return X * self.scale_ + self.mean_
-
 
 def log1p_counts(X):
     """``log(1 + x)`` compression for non-negative count features.
@@ -147,20 +142,3 @@ def train_test_split(
             array = np.asarray(array)
         result.extend([array[~test_mask], array[test_mask]])
     return result
-
-
-def kfold_indices(
-    num_samples: int, num_folds: int = 5, rng: np.random.Generator | int | None = None
-):
-    """Yield ``(train_indices, test_indices)`` pairs for k-fold CV."""
-    if num_folds < 2:
-        raise ValueError(f"num_folds must be >= 2, got {num_folds}")
-    if num_samples < num_folds:
-        raise ValueError(f"{num_samples} samples cannot form {num_folds} folds")
-    rng = np.random.default_rng(rng)
-    permutation = rng.permutation(num_samples)
-    folds = np.array_split(permutation, num_folds)
-    for i in range(num_folds):
-        test = folds[i]
-        train = np.concatenate([folds[j] for j in range(num_folds) if j != i])
-        yield train, test

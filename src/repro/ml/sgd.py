@@ -1,28 +1,23 @@
-"""Stochastic-gradient-descent linear models (the paper's other omitted
-baseline, Section 4.2.3).
+"""Stochastic-gradient-descent linear regression (the paper's other
+omitted baseline, Section 4.2.3).
 
 :class:`SGDRegressor` minimises squared loss with L2 penalty via mini-batch
-SGD with an inverse-scaling learning rate; :class:`SGDClassifier` does the
-same for log loss.  Both match the spirit of scikit-learn's SGD estimators
-at the evaluation's scale and exist so the appendix bench can demonstrate
-why the paper omitted them (unstable on small, wide feature matrices).
+SGD with an inverse-scaling learning rate.  It matches the spirit of
+scikit-learn's ``SGDRegressor`` at the evaluation's scale and exists so the
+appendix bench can demonstrate why the paper omitted it (unstable on small,
+wide feature matrices).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import (
-    BaseEstimator,
-    ClassifierMixin,
-    RegressorMixin,
-    check_X_y,
-    check_array,
-)
-from repro.ml.logistic import _sigmoid
+from repro.ml.base import BaseEstimator, RegressorMixin, check_X_y, check_array
 
 
-class _BaseSGD(BaseEstimator):
+class SGDRegressor(BaseEstimator, RegressorMixin):
+    """Mini-batch SGD on squared loss with L2 penalty."""
+
     def __init__(
         self,
         alpha: float = 1e-4,
@@ -47,10 +42,8 @@ class _BaseSGD(BaseEstimator):
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
 
-    def _loss_gradient(self, Xb, yb, w, b):
-        raise NotImplementedError
-
-    def _run_sgd(self, X: np.ndarray, y: np.ndarray) -> None:
+    def fit(self, X, y) -> "SGDRegressor":
+        X, y = check_X_y(X, y)
         n, p = X.shape
         rng = np.random.default_rng(self.random_state)
         w = np.zeros(p)
@@ -60,16 +53,19 @@ class _BaseSGD(BaseEstimator):
             order = rng.permutation(n)
             for start in range(0, n, self.batch_size):
                 batch = order[start: start + self.batch_size]
-                grad_w, grad_b = self._loss_gradient(X[batch], y[batch], w, b)
-                grad_w = grad_w + self.alpha * w
+                Xb, yb = X[batch], y[batch]
+                residual = Xb @ w + b - yb
+                grad_w = Xb.T @ residual / len(yb) + self.alpha * w
                 step += 1
                 eta = self.learning_rate / step**self.power_t
                 w -= eta * grad_w
-                b -= eta * grad_b
+                b -= eta * float(residual.mean())
         self.coef_ = w
         self.intercept_ = float(b)
+        self._fitted = True
+        return self
 
-    def _raw_predict(self, X) -> np.ndarray:
+    def predict(self, X) -> np.ndarray:
         self._check_fitted()
         X = check_array(X)
         if X.shape[1] != self.coef_.shape[0]:
@@ -77,56 +73,3 @@ class _BaseSGD(BaseEstimator):
                 f"fitted on {self.coef_.shape[0]} features, got {X.shape[1]}"
             )
         return X @ self.coef_ + self.intercept_
-
-
-class SGDRegressor(_BaseSGD, RegressorMixin):
-    """Mini-batch SGD on squared loss with L2 penalty."""
-
-    def _loss_gradient(self, Xb, yb, w, b):
-        residual = Xb @ w + b - yb
-        grad_w = Xb.T @ residual / len(yb)
-        grad_b = float(residual.mean())
-        return grad_w, grad_b
-
-    def fit(self, X, y) -> "SGDRegressor":
-        X, y = check_X_y(X, y)
-        self._run_sgd(X, y)
-        self._fitted = True
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        return self._raw_predict(X)
-
-
-class SGDClassifier(_BaseSGD, ClassifierMixin):
-    """Mini-batch SGD on binary log loss with L2 penalty."""
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.classes_: np.ndarray | None = None
-
-    def _loss_gradient(self, Xb, yb, w, b):
-        probability = _sigmoid(Xb @ w + b)
-        error = probability - yb
-        grad_w = Xb.T @ error / len(yb)
-        grad_b = float(error.mean())
-        return grad_w, grad_b
-
-    def fit(self, X, y) -> "SGDClassifier":
-        X = check_array(X)
-        y = np.asarray(y)
-        self.classes_ = np.unique(y)
-        if self.classes_.size != 2:
-            raise ValueError(f"binary classifier got {self.classes_.size} classes")
-        target = (y == self.classes_[1]).astype(np.float64)
-        self._run_sgd(X, target)
-        self._fitted = True
-        return self
-
-    def predict_proba(self, X) -> np.ndarray:
-        positive = _sigmoid(self._raw_predict(X))
-        return np.column_stack([1.0 - positive, positive])
-
-    def predict(self, X) -> np.ndarray:
-        positive = self._raw_predict(X) >= 0.0
-        return np.where(positive, self.classes_[1], self.classes_[0])

@@ -294,12 +294,6 @@ class Telemetry:
                 dist.merge(*state)
             self.annotations.update(data.get("annotations", {}))
 
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "Telemetry":
-        telemetry = cls()
-        telemetry.merge(data)
-        return telemetry
-
     def as_dict(self) -> dict:
         """JSON-friendly view (timers expanded with means) for manifests."""
         with self._lock:

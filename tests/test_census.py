@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.census import (
     CensusConfig,
-    CensusStats,
     census_total,
     subgraph_census,
 )
@@ -232,13 +231,3 @@ class TestHeuristics:
             subgraph_census(
                 dense_two_label_graph, 0, CensusConfig(max_edges=6, max_subgraphs=3)
             )
-
-
-class TestCensusStats:
-    def test_update_aggregates(self, triangle_graph):
-        stats = CensusStats()
-        for root in range(3):
-            stats.update(subgraph_census(triangle_graph, root, CensusConfig(max_edges=2)))
-        assert stats.roots == 3
-        assert stats.total_subgraphs > 0
-        assert stats.vocabulary_size >= 2

@@ -10,8 +10,12 @@ order than the fast engine.
 
 Each case digests ``repr(list(census.items()))`` for one (graph, root,
 config) and compares it with the digest recorded in
-``tests/data/census_key_order.json``.  Re-record only for a deliberate
-order change (which also invalidates ``perfbench/reference.json``)::
+``tests/data/census_key_order.json``.  The sampled engine's cases also
+digest the estimate's ``report`` and are recorded in
+``tests/data/census_sampled.json``: its estimates depend on the probe
+RNG stream and the branch order, so any change to its run state shows
+here.  Re-record only for a deliberate change (an exact key-order change
+also invalidates ``perfbench/reference.json``)::
 
     PYTHONPATH=src python -m tests.test_census_key_order
 """
@@ -24,11 +28,13 @@ import random
 from pathlib import Path
 
 from repro.core.census import CensusConfig, subgraph_census
+from repro.core.sampled import SampledCensusConfig, run_sampled_census
 from repro.datasets import MagConfig, SyntheticMAG
 from tests.conftest import publication_graph as _publication_graph
 from tests.test_census_engines import KEY_MODES, random_hetero_graph
 
 DIGESTS_PATH = Path(__file__).parent / "data" / "census_key_order.json"
+SAMPLED_DIGESTS_PATH = Path(__file__).parent / "data" / "census_sampled.json"
 
 
 def _graphs() -> dict:
@@ -100,6 +106,40 @@ def _cases(graphs: dict):
                 yield f"mag-rank/emax={emax}/dmax={dmax}/root={root}", "mag-rank", root, config
 
 
+def _sampled_cases(graphs: dict):
+    """Yield ``(case id, graph name, root, config, sampled config)`` for
+    the sampled engine: every key mode, masked or not, with and without a
+    ``d_max`` cap, spending the full budget or stopping early."""
+    for name in ("publication", "random-1", "random-5", "mag-rank"):
+        graph = graphs[name]
+        roots = random.Random(f"sampled-{name}").sample(
+            range(graph.num_nodes), min(4, graph.num_nodes)
+        )
+        for key in KEY_MODES:
+            for mask in (False, True):
+                for dmax in (None, 2):
+                    config = CensusConfig(
+                        max_edges=4,
+                        max_degree=dmax,
+                        mask_start_label=mask,
+                        key=key,
+                        include_trivial=mask,
+                    )
+                    for rel_err in (None, 0.25):
+                        sampled = SampledCensusConfig(
+                            budget=48, seed=11, rel_err=rel_err, min_draws=8
+                        )
+                        for root in roots:
+                            yield (
+                                f"{name}/{key}/mask={mask}/dmax={dmax}"
+                                f"/rel_err={rel_err}/root={root}",
+                                name,
+                                root,
+                                config,
+                                sampled,
+                            )
+
+
 def digest(counts) -> str:
     return hashlib.sha256(repr(list(counts.items())).encode()).hexdigest()[:16]
 
@@ -112,15 +152,36 @@ def compute_digests() -> dict:
     }
 
 
-def test_census_key_order_is_pinned():
-    expected = json.loads(DIGESTS_PATH.read_text())
-    got = compute_digests()
+def compute_sampled_digests() -> dict:
+    graphs = _graphs()
+    digests = {}
+    for case, name, root, config, sampled in _sampled_cases(graphs):
+        estimate = run_sampled_census(graphs[name], root, config, sampled)
+        state = repr((list(estimate.items()), estimate.report))
+        digests[case] = hashlib.sha256(state.encode()).hexdigest()[:16]
+    return digests
+
+
+def _assert_pinned(path: Path, got: dict) -> None:
+    expected = json.loads(path.read_text())
     assert got.keys() == expected.keys()
     changed = [case for case in expected if got[case] != expected[case]]
-    assert not changed, f"{len(changed)} census key orders changed, e.g. {changed[:5]}"
+    assert not changed, f"{len(changed)} pinned censuses changed, e.g. {changed[:5]}"
+
+
+def test_census_key_order_is_pinned():
+    _assert_pinned(DIGESTS_PATH, compute_digests())
+
+
+def test_sampled_census_is_pinned():
+    _assert_pinned(SAMPLED_DIGESTS_PATH, compute_sampled_digests())
 
 
 if __name__ == "__main__":
     DIGESTS_PATH.parent.mkdir(exist_ok=True)
-    DIGESTS_PATH.write_text(json.dumps(compute_digests(), indent=0, sort_keys=True) + "\n")
-    print(f"wrote {DIGESTS_PATH}")
+    for path, compute in (
+        (DIGESTS_PATH, compute_digests),
+        (SAMPLED_DIGESTS_PATH, compute_sampled_digests),
+    ):
+        path.write_text(json.dumps(compute(), indent=0, sort_keys=True) + "\n")
+        print(f"wrote {path}")

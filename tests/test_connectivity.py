@@ -47,9 +47,3 @@ class TestLabelConnectivity:
         text = label_connectivity(publication_graph).render()
         assert "(loop)" in text
         assert "I -- A" in text
-
-    def test_to_networkx(self, publication_graph):
-        nxg = label_connectivity(publication_graph).to_networkx()
-        assert set(nxg.nodes) == {"I", "A", "P"}
-        assert nxg.has_edge("P", "P")
-        assert nxg.edges["I", "A"]["count"] == 3

@@ -16,7 +16,6 @@ from repro.datasets import (
     SyntheticLOAD,
     SyntheticMAG,
     affinity_graph,
-    complete_bipartite,
     path,
     powerlaw_weights,
     sample_nodes_per_label,
@@ -112,8 +111,6 @@ class TestSynthetic:
         assert s.num_edges == 3
         p = path(["x", "y", "z"])
         assert p.num_edges == 2
-        kb = complete_bipartite("A", 2, "B", 3)
-        assert kb.num_edges == 6
 
 
 class TestMag:

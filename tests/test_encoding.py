@@ -10,7 +10,6 @@ from repro.core.encoding import (
     encode_subgraph,
     node_sequence,
     string_to_code,
-    validate_code,
 )
 from repro.core.labels import LabelSet
 from repro.exceptions import EncodingError
@@ -128,29 +127,3 @@ class TestCodeProperties:
     def test_odd_degree_sum_raises(self):
         with pytest.raises(EncodingError, match="odd"):
             code_num_edges(((0, 1),))
-
-
-class TestValidateCode:
-    def test_valid_passes(self):
-        code = encode_subgraph([0, 1], [(0, 1)], 2)
-        validate_code(code, 2)
-
-    def test_empty_raises(self):
-        with pytest.raises(EncodingError):
-            validate_code((), 2)
-
-    def test_wrong_width_raises(self):
-        with pytest.raises(EncodingError, match="width"):
-            validate_code(((0, 1),), 2)
-
-    def test_unsorted_raises(self):
-        with pytest.raises(EncodingError, match="descending"):
-            validate_code(((0, 0, 1), (1, 1, 0)), 2)
-
-    def test_negative_count_raises(self):
-        with pytest.raises(EncodingError, match="negative"):
-            validate_code(((0, -1, 0),), 2)
-
-    def test_bad_label_raises(self):
-        with pytest.raises(EncodingError, match="alphabet"):
-            validate_code(((5, 0, 0),), 2)

@@ -102,11 +102,11 @@ class TestAdjacency:
         assert g.label_degree(a3, g.labelset.index("I")) == 1
         assert g.label_degree(a3, g.labelset.index("A")) == 0
 
-    def test_neighbor_label_runs_cover_all(self, publication_graph):
+    def test_label_runs_cover_all(self, publication_graph):
         g = publication_graph
         for v in range(g.num_nodes):
-            run_total = sum(len(run) for _, run in g.neighbor_label_runs(v))
-            assert run_total == g.degree(v)
+            runs = [g.neighbors_with_label(v, label) for label in range(len(g.labelset))]
+            assert np.array_equal(np.concatenate(runs), g.neighbors(v))
 
     def test_has_edge_symmetric(self, publication_graph):
         g = publication_graph
@@ -178,85 +178,6 @@ class TestPackAdjacency:
         mag = SyntheticMAG(config)
         graph = mag.build_label_graph(years=mag.config.years[-2:])
         assert graph.fingerprint() == "2c51cbd1dd80e0bfb4b9bdbe69a78332"
-
-
-class TestConversion:
-    def test_networkx_roundtrip(self, publication_graph):
-        import networkx as nx
-
-        nxg = publication_graph.to_networkx()
-        assert isinstance(nxg, nx.Graph)
-        back = HeteroGraph.from_networkx(nxg, labelset=publication_graph.labelset)
-        assert back.num_nodes == publication_graph.num_nodes
-        assert back.num_edges == publication_graph.num_edges
-        assert set(map(frozenset, nxg.edges())) == {
-            frozenset(
-                (publication_graph.node_id(u), publication_graph.node_id(v))
-            )
-            for u, v in publication_graph.edges()
-        }
-
-    def test_from_networkx_missing_label_raises(self):
-        import networkx as nx
-
-        nxg = nx.Graph()
-        nxg.add_node("a")
-        with pytest.raises(GraphError, match="missing"):
-            HeteroGraph.from_networkx(nxg)
-
-    def test_from_networkx_directed_rejected(self):
-        import networkx as nx
-
-        with pytest.raises(GraphError, match="undirected"):
-            HeteroGraph.from_networkx(nx.DiGraph())
-
-
-class TestSubgraph:
-    def test_induced_subgraph(self, publication_graph):
-        g = publication_graph
-        keep = [g.index(n) for n in ("a1", "a2", "p1", "i1")]
-        sub = g.subgraph(keep)
-        assert sub.num_nodes == 4
-        # edges among kept nodes: i1-a1, i1-a2, a1-p1, a2-p1
-        assert sub.num_edges == 4
-        assert sub.labelset == g.labelset
-
-    def test_subgraph_out_of_range(self, publication_graph):
-        with pytest.raises(GraphError):
-            publication_graph.subgraph([99])
-
-    def test_subgraph_empty_edges(self, publication_graph):
-        g = publication_graph
-        sub = g.subgraph([g.index("i1"), g.index("p2")])
-        assert sub.num_edges == 0
-
-
-class TestComponents:
-    def test_single_component(self, publication_graph):
-        components = publication_graph.connected_components()
-        assert len(components) == 1
-        assert len(components[0]) == publication_graph.num_nodes
-
-    def test_multiple_components_sorted_by_size(self):
-        g = HeteroGraph.from_edges(
-            {"a": "A", "b": "B", "c": "A", "x": "B", "iso": "A"},
-            [("a", "b"), ("b", "c"), ("x", "a")],
-        )
-        components = g.connected_components()
-        sizes = [len(c) for c in components]
-        assert sizes == [4, 1]
-
-    def test_largest_component(self):
-        g = HeteroGraph.from_edges(
-            {"a": "A", "b": "B", "iso": "A"}, [("a", "b")]
-        )
-        largest = g.largest_component()
-        assert largest.num_nodes == 2
-        assert largest.num_edges == 1
-
-    def test_isolated_nodes_are_singletons(self):
-        g = HeteroGraph.from_edges({"a": "A", "b": "B"}, [])
-        assert len(g.connected_components()) == 2
 
 
 class TestMutableHeteroGraph:

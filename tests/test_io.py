@@ -131,37 +131,3 @@ class TestFeaturesJson:
         document["matrix"] = [[1.0]]
         with pytest.raises(FeatureError, match="shape"):
             features_from_dict(document)
-
-
-class TestGraphML:
-    def test_roundtrip(self, publication_graph, tmp_path):
-        from repro.io import read_graphml, write_graphml
-
-        target = tmp_path / "graph.graphml"
-        write_graphml(publication_graph, target)
-        back = read_graphml(target, labelset=publication_graph.labelset)
-        assert _graphs_equal(publication_graph, back)
-
-    def test_custom_label_attribute(self, publication_graph, tmp_path):
-        from repro.io import read_graphml, write_graphml
-
-        target = tmp_path / "graph.graphml"
-        write_graphml(publication_graph, target, label_attr="kind")
-        back = read_graphml(
-            target, label_attr="kind", labelset=publication_graph.labelset
-        )
-        assert _graphs_equal(publication_graph, back)
-
-    def test_directed_rejected(self, tmp_path):
-        import networkx as nx
-
-        from repro.io import read_graphml
-
-        digraph = nx.DiGraph()
-        digraph.add_node("a", label="A")
-        digraph.add_node("b", label="B")
-        digraph.add_edge("a", "b")
-        target = tmp_path / "directed.graphml"
-        nx.write_graphml(digraph, str(target))
-        with pytest.raises(GraphError, match="directed"):
-            read_graphml(target)

@@ -95,7 +95,3 @@ class TestMask:
     def test_mask_index_without_mask_raises(self):
         with pytest.raises(LabelError):
             LabelSet(("A",)).mask_index
-
-    def test_has_mask(self):
-        assert not LabelSet(("A",)).has_mask()
-        assert LabelSet(("A",)).with_mask().has_mask()

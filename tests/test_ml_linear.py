@@ -1,11 +1,11 @@
-"""Unit tests for OLS, ridge, and Bayesian ridge regression."""
+"""Unit tests for OLS and Bayesian ridge regression."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError
 from repro.ml.bayes import BayesianRidge
-from repro.ml.linear import LinearRegression, Ridge
+from repro.ml.linear import LinearRegression
 
 
 def _linear_data(n=200, p=5, noise=0.05, seed=0):
@@ -56,31 +56,6 @@ class TestLinearRegression:
         X[0, 0] = np.nan
         with pytest.raises(ValueError):
             LinearRegression().fit(X, np.ones(5))
-
-
-class TestRidge:
-    def test_alpha_zero_matches_ols(self):
-        X, y, _ = _linear_data()
-        ols = LinearRegression().fit(X, y)
-        ridge = Ridge(alpha=0.0).fit(X, y)
-        assert np.allclose(ols.coef_, ridge.coef_, atol=1e-6)
-
-    def test_shrinkage_monotone(self):
-        X, y, _ = _linear_data()
-        norms = [
-            np.linalg.norm(Ridge(alpha=a).fit(X, y).coef_)
-            for a in (0.0, 1.0, 100.0, 10_000.0)
-        ]
-        assert norms == sorted(norms, reverse=True)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            Ridge(alpha=-1.0)
-
-    def test_predict_shape(self):
-        X, y, _ = _linear_data()
-        model = Ridge().fit(X, y)
-        assert model.predict(X).shape == (X.shape[0],)
 
 
 class TestBayesianRidge:

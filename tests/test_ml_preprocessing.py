@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import NotFittedError
 from repro.ml.preprocessing import (
     StandardScaler,
-    kfold_indices,
     log1p_counts,
     train_test_split,
 )
@@ -25,12 +24,6 @@ class TestStandardScaler:
         Z = StandardScaler().fit_transform(X)
         assert np.all(np.isfinite(Z))
         assert np.allclose(Z[:, 0], 0.0)
-
-    def test_inverse_transform_roundtrip(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(50, 3))
-        scaler = StandardScaler().fit(X)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(X)), X)
 
     def test_not_fitted_raises(self):
         with pytest.raises(NotFittedError):
@@ -115,22 +108,3 @@ class TestTrainTestSplit:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             train_test_split(np.arange(1), test_size=0.5)
-
-
-class TestKFold:
-    def test_partitions_cover_everything(self):
-        folds = list(kfold_indices(20, 4, rng=0))
-        assert len(folds) == 4
-        all_test = np.concatenate([test for _, test in folds])
-        assert sorted(all_test) == list(range(20))
-
-    def test_train_test_disjoint(self):
-        for train, test in kfold_indices(15, 3, rng=1):
-            assert set(train).isdisjoint(test)
-            assert len(train) + len(test) == 15
-
-    def test_bad_folds(self):
-        with pytest.raises(ValueError):
-            list(kfold_indices(10, 1))
-        with pytest.raises(ValueError):
-            list(kfold_indices(2, 5))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError
-from repro.ml.sgd import SGDClassifier, SGDRegressor
+from repro.ml.sgd import SGDRegressor
 from repro.ml.svm import LinearSVR
 from tests.oracles.svm import ReferenceLinearSVR, svr_objective
 
@@ -15,13 +15,6 @@ def _linear_data(n=300, p=4, noise=0.05, seed=0):
     w = rng.normal(size=p)
     y = X @ w + 1.5 + noise * rng.normal(size=n)
     return X, y, w
-
-
-def _blobs(n=120, gap=3.0, seed=0):
-    rng = np.random.default_rng(seed)
-    X = np.vstack([rng.normal(0, 1, (n, 3)), rng.normal(gap, 1, (n, 3))])
-    y = np.array(["neg"] * n + ["pos"] * n)
-    return X, y
 
 
 class TestLinearSVR:
@@ -109,21 +102,3 @@ class TestSGDRegressor:
         weak = SGDRegressor(alpha=0.0, random_state=0).fit(X, y)
         strong = SGDRegressor(alpha=10.0, random_state=0).fit(X, y)
         assert np.linalg.norm(strong.coef_) < np.linalg.norm(weak.coef_)
-
-
-class TestSGDClassifier:
-    def test_separates_blobs(self):
-        X, y = _blobs()
-        model = SGDClassifier(max_iter=100, learning_rate=0.1, random_state=0)
-        model.fit(X, y)
-        assert model.score(X, y) > 0.9
-
-    def test_proba_valid(self):
-        X, y = _blobs()
-        model = SGDClassifier(random_state=0).fit(X, y)
-        probabilities = model.predict_proba(X)
-        assert np.allclose(probabilities.sum(axis=1), 1.0)
-
-    def test_multiclass_rejected(self):
-        with pytest.raises(ValueError):
-            SGDClassifier().fit(np.ones((4, 2)), [0, 1, 2, 0])

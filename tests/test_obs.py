@@ -121,9 +121,10 @@ class TestMerge:
             single.annotate("engine", "fast")
         assert combined.snapshot() == single.snapshot()
 
-    def test_from_snapshot_roundtrip(self):
+    def test_merge_into_empty_roundtrips_snapshot(self):
         original = self._worker()
-        clone = Telemetry.from_snapshot(original.snapshot())
+        clone = Telemetry()
+        clone.merge(original.snapshot())
         assert clone.snapshot() == original.snapshot()
 
     def test_reset_clears_everything(self):

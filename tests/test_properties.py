@@ -17,7 +17,6 @@ from repro.core.encoding import (
     code_to_string,
     encode_subgraph,
     string_to_code,
-    validate_code,
 )
 from repro.core.graph import HeteroGraph
 from repro.core.hashing import RollingSubgraphHash
@@ -76,13 +75,6 @@ class TestEncodingProperties:
         code = encode_subgraph(labels, edges, 3)
         assert code_num_nodes(code) == len(labels)
         assert code_num_edges(code) == len(edges)
-
-    @given(small_labelled_graphs())
-    @settings(max_examples=150, deadline=None)
-    def test_encoding_passes_validation(self, graph):
-        labels, edges = graph
-        code = encode_subgraph(labels, edges, 3)
-        validate_code(code, 3)
 
     @given(small_labelled_graphs())
     @settings(max_examples=150, deadline=None)

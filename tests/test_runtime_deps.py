@@ -1,9 +1,10 @@
-"""Dependency guard: the library runs on numpy alone, without scipy.
+"""Dependency guard: the library runs on numpy alone.
 
 scipy is a test-only dependency (the ``dev`` extra): the parity oracles
-in ``tests/oracles/`` use its L-BFGS-B solver.  No module under
-``src/repro/`` may import it, and the entry points must import in an
-interpreter where ``import scipy`` fails.
+in ``tests/oracles/`` use its L-BFGS-B solver.  networkx is not a
+dependency at all.  No module under ``src/repro/`` may import either,
+and the entry points and every example must run in an interpreter where
+importing them fails.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+EXAMPLES = sorted(str(path) for path in (REPO / "examples").glob("*.py"))
+
+#: Modules the runtime must not need.  An explicit list rather than a
+#: test against ``sys.stdlib_module_names``, which Python 3.9 lacks.
+BANNED = ("scipy", "networkx")
 
 #: Modules whose import pulls in every runtime layer.
 ENTRY_POINTS = (
@@ -33,29 +40,33 @@ def _imported_modules(tree: ast.AST):
             yield node.module
 
 
-def test_no_scipy_import_in_src():
+def test_no_banned_import_in_src():
     offenders = [
         f"{path.relative_to(SRC)}: {module}"
         for path in sorted(SRC.rglob("*.py"))
         for module in _imported_modules(ast.parse(path.read_text(), str(path)))
-        if module.split(".")[0] == "scipy"
+        if module.split(".")[0] in BANNED
     ]
     assert offenders == []
 
 
-def test_entry_points_import_without_scipy():
+def test_entry_points_and_examples_run_without_banned_modules():
+    assert EXAMPLES
     code = (
-        "import sys\n"
-        "sys.modules['scipy'] = None\n"
+        "import runpy, sys\n"
+        f"for name in {BANNED!r}:\n"
+        "    sys.modules[name] = None\n"
         f"for name in {ENTRY_POINTS!r}:\n"
         "    __import__(name)\n"
-        "assert sys.modules['scipy'] is None\n"
+        f"for path in {EXAMPLES!r}:\n"
+        "    runpy.run_path(path, run_name='__main__')\n"
+        f"assert all(sys.modules[name] is None for name in {BANNED!r})\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=300,
     )
     assert result.returncode == 0, result.stderr

@@ -135,8 +135,3 @@ class TestColumnStats:
         dense = _random_dense()
         matrix = CSRMatrix.from_dense(dense)
         assert np.array_equal(matrix.column_support(), (dense != 0).sum(axis=0))
-
-    def test_column_sums(self):
-        dense = _random_dense()
-        matrix = CSRMatrix.from_dense(dense)
-        assert np.allclose(matrix.column_sums(), dense.sum(axis=0))
