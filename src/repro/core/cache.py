@@ -17,7 +17,7 @@ from dataclasses import replace
 from repro.core.census import CensusConfig, _cap_exceeded, census_total
 from repro.core.graph import HeteroGraph
 from repro.core.sampled import SampledCensusConfig, sampled_config_key
-from repro.runtime.store import STAGE_CENSUS, ArtifactStore
+from repro.runtime.store import STAGE_CENSUS, ArtifactStore, FrozenConfig
 
 
 def census_config_key(
@@ -54,9 +54,10 @@ def census_store_config(
     config: CensusConfig,
     root: int,
     sampled: SampledCensusConfig | None = None,
-) -> tuple:
-    """The artifact-store stage config of one rooted census."""
-    return (*census_config_key(config, sampled), int(root))
+) -> FrozenConfig:
+    """The artifact-store stage config of one rooted census, frozen as
+    made (scalars only), so no get, put or discard walks it again."""
+    return FrozenConfig((*census_config_key(config, sampled), int(root)))
 
 
 def stored_census(

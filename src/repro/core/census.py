@@ -50,6 +50,10 @@ EngineMode = Literal["fast", "sampled"]
 #: (approximate with confidence bounds).
 ENGINES = VALID_ENGINES
 
+#: State keys an extension-key table holds before it is cleared (its keys
+#: are functions of codes, so clearing only costs rebuilds).
+EXTENSION_KEYS_CAP = 1 << 14
+
 
 @dataclass(frozen=True)
 class CensusConfig:
@@ -135,6 +139,7 @@ class _CensusRunState:
     __slots__ = (
         "config",
         "root",
+        "flat",
         "labelset",
         "num_labels",
         "labels",
@@ -154,7 +159,7 @@ class _CensusRunState:
     )
 
     def __init__(self, graph: HeteroGraph, root: int, config: CensusConfig) -> None:
-        flat = graph.flat()
+        flat = self.flat = graph.flat()
         self.config = config
         self.root = root
         labelset = effective_labelset(graph, config)
@@ -244,12 +249,14 @@ class _FastCensusRun(_CensusRunState):
         "strings",
         "leaf_keys",
         "leaf_rows",
-        "label_degrees",
+        "extension_keys",
         "codes_built",
         "frames",
     )
 
-    def __init__(self, graph: HeteroGraph, root: int, config: CensusConfig) -> None:
+    def __init__(
+        self, graph: HeteroGraph, root: int, config: CensusConfig, extension_keys=None
+    ) -> None:
         super().__init__(graph, root, config)
         num_labels = self.num_labels
         self.counts: Counter = Counter()
@@ -264,15 +271,18 @@ class _FastCensusRun(_CensusRunState):
         self.dirty: set[int] = set()
         # Per-run memo tables: rendered strings by canonical code (the
         # paper's "conversion to strings can be costly" — render each class
-        # once); last-slot [key, deferred count] cells by the state's key,
-        # then by (anchor row, leaf label) or (row, row) for a chord;
-        # single-edge leaf rows by (leaf, anchor) label pair (shared row
-        # objects also keep pickled censuses small); and per node its
-        # neighbour set plus (label, count) pairs.
+        # once); last-slot cells by the state's key, each (the shared
+        # table's entry for the state, {(anchor row, leaf label) or (row,
+        # row) for a chord: [key, deferred count]}); single-edge leaf rows
+        # by (leaf, anchor) label pair (shared row objects also keep
+        # pickled censuses small).  The extension keys are functions of
+        # codes alone, so one table per (key mode, alphabet) is shared by
+        # the roots of an extractor.
         self.strings: dict = {}
         self.leaf_keys: dict = {}
         self.leaf_rows: dict[int, tuple] = {}
-        self.label_degrees: dict[int, tuple] = {}
+        tables = {} if extension_keys is None else extension_keys
+        self.extension_keys = tables.setdefault((config.key, self.labelset), {})
         self.codes_built = 0
         self.frames = 0
 
@@ -335,6 +345,8 @@ class _FastCensusRun(_CensusRunState):
         inserted exactly where the edge-by-edge walk inserted it.  Only a
         cell's first group touches the Counter; later ones add to the cell,
         folded in at the end of the run, sparing two code hashes per group.
+        A cell's key comes from the extractor's shared table when another
+        root already built it.
         Returns ``(subgraphs counted, keys built)``.
         """
         members = self.members
@@ -344,11 +356,9 @@ class _FastCensusRun(_CensusRunState):
         if new_node >= 0 and (
             dmax is None or new_node == self.root or self.degrees[new_node] <= dmax
         ):
-            neighbours, label_degrees = self.label_degrees.get(
-                new_node
-            ) or self._label_degrees(new_node)
+            row = self.neighbors[self.indptr[new_node]: self.indptr[new_node + 1]]
             for m in members:
-                if m in neighbours and m != joined:
+                if m != joined and m in row:
                     seen = set(remaining)
                     remaining = remaining + [
                         e for e in self._expansion(new_node) if e not in seen
@@ -358,7 +368,7 @@ class _FastCensusRun(_CensusRunState):
                 skip = labels[joined] if joined >= 0 else -1
                 tail = [
                     (new_node, label, n - (label == skip))
-                    for label, n in label_degrees
+                    for label, n in self.flat.label_degrees_of(new_node)
                     if n - (label == skip)
                 ]
         # [anchor, leaf label, count] per leaf run; (a, -1 - b, 1) per chord.
@@ -398,18 +408,24 @@ class _FastCensusRun(_CensusRunState):
             return total, len(groups)
         memo = self.leaf_keys.get(state_key)
         if memo is None:
-            memo = self.leaf_keys[state_key] = {}
+            shared = self.extension_keys
+            if len(shared) >= EXTENSION_KEYS_CAP and state_key not in shared:
+                shared.clear()
+            memo = self.leaf_keys[state_key] = (shared.setdefault(state_key, {}), {})
+        known, cells = memo
         built = 0
         for a, other, n in groups:
             sub = (
                 tuple(members[a]),
                 tuple(members[-1 - other]) if other < 0 else other,
             )
-            cell = memo.get(sub)
+            cell = cells.get(sub)
             if cell is None:
-                key = self._extension_key(*sub)
+                key = known.get(sub)
+                if key is None:
+                    key = known[sub] = self._extension_key(*sub)
                 counts[key] += n
-                memo[sub] = [key, 0]
+                cells[sub] = [key, 0]
                 built += 1
             else:
                 cell[1] += n
@@ -438,15 +454,6 @@ class _FastCensusRun(_CensusRunState):
             old = (row,)
             new = (row[: other + 1] + (row[other + 1] + 1,) + row[other + 2:], leaf)
         return self._key(old, new)
-
-    def _label_degrees(self, node: int) -> tuple:
-        """Memoise ``(neighbour set, ((label, count), ...))`` for ``node``."""
-        row = self.neighbors[self.indptr[node]: self.indptr[node + 1]]
-        entry = self.label_degrees[node] = (
-            set(row),
-            tuple(Counter(map(self.labels.__getitem__, row)).items()),
-        )
-        return entry
 
     # -- the enumeration ----------------------------------------------------
     def run(self) -> Counter:
@@ -665,8 +672,8 @@ class _FastCensusRun(_CensusRunState):
             stack.pop()
         # Fold in the deferred last-slot counts; every such key is already
         # in place, so no key moves.
-        for memo in self.leaf_keys.values():
-            for key, n in memo.values():
+        for _, cells in self.leaf_keys.values():
+            for key, n in cells.values():
                 if n:
                     counts[key] += n
         self.codes_built = built
@@ -681,6 +688,7 @@ def subgraph_census(
     *,
     engine: EngineMode | None = None,
     sampled: "SampledCensusConfig | None" = None,
+    extension_keys: dict | None = None,
 ) -> Counter:
     """Count rooted heterogeneous subgraphs around one node.
 
@@ -702,6 +710,9 @@ def subgraph_census(
         Estimator knobs for ``engine="sampled"`` (budget, seed,
         relative-error target); defaults to ``SampledCensusConfig()``.
         Rejected for the exact engine.
+    extension_keys:
+        A dict the exact engine shares its extension keys through across
+        calls; ``None`` keeps them per call.  Results do not depend on it.
 
     Returns
     -------
@@ -752,11 +763,12 @@ def subgraph_census(
                 "sampled= is only valid with engine='sampled', "
                 f"got engine={engine!r}"
             )
-        run = _FastCensusRun(graph, root, config)
+        run = _FastCensusRun(graph, root, config, extension_keys)
         counts = run.run()
         # Work counters, accumulated in run locals and recorded once per
-        # call: keys actually built (the rest were reused by grouping or
-        # the last-slot memo) and DFS frames pushed.
+        # call: keys the run needed beyond its own reuse (by grouping or
+        # its last-slot cells; a shared-table hit still counts) and DFS
+        # frames pushed.
         telemetry.count("census/codes_built", run.codes_built)
         telemetry.count("census/frames", run.frames)
     # Coarse per-call accounting only — the enumeration inner loop stays

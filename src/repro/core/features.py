@@ -195,11 +195,15 @@ class SubgraphFeatures:
 def _census_chunk(shared: tuple, chunk: list[int]) -> list[Counter]:
     """Census one chunk of roots: the census fan-out task.
 
+    ``shared`` is ``(graph, config, engine, sampled, extension_keys)``;
+    ``extension_keys`` is ``None`` in workers: each chunk starts its own.
+
     ``subgraph_census`` is looked up through this module's globals on
     every call, so wrapping ``repro.core.features.subgraph_census`` (a
     profiler, a test's call counter) sees every root.
     """
-    graph, config, engine, sampled = shared
+    graph, config, engine, sampled, extension_keys = shared
+    extension_keys = {} if extension_keys is None else extension_keys
     telemetry = get_telemetry()
     censuses = []
     with telemetry.span("census/chunk"):
@@ -207,7 +211,8 @@ def _census_chunk(shared: tuple, chunk: list[int]) -> list[Counter]:
             with telemetry.span("census/root"):
                 censuses.append(
                     subgraph_census(
-                        graph, root, config, engine=engine, sampled=sampled
+                        graph, root, config, engine=engine, sampled=sampled,
+                        extension_keys=extension_keys,
                     )
                 )
     return censuses
@@ -278,6 +283,9 @@ class SubgraphFeatureExtractor:
         #: exact counts.
         self.sampled = sampled
         self.mp_context = mp_context
+        # subgraph_census's extension_keys for the roots censused in
+        # process; never shipped to workers.
+        self._extension_keys: dict = {}
 
     def census_many(
         self, graph: HeteroGraph, nodes: Sequence[int]
@@ -360,11 +368,12 @@ class SubgraphFeatureExtractor:
                     graph, chunks, config, engine=self.engine, sampled=sampled
                 )
             else:
+                extension_keys = self._extension_keys if slots == 1 else None
                 censuses = run_tasks(
                     _census_chunk,
                     chunks,
                     n_jobs=slots,
-                    shared=(graph, config, self.engine, sampled),
+                    shared=(graph, config, self.engine, sampled, extension_keys),
                     mp_context=self.mp_context,
                 )
             for chunk, chunk_censuses in zip(chunks, censuses):

@@ -20,16 +20,17 @@ Design notes
   daemon's write path (``repro serve``) applies edge insertions/deletions
   through it.  Mutations replace adjacency rows rather than editing them in
   place — any previously shared row (e.g. pickled into a worker) stays
-  valid — and every mutation invalidates the derived ``flat()``/
-  ``fingerprint()`` caches so a stale snapshot or content hash is never
-  served for a changed graph.
+  valid — build the next ``flat()`` snapshot from a copy of the previous
+  one, and drop the ``fingerprint()`` cache, so a stale snapshot or
+  content hash is never served for a changed graph.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from itertools import chain
+from collections import Counter
+from dataclasses import dataclass, fields
+from itertools import accumulate, chain
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -68,6 +69,10 @@ class FlatAdjacency:
         orientations of an edge share one id in ``0..num_edges - 1``.
     edge_u / edge_v:
         Endpoints of each edge id, with ``edge_u[e] < edge_v[e]``.
+
+    ``label_degrees`` memoises :meth:`label_degrees_of` for every census
+    on the snapshot (O(nodes x labels) ints).  It is not a field, so it is
+    neither compared nor pickled: a shipped snapshot starts empty.
     """
 
     labels: list
@@ -77,6 +82,22 @@ class FlatAdjacency:
     edge_ids: list
     edge_u: list
     edge_v: list
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "label_degrees", {})
+
+    def __reduce__(self):
+        return (FlatAdjacency, tuple(getattr(self, f.name) for f in fields(self)))
+
+    def label_degrees_of(self, node: int) -> tuple:
+        """``((label, count), ...)`` over ``node``'s neighbours (memoised)."""
+        pairs = self.label_degrees.get(node)
+        if pairs is None:
+            row = self.neighbors[self.indptr[node]: self.indptr[node + 1]]
+            pairs = self.label_degrees[node] = tuple(
+                Counter(map(self.labels.__getitem__, row)).items()
+            )
+        return pairs
 
 
 class FlatGraph:
@@ -228,17 +249,10 @@ class HeteroGraph:
         self._adjacency = adjacency
         self._label_starts = label_starts
         self._num_edges = num_edges
-        self._invalidate_derived()
-
-    def _invalidate_derived(self) -> None:
-        """Drop the lazily built caches that depend on the structure.
-
-        ``flat()`` and ``fingerprint()`` are pure functions of the labelled
-        adjacency; anything that changes the adjacency (only
-        :class:`MutableHeteroGraph` does) must call this so neither a stale
-        snapshot nor — worse — a stale content hash aliasing ArtifactStore
-        keys across graph versions can ever be observed.
-        """
+        # Lazily built, pure functions of the labelled adjacency; anything
+        # that changes it (only MutableHeteroGraph._mutate) replaces or
+        # drops both, so neither a stale snapshot nor a stale content hash
+        # aliasing ArtifactStore keys across graph versions is observed.
         self._flat = None
         self._fingerprint = None
 
@@ -417,38 +431,27 @@ class HeteroGraph:
         """The cached :class:`FlatAdjacency` snapshot (built on first use).
 
         The graph is immutable, so the snapshot is computed once and shared
-        by every census run over this graph within the process.
+        by every census run over this graph within the process.  An edge's
+        id is its rank among the entries with ``node < neighbour`` in row
+        order, the order a scan of the rows first meets each edge.
         """
         if self._flat is None:
-            labels = self._labels.tolist()
-            indptr = [0]
-            neighbors: list = []
-            edge_ids: list = []
-            edge_u: list = []
-            edge_v: list = []
-            id_of: dict = {}
-            for u in range(len(self._ids)):
-                row = self._adjacency[u].tolist()
-                neighbors.extend(row)
-                for w in row:
-                    key = (u, w) if u < w else (w, u)
-                    eid = id_of.get(key)
-                    if eid is None:
-                        eid = len(edge_u)
-                        id_of[key] = eid
-                        edge_u.append(key[0])
-                        edge_v.append(key[1])
-                    edge_ids.append(eid)
-                indptr.append(len(neighbors))
-            degrees = [indptr[i + 1] - indptr[i] for i in range(len(self._ids))]
+            n = len(self._ids)
+            degrees = np.fromiter(map(len, self._adjacency), np.int64, n)
+            node = np.repeat(np.arange(n, dtype=np.int64), degrees)
+            neighbors = np.concatenate([node[:0], *self._adjacency])
+            forward = node < neighbors
+            pair = np.minimum(node, neighbors) * n + np.maximum(node, neighbors)
+            order = np.argsort(pair[forward], kind="stable")
+            edge_ids = order[np.searchsorted(pair[forward], pair, sorter=order)]
             self._flat = FlatAdjacency(
-                labels=labels,
-                degrees=degrees,
-                indptr=indptr,
-                neighbors=neighbors,
-                edge_ids=edge_ids,
-                edge_u=edge_u,
-                edge_v=edge_v,
+                labels=self._labels.tolist(),
+                degrees=degrees.tolist(),
+                indptr=[0, *np.cumsum(degrees).tolist()],
+                neighbors=neighbors.tolist(),
+                edge_ids=edge_ids.tolist(),
+                edge_u=node[forward].tolist(),
+                edge_v=neighbors[forward].tolist(),
             )
         return self._flat
 
@@ -513,9 +516,9 @@ class MutableHeteroGraph(HeteroGraph):
     * keeps every adjacency list sorted by (label, index) — the census
       engines' invariant — by replacing the two touched rows (never editing
       an array in place, so rows shared with an immutable source graph or a
-      pickled worker copy remain valid), and
-    * calls :meth:`HeteroGraph._invalidate_derived` so the ``flat()``
-      snapshot and the content ``fingerprint()`` are rebuilt on next use.
+      pickled worker copy remain valid),
+    * patches the next ``flat()`` snapshot from the previous one, and
+    * drops the content ``fingerprint()``, rehashed on next use.
 
     Mutation methods take *external* node ids (the protocol currency) and
     return the internal ``(u, v)`` index pair they resolved to.
@@ -546,26 +549,6 @@ class MutableHeteroGraph(HeteroGraph):
             self._num_edges,
         )
 
-    def _insert_neighbor(self, u: int, v: int) -> None:
-        starts = self._label_starts[u]
-        label = self.label_of(v)
-        run = self._adjacency[u][starts[label]: starts[label + 1]]
-        pos = int(starts[label]) + int(np.searchsorted(run, v))
-        self._adjacency[u] = np.insert(self._adjacency[u], pos, v)
-        new_starts = starts.copy()
-        new_starts[label + 1:] += 1
-        self._label_starts[u] = new_starts
-
-    def _delete_neighbor(self, u: int, v: int) -> None:
-        starts = self._label_starts[u]
-        label = self.label_of(v)
-        run = self._adjacency[u][starts[label]: starts[label + 1]]
-        pos = int(starts[label]) + int(np.searchsorted(run, v))
-        self._adjacency[u] = np.delete(self._adjacency[u], pos)
-        new_starts = starts.copy()
-        new_starts[label + 1:] -= 1
-        self._label_starts[u] = new_starts
-
     def add_edge(self, u_id: NodeId, v_id: NodeId) -> tuple[int, int]:
         """Insert the undirected edge ``(u_id, v_id)``.
 
@@ -577,10 +560,7 @@ class MutableHeteroGraph(HeteroGraph):
         u, v = self.index(u_id), self.index(v_id)
         if self.has_edge(u, v):
             raise GraphError(f"duplicate edge ({u_id!r}, {v_id!r})")
-        self._insert_neighbor(u, v)
-        self._insert_neighbor(v, u)
-        self._num_edges += 1
-        self._invalidate_derived()
+        self._mutate(u, v, 1)
         return u, v
 
     def remove_edge(self, u_id: NodeId, v_id: NodeId) -> tuple[int, int]:
@@ -592,11 +572,73 @@ class MutableHeteroGraph(HeteroGraph):
         u, v = self.index(u_id), self.index(v_id)
         if u == v or not self.has_edge(u, v):
             raise GraphError(f"no such edge ({u_id!r}, {v_id!r})")
-        self._delete_neighbor(u, v)
-        self._delete_neighbor(v, u)
-        self._num_edges -= 1
-        self._invalidate_derived()
+        self._mutate(u, v, -1)
         return u, v
+
+    def _mutate(self, u: int, v: int, step: int) -> None:
+        """Add (``step`` 1) or remove (-1) edge ``(u, v)``.
+
+        The next snapshot copies the previous one (never edited: a census
+        may hold it) with rows ``u`` and ``v`` replaced.  A new edge takes
+        the next id; a removed edge's id passes to the last id's edge, so
+        ids stay dense.  The label-degree memo carries over, minus u and v.
+        """
+        for a, b in ((u, v), (v, u)):
+            starts = self._label_starts[a]
+            label = self.label_of(b)
+            row = self._adjacency[a]
+            pos = int(starts[label]) + int(
+                np.searchsorted(row[starts[label]: starts[label + 1]], b)
+            )
+            self._adjacency[a] = np.insert(row, pos, b) if step > 0 else np.delete(row, pos)
+            new_starts = starts.copy()
+            new_starts[label + 1:] += step
+            self._label_starts[a] = new_starts
+        self._num_edges += step
+        self._fingerprint = None
+        flat = self._flat
+        if flat is None:
+            return
+        u, v = min(u, v), max(u, v)
+        indptr, neighbors, edge_ids = flat.indptr, flat.neighbors, flat.edge_ids
+        edge_u, edge_v = list(flat.edge_u), list(flat.edge_v)
+        last = len(edge_u) - 1
+        if step > 0:
+            eid = last + 1
+            edge_u.append(u)
+            edge_v.append(v)
+        else:
+            lo = indptr[u]
+            eid = edge_ids[lo + neighbors[lo: indptr[u + 1]].index(v)]
+        new_neighbors: list = []
+        new_ids: list = []
+        cut = 0
+        for node in (u, v):
+            lo, hi = indptr[node], indptr[node + 1]
+            row = self._adjacency[node].tolist()
+            ids = dict(zip(neighbors[lo:hi], edge_ids[lo:hi]))
+            new_neighbors += neighbors[cut:lo] + row
+            new_ids += edge_ids[cut:lo] + [ids.get(w, eid) for w in row]
+            cut = hi
+        new_neighbors += neighbors[cut:]
+        new_ids += edge_ids[cut:]
+        degrees = list(flat.degrees)
+        degrees[u] += step
+        degrees[v] += step
+        indptr = list(accumulate(degrees, initial=0))
+        if step < 0:
+            if eid != last:
+                for node in (edge_u[last], edge_v[last]):
+                    new_ids[new_ids.index(last, indptr[node], indptr[node + 1])] = eid
+                edge_u[eid], edge_v[eid] = edge_u[last], edge_v[last]
+            del edge_u[last], edge_v[last]
+        patched = FlatAdjacency(
+            flat.labels, degrees, indptr, new_neighbors, new_ids, edge_u, edge_v
+        )
+        patched.label_degrees.update(flat.label_degrees)
+        for node in (u, v):
+            patched.label_degrees.pop(node, None)
+        self._flat = patched
 
     def __repr__(self) -> str:
         return (

@@ -139,7 +139,9 @@ class CensusWorker(OpServer):
 
         def _run() -> str:
             with thread_telemetry() as telemetry:
-                censuses = _census_chunk((graph, config, engine, sampled), roots)
+                censuses = _census_chunk(
+                    (graph, config, engine, sampled, None), roots
+                )
             return encode_blob((censuses, telemetry.snapshot()))
 
         self.inflight += 1

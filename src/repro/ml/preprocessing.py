@@ -17,8 +17,9 @@ from repro.ml.base import BaseEstimator, check_array
 class StandardScaler(BaseEstimator):
     """Zero-mean, unit-variance scaling with constant-column protection.
 
-    Columns with zero variance are scaled by 1 instead of 0, so constant
-    features pass through centred rather than producing NaNs.
+    Constant columns (``max == min``, tested exactly: a rounded mean can
+    leave a tiny nonzero ``std``) are scaled by 1 and centred on their
+    value, so they transform to exactly 0 rather than to noise or NaNs.
     """
 
     def __init__(self, with_mean: bool = True, with_std: bool = True) -> None:
@@ -32,7 +33,10 @@ class StandardScaler(BaseEstimator):
         self.mean_ = X.mean(axis=0) if self.with_mean else np.zeros(X.shape[1])
         if self.with_std:
             scale = X.std(axis=0)
-            scale[scale == 0.0] = 1.0
+            constant = X.max(axis=0) == X.min(axis=0)
+            scale[constant] = 1.0
+            if self.with_mean:
+                self.mean_[constant] = X[0, constant]
             self.scale_ = scale
         else:
             self.scale_ = np.ones(X.shape[1])

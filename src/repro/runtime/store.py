@@ -78,16 +78,24 @@ logger = get_logger(__name__)
 _SCALARS = (type(None), str, int, float, bytes)
 
 
+class FrozenConfig(tuple):
+    """A stage config made frozen: :func:`freeze_config` passes it through
+    as a plain tuple without walking it."""
+
+
 def freeze_config(value):
     """Recursively convert a stage config into a hashable, picklable key.
 
     Dicts become sorted ``(key, value)`` tuples, sequences become tuples,
-    sets become sorted tuples; scalars pass through.  Dataclass configs
+    sets become sorted tuples; scalars pass through, and so does a
+    :class:`FrozenConfig` (as a plain tuple).  Dataclass configs
     should be flattened by the caller (field order is part of the key) —
     see ``repro.core.cache.census_config_key`` for the census example.
     """
     if isinstance(value, _SCALARS):
         return value
+    if type(value) is FrozenConfig:
+        return tuple(value)
     if isinstance(value, Mapping):
         return tuple(
             (str(key), freeze_config(value[key])) for key in sorted(value)

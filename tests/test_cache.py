@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro.runtime.store as store_module
-from repro.core.cache import census_store_config, stored_census
+from repro.core.cache import census_config_key, census_store_config, stored_census
 from repro.core.census import CensusConfig, subgraph_census
 from repro.core.features import SubgraphFeatureExtractor
 from repro.core.graph import HeteroGraph
@@ -70,6 +70,25 @@ class TestCensusCacheKey:
             3, None, False, "canonical", True, False, None,
             "sampled", 40, 1, None, 0.95, 32, 5,
         )
+
+
+    def test_frozen_store_config_keys_like_the_plain_tuple(self, publication_graph):
+        """The store skips re-freezing ``census_store_config``; its keys
+        must still equal the plain-tuple keys earlier versions stored."""
+        fingerprint = publication_graph.fingerprint()
+        config = CensusConfig(max_edges=3, max_degree=4, mask_start_label=True)
+        for sampled in (None, SampledCensusConfig(budget=40, seed=1)):
+            for root in (0, np.int64(5)):
+                plain = (*census_config_key(config, sampled), int(root))
+                key = artifact_key(
+                    fingerprint, STAGE_CENSUS, census_store_config(config, root, sampled)
+                )
+                assert key == artifact_key(fingerprint, STAGE_CENSUS, plain)
+                assert type(key[2]) is tuple
+                assert b"FrozenConfig" not in pickle.dumps(key)
+        store = ArtifactStore()
+        store.put(fingerprint, STAGE_CENSUS, (*census_config_key(config), 2), Counter(k=1))
+        assert stored_census(store, publication_graph, config, 2) == Counter(k=1)
 
 
 class TestCensusCache:

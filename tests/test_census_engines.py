@@ -282,3 +282,107 @@ def test_duplicate_roots_are_independent_counters():
         results[0]["poison"] = 99
         assert "poison" not in results[-1], ctx
 
+
+
+def _key_order(census) -> list:
+    return list(census.items())
+
+
+class TestSharedExtensionKeys:
+    """An extractor shares one extension-key table across its roots; each
+    root's census must still equal a per-call census, key order included
+    (feature columns are assigned in that order)."""
+
+    @pytest.mark.parametrize("key", ("canonical", "string"))
+    @pytest.mark.parametrize("mask", (False, True))
+    def test_shared_table_matches_per_call_tables(self, key, mask):
+        for seed in range(4):
+            graph = random_hetero_graph(seed * 7919 + 5)
+            roots = list(range(graph.num_nodes))
+            random.Random(seed).shuffle(roots)
+            for emax in (1, 2, 3, 4):
+                for dmax in (None, 2):
+                    config = CensusConfig(
+                        max_edges=emax, max_degree=dmax, mask_start_label=mask, key=key
+                    )
+                    shared: dict = {}
+                    for root in roots:
+                        got = subgraph_census(graph, root, config, extension_keys=shared)
+                        want = subgraph_census(graph, root, config)
+                        assert _key_order(got) == _key_order(want), (seed, emax, dmax, root)
+                    extractor = SubgraphFeatureExtractor(config)
+                    for got, root in zip(extractor.census_many(graph, roots), roots):
+                        want = subgraph_census(graph, root, config)
+                        assert _key_order(got) == _key_order(want)
+
+    def test_one_extractor_on_two_alphabets(self):
+        first = random_hetero_graph(11)
+        nodes = {f"m{i}": "XYZ"[i % 3] for i in range(9)}
+        second = HeteroGraph.from_edges(
+            nodes,
+            [(f"m{i}", f"m{i + 1}") for i in range(8)]
+            + [(f"m{i}", f"m{i + 3}") for i in range(0, 6, 2)],
+        )
+        for key in ("canonical", "string"):
+            extractor = SubgraphFeatureExtractor(CensusConfig(max_edges=3, key=key))
+            for graph in (first, second, first):
+                roots = list(range(graph.num_nodes))[::-1]
+                for got, root in zip(extractor.census_many(graph, roots), roots):
+                    want = subgraph_census(graph, root, extractor.config)
+                    assert _key_order(got) == _key_order(want)
+            assert len(extractor._extension_keys) == 2  # one table per alphabet
+
+    def test_cap_overflow_clears_the_table(self, monkeypatch):
+        import repro.core.census as census_module
+
+        monkeypatch.setattr(census_module, "EXTENSION_KEYS_CAP", 2)
+        graph = random_hetero_graph(3)
+        config = CensusConfig(max_edges=4)
+        shared: dict = {}
+        for root in range(graph.num_nodes):
+            got = subgraph_census(graph, root, config, extension_keys=shared)
+            want = subgraph_census(graph, root, config)
+            assert _key_order(got) == _key_order(want)
+            assert all(len(table) <= 2 for table in shared.values())
+
+    def test_threads_sharing_one_table(self, monkeypatch):
+        """Serve reads census cold roots on concurrent threads through one
+        extractor: a shared table (cleared often here) and the snapshot's
+        label-degree memo must never change a result."""
+        import sys
+        import threading
+
+        import repro.core.census as census_module
+
+        monkeypatch.setattr(census_module, "EXTENSION_KEYS_CAP", 3)
+        graph = random_hetero_graph(27)
+        config = CensusConfig(max_edges=4, key="string")
+        want = {root: _key_order(subgraph_census(graph, root, config))
+                for root in range(graph.num_nodes)}
+        fresh = HeteroGraph.from_edges(
+            {node: graph.labelset.name(graph.label_of(i)) for i, node in enumerate(graph.node_ids)},
+            [(graph.node_ids[u], graph.node_ids[v]) for u, v in graph.edges()],
+        )
+        shared: dict = {}
+        errors: list = []
+
+        def work(seed: int) -> None:
+            roots = list(range(graph.num_nodes)) * 3
+            random.Random(seed).shuffle(roots)
+            for root in roots:
+                got = subgraph_census(fresh, root, config, extension_keys=shared)
+                if _key_order(got) != want[root]:
+                    errors.append(root)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []

@@ -276,3 +276,99 @@ class TestMutableHeteroGraph:
         assert clone.fingerprint() == mutable.fingerprint()
         clone.add_edge("a", "d")  # still mutable after the round trip
         assert clone.num_edges == mutable.num_edges + 1
+
+
+class TestPatchedSnapshots:
+    """A mutation patches the previous ``flat()`` snapshot instead of
+    rebuilding it; the patch must equal a fresh build, keep edge ids
+    dense, carry only valid label degrees, and leave held snapshots
+    alone."""
+
+    @staticmethod
+    def _assert_matches_fresh(mutable) -> None:
+        ids = mutable.node_ids
+        fresh = HeteroGraph.from_edges(
+            {node: mutable.labelset.name(mutable.label_of(i)) for i, node in enumerate(ids)},
+            [(ids[u], ids[v]) for u, v in mutable.edges()],
+            labelset=mutable.labelset,
+        ).flat()
+        flat = mutable.flat()
+        for name in ("indptr", "neighbors", "labels", "degrees"):
+            assert getattr(flat, name) == getattr(fresh, name), name
+        # Dense ids: exactly one id per live edge, each naming its endpoints.
+        assert len(flat.edge_u) == len(flat.edge_v) == mutable.num_edges
+        assert sorted(flat.edge_ids) == sorted(2 * list(range(mutable.num_edges)))
+        for node in range(mutable.num_nodes):
+            for pos in range(flat.indptr[node], flat.indptr[node + 1]):
+                eid = flat.edge_ids[pos]
+                other = flat.neighbors[pos]
+                assert (flat.edge_u[eid], flat.edge_v[eid]) == (
+                    min(node, other), max(node, other)
+                )
+        for node, pairs in flat.label_degrees.items():
+            assert pairs == fresh.label_degrees_of(node), node
+
+    def test_random_mutations_match_a_fresh_build(self):
+        import copy
+        import random
+
+        from repro.core.census import CensusConfig, subgraph_census
+        from repro.core.graph import MutableHeteroGraph
+        from repro.datasets.synthetic import affinity_graph
+
+        base = affinity_graph(
+            label_sizes={"a": 12, "b": 10, "c": 8},
+            affinity={("a", "b"): 1.0, ("b", "c"): 0.7, ("a", "c"): 0.3},
+            mean_degree=3.0,
+            rng=np.random.default_rng(4),
+        )
+        mutable = MutableHeteroGraph.from_graph(base)
+        ids = mutable.node_ids
+        rng = random.Random(4)
+        edges = set(mutable.edges())
+        config = CensusConfig(max_edges=3, max_degree=5)
+        held = mutable.flat()
+        held_lists = copy.deepcopy(vars(held))
+        # Add, remove and re-add one pair first: its id is retired, then
+        # reissued, while the other ids stay dense.
+        u, v = next((u, v) for u in range(mutable.num_nodes) for v in range(u + 1, mutable.num_nodes)
+                    if (u, v) not in edges)
+        for step in (mutable.add_edge, mutable.remove_edge, mutable.add_edge):
+            step(ids[u], ids[v])
+            self._assert_matches_fresh(mutable)
+        edges.add((u, v))
+        for cycle in range(1000):
+            if edges and rng.random() < 0.5:
+                u, v = rng.choice(sorted(edges))
+                mutable.remove_edge(ids[u], ids[v])
+                edges.discard((u, v))
+            else:
+                while True:
+                    u, v = sorted(rng.sample(range(mutable.num_nodes), 2))
+                    if (u, v) not in edges:
+                        break
+                mutable.add_edge(ids[u], ids[v])
+                edges.add((u, v))
+            for root in (u, v, rng.randrange(mutable.num_nodes)):
+                subgraph_census(mutable, root, config)  # fills label degrees
+            self._assert_matches_fresh(mutable)
+            if cycle % 100 == 0:
+                cold = mutable.snapshot()
+                for root in range(mutable.num_nodes):
+                    assert list(subgraph_census(mutable, root, config).items()) == list(
+                        subgraph_census(cold, root, config).items()
+                    )
+        # The snapshot held across every mutation was never edited.
+        assert {
+            name: value for name, value in vars(held).items() if name != "label_degrees"
+        } == {name: value for name, value in held_lists.items() if name != "label_degrees"}
+
+    def test_label_degree_memo_is_not_pickled(self):
+        import pickle
+
+        flat = HeteroGraph.from_edges(
+            {"a": "A", "b": "B", "c": "A"}, [("a", "b"), ("b", "c")]
+        ).flat()
+        assert flat.label_degrees_of(1) == ((0, 2),)
+        clone = pickle.loads(pickle.dumps(flat))
+        assert clone == flat and clone.label_degrees == {}

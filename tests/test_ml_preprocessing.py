@@ -25,6 +25,14 @@ class TestStandardScaler:
         assert np.all(np.isfinite(Z))
         assert np.allclose(Z[:, 0], 0.0)
 
+    def test_rounded_constant_column_is_constant(self):
+        # 19 rows of 0.1: the mean is 1 ulp off, so the std is ~1e-17,
+        # not 0; scaling by it mapped the column to -1 and 0.2 to ~7e15.
+        scaler = StandardScaler().fit(np.full((19, 1), 0.1))
+        assert np.all(scaler.transform(np.full((19, 1), 0.1)) == 0.0)
+        assert np.isfinite(scaler.transform([[0.2]])).all()
+        assert abs(scaler.transform([[0.2]])[0, 0]) < 1.0
+
     def test_not_fitted_raises(self):
         with pytest.raises(NotFittedError):
             StandardScaler().transform(np.ones((2, 2)))
