@@ -23,7 +23,8 @@ Durability semantics:
   mid-save (including ``kill -9``) can never corrupt an existing file;
 * a file that fails to load (corrupt bytes, old format version) is
   reported through ``logging`` and :attr:`ArtifactStore.load_status`
-  instead of silently looking like an empty store;
+  instead of silently looking like an empty store; an entry whose class
+  no longer imports is dropped with a warning, and the rest still load;
 * optional LRU eviction bounds the entry count across *all* stages,
   with per-stage protected floors so a flood of cheap entries cannot
   evict the expensive, tiny artifacts of another stage.
@@ -130,6 +131,26 @@ def _copy_artifact(value):
     return copy.deepcopy(value)
 
 
+class _Unimportable:
+    """Stands in for a pickled class or function that no longer imports."""
+
+    def __new__(cls, *args, **kwargs):
+        return object.__new__(cls)
+
+    def __setstate__(self, state) -> None:
+        pass
+
+
+class _TolerantUnpickler(pickle.Unpickler):
+    """Loads a store whose entries may name code that is gone since."""
+
+    def find_class(self, module, name):
+        try:
+            return super().find_class(module, name)
+        except (ImportError, AttributeError):
+            return _Unimportable
+
+
 class ArtifactStore:
     """Content-addressed artifact memo with optional pickle persistence.
 
@@ -201,7 +222,7 @@ class ArtifactStore:
         telemetry = get_telemetry()
         try:
             with open(path, "rb") as fh:
-                payload = pickle.load(fh)
+                payload = _TolerantUnpickler(fh).load()
         # Corrupt bytes surface from pickle as almost any exception type
         # (the docs name UnpicklingError, AttributeError, EOFError,
         # ImportError, and IndexError; garbage opcodes also raise
@@ -223,14 +244,22 @@ class ArtifactStore:
             and payload.get("version") == _FORMAT_VERSION
             and isinstance(payload.get("entries"), dict)
         ):
+            entries = {
+                key: value for key, value in payload["entries"].items()
+                if not isinstance(value, _Unimportable)
+            }
+            if dropped := len(payload["entries"]) - len(entries):
+                telemetry.count("cache/load_dropped", dropped)
+                logger.warning("artifact store %s: dropped %d entries whose "
+                               "class no longer imports", path, dropped)
             with self._lock:
-                self._entries.update(payload["entries"])
+                self._entries.update(entries)
                 self._stage_counts = Counter(
                     stage for _fp, stage, _cfg in self._entries
                 )
             self.load_status = "loaded"
             telemetry.count("cache/loads")
-            telemetry.count("cache/load_entries", len(payload["entries"]))
+            telemetry.count("cache/load_entries", len(entries))
         else:
             found = payload.get("version") if isinstance(payload, dict) else None
             self.load_status = "version-mismatch"

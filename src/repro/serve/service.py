@@ -14,13 +14,13 @@ Two census *variants* are maintained side by side:
     label from features that encode that very label would be leakage.
 
 The write path (:meth:`FeatureService.apply_mutation`) is the heart of
-the incremental story: an edge mutation computes its d_max-pruned repair
-ball (:mod:`repro.serve.repair`) and recomputes only the roots inside
-it, so its cost is the ball's, not the warm set's.  A root outside the
-ball is not touched: its store entry stays keyed under the fingerprint
-it was computed on, which remains a true content address.  The result
-is bit-identical to a cold full recompute — the randomized parity suite
-(``tests/test_serve_incremental.py``) asserts exactly that.
+the incremental story: an edge mutation adds (or subtracts) the subgraphs
+through the edge into the live censuses of the roots in its d_max-pruned
+ball that count them (:mod:`repro.serve.repair`) — no census, no store
+call; only a write that flips a hub recomputes its ball.  The store holds
+cold censuses only, each under the fingerprint it was computed on, which
+remains a true content address.  The result is bit-identical to a cold
+full recompute — ``tests/test_serve_incremental.py`` asserts exactly that.
 
 Thread model: read handlers may run concurrently (the daemon holds the
 shared side of its reader/writer lock) and synchronise their metadata
@@ -46,7 +46,7 @@ from repro.obs.log import get_logger
 from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import ENGINE_FAST, RunContext
 from repro.runtime.store import STAGE_CENSUS, ArtifactStore
-from repro.serve.repair import repair_ball
+from repro.serve.repair import edge_census, repair_ball
 
 logger = get_logger(__name__)
 
@@ -353,42 +353,57 @@ class FeatureService:
         fingerprint changes mid-flight and concurrent reads could see a
         half-repaired ball.
 
-        Steps: mutate the graph; compute the repair ball on the version
-        containing the edge; per variant, discard the store entry of each
-        tracked root in the ball and recompute it under the new
-        fingerprint.  Roots outside the ball carry over with no work;
-        the receipt counts them as ``migrated_roots``.  Raises
-        :class:`~repro.exceptions.GraphError` on invalid mutations and
-        :class:`NetError` (``unknown_node``) on unresolvable ids.
+        Steps: mutate the graph; on the version containing the edge, add
+        (or subtract) the subgraphs through it into a copy of each counting
+        root's live census, or recompute the ball's roots if it flips a
+        hub.  The receipt counts the repair ball's tracked roots as
+        ``repaired_roots`` and the rest, untouched, as ``migrated_roots``.
+        Raises :class:`~repro.exceptions.GraphError` on invalid mutations
+        and :class:`NetError` (``unknown_node``) on unresolvable ids.
         """
         graph = self.graph
         u, v = self._resolve(u_id), self._resolve(v_id)
-        ball_config = self._census_configs["plain"]
         if op == "add_edge":
             graph.add_edge(u_id, v_id)
-            # Ball on the post-mutation graph — the version with the edge.
-            ball = repair_ball(graph, u, v, ball_config)
-        elif op == "remove_edge":
-            if u == v or not graph.has_edge(u, v):
-                raise GraphError(f"no such edge ({u_id!r}, {v_id!r})")
-            # Ball on the pre-mutation graph — the version with the edge.
-            ball = repair_ball(graph, u, v, ball_config)
-            graph.remove_edge(u_id, v_id)
-        else:  # pragma: no cover - guarded by the protocol layer
+        elif op != "remove_edge":  # pragma: no cover - guarded by the protocol
             raise NetError("unknown_op", f"unknown mutation op {op!r}")
+        elif u == v or not graph.has_edge(u, v):
+            raise GraphError(f"no such edge ({u_id!r}, {v_id!r})")
+        # On the version with the edge (post-add, pre-remove).  A hub flip
+        # also changes sets without the edge: that write recomputes its ball.
+        ball = repair_ball(graph, u, v, self._census_configs["plain"])
+        dmax = self.config.dmax
+        flips = dmax is not None and dmax + 1 in (graph.degree(u), graph.degree(v))
+        deltas, sets = (None, 0) if flips else edge_census(
+            graph, u, v, self._census_configs, self._tracked
+        )
+        if op == "remove_edge":
+            graph.remove_edge(u_id, v_id)
         new_fp = graph.fingerprint()
         telemetry = get_telemetry()
+        telemetry.count("serve/repair_recomputes", int(flips))
+        telemetry.count("serve/repair_subgraphs", sets)
         repaired = 0
         migrated = 0
         for variant, census_config in self._census_configs.items():
             tracked = self._tracked[variant]
             affected = sorted(tracked.keys() & ball)
             migrated += len(tracked) - len(affected)
-            for root in affected:
-                store_config = census_store_config(census_config, root)
-                self.store.discard(tracked[root], STAGE_CENSUS, store_config)
-                self._drop_root_caches(variant, root)
-            if affected:
+            repaired += len(affected)
+            if deltas is not None:
+                for root, delta in deltas[variant].items():
+                    live = self._counters[(variant, root)].copy()
+                    for code, n in delta.items():
+                        live[code] += n if op == "add_edge" else -n
+                        if not live[code]:
+                            del live[code]
+                    self._drop_root_caches(variant, root)
+                    self._counters[(variant, root)] = live
+            else:
+                for root in affected:
+                    store_config = census_store_config(census_config, root)
+                    self.store.discard(tracked[root], STAGE_CENSUS, store_config)
+                    self._drop_root_caches(variant, root)
                 # Recompute through the extractor: looks up the new
                 # fingerprint, computes the misses (fanning out at
                 # n_jobs > 1) and writes back — exactly a cold census.
@@ -396,9 +411,8 @@ class FeatureService:
                 for root, census in zip(affected, censuses):
                     self._counters[(variant, root)] = census
                     tracked[root] = new_fp
-                repaired += len(affected)
-                if variant == "masked":
-                    self._centroids = None
+            if affected and variant == "masked":
+                self._centroids = None
         self.mutations += 1
         self.repaired_roots += repaired
         self.migrated_roots += migrated

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import logging
 import pickle
+import sys
+import types
 from collections import Counter
 from contextlib import contextmanager
 
@@ -22,6 +24,7 @@ from repro.core.census import CensusConfig, subgraph_census
 from repro.core.features import SubgraphFeatureExtractor
 from repro.core.graph import HeteroGraph
 from repro.core.sampled import SampledCensusConfig
+from repro.obs import fresh_telemetry
 from repro.runtime import ArtifactStore, RunContext
 from repro.runtime.store import STAGE_CENSUS, artifact_key
 
@@ -279,6 +282,42 @@ class TestLoadStatus:
         message = records[0].getMessage()
         assert "unreadable" in message
         assert str(path) in message
+
+    def test_unimportable_entry_is_dropped(
+        self, publication_graph, config, tmp_path, monkeypatch
+    ):
+        """One value whose module is gone drops alone; censuses load."""
+        vanished = types.ModuleType("repro_vanished_module")
+
+        class Gone:
+            pass
+
+        Gone.__module__ = vanished.__name__
+        Gone.__qualname__ = "Gone"
+        vanished.Gone = Gone
+        monkeypatch.setitem(sys.modules, vanished.__name__, vanished)
+        path = tmp_path / "census.store"
+        store = ArtifactStore(path)
+        censuses = {
+            root: subgraph_census(publication_graph, root, config)
+            for root in (0, 1)
+        }
+        for root, census in censuses.items():
+            _put(store, publication_graph, config, root, census)
+        store.put("fp", "other", (), Gone())
+        store.save()
+        monkeypatch.delitem(sys.modules, vanished.__name__)
+
+        with fresh_telemetry() as telemetry:
+            with captured_store_warnings() as records:
+                reloaded = ArtifactStore(path)
+            assert telemetry.counters["cache/load_dropped"] == 1
+        assert reloaded.load_status == "loaded"
+        assert len(reloaded) == len(censuses)
+        for root, census in censuses.items():
+            assert stored_census(reloaded, publication_graph, config, root) == census
+        assert len(records) == 1
+        assert "no longer imports" in records[0].getMessage()
 
     def test_garbage_text_warns(self, tmp_path):
         """Text garbage parses as protocol-0 opcodes raising ValueError."""

@@ -21,9 +21,12 @@ import pytest
 from repro.core import CensusConfig, MutableHeteroGraph, SubgraphFeatureExtractor
 from repro.core.graph import HeteroGraph
 from repro.exceptions import GraphError
+from repro.obs import fresh_telemetry
 from repro.runtime import ArtifactStore
 from repro.runtime.store import STAGE_CENSUS
 from repro.serve import FeatureService, ServeConfig, repair_ball
+from repro.serve import service as service_module
+from repro.serve.repair import edge_census
 from repro.serve.service import VARIANTS
 from tests.oracles import ENGINES, reference_census
 
@@ -87,11 +90,20 @@ def _assert_bit_identical(service: FeatureService, engine: str = "fast") -> None
 
 class TestIncrementalParity:
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_random_mutations_bit_identical(self, engine, n_jobs):
+    @pytest.mark.parametrize(
+        "n_jobs, emax, dmax",
+        [
+            pytest.param(1, 3, None, id="1"),
+            pytest.param(2, 3, None, id="2"),
+            # The serve-mixed shape: e_max 2 with a d_max (8 hubs here).
+            pytest.param(1, 2, 4, id="1-emax2-dmax4"),
+            pytest.param(2, 2, 4, id="2-emax2-dmax4"),
+        ],
+    )
+    def test_random_mutations_bit_identical(self, engine, n_jobs, emax, dmax):
         graph = _random_graph(seed=11)
         service = FeatureService(
-            graph, ServeConfig(emax=3, dmax=None, n_jobs=n_jobs)
+            graph, ServeConfig(emax=emax, dmax=dmax, n_jobs=n_jobs)
         )
         service.warm()
         applied = _apply_random_mutations(service, k=8, seed=23)
@@ -132,6 +144,81 @@ class TestIncrementalParity:
         assert result["repaired_roots"] == result["ball_size"] * len(VARIANTS)
         assert result["ball_size"] < service.graph.num_nodes
         assert service.stats()["repaired_roots"] - before == result["repaired_roots"]
+
+    def test_hub_flips_take_the_recompute_path(self):
+        # An add that makes x a hub and the remove that unmakes it change
+        # sets without the edge, so only they recompute their ball.
+        dmax = 4
+        service = FeatureService(
+            _random_graph(seed=5, mean_degree=4.0), ServeConfig(emax=3, dmax=dmax)
+        )
+        service.warm()
+        graph, ids = service.graph, service.graph.node_ids
+        n = graph.num_nodes
+        x = next(node for node in range(n) if graph.degree(node) == dmax)
+        y = next(
+            node for node in range(n)
+            if node != x and not graph.has_edge(x, node)
+            and graph.degree(node) < dmax
+        )
+        a, b = next(
+            (a, b) for a in range(n) for b in range(a + 1, n)
+            if {a, b}.isdisjoint({x, y}) and not graph.has_edge(a, b)
+            and max(graph.degree(a), graph.degree(b)) < dmax
+        )
+        # (op, u, v, recomputes, x is a hub after the write)
+        writes = [
+            ("add_edge", x, y, 1, True),
+            ("add_edge", a, b, 0, True),
+            ("remove_edge", x, y, 1, False),
+            ("remove_edge", a, b, 0, False),
+        ]
+        for op, p, q, recomputes, hub in writes:
+            with fresh_telemetry() as telemetry:
+                service.apply_mutation(op, ids[p], ids[q])
+            assert telemetry.counters["serve/repair_recomputes"] == recomputes
+            assert (graph.degree(x) > dmax) == hub
+            _assert_bit_identical(service)
+
+
+class TestFastPath:
+    def test_write_without_hub_flip_runs_no_census(self, monkeypatch):
+        dmax = 4
+        store = _CountingStore()
+        service = FeatureService(
+            _random_graph(seed=4), ServeConfig(emax=3, dmax=dmax), store=store
+        )
+        service.warm()
+        credited = []
+
+        def recording(*args):
+            deltas, sets = edge_census(*args)
+            credited.append(deltas)
+            return deltas, sets
+
+        monkeypatch.setattr(service_module, "edge_census", recording)
+        graph, ids = service.graph, service.graph.node_ids
+        u, v = next(
+            (u, v) for u in range(graph.num_nodes)
+            for v in range(u + 1, graph.num_nodes)
+            if not graph.has_edge(u, v)
+            and max(graph.degree(u), graph.degree(v)) < dmax
+        )
+        calls = sum(store.calls.values())
+        with fresh_telemetry() as telemetry:
+            receipt = service.apply_mutation("add_edge", ids[u], ids[v])
+        counters = telemetry.counters
+        assert counters.get("census/calls", 0) == 0
+        assert counters["serve/repair_recomputes"] == 0
+        assert counters["serve/repair_subgraphs"] > 0
+        assert sum(store.calls.values()) == calls
+        ball = repair_ball(graph, u, v, service._census_configs["plain"])
+        assert receipt["ball_size"] == len(ball)
+        assert receipt["repaired_roots"] == len(VARIANTS) * len(ball)
+        (deltas,) = credited
+        roots = {root for per_root in deltas.values() for root in per_root}
+        assert {u, v} <= roots <= ball
+        _assert_bit_identical(service)
 
 
 class _CountingStore(ArtifactStore):
