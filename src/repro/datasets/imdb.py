@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.graph import HeteroGraph
 from repro.datasets.load import sample_nodes_per_label
 from repro.datasets.schema import IMDB_SCHEMA
+from repro.datasets.synthetic import choice_cdf, weighted_sample
 
 
 @dataclass
@@ -62,6 +63,7 @@ class SyntheticIMDB:
             role: self._zipf_weights(len(members), cfg.popularity_exponent)
             for role, members in pools.items()
         }
+        popularity_cdfs = {role: choice_cdf(p) for role, p in popularity.items()}
 
         node_labels: dict[str, str] = {}
         edges: set[tuple[str, str]] = set()
@@ -84,11 +86,11 @@ class SyntheticIMDB:
                     continue
                 members = pools[role]
                 count = min(int(count), len(members))
-                picks = rng.choice(
-                    len(members), size=count, replace=False, p=popularity[role]
+                picks = weighted_sample(
+                    rng, popularity[role], popularity_cdfs[role], count
                 )
                 for pick in picks:
-                    edges.add((movie, members[int(pick)]))
+                    edges.add((movie, members[pick]))
 
         self.graph = HeteroGraph.from_edges(
             node_labels, edges, labelset=IMDB_SCHEMA.labelset

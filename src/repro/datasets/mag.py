@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.graph import HeteroGraph
 from repro.datasets.schema import MAG_LABEL_SCHEMA, MAG_RANK_SCHEMA
+from repro.datasets.synthetic import choice_cdf, weighted_pick, weighted_sample
 
 CONFERENCES = ("KDD", "FSE", "ICML", "MM", "MOBICOM")
 
@@ -141,33 +142,39 @@ class SyntheticMAG:
                     self.strength[(institution, conference, year)] = float(value)
 
     def _sample_title(self, conference: str, rng: np.random.Generator) -> tuple[str, tuple[str, ...]]:
-        words = [
-            rng.choice(_ADJECTIVES),
-            rng.choice(_TOPIC_NOUNS[conference]),
-            rng.choice(_FILLERS),
-            rng.choice(_VERBS),
-            rng.choice(_COMMON_NOUNS),
-        ]
+        def pick(words: list[str]) -> str:  # rng.choice(words), same stream
+            return words[rng.integers(len(words))]
+
+        pools = (_ADJECTIVES, _TOPIC_NOUNS[conference], _FILLERS, _VERBS, _COMMON_NOUNS)
+        words = [pick(pool) for pool in pools]
         if rng.random() < 0.3:
-            words.insert(0, rng.choice(_NUMBERS))
+            words.insert(0, pick(_NUMBERS))
         if rng.random() < 0.4:
-            words.append(rng.choice(_ADVERBS))
-        title = " ".join(str(w) for w in words)
+            words.append(pick(_ADVERBS))
+        title = " ".join(words)
         # Keywords carry a variant suffix so the field-of-study space is
         # wide (real MAG has tens of thousands of fields); without it the
         # handful of topic nouns would collapse into a few mega-hub F nodes.
+        pool = _TOPIC_NOUNS[conference] + _COMMON_NOUNS
         keywords = tuple(
-            f"{w}-{rng.integers(0, 5)}"
-            for w in rng.choice(
-                _TOPIC_NOUNS[conference] + _COMMON_NOUNS, size=rng.integers(2, 5), replace=False
-            )
+            f"{pool[i]}-{rng.integers(0, 5)}"
+            for i in rng.choice(len(pool), size=rng.integers(2, 5), replace=False)
         )
         return title, keywords
 
     def _build_papers(self, rng: np.random.Generator) -> None:
+        """Papers per conference-year; ``Generator.choice`` draws are
+        replayed over CDFs built once each (same stream, same world)."""
         cfg = self.config
         self.papers: dict[str, Paper] = {}
         self.papers_by_conf_year: dict[tuple[str, int], list[str]] = {}
+        # Team members per (institution, last slot); the last slot prefers
+        # senior authors (the paper's feature viii).
+        member_cdfs = {}
+        for institution, candidates in self.institution_authors.items():
+            weights = np.array([self.author_seniority[a] for a in candidates])
+            for last, slot in ((False, weights), (True, weights**2)):
+                member_cdfs[institution, last] = choice_cdf(slot / slot.sum())
         paper_counter = 0
         for conference in cfg.conferences:
             earlier: list[str] = []
@@ -175,19 +182,23 @@ class SyntheticMAG:
                 strengths = np.array(
                     [self.strength[(i, conference, year)] for i in self.institutions]
                 )
-                probabilities = strengths / strengths.sum()
+                institution_cdf = choice_cdf(strengths / strengths.sum())
+                # Preferential attachment to recent papers: linear recency weights.
+                weights = np.arange(1, len(earlier) + 1, dtype=np.float64)
+                weights = weights / weights.sum()
+                recency = (weights, choice_cdf(weights) if earlier else [])
                 bucket: list[str] = []
                 for _ in range(cfg.papers_per_conference_year):
                     paper_id = f"P{paper_counter}"
                     paper_counter += 1
-                    lead = self.institutions[
-                        int(rng.choice(len(self.institutions), p=probabilities))
-                    ]
+                    lead = self.institutions[weighted_pick(rng, institution_cdf)]
                     num_authors = int(rng.integers(1, 5))
-                    authors = self._sample_author_team(lead, num_authors, probabilities, rng)
+                    authors = self._sample_author_team(
+                        lead, num_authors, institution_cdf, member_cdfs, rng
+                    )
                     affiliations = tuple(self.author_affiliations[a] for a in authors)
                     title, keywords = self._sample_title(conference, rng)
-                    references = self._sample_references(earlier, rng)
+                    references = self._sample_references(earlier, recency, rng)
                     paper = Paper(
                         paper_id=paper_id,
                         conference=conference,
@@ -208,7 +219,8 @@ class SyntheticMAG:
         self,
         lead_institution: str,
         num_authors: int,
-        institution_probabilities: np.ndarray,
+        institution_cdf: list[float],
+        member_cdfs: dict[tuple[str, bool], list[float]],
         rng: np.random.Generator,
     ) -> list[str]:
         """Author team: mostly the lead institution, sometimes collaborators.
@@ -222,32 +234,22 @@ class SyntheticMAG:
             if position == 0 or rng.random() < 0.7:
                 institution = lead_institution
             else:
-                institution = self.institutions[
-                    int(rng.choice(len(self.institutions), p=institution_probabilities))
-                ]
-            candidates = self.institution_authors[institution]
-            weights = np.array([self.author_seniority[a] for a in candidates])
-            # The last slot prefers senior authors (the paper's feature viii).
-            if position == num_authors - 1:
-                weights = weights**2
-            weights = weights / weights.sum()
-            choice = candidates[int(rng.choice(len(candidates), p=weights))]
+                institution = self.institutions[weighted_pick(rng, institution_cdf)]
+            cdf = member_cdfs[institution, position == num_authors - 1]
+            choice = self.institution_authors[institution][weighted_pick(rng, cdf)]
             if choice not in team:
                 team.append(choice)
         return team
 
     def _sample_references(
-        self, earlier: list[str], rng: np.random.Generator
+        self, earlier: list[str], recency: tuple[np.ndarray, list[float]], rng: np.random.Generator
     ) -> tuple[str, ...]:
         if not earlier:
             return ()
         count = min(int(rng.poisson(self.config.references_per_paper)), len(earlier))
         if count == 0:
             return ()
-        # Preferential attachment to recent papers: linear recency weights.
-        weights = np.arange(1, len(earlier) + 1, dtype=np.float64)
-        weights = weights / weights.sum()
-        picks = rng.choice(len(earlier), size=count, replace=False, p=weights)
+        picks = weighted_sample(rng, *recency, count)
         return tuple(earlier[i] for i in sorted(picks))
 
     # ------------------------------------------------------------------

@@ -3,10 +3,13 @@
 These are the building blocks of the dataset stand-ins and of the test
 suite: a degree-corrected label-affinity model (Chung-Lu flavoured) that
 produces heavy-tailed heterogeneous networks, and small deterministic
-fixtures (stars, paths, complete bipartite) used by unit tests.
+fixtures (stars, paths, complete bipartite) used by unit tests, plus the
+draw replays the per-record generators build their worlds with.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -29,6 +32,39 @@ def powerlaw_weights(
     rng = np.random.default_rng(rng)
     uniform = rng.random(size)
     return (1.0 - uniform) ** (-1.0 / (exponent - 1.0))
+
+
+def choice_cdf(p: np.ndarray) -> list[float]:
+    """The CDF ``Generator.choice(len(p), p=p)`` searches, built once."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def weighted_pick(rng: np.random.Generator, cdf: list[float]) -> int:
+    """``rng.choice(len(p), p=p)`` over ``cdf = choice_cdf(p)``: same draw, same stream."""
+    return bisect_right(cdf, rng.random())
+
+
+def weighted_sample(
+    rng: np.random.Generator, p: np.ndarray, cdf: list[float], size: int
+) -> list[int]:
+    """``rng.choice(len(p), size, replace=False, p=p)``, draw for draw: keep
+    each index's first draw; while some are missing, zero the found ones in
+    ``p``, re-accumulate it and draw the shortfall, as numpy does."""
+    if np.count_nonzero(p > 0) < size:
+        raise ValueError("Fewer non-zero entries in p than size")
+    found = list(dict.fromkeys(bisect_right(cdf, x) for x in rng.random(size).tolist()))
+    while len(found) < size:
+        draws = rng.random(size - len(found))
+        left = p.copy()
+        left[found] = 0
+        left = np.cumsum(left)
+        left /= left[-1]
+        new = left.searchsorted(draws, side="right")
+        _, first = np.unique(new, return_index=True)
+        found.extend(new[np.sort(first)].tolist())
+    return found
 
 
 def affinity_graph(

@@ -97,6 +97,14 @@ def _norm(census: Counter) -> float:
     return math.sqrt(sum(count * count for count in census.values()))
 
 
+def _add_delta(counts: Counter, delta: dict, sign: int) -> None:
+    """Add ``sign * delta`` into ``counts`` in place; keys that reach 0 go."""
+    for code, n in delta.items():
+        counts[code] += sign * n
+        if not counts[code]:
+            del counts[code]
+
+
 class FeatureService:
     """Feature/rank/label queries plus incremental edge mutations."""
 
@@ -144,8 +152,8 @@ class FeatureService:
         self._counters: dict[tuple[str, int], Counter] = {}
         self._norms: dict[tuple[str, int], float] = {}
         self._rendered: dict[tuple[str, int], dict] = {}
-        # Per-label masked census sums for nearest-centroid label
-        # prediction; None = rebuild lazily on the next label query.
+        # Per-label masked census sums over the tracked roots, patched by
+        # writes; None = rebuild lazily on the next label query.
         self._centroids: dict[int, Counter] | None = None
         self._meta_lock = threading.Lock()
         self.mutations = 0
@@ -170,6 +178,8 @@ class FeatureService:
         with self._meta_lock:
             self._counters[key] = census
             self._tracked[variant][root] = self.graph.fingerprint()
+            if variant == "masked":
+                self._centroids = None  # they sum the tracked roots only
         return census
 
     def _norm_of(self, variant: str, root: int) -> float:
@@ -202,6 +212,8 @@ class FeatureService:
                 for root, census in zip(pending, censuses):
                     self._counters[(variant, root)] = census
                     tracked[root] = fingerprint
+                if pending and variant == "masked":
+                    self._centroids = None
         get_telemetry().count("serve/warmed_roots", len(roots))
         return len(roots)
 
@@ -278,6 +290,7 @@ class FeatureService:
             tracked = sorted(self._tracked["masked"])
         if centroids is not None:
             return centroids
+        get_telemetry().count("serve/centroid_builds")
         centroids = {}
         for candidate in tracked:
             label = self.graph.label_of(candidate)
@@ -286,7 +299,8 @@ class FeatureService:
                 into = centroids[label] = Counter()
             into.update(self.census("masked", candidate))
         with self._meta_lock:
-            self._centroids = centroids
+            if len(self._tracked["masked"]) == len(tracked):  # none tracked since
+                self._centroids = centroids
         return centroids
 
     def label(self, node_id) -> dict:
@@ -355,9 +369,10 @@ class FeatureService:
 
         Steps: mutate the graph; on the version containing the edge, add
         (or subtract) the subgraphs through it into a copy of each counting
-        root's live census, or recompute the ball's roots if it flips a
-        hub.  The receipt counts the repair ball's tracked roots as
-        ``repaired_roots`` and the rest, untouched, as ``migrated_roots``.
+        root's live census and of its label centroid, or recompute the
+        ball's roots if it flips a hub.  The receipt counts the repair
+        ball's tracked roots as ``repaired_roots`` and the rest,
+        untouched, as ``migrated_roots``.
         Raises :class:`~repro.exceptions.GraphError` on invalid mutations
         and :class:`NetError` (``unknown_node``) on unresolvable ids.
         """
@@ -383,6 +398,7 @@ class FeatureService:
         telemetry = get_telemetry()
         telemetry.count("serve/repair_recomputes", int(flips))
         telemetry.count("serve/repair_subgraphs", sets)
+        sign = 1 if op == "add_edge" else -1
         repaired = 0
         migrated = 0
         for variant, census_config in self._census_configs.items():
@@ -393,12 +409,11 @@ class FeatureService:
             if deltas is not None:
                 for root, delta in deltas[variant].items():
                     live = self._counters[(variant, root)].copy()
-                    for code, n in delta.items():
-                        live[code] += n if op == "add_edge" else -n
-                        if not live[code]:
-                            del live[code]
+                    _add_delta(live, delta, sign)
                     self._drop_root_caches(variant, root)
                     self._counters[(variant, root)] = live
+                if variant == "masked" and self._centroids is not None:
+                    self._patch_centroids(deltas[variant], sign)
             else:
                 for root in affected:
                     store_config = census_store_config(census_config, root)
@@ -411,8 +426,8 @@ class FeatureService:
                 for root, census in zip(affected, censuses):
                     self._counters[(variant, root)] = census
                     tracked[root] = new_fp
-            if affected and variant == "masked":
-                self._centroids = None
+                if affected and variant == "masked":
+                    self._centroids = None
         self.mutations += 1
         self.repaired_roots += repaired
         self.migrated_roots += migrated
@@ -434,6 +449,18 @@ class FeatureService:
             "migrated_roots": migrated,
             "fingerprint": new_fp,
         }
+
+    def _patch_centroids(self, deltas: dict[int, dict], sign: int) -> None:
+        """Add masked deltas into copies of their roots' label centroids,
+        published in one assignment (integer counts: bit-equal scores)."""
+        centroids = self._centroids
+        patched = dict(centroids)
+        for root, delta in deltas.items():
+            label = self.graph.label_of(root)
+            if patched[label] is centroids[label]:
+                patched[label] = centroids[label].copy()
+            _add_delta(patched[label], delta, sign)
+        self._centroids = patched
 
     def _drop_root_caches(self, variant: str, root: int) -> None:
         key = (variant, root)

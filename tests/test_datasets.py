@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset generators and their schemas."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.datasets import (
     sample_nodes_per_label,
     star,
 )
+from repro.datasets.synthetic import choice_cdf, weighted_pick, weighted_sample
 
 
 # Small worlds shared across tests in this module.
@@ -262,6 +265,132 @@ class TestImdb:
             graph.nodes_with_label(graph.labelset.index("A"))
         ]
         assert actor_degrees.max() >= 5
+
+
+class TestWorldDigests:
+    """Pinned worlds: the benchmark's reference scores, the classic-feature
+    digest and the pinned graph fingerprints all follow from these draws.
+
+    The digests assume numpy's ``Generator`` streams (PCG64 and the
+    ``random``/``integers``/``poisson``/``gamma``/``normal``/``lognormal``
+    and ``choice`` algorithms) as of numpy 2.4.  If they fail after a
+    numpy upgrade with no code change, re-record them from the previous
+    commit, never from the change under test.
+    """
+
+    MAG = {
+        "default": (
+            None,
+            "6687f91f1bfc8373920fb728a82d4d4d730bf099a00157386e8a36b7a35fc861",
+        ),
+        "rank-table1": (
+            (30, 6, 40),
+            "fcce6f7795bdf234b3ba75d6d215c5c25b141b4511925d60afbd98b082c40811",
+        ),
+        "serve-mixed": (
+            (20, 4, 12),
+            "996211aaa7316f9a89db2f4edd88b6301fc136524be709f820ab48d83e17cd41",
+        ),
+    }
+
+    @staticmethod
+    def mag_digest(world: SyntheticMAG) -> str:
+        digest = hashlib.sha256()
+        for paper_id in sorted(world.papers, key=lambda pid: int(pid[1:])):
+            p = world.papers[paper_id]
+            record = (
+                p.paper_id, p.conference, p.year, p.authors, p.affiliations,
+                p.is_full, p.title, p.keywords, p.references,
+            )
+            digest.update(repr(record).encode())
+        for table in (
+            world.author_affiliations,
+            world.author_seniority,
+            world.strength,
+            world.papers_by_conf_year,
+        ):
+            digest.update(repr(sorted(table.items())).encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(MAG))
+    def test_mag_digest(self, name):
+        size, expected = self.MAG[name]
+        config = MagConfig()
+        if size is not None:
+            config = MagConfig(
+                num_institutions=size[0],
+                authors_per_institution=size[1],
+                papers_per_conference_year=size[2],
+            )
+        assert self.mag_digest(SyntheticMAG(config)) == expected
+
+    def test_imdb_fingerprint(self):
+        assert SyntheticIMDB().graph.fingerprint() == "079c61912ac8fdf49221f154596a050f"
+
+    def test_load_fingerprint(self):
+        # The label-fig5 world is LOAD at its default size.
+        assert SyntheticLOAD().graph.fingerprint() == "231034cc31ba74c50b0a2761d685ae31"
+
+
+class TestDrawReplays:
+    """Each replay against live ``Generator.choice`` on a twin generator:
+    the same indices, and the stream left in the same state."""
+
+    @staticmethod
+    def twins(seed):
+        return np.random.default_rng(seed), np.random.default_rng(seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weighted_pick(self, seed):
+        ours, numpy_rng = self.twins(seed)
+        p = np.array([0.0, 3.0, 0.5, 0.0, 7.0, 1e-9, 2.0])
+        p = p / p.sum()
+        cdf = choice_cdf(p)
+        for _ in range(200):
+            assert weighted_pick(ours, cdf) == numpy_rng.choice(len(p), p=p)
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+    def check_sample(self, seed, p, size, rounds=50):
+        ours, numpy_rng = self.twins(seed)
+        cdf = choice_cdf(p)
+        for _ in range(rounds):
+            expected = numpy_rng.choice(len(p), size, replace=False, p=p)
+            assert weighted_sample(ours, p, cdf, size) == expected.tolist()
+            assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_skewed_sample_near_population_redraws(self, seed):
+        # Zipf weights with k near n: nearly every call repeats an index
+        # in its first round and runs the redraw loop, often several times.
+        p = np.arange(1, 13, dtype=np.float64) ** -2.0
+        p = p / p.sum()
+        for size in (1, 6, 10, 11, 12):
+            self.check_sample(seed, p, size)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sample_with_zero_entries(self, seed):
+        p = np.array([0.0, 5.0, 0.0, 1.0, 0.2, 0.0, 3.0, 0.05, 0.0])
+        p = p / p.sum()
+        for size in (0, 2, 4):
+            self.check_sample(seed, p, size)
+        # As many picks as non-zero entries: every one of them, in draw order.
+        self.check_sample(seed, p, int(np.count_nonzero(p)))
+
+    def test_sample_recency_weights(self):
+        p = np.arange(1, 401, dtype=np.float64)
+        p = p / p.sum()
+        for size in (1, 3, 9):
+            self.check_sample(11, p, size, rounds=200)
+
+    def test_too_few_nonzero_entries_raises(self):
+        ours, numpy_rng = self.twins(3)
+        p = np.array([0.5, 0.0, 0.5, 0.0])
+        with pytest.raises(ValueError) as expected:
+            numpy_rng.choice(len(p), 3, replace=False, p=p)
+        with pytest.raises(ValueError) as raised:
+            weighted_sample(ours, p, choice_cdf(p), 3)
+        assert str(raised.value) == str(expected.value)
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state
 
 
 class TestSampler:

@@ -221,6 +221,48 @@ class TestFastPath:
         _assert_bit_identical(service)
 
 
+class TestCentroidPatch:
+    @pytest.mark.parametrize("dmax", [None, 4], ids=["no-dmax", "dmax4"])
+    def test_writes_patch_centroids(self, dmax):
+        # A write adds its masked deltas into the centroids; only a hub
+        # flip that touches tracked masked roots rebuilds them.
+        config = ServeConfig(emax=2, dmax=dmax)
+        service = FeatureService(_random_graph(seed=11), config)
+        service.warm()
+        ids = service.graph.node_ids
+        rng = np.random.default_rng(5)
+        recomputes = 0
+        with fresh_telemetry() as telemetry:
+            service.label(ids[0])
+            for write in range(16):
+                _apply_random_mutations(service, k=1, seed=100 + write)
+                recomputes = telemetry.counters["serve/repair_recomputes"]
+                service.label(ids[int(rng.integers(len(ids)))])
+            assert telemetry.counters["serve/centroid_builds"] == 1 + recomputes
+        if dmax is not None:
+            assert recomputes > 0
+        patched = service._centroids
+        service._centroids = None
+        assert patched == service._build_centroids()
+        cold = FeatureService(service.graph.snapshot(), config)
+        cold.warm()
+        for node in ids:
+            assert service.label(node) == cold.label(node)
+
+    def test_newly_tracked_root_joins_the_centroids(self):
+        # The centroids sum the tracked masked roots, so a root first
+        # tracked by a read must be in them before a write patches it.
+        service = FeatureService(_random_graph(seed=11), ServeConfig(emax=2))
+        ids = service.graph.node_ids
+        service.warm(range(10))
+        service.label(ids[0])
+        service.label(ids[20])  # tracks root 20
+        _apply_random_mutations(service, k=6, seed=7)
+        patched = service._centroids
+        service._centroids = None
+        assert patched == service._build_centroids()
+
+
 class _CountingStore(ArtifactStore):
     """An artifact store that tallies every keyed call by method name."""
 
