@@ -219,10 +219,10 @@ class _FastCensusRun(_CensusRunState):
     the emitted keys, their counts, or the order in which each key is
     first inserted into the result:
 
-    * **Flat per-run arrays.** The graph is snapshotted once per process
-      (``HeteroGraph.flat()``) into plain-int CSR adjacency with dense edge
-      ids, so the inner loop does list indexing and bytearray flag tests
-      instead of numpy scalar extraction, ``(u, v)`` tuple hashing, and
+    * **Flat per-run arrays.** The census reads the graph's one snapshot,
+      ``graph.flat()``: plain-int CSR adjacency with dense edge ids, so
+      the inner loop does list indexing and bytearray flag tests instead
+      of numpy scalar extraction, ``(u, v)`` tuple hashing, and
       ``graph.degree()`` calls.
     * **Incremental canonical code.** One cached row tuple per member node
       plus a sorted row container.  An edge add/remove only *marks* its two
@@ -751,12 +751,9 @@ def subgraph_census(
             # Budget ran dry before the rel_err contract was met — the
             # straggler roots a budget bump would help.
             telemetry.count("census/sampled_budget_exhausted")
-        # ``timer`` doubles as a count/total/max stat aggregator here:
-        # the "seconds" are achieved CI half widths, not wall clock.
-        telemetry.timer("census/sampled_half_width", report.half_width)
-        telemetry.gauge_max(
-            "census/sampled_half_width_max", report.half_width
-        )
+        # Achieved CI half widths: one observation per root (its max is
+        # the widest interval of the run).
+        telemetry.observe("census/sampled_half_width", report.half_width)
     else:
         if sampled is not None:
             raise CensusError(

@@ -1,28 +1,30 @@
 """Heterogeneous graph data structure.
 
-:class:`HeteroGraph` is the substrate every other module works on: an
-undirected, simple (no self loops, no parallel edges), node-labelled graph,
-as defined in Section 3 of the paper.
+Every graph is one undirected, simple (no self loops, no parallel edges),
+node-labelled graph, as defined in Section 3 of the paper, stored as one
+flat CSR adjacency: a :class:`FlatAdjacency` snapshot.
 
 Design notes
 ------------
-* Nodes carry arbitrary hashable external ids (strings in the bundled
-  datasets) but are stored internally as contiguous integer indices; the
-  census and the encodings only ever see integers.
-* Adjacency lists are sorted by ``(neighbour label, neighbour index)``.  The
+* :class:`FlatGraph` wraps a snapshot and implements every shared accessor
+  once.  :class:`HeteroGraph` is a :class:`FlatGraph` plus arbitrary
+  hashable external node ids (strings in the bundled datasets);
+  :class:`~repro.core.mmap_graph.MmapGraph` reads the same arrays from a
+  file.  Nodes are contiguous integer indices; the census and the
+  encodings only ever see integers.
+* Each node's row is sorted by ``(neighbour label, neighbour index)``.  The
   heterogeneous grouping heuristic of Section 3.2 relies on same-label
   neighbours being contiguous, and the paper explicitly recommends sorting
   adjacency lists by label.
-* The structure is immutable after construction.  The census shares one
-  graph across worker processes/threads, mirroring the paper's observation
-  that the edge list can be shared because it is never modified.
+* A snapshot is never edited.  The census shares one graph across worker
+  processes/threads, mirroring the paper's observation that the edge list
+  can be shared because it is never modified.
 * :class:`MutableHeteroGraph` is the one sanctioned exception: the serving
   daemon's write path (``repro serve``) applies edge insertions/deletions
-  through it.  Mutations replace adjacency rows rather than editing them in
-  place — any previously shared row (e.g. pickled into a worker) stays
-  valid — build the next ``flat()`` snapshot from a copy of the previous
-  one, and drop the ``fingerprint()`` cache, so a stale snapshot or
-  content hash is never served for a changed graph.
+  through it.  A mutation builds the next snapshot from a copy of the
+  previous one — any snapshot already handed out (to a census, or pickled
+  into a worker) stays valid — and drops the ``fingerprint()`` cache, so a
+  stale content hash is never served for a changed graph.
 """
 
 from __future__ import annotations
@@ -31,19 +33,22 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.labels import LabelSet
 from repro.exceptions import GraphError
 
+if TYPE_CHECKING:
+    from repro.core.mmap_graph import MmapGraph
+
 NodeId = Hashable
 
 
 @dataclass(frozen=True)
 class FlatAdjacency:
-    """Plain-Python-int snapshot of a graph for the census hot path.
+    """Plain-Python-int CSR snapshot of a graph, the one adjacency form.
 
     The census inner loop cannot afford numpy scalar extraction (every
     ``arr[i]`` materialises an ``np.int64`` that then needs ``int()``), nor
@@ -62,8 +67,7 @@ class FlatAdjacency:
         CSR offsets; neighbours of ``v`` live at positions
         ``indptr[v]:indptr[v + 1]`` of ``neighbors`` / ``edge_ids``.
     neighbors:
-        Flat neighbour list, per node sorted by (label, index) exactly like
-        :meth:`HeteroGraph.neighbors`.
+        Flat neighbour list, per node sorted by (label, index).
     edge_ids:
         Dense undirected-edge id aligned with ``neighbors``; both
         orientations of an edge share one id in ``0..num_edges - 1``.
@@ -89,6 +93,10 @@ class FlatAdjacency:
     def __reduce__(self):
         return (FlatAdjacency, tuple(getattr(self, f.name) for f in fields(self)))
 
+    def to_lists(self) -> "FlatAdjacency":
+        """A list-backed copy: picklable by value on any storage."""
+        return FlatAdjacency(*(list(getattr(self, f.name)) for f in fields(self)))
+
     def label_degrees_of(self, node: int) -> tuple:
         """``((label, count), ...)`` over ``node``'s neighbours (memoised)."""
         pairs = self.label_degrees.get(node)
@@ -100,22 +108,34 @@ class FlatAdjacency:
         return pairs
 
 
-class FlatGraph:
-    """Read-only graph backed directly by a :class:`FlatAdjacency`.
+def _row_pos(flat: FlatAdjacency, node: int, other: int) -> int:
+    """Where ``other`` sits, or would be inserted, in ``node``'s row."""
+    labels, neighbors = flat.labels, flat.neighbors
+    key = (labels[other], other)
+    lo, hi = flat.indptr[node], flat.indptr[node + 1]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        w = neighbors[mid]
+        if (labels[w], w) < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
-    This is the *flat-adjacency contract*: the exact surface every census
-    engine (fast, reference, sampled), the census workers, and the
-    serve-layer repair BFS consume — ``flat()``, ``labelset``,
-    ``num_nodes``/``num_edges``, ``label_of``, ``degree`` and
-    ``neighbors``.  Anything exposing this surface can be censused;
-    nothing in those layers may touch :class:`HeteroGraph` internals.
+
+class FlatGraph:
+    """Read-only graph backed by one :class:`FlatAdjacency`.
+
+    Every layer reads a graph through this surface — the census engines,
+    walks, remote workers and serve repair use ``flat()`` itself — and it
+    is implemented once here for every storage.
 
     The snapshot fields only need to be indexable/sliceable containers of
-    plain Python ints — lists (dict-backed graphs, shipped worker snapshots) and
-    ``memoryview("q")`` windows over memory-mapped files
+    plain Python ints — lists (graphs built in memory, snapshots shipped
+    to workers) and ``memoryview("q")`` windows over memory-mapped files
     (:class:`~repro.core.mmap_graph.MmapGraph`) both qualify, and both
-    produce bit-identical census results because the engines never see
-    anything but the values.
+    produce bit-identical results because nothing sees anything but the
+    values.
     """
 
     #: Storage backend reported in ``census/storage`` telemetry.
@@ -137,6 +157,7 @@ class FlatGraph:
 
     @property
     def labelset(self) -> LabelSet:
+        """The label alphabet shared by this graph."""
         return self._labelset
 
     @property
@@ -149,6 +170,13 @@ class FlatGraph:
 
     def flat(self) -> FlatAdjacency:
         return self._flat
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Integer label per node (read-only), aligned with indices."""
+        view = np.asarray(self._flat.labels, dtype=np.int64)
+        view.flags.writeable = False
+        return view
 
     def label_of(self, index: int) -> int:
         return self._flat.labels[index]
@@ -166,26 +194,50 @@ class FlatGraph:
         hi = self._flat.indptr[index + 1]
         return self._flat.neighbors[lo:hi]
 
-    def fingerprint(self) -> str:
-        """Content hash of the labelled structure (cached).
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether nodes at indices ``u`` and ``v`` are adjacent."""
+        flat = self._flat
+        if flat.degrees[v] < flat.degrees[u]:
+            u, v = v, u
+        pos = _row_pos(flat, u, v)
+        return pos < flat.indptr[u + 1] and flat.neighbors[pos] == v
 
-        Byte-for-byte the same formula as :meth:`HeteroGraph.fingerprint`
-        — label alphabet, per-node labels, then each (label, index)-sorted
-        adjacency row — so a flat- or mmap-backed view of the same graph
-        shares ArtifactStore keys with its dict-backed twin.
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Iterate undirected edges as index pairs with ``u < v``.
+
+        A row scan: ``u`` ascending, each row in (label, index) order.  The
+        order depends only on the structure, never on edge ids, so every
+        storage yields the same sequence (LINE samples edges by position).
+        """
+        indptr, neighbors = self._flat.indptr, self._flat.neighbors
+        for u in range(self._num_nodes):
+            for v in neighbors[indptr[u]: indptr[u + 1]]:
+                if u < v:
+                    yield u, v
+
+    def label_counts(self) -> np.ndarray:
+        """Number of nodes per label, aligned with alphabet order."""
+        return np.bincount(self.labels, minlength=len(self._labelset))
+
+    def nodes_with_label(self, label: int) -> np.ndarray:
+        """Indices of all nodes carrying ``label``."""
+        return np.flatnonzero(self.labels == label)
+
+    def fingerprint(self) -> str:
+        """Stable content hash of the labelled structure (cached).
+
+        Two graphs with the same label alphabet, node labelling, and
+        adjacency (by internal index) share a fingerprint on any storage;
+        external node ids are deliberately excluded because rooted census
+        counts do not depend on them.  Keys the census store.
         """
         if self._fingerprint is None:
-            self._fingerprint = fingerprint_adjacency(
-                self._labelset,
-                self._flat.labels,
-                self._iter_rows(),
-            )
+            flat = self._flat
+            row_bytes = np.asarray(flat.neighbors, dtype=np.int64).view(np.uint8)
+            row_ends = np.asarray(flat.indptr[1:], dtype=np.int64) * 8
+            body = np.insert(row_bytes, row_ends, ord("|"))
+            self._fingerprint = _digest(self._labelset, flat.labels, [body])
         return self._fingerprint
-
-    def _iter_rows(self) -> Iterator:
-        flat = self._flat
-        for v in range(self._num_nodes):
-            yield flat.neighbors[flat.indptr[v]: flat.indptr[v + 1]]
 
     def __repr__(self) -> str:
         return (
@@ -194,26 +246,33 @@ class FlatGraph:
         )
 
 
-def fingerprint_adjacency(labelset: LabelSet, labels, rows) -> str:
-    """The shared graph content-hash: alphabet, labels, adjacency rows.
+def fingerprint_adjacency(labelset: LabelSet, labels, rows: Iterable) -> str:
+    """The graph content hash: alphabet, labels, adjacency rows.
 
-    ``labels`` is any int sequence; ``rows`` yields each node's
-    (label, index)-sorted neighbour sequence in node order.  Every graph
-    backend hashes through here (directly or by the identical inlined
-    formula), which is what lets censuses of the same structure share
-    cache entries regardless of how the graph is stored.
+    ``labels`` is any int sequence; ``rows`` yields each node's (label,
+    index)-sorted neighbour sequence, in node order.  The ``.hmg``
+    ingester streams its rows through here, and
+    :meth:`FlatGraph.fingerprint` hashes the same bytes as one buffer,
+    which is what lets censuses of the same structure share store entries
+    on either storage.
     """
+    body = chain.from_iterable((np.asarray(row, dtype=np.int64), b"|") for row in rows)
+    return _digest(labelset, labels, body)
+
+
+def _digest(labelset: LabelSet, labels, body: Iterable) -> str:
+    """Hash the alphabet, ``labels`` and ``body``: buffers that join to
+    every row's int64 bytes, each row followed by ``b"|"``."""
     digest = hashlib.blake2b(digest_size=16)
     digest.update(repr(tuple(labelset.names)).encode())
     digest.update(np.asarray(labels, dtype=np.int64).tobytes())
-    for row in rows:
-        digest.update(np.asarray(row, dtype=np.int64).tobytes())
-        digest.update(b"|")
+    for chunk in body:
+        digest.update(chunk)
     return digest.hexdigest()
 
 
-class HeteroGraph:
-    """An immutable undirected node-labelled simple graph.
+class HeteroGraph(FlatGraph):
+    """An immutable :class:`FlatGraph` whose nodes carry external ids.
 
     Use :meth:`from_edges` rather than calling the constructor directly.
     """
@@ -221,60 +280,16 @@ class HeteroGraph:
     #: Storage backend reported in ``census/storage`` telemetry.
     storage_kind = "dict"
 
-    __slots__ = (
-        "_labelset",
-        "_ids",
-        "_index_of",
-        "_labels",
-        "_adjacency",
-        "_label_starts",
-        "_num_edges",
-        "_flat",
-        "_fingerprint",
-    )
+    __slots__ = ("_ids", "_index_of")
 
-    def __init__(
-        self,
-        labelset: LabelSet,
-        ids: Sequence[NodeId],
-        labels: np.ndarray,
-        adjacency: list[np.ndarray],
-        label_starts: list[np.ndarray],
-        num_edges: int,
-    ) -> None:
-        self._labelset = labelset
+    def __init__(self, flat: FlatAdjacency, labelset: LabelSet, ids: Sequence[NodeId]) -> None:
+        super().__init__(flat, labelset)
         self._ids = tuple(ids)
         self._index_of = {node_id: i for i, node_id in enumerate(self._ids)}
-        self._labels = labels
-        self._adjacency = adjacency
-        self._label_starts = label_starts
-        self._num_edges = num_edges
-        # Lazily built, pure functions of the labelled adjacency; anything
-        # that changes it (only MutableHeteroGraph._mutate) replaces or
-        # drops both, so neither a stale snapshot nor a stale content hash
-        # aliasing ArtifactStore keys across graph versions is observed.
-        self._flat = None
-        self._fingerprint = None
 
     def __getstate__(self):
-        # The flat snapshot and fingerprint are derived caches; dropping
-        # them keeps worker-pool pickles at the raw-graph size (workers
-        # rebuild lazily on first census).
-        return (
-            self._labelset,
-            self._ids,
-            self._labels,
-            self._adjacency,
-            self._label_starts,
-            self._num_edges,
-        )
+        return (self._flat, self._labelset, self._ids)
 
-    def __setstate__(self, state) -> None:
-        self.__init__(*state)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
     def from_edges(
         cls,
@@ -300,19 +315,24 @@ class HeteroGraph:
         ------
         GraphError
             On self loops, duplicate edges, or edges naming unknown nodes.
+
+        One lexsort orders every directed edge by (node, neighbour label,
+        neighbour); the snapshot's rows are that order.  An edge's id is
+        its rank among the entries with ``node < neighbour``, the order a
+        scan of the rows first meets each edge.
         """
         ids = tuple(node_labels)
+        n = len(ids)
         index_of = {node_id: i for i, node_id in enumerate(ids)}
         if labelset is None:
             labelset = LabelSet.from_labelling(node_labels[node_id] for node_id in ids)
         labels = np.fromiter(
             (labelset.index(node_labels[node_id]) for node_id in ids),
             dtype=np.int64,
-            count=len(ids),
+            count=n,
         )
 
-        neighbour_sets: list[set[int]] = [set() for _ in ids]
-        num_edges = 0
+        pairs: dict[tuple[int, int], None] = {}  # (low, high) in input order
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self loop on node {u!r} is not allowed")
@@ -320,67 +340,37 @@ class HeteroGraph:
                 ui, vi = index_of[u], index_of[v]
             except KeyError as exc:
                 raise GraphError(f"edge ({u!r}, {v!r}) names unknown node {exc}") from None
-            if vi in neighbour_sets[ui]:
+            pair = (ui, vi) if ui < vi else (vi, ui)
+            if pair in pairs:
                 raise GraphError(f"duplicate edge ({u!r}, {v!r})")
-            neighbour_sets[ui].add(vi)
-            neighbour_sets[vi].add(ui)
-            num_edges += 1
+            pairs[pair] = None
 
-        adjacency, label_starts = cls._pack_adjacency(neighbour_sets, labels, len(labelset))
-        return cls(labelset, ids, labels, adjacency, label_starts, num_edges)
-
-    @staticmethod
-    def _pack_adjacency(
-        neighbour_sets: Sequence[set[int]],
-        labels: np.ndarray,
-        num_labels: int,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Sort each adjacency list by (label, index) and record label runs.
-
-        ``label_starts[v]`` is an array of length ``num_labels + 1`` with the
-        boundaries of same-label runs inside ``adjacency[v]``, so neighbours
-        of ``v`` with label ``l`` are ``adjacency[v][starts[l]:starts[l+1]]``.
-        One lexsort orders every directed edge by (node, neighbour label,
-        neighbour); the rows are slices of the result.
-        """
-        n = len(neighbour_sets)
-        degrees = np.fromiter(map(len, neighbour_sets), dtype=np.int64, count=n)
-        node = np.repeat(np.arange(n), degrees)
-        neighbour = np.fromiter(chain.from_iterable(neighbour_sets), np.int64, node.size)
-        neighbour = neighbour[np.lexsort((neighbour, labels[neighbour], node))]
-        counts = np.bincount(node * num_labels + labels[neighbour], minlength=n * num_labels)
-        starts = np.zeros((n, num_labels + 1), dtype=np.int64)
-        np.cumsum(counts.reshape(n, num_labels), axis=1, out=starts[:, 1:])
-        ends = np.cumsum(degrees).tolist()
-        return [neighbour[a:b] for a, b in zip([0, *ends], ends)], list(starts)
-
-    # ------------------------------------------------------------------
-    # Basic accessors
-    # ------------------------------------------------------------------
-    @property
-    def labelset(self) -> LabelSet:
-        """The label alphabet shared by this graph."""
-        return self._labelset
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._ids)
-
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
+        m = len(pairs)
+        low, high = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * m).reshape(m, 2).T
+        node = np.concatenate([low, high])
+        neighbour = np.concatenate([high, low])
+        edge = np.tile(np.arange(m), 2)
+        order = np.lexsort((neighbour, labels[neighbour], node))
+        node, neighbour, edge = node[order], neighbour[order], edge[order]
+        forward = node < neighbour
+        edge_id = np.empty(m, dtype=np.int64)
+        edge_id[edge[forward]] = np.arange(m)
+        degrees = np.bincount(node, minlength=n)
+        flat = FlatAdjacency(
+            labels=labels.tolist(),
+            degrees=degrees.tolist(),
+            indptr=[0, *np.cumsum(degrees).tolist()],
+            neighbors=neighbour.tolist(),
+            edge_ids=edge_id[edge].tolist(),
+            edge_u=node[forward].tolist(),
+            edge_v=neighbour[forward].tolist(),
+        )
+        return cls(flat, labelset, ids)
 
     @property
     def node_ids(self) -> tuple[NodeId, ...]:
         """External node ids, in internal index order."""
         return self._ids
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Integer label per node (read-only view), aligned with indices."""
-        view = self._labels.view()
-        view.flags.writeable = False
-        return view
 
     def index(self, node_id: NodeId) -> int:
         """Internal index of an external node id."""
@@ -395,130 +385,20 @@ class HeteroGraph:
             raise GraphError(f"node index {index} out of range")
         return self._ids[index]
 
-    def label_of(self, index: int) -> int:
-        """Integer label of the node at ``index``."""
-        return int(self._labels[index])
-
     def label_name_of(self, node_id: NodeId) -> str:
         """Label name of an external node id."""
         return self._labelset.name(self.label_of(self.index(node_id)))
 
-    def degree(self, index: int) -> int:
-        """Degree of the node at ``index``."""
-        return len(self._adjacency[index])
-
-    def degrees(self) -> np.ndarray:
-        """Array of all node degrees, aligned with indices."""
-        return np.fromiter(
-            (len(a) for a in self._adjacency), dtype=np.int64, count=self.num_nodes
-        )
-
-    def neighbors(self, index: int) -> np.ndarray:
-        """Neighbour indices of ``index`` sorted by (label, index)."""
-        return self._adjacency[index]
-
-    def neighbors_with_label(self, index: int, label: int) -> np.ndarray:
-        """Neighbours of ``index`` whose label equals ``label``."""
-        starts = self._label_starts[index]
-        return self._adjacency[index][starts[label]: starts[label + 1]]
-
-    def label_degree(self, index: int, label: int) -> int:
-        """Number of neighbours of ``index`` with the given label."""
-        starts = self._label_starts[index]
-        return int(starts[label + 1] - starts[label])
-
-    def flat(self) -> FlatAdjacency:
-        """The cached :class:`FlatAdjacency` snapshot (built on first use).
-
-        The graph is immutable, so the snapshot is computed once and shared
-        by every census run over this graph within the process.  An edge's
-        id is its rank among the entries with ``node < neighbour`` in row
-        order, the order a scan of the rows first meets each edge.
-        """
-        if self._flat is None:
-            n = len(self._ids)
-            degrees = np.fromiter(map(len, self._adjacency), np.int64, n)
-            node = np.repeat(np.arange(n, dtype=np.int64), degrees)
-            neighbors = np.concatenate([node[:0], *self._adjacency])
-            forward = node < neighbors
-            pair = np.minimum(node, neighbors) * n + np.maximum(node, neighbors)
-            order = np.argsort(pair[forward], kind="stable")
-            edge_ids = order[np.searchsorted(pair[forward], pair, sorter=order)]
-            self._flat = FlatAdjacency(
-                labels=self._labels.tolist(),
-                degrees=degrees.tolist(),
-                indptr=[0, *np.cumsum(degrees).tolist()],
-                neighbors=neighbors.tolist(),
-                edge_ids=edge_ids.tolist(),
-                edge_u=node[forward].tolist(),
-                edge_v=neighbors[forward].tolist(),
-            )
-        return self._flat
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the labelled structure (cached).
-
-        Two graphs with the same label alphabet, node labelling, and
-        adjacency (by internal index) share a fingerprint; external node
-        ids are deliberately excluded because rooted census counts do not
-        depend on them.  Used to key the census cache.
-        """
-        if self._fingerprint is None:
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(repr(tuple(self._labelset.names)).encode())
-            digest.update(self._labels.tobytes())
-            for row in self._adjacency:
-                digest.update(row.tobytes())
-                digest.update(b"|")
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether nodes at indices ``u`` and ``v`` are adjacent."""
-        adjacency = self._adjacency[u]
-        if len(self._adjacency[v]) < len(adjacency):
-            u, v, adjacency = v, u, self._adjacency[v]
-        label = self.label_of(v)
-        run = self.neighbors_with_label(u, label)
-        pos = int(np.searchsorted(run, v))
-        return pos < len(run) and int(run[pos]) == v
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate undirected edges as index pairs with ``u < v``."""
-        for u in range(self.num_nodes):
-            for v in self._adjacency[u]:
-                v = int(v)
-                if u < v:
-                    yield u, v
-
-    def label_counts(self) -> np.ndarray:
-        """Number of nodes per label, aligned with alphabet order."""
-        return np.bincount(self._labels, minlength=len(self._labelset))
-
-    def nodes_with_label(self, label: int) -> np.ndarray:
-        """Indices of all nodes carrying ``label``."""
-        return np.flatnonzero(self._labels == label)
-
-    def __repr__(self) -> str:
-        return (
-            f"HeteroGraph(nodes={self.num_nodes}, edges={self.num_edges}, "
-            f"labels={list(self._labelset.names)!r})"
-        )
-
 
 class MutableHeteroGraph(HeteroGraph):
-    """A :class:`HeteroGraph` overlay accepting edge insertions/deletions.
+    """A :class:`HeteroGraph` accepting edge insertions/deletions.
 
     Built for the serving daemon's write path: the node set and label
     alphabet stay fixed, but edges may be added and removed one at a time.
-    Each mutation
-
-    * keeps every adjacency list sorted by (label, index) — the census
-      engines' invariant — by replacing the two touched rows (never editing
-      an array in place, so rows shared with an immutable source graph or a
-      pickled worker copy remain valid),
-    * patches the next ``flat()`` snapshot from the previous one, and
-    * drops the content ``fingerprint()``, rehashed on next use.
+    Each mutation patches the next ``flat()`` snapshot from a copy of the
+    previous one, keeping every row sorted by (label, index) — the census
+    engines' invariant — and drops the content ``fingerprint()``, rehashed
+    on next use.
 
     Mutation methods take *external* node ids (the protocol currency) and
     return the internal ``(u, v)`` index pair they resolved to.
@@ -527,27 +407,12 @@ class MutableHeteroGraph(HeteroGraph):
     __slots__ = ()
 
     @classmethod
-    def from_graph(cls, graph: HeteroGraph) -> "MutableHeteroGraph":
-        """A mutable overlay sharing ``graph``'s current rows (copy-on-write)."""
-        return cls(
-            graph._labelset,
-            graph._ids,
-            graph._labels,
-            list(graph._adjacency),
-            list(graph._label_starts),
-            graph._num_edges,
-        )
-
-    def snapshot(self) -> HeteroGraph:
-        """An immutable copy of the current state (rows shared, never edited)."""
-        return HeteroGraph(
-            self._labelset,
-            self._ids,
-            self._labels,
-            list(self._adjacency),
-            list(self._label_starts),
-            self._num_edges,
-        )
+    def from_graph(cls, graph: HeteroGraph | MmapGraph) -> "MutableHeteroGraph":
+        """A mutable graph starting from a list-backed copy of ``graph``'s
+        snapshot.  ``graph`` must carry external node ids; an mmap-backed
+        one is copied too (its memoryview snapshot would not pickle into a
+        worker)."""
+        return cls(graph.flat().to_lists(), graph.labelset, graph.node_ids)
 
     def add_edge(self, u_id: NodeId, v_id: NodeId) -> tuple[int, int]:
         """Insert the undirected edge ``(u_id, v_id)``.
@@ -579,69 +444,49 @@ class MutableHeteroGraph(HeteroGraph):
         """Add (``step`` 1) or remove (-1) edge ``(u, v)``.
 
         The next snapshot copies the previous one (never edited: a census
-        may hold it) with rows ``u`` and ``v`` replaced.  A new edge takes
+        may hold it) with the entry for the edge inserted at, or cut from,
+        its (label, index) place in rows ``u`` and ``v``.  A new edge takes
         the next id; a removed edge's id passes to the last id's edge, so
         ids stay dense.  The label-degree memo carries over, minus u and v.
         """
-        for a, b in ((u, v), (v, u)):
-            starts = self._label_starts[a]
-            label = self.label_of(b)
-            row = self._adjacency[a]
-            pos = int(starts[label]) + int(
-                np.searchsorted(row[starts[label]: starts[label + 1]], b)
-            )
-            self._adjacency[a] = np.insert(row, pos, b) if step > 0 else np.delete(row, pos)
-            new_starts = starts.copy()
-            new_starts[label + 1:] += step
-            self._label_starts[a] = new_starts
-        self._num_edges += step
-        self._fingerprint = None
         flat = self._flat
-        if flat is None:
-            return
         u, v = min(u, v), max(u, v)
-        indptr, neighbors, edge_ids = flat.indptr, flat.neighbors, flat.edge_ids
+        neighbors, edge_ids = flat.neighbors, flat.edge_ids
         edge_u, edge_v = list(flat.edge_u), list(flat.edge_v)
         last = len(edge_u) - 1
-        if step > 0:
-            eid = last + 1
-            edge_u.append(u)
-            edge_v.append(v)
-        else:
-            lo = indptr[u]
-            eid = edge_ids[lo + neighbors[lo: indptr[u + 1]].index(v)]
+        eid = last + 1
         new_neighbors: list = []
         new_ids: list = []
         cut = 0
-        for node in (u, v):
-            lo, hi = indptr[node], indptr[node + 1]
-            row = self._adjacency[node].tolist()
-            ids = dict(zip(neighbors[lo:hi], edge_ids[lo:hi]))
-            new_neighbors += neighbors[cut:lo] + row
-            new_ids += edge_ids[cut:lo] + [ids.get(w, eid) for w in row]
-            cut = hi
+        for node, other in ((u, v), (v, u)):  # row u precedes row v
+            pos = _row_pos(flat, node, other)
+            new_neighbors += neighbors[cut:pos]
+            new_ids += edge_ids[cut:pos]
+            if step > 0:
+                new_neighbors.append(other)
+                new_ids.append(eid)
+                cut = pos
+            else:
+                eid = edge_ids[pos]
+                cut = pos + 1
         new_neighbors += neighbors[cut:]
         new_ids += edge_ids[cut:]
         degrees = list(flat.degrees)
         degrees[u] += step
         degrees[v] += step
         indptr = list(accumulate(degrees, initial=0))
-        if step < 0:
+        if step > 0:
+            edge_u.append(u)
+            edge_v.append(v)
+        else:
             if eid != last:
                 for node in (edge_u[last], edge_v[last]):
                     new_ids[new_ids.index(last, indptr[node], indptr[node + 1])] = eid
                 edge_u[eid], edge_v[eid] = edge_u[last], edge_v[last]
             del edge_u[last], edge_v[last]
-        patched = FlatAdjacency(
-            flat.labels, degrees, indptr, new_neighbors, new_ids, edge_u, edge_v
-        )
+        patched = FlatAdjacency(flat.labels, degrees, indptr, new_neighbors, new_ids, edge_u, edge_v)
         patched.label_degrees.update(flat.label_degrees)
         for node in (u, v):
             patched.label_degrees.pop(node, None)
         self._flat = patched
-
-    def __repr__(self) -> str:
-        return (
-            f"MutableHeteroGraph(nodes={self.num_nodes}, "
-            f"edges={self.num_edges}, labels={list(self._labelset.names)!r})"
-        )
+        self._fingerprint = None

@@ -1,12 +1,14 @@
 """Memory-mapped on-disk heterogeneous graph storage (``.hmg``).
 
-Out-of-core counterpart of :class:`~repro.core.graph.HeteroGraph`: the
-labelled CSR structure lives in one binary file that is ``mmap``-opened
-read-only, and the graph object holds nothing but zero-copy
-``memoryview`` windows into it.  Because a ``memoryview("q")`` yields
-plain Python ints on indexing — exactly like the lists of a dict-backed
-:class:`~repro.core.graph.FlatAdjacency` — every census engine runs on
-it unchanged and bit-identically (see ``tests/test_mmap_graph.py``).
+Out-of-core storage of the one flat CSR adjacency every graph has: the
+:class:`~repro.core.graph.FlatAdjacency` sections live in one binary
+file that is ``mmap``-opened read-only, and :class:`MmapGraph` is a
+:class:`~repro.core.graph.FlatGraph` whose snapshot fields are zero-copy
+``memoryview("q")`` windows into it.  Indexing such a window yields plain
+Python ints, exactly like the lists of an in-memory snapshot, so every
+accessor and census engine runs on it unchanged and bit-identically (see
+``tests/test_mmap_graph.py``).  This module adds only the file format and
+the external node ids.
 
 File format
 -----------
@@ -30,8 +32,8 @@ aligned::
 
 The header carries the format version, node/edge counts, the label
 alphabet, the section table, and the graph ``fingerprint`` — the same
-content hash a dict-backed twin computes, so mmap- and dict-backed
-censuses share :class:`~repro.runtime.store.ArtifactStore` keys.
+content hash its in-memory twin computes, so censuses on either storage
+share :class:`~repro.runtime.store.ArtifactStore` keys.
 Writers emit the whole file to a temp sibling and ``os.replace`` it
 into place, so a reader can never observe a torn file.
 
@@ -48,7 +50,6 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -116,10 +117,10 @@ def _map_readonly(path: Path) -> tuple[memoryview, bool]:
 class MmapGraph(FlatGraph):
     """A read-only heterogeneous graph opened from a ``.hmg`` file.
 
-    Satisfies the full :class:`~repro.core.graph.FlatGraph` census
-    contract plus the accessors the experiment pipelines use
-    (``labels``, ``degrees``, ``edges``, ``nodes_with_label``,
-    ``node_id``/``index``), all as zero-copy views over the mapping.
+    Every graph accessor comes from :class:`~repro.core.graph.FlatGraph`;
+    this class adds the file (open, validate, close) and external node
+    ids (``node_id``/``index``/``node_ids``), all zero-copy over the
+    mapping.
 
     Pickles as its path: worker processes re-open the mapping on
     ``__setstate__`` — a few syscalls — instead of receiving a
@@ -275,41 +276,8 @@ class MmapGraph(FlatGraph):
         self.close()
 
     # ------------------------------------------------------------------
-    # HeteroGraph-compatible accessors beyond the census contract
+    # External node ids (present when the writer stored them)
     # ------------------------------------------------------------------
-    @property
-    def labels(self) -> np.ndarray:
-        """Integer label per node (read-only zero-copy view)."""
-        view = np.asarray(self._flat.labels)
-        view.flags.writeable = False
-        return view
-
-    def degrees(self) -> np.ndarray:
-        view = np.asarray(self._flat.degrees)
-        view.flags.writeable = False
-        return view
-
-    def label_counts(self) -> np.ndarray:
-        """Number of nodes per label, aligned with alphabet order."""
-        return np.bincount(self.labels, minlength=len(self._labelset))
-
-    def nodes_with_label(self, label: int) -> np.ndarray:
-        """Indices of all nodes carrying ``label``."""
-        return np.flatnonzero(self.labels == label)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate undirected edges as index pairs with ``u < v``."""
-        edge_u, edge_v = self._flat.edge_u, self._flat.edge_v
-        for e in range(len(edge_u)):
-            yield edge_u[e], edge_v[e]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether nodes at indices ``u`` and ``v`` are adjacent."""
-        if self._flat.degrees[v] < self._flat.degrees[u]:
-            u, v = v, u
-        return any(w == v for w in self.neighbors(u))
-
-    # -- external node ids (present when the writer stored them) -------
     def _require_ids(self) -> None:
         if self._id_offsets is None:
             raise GraphError(

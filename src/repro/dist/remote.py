@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.core.census import CensusConfig
-from repro.core.graph import FlatAdjacency, FlatGraph, HeteroGraph
+from repro.core.graph import FlatGraph, HeteroGraph
 from repro.core.sampled import SampledCensusConfig
 from repro.exceptions import RPCError
 from repro.net.client import NetClient, RetryPolicy
@@ -64,11 +64,7 @@ def _graph_blob(graph: HeteroGraph) -> str:
     Lists pickle as values on any storage (an mmap graph would pickle
     as its path), and the worker rehashes them to the same fingerprint.
     """
-    flat = graph.flat()
-    snapshot = FlatAdjacency(
-        **{f.name: list(getattr(flat, f.name)) for f in fields(FlatAdjacency)}
-    )
-    return encode_blob(FlatGraph(snapshot, graph.labelset))
+    return encode_blob(FlatGraph(graph.flat().to_lists(), graph.labelset))
 
 
 @dataclass

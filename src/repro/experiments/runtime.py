@@ -96,7 +96,6 @@ def time_census_per_node(
     )
     telemetry = get_telemetry()
     telemetry.annotate("census/engine", extractor.engine)
-    graph.flat()  # warm the adjacency snapshot outside the timed region
     times = np.empty(len(nodes))
     for i, node in enumerate(nodes):
         started = time.perf_counter()

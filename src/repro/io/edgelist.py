@@ -49,7 +49,7 @@ def iter_edgelist(path: str | Path):
     ``("e", line_number, u, v)`` tuples one line at a time — never the
     whole file — raising :class:`~repro.exceptions.GraphError` with the
     offending line number on malformed lines.  This is the single parser
-    shared by :func:`read_edgelist` (dict-backed graphs) and
+    shared by :func:`read_edgelist` (in-memory graphs) and
     :func:`repro.io.stream.build_mmap_graph` (out-of-core ingestion);
     semantic checks (duplicate nodes, undeclared endpoints) belong to
     the consumers, which keep the line number for their messages.

@@ -200,7 +200,7 @@ def build_mmap_graph(
     2. a k-way merge of the runs emits the flat adjacency in census
        order, writing ``neighbors``/``edge_ids`` sequentially while
        folding each row into the graph fingerprint — the same content
-       hash the dict-backed graph computes, so both storages share
+       hash the in-memory graph computes, so both storages share
        ArtifactStore keys.
 
     Malformed lines, duplicate/undeclared nodes, and self loops are

@@ -431,6 +431,28 @@ class TestValidation:
         assert counters["census/sampled_draws"] == 40
 
 
+    def test_manifest_half_width_distribution(self, publication_graph, config):
+        from repro.obs import fresh_telemetry
+        from repro.obs.manifest import build_manifest
+
+        roots = list(range(publication_graph.num_nodes))
+        sampled = SampledCensusConfig(budget=30, seed=3)
+        with fresh_telemetry() as telemetry:
+            SubgraphFeatureExtractor(
+                config, sampled=sampled, ctx=RunContext(engine="sampled")
+            ).census_many(publication_graph, roots)
+            manifest = build_manifest("census", telemetry=telemetry)
+        widths = [
+            run_sampled_census(publication_graph, root, config, sampled).report.half_width
+            for root in roots
+        ]
+        stats = manifest["distributions"]["census/sampled_half_width"]
+        assert stats["count"] == len(roots)
+        assert stats["max"] == max(widths) > 0
+        assert "census/sampled_half_width" not in manifest["timers"]
+        assert "census/sampled_half_width_max" not in manifest["gauges"]
+
+
 class TestSampledCensusContainer:
     def test_copy_preserves_report(self, publication_graph, config):
         est = run_sampled_census(

@@ -249,14 +249,14 @@ class TestImdb:
         graph = small_imdb.graph
         d = graph.labelset.index("D")
         for movie in graph.nodes_with_label(graph.labelset.index("M")):
-            assert graph.label_degree(int(movie), d) == 1
+            assert dict(graph.flat().label_degrees_of(int(movie))).get(d) == 1
 
     def test_actor_counts_in_range(self, small_imdb):
         graph = small_imdb.graph
         a = graph.labelset.index("A")
         low, high = small_imdb.config.actors_per_movie
         for movie in graph.nodes_with_label(graph.labelset.index("M")):
-            assert low <= graph.label_degree(int(movie), a) <= high
+            assert low <= dict(graph.flat().label_degrees_of(int(movie))).get(a, 0) <= high
 
     def test_popularity_reuse(self, small_imdb):
         """Some satellites appear in many movies (Zipf popularity)."""

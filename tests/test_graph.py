@@ -1,5 +1,7 @@
 """Unit tests for the HeteroGraph data structure."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -89,24 +91,20 @@ class TestAdjacency:
         labels = [g.label_of(int(v)) for v in g.neighbors(p1)]
         assert labels == sorted(labels)
 
-    def test_neighbors_with_label(self, publication_graph):
-        g = publication_graph
-        p1 = g.index("p1")
-        authors = g.neighbors_with_label(p1, g.labelset.index("A"))
-        assert {g.node_id(int(a)) for a in authors} == {"a1", "a2", "a3"}
-
     def test_label_degree(self, publication_graph):
         g = publication_graph
         a3 = g.index("a3")
-        assert g.label_degree(a3, g.labelset.index("P")) == 2
-        assert g.label_degree(a3, g.labelset.index("I")) == 1
-        assert g.label_degree(a3, g.labelset.index("A")) == 0
+        degrees = dict(g.flat().label_degrees_of(a3))
+        assert degrees == {g.labelset.index("P"): 2, g.labelset.index("I"): 1}
 
     def test_label_runs_cover_all(self, publication_graph):
         g = publication_graph
         for v in range(g.num_nodes):
-            runs = [g.neighbors_with_label(v, label) for label in range(len(g.labelset))]
-            assert np.array_equal(np.concatenate(runs), g.neighbors(v))
+            row = list(g.neighbors(v))
+            assert row == sorted(row, key=lambda w: (g.label_of(w), w))
+            assert sorted(row) == sorted(
+                w for w in range(g.num_nodes) if w != v and g.has_edge(v, w)
+            )
 
     def test_has_edge_symmetric(self, publication_graph):
         g = publication_graph
@@ -125,48 +123,59 @@ class TestAdjacency:
         assert len(set(edges)) == len(edges)
 
 
-def _per_node_pack(neighbour_sets, labels, num_labels):
-    """One (label, index) sort and one label count per node."""
-    adjacency, label_starts = [], []
-    for neighbours in neighbour_sets:
-        row = np.array(sorted(neighbours, key=lambda w: (labels[w], w)), dtype=np.int64)
-        starts = np.zeros(num_labels + 1, dtype=np.int64)
-        np.cumsum(np.bincount(labels[row], minlength=num_labels), out=starts[1:])
-        adjacency.append(row)
-        label_starts.append(starts)
-    return adjacency, label_starts
+def _per_node_rows(neighbour_sets, labels):
+    """One (label, index) sort per node."""
+    return [sorted(neighbours, key=lambda w: (labels[w], w)) for neighbours in neighbour_sets]
 
 
 class TestPackAdjacency:
-    """The one-lexsort packing equals a per-node sort, and graph
-    fingerprints (census store keys) did not move with it."""
+    """The one-lexsort snapshot of ``from_edges`` equals a per-node sort,
+    and graph fingerprints (census store keys) did not move with it."""
 
     @pytest.mark.parametrize("num_labels", [1, 2, 5])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_a_per_node_sort(self, num_labels, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
-        labels = rng.integers(0, num_labels, size=n)
+        labels = rng.integers(0, num_labels, size=n).tolist()
         neighbour_sets = [set() for _ in range(n)]
+        edges = []
         for u, v in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist():
-            if u != v:
+            if u != v and v not in neighbour_sets[u]:
                 neighbour_sets[u].add(v)
                 neighbour_sets[v].add(u)
-        isolated = [v for v in range(n) if not neighbour_sets[v]]
-        packed = HeteroGraph._pack_adjacency(neighbour_sets, labels, num_labels)
-        expected = _per_node_pack(neighbour_sets, labels, num_labels)
-        for got, want in zip(packed, expected):
-            assert len(got) == len(want) == n
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert all(packed[0][v].size == 0 for v in isolated)
+                edges.append((u, v))
+        graph = HeteroGraph.from_edges(
+            {v: str(labels[v]) for v in range(n)},
+            edges,
+            labelset=LabelSet(tuple(map(str, range(num_labels)))),
+        )
+        flat = graph.flat()
+        expected = _per_node_rows(neighbour_sets, labels)
+        assert flat.degrees == [len(row) for row in expected]
+        assert flat.indptr == [0, *accumulate(flat.degrees)]
+        assert [list(graph.neighbors(v)) for v in range(n)] == expected
+        # Edge ids: rank among the entries with node < neighbour, row order.
+        forward = [(u, v) for u in range(n) for v in expected[u] if u < v]
+        assert list(zip(flat.edge_u, flat.edge_v)) == forward
+        ids = {edge: eid for eid, edge in enumerate(forward)}
+        assert flat.edge_ids == [
+            ids[min(u, v), max(u, v)] for u in range(n) for v in expected[u]
+        ]
 
     def test_graph_without_edges(self):
-        adjacency, label_starts = HeteroGraph._pack_adjacency(
-            [set(), set()], np.array([0, 1]), 2
-        )
-        assert [row.size for row in adjacency] == [0, 0]
-        assert all(np.array_equal(s, [0, 0, 0]) for s in label_starts)
+        flat = HeteroGraph.from_edges({"a": "A", "b": "B"}, []).flat()
+        assert flat.degrees == [0, 0] and flat.indptr == [0, 0, 0]
+        assert flat.neighbors == flat.edge_ids == flat.edge_u == flat.edge_v == []
+
+    def test_empty_row_fingerprints_recorded_before_one_buffer(self):
+        # Rows are hashed as one buffer with b"|" after each row; a graph
+        # with no rows, and one whose rows are all empty, are where building
+        # that buffer can drop or misplace a separator.
+        empty = HeteroGraph.from_edges({}, [], labelset=LabelSet(("A", "B")))
+        assert empty.fingerprint() == "a494e21b2f9097e79f0864e5d9c4c953"
+        edgeless = HeteroGraph.from_edges({"a": "A", "b": "B", "c": "A"}, [])
+        assert edgeless.fingerprint() == "b90249c88983047cfcadfe2a8d85105e"
 
     def test_fingerprints_recorded_before_vectorising(self, publication_graph):
         from repro.datasets import MagConfig, SyntheticMAG
@@ -219,25 +228,16 @@ class TestMutableHeteroGraph:
         mutable.add_edge("a", "d")
         mutable.remove_edge("a", "d")
         assert mutable.num_edges == base.num_edges
-        for node in range(base.num_nodes):
-            assert np.array_equal(mutable.neighbors(node), base.neighbors(node))
-            for label in range(len(base.labelset)):
-                assert np.array_equal(
-                    mutable.neighbors_with_label(node, label),
-                    base.neighbors_with_label(node, label),
-                )
+        assert mutable.flat() == base.flat()
+        assert mutable.fingerprint() == base.fingerprint()
 
     def test_neighbor_runs_stay_label_sorted(self):
         _, mutable = self._graph()
         mutable.add_edge("a", "c")
         mutable.add_edge("a", "d")
         a = mutable.index("a")
-        neighbors = mutable.neighbors(a)
-        labels = [int(mutable.labels[v]) for v in neighbors]
-        assert labels == sorted(labels)
-        for label in range(len(mutable.labelset)):
-            run = mutable.neighbors_with_label(a, label)
-            assert np.array_equal(run, np.sort(run))
+        neighbors = list(mutable.neighbors(a))
+        assert neighbors == sorted(neighbors, key=lambda w: (mutable.label_of(w), w))
 
     def test_validation_errors(self):
         _, mutable = self._graph()
@@ -251,18 +251,6 @@ class TestMutableHeteroGraph:
             mutable.remove_edge("a", "c")  # no such edge
         with pytest.raises(GraphError):
             mutable.remove_edge("a", "a")
-
-    def test_snapshot_is_immutable_copy(self):
-        from repro.core.graph import MutableHeteroGraph
-
-        _, mutable = self._graph()
-        mutable.add_edge("a", "c")
-        frozen = mutable.snapshot()
-        assert type(frozen) is HeteroGraph
-        assert frozen.fingerprint() == mutable.fingerprint()
-        mutable.remove_edge("a", "c")
-        assert frozen.has_edge(frozen.index("a"), frozen.index("c"))
-        assert isinstance(mutable, MutableHeteroGraph)
 
     def test_pickle_round_trip(self):
         import pickle
@@ -285,13 +273,16 @@ class TestPatchedSnapshots:
     alone."""
 
     @staticmethod
-    def _assert_matches_fresh(mutable) -> None:
+    def _fresh(mutable) -> HeteroGraph:
         ids = mutable.node_ids
-        fresh = HeteroGraph.from_edges(
+        return HeteroGraph.from_edges(
             {node: mutable.labelset.name(mutable.label_of(i)) for i, node in enumerate(ids)},
             [(ids[u], ids[v]) for u, v in mutable.edges()],
             labelset=mutable.labelset,
-        ).flat()
+        )
+
+    def _assert_matches_fresh(self, mutable) -> None:
+        fresh = self._fresh(mutable).flat()
         flat = mutable.flat()
         for name in ("indptr", "neighbors", "labels", "degrees"):
             assert getattr(flat, name) == getattr(fresh, name), name
@@ -353,7 +344,7 @@ class TestPatchedSnapshots:
                 subgraph_census(mutable, root, config)  # fills label degrees
             self._assert_matches_fresh(mutable)
             if cycle % 100 == 0:
-                cold = mutable.snapshot()
+                cold = self._fresh(mutable)
                 for root in range(mutable.num_nodes):
                     assert list(subgraph_census(mutable, root, config).items()) == list(
                         subgraph_census(cold, root, config).items()
@@ -362,6 +353,39 @@ class TestPatchedSnapshots:
         assert {
             name: value for name, value in vars(held).items() if name != "label_degrees"
         } == {name: value for name, value in held_lists.items() if name != "label_degrees"}
+
+    def test_edges_follow_rows_not_edge_ids(self):
+        import random
+
+        from repro.core.graph import MutableHeteroGraph
+        from repro.datasets.synthetic import affinity_graph
+
+        base = affinity_graph(
+            label_sizes={"a": 12, "b": 10, "c": 8},
+            affinity={("a", "b"): 1.0, ("b", "c"): 0.7, ("a", "c"): 0.3},
+            mean_degree=3.0,
+            rng=np.random.default_rng(5),
+        )
+        mutable = MutableHeteroGraph.from_graph(base)
+        ids = mutable.node_ids
+        rng = random.Random(5)
+        edges = set(base.edges())
+        for u, v in rng.sample(sorted(edges), 10):
+            mutable.remove_edge(ids[u], ids[v])
+            edges.discard((u, v))
+        while len(edges) < base.num_edges:
+            u, v = sorted(rng.sample(range(base.num_nodes), 2))
+            if (u, v) not in edges:
+                mutable.add_edge(ids[v], ids[u])
+                edges.add((u, v))
+        rebuilt = HeteroGraph.from_edges(
+            {node: base.labelset.name(base.label_of(i)) for i, node in enumerate(ids)},
+            [(ids[u], ids[v]) for u, v in sorted(edges)],
+            labelset=base.labelset,
+        )
+        flat = mutable.flat()
+        assert list(zip(flat.edge_u, flat.edge_v)) != list(rebuilt.edges())
+        assert list(mutable.edges()) == list(rebuilt.edges())
 
     def test_label_degree_memo_is_not_pickled(self):
         import pickle

@@ -24,13 +24,15 @@ import pytest
 import repro.core.mmap_graph as mmap_graph_module
 from repro.core.census import CensusConfig, subgraph_census
 from repro.core.features import SubgraphFeatureExtractor
-from repro.core.graph import FlatGraph, HeteroGraph
+from repro.core.graph import FlatGraph, HeteroGraph, MutableHeteroGraph
 from repro.core.labels import LabelSet
 from repro.core.mmap_graph import HMG_MAGIC, MmapGraph, _PREAMBLE
 from repro.core.sampled import SampledCensusConfig
+from repro.dist.remote import _graph_blob
 from repro.exceptions import FeatureError, GraphError
 from repro.io.edgelist import read_edgelist, write_edgelist
 from repro.io.stream import build_mmap_graph, census_stream, write_mmap_graph
+from repro.net.protocol import decode_blob
 from repro.runtime.context import RunContext
 from repro.runtime.store import ArtifactStore
 from tests.oracles import reference_census
@@ -71,6 +73,25 @@ def hubby_graph() -> HeteroGraph:
             nodes[leaf] = "C"
             edges.append((spoke, leaf))
     return HeteroGraph.from_edges(nodes, edges)
+
+
+def shuffled_edgelist(graph: HeteroGraph, tmp_path, seed: int):
+    """``graph`` as an edge list whose edges come in a shuffled order and
+    orientation, unlike :func:`write_edgelist`'s row order."""
+    rng = random.Random(seed)
+    edges = [
+        (graph.node_id(u), graph.node_id(v)) if rng.random() < 0.5
+        else (graph.node_id(v), graph.node_id(u))
+        for u, v in graph.edges()
+    ]
+    rng.shuffle(edges)
+    path = tmp_path / f"shuffled{seed}.edges"
+    lines = [
+        f"v {node} {graph.labelset.name(graph.label_of(i))}"
+        for i, node in enumerate(graph.node_ids)
+    ]
+    path.write_text("\n".join(lines + [f"e {u} {v}" for u, v in edges]) + "\n")
+    return path
 
 
 def as_mmap(graph: HeteroGraph, tmp_path, name: str = "g.hmg") -> MmapGraph:
@@ -362,6 +383,22 @@ class TestBuildMmapGraph:
                 twin, root, config
             )
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_line_embedding_matches_read_edgelist(self, tmp_path, seed):
+        # Ingest numbers edges in file order; LINE samples edges by their
+        # position in edges(), which must not depend on that numbering.
+        from repro.embeddings.line import LINE
+
+        edgelist = shuffled_edgelist(random_hetero_graph(seed + 70), tmp_path, seed)
+        mg = MmapGraph(build_mmap_graph(edgelist, tmp_path / "g.hmg", chunk_edges=4))
+        twin = read_edgelist(edgelist)
+        assert list(mg.flat().edge_u) != [u for u, _ in twin.edges()]
+        assert list(mg.edges()) == list(twin.edges())
+        model = dict(dim=8, num_samples=400, batch_size=16, seed=seed)
+        np.testing.assert_array_equal(
+            LINE(**model).fit(mg).embedding_, LINE(**model).fit(twin).embedding_
+        )
+
     def test_explicit_labelset_is_respected(self, tmp_path):
         graph = random_hetero_graph(65)
         edgelist = tmp_path / "g.edges"
@@ -484,6 +521,69 @@ class TestCensusStream:
 # ---------------------------------------------------------------------------
 # flat-graph contract plumbing
 # ---------------------------------------------------------------------------
+
+
+def _mutated_twin(graph: FlatGraph, tmp_path) -> MutableHeteroGraph:
+    """``graph``'s structure reached through writes: some edges removed
+    and re-added in another order, so edge ids are permuted."""
+    mutable = MutableHeteroGraph.from_graph(graph)
+    ids = graph.node_ids
+    cut = random.Random(1).sample(sorted(graph.edges()), 6)
+    for u, v in cut:
+        mutable.remove_edge(ids[u], ids[v])
+    for u, v in reversed(cut):
+        mutable.add_edge(ids[v], ids[u])
+    return mutable
+
+
+STORAGES = {
+    "hetero": lambda graph, tmp_path: graph,
+    "worker-flat": lambda graph, tmp_path: decode_blob(_graph_blob(graph)),
+    "mmap-written": as_mmap,
+    "mmap-ingested": lambda graph, tmp_path: MmapGraph(
+        build_mmap_graph(
+            shuffled_edgelist(graph, tmp_path, 0), tmp_path / "i.hmg", chunk_edges=4
+        )
+    ),
+    "mutable": _mutated_twin,
+    "mutable-from-mmap": lambda graph, tmp_path: _mutated_twin(
+        as_mmap(graph, tmp_path), tmp_path
+    ),
+}
+
+
+class TestStorageParity:
+    """Every storage answers every shared accessor like its in-memory twin."""
+
+    @pytest.mark.parametrize("storage", sorted(STORAGES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_accessors_agree(self, tmp_path, storage, seed):
+        graph = random_hetero_graph(seed + 80)
+        other = STORAGES[storage](graph, tmp_path)
+        assert other.num_nodes == graph.num_nodes
+        assert other.num_edges == graph.num_edges
+        assert other.labelset.names == graph.labelset.names
+        assert other.fingerprint() == graph.fingerprint()
+        np.testing.assert_array_equal(other.labels, graph.labels)
+        np.testing.assert_array_equal(other.degrees(), graph.degrees())
+        np.testing.assert_array_equal(other.label_counts(), graph.label_counts())
+        for label in range(len(graph.labelset)):
+            np.testing.assert_array_equal(
+                other.nodes_with_label(label), graph.nodes_with_label(label)
+            )
+        for i in range(graph.num_nodes):
+            assert type(other.label_of(i)) is int and other.label_of(i) == graph.label_of(i)
+            assert other.degree(i) == graph.degree(i)
+            assert list(other.neighbors(i)) == list(graph.neighbors(i))
+        assert list(other.edges()) == list(graph.edges())
+        clone = pickle.loads(pickle.dumps(other))  # how pool workers get it
+        assert clone.fingerprint() == graph.fingerprint()
+        assert list(clone.edges()) == list(graph.edges())
+        edges = set(graph.edges())
+        for u in range(graph.num_nodes):
+            for v in range(graph.num_nodes):
+                adjacent = (min(u, v), max(u, v)) in edges
+                assert other.has_edge(u, v) is adjacent, (u, v)
 
 
 class TestStorageKinds:

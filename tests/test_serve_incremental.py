@@ -42,6 +42,16 @@ def _random_graph(seed: int = 0, mean_degree: float = 3.0) -> HeteroGraph:
     )
 
 
+def _rebuilt(graph) -> HeteroGraph:
+    """A fresh graph with ``graph``'s nodes, labels and current edges."""
+    ids = graph.node_ids
+    return HeteroGraph.from_edges(
+        {node: graph.labelset.name(graph.label_of(i)) for i, node in enumerate(ids)},
+        [(ids[u], ids[v]) for u, v in graph.edges()],
+        labelset=graph.labelset,
+    )
+
+
 def _apply_random_mutations(
     service: FeatureService, k: int, seed: int
 ) -> list[tuple[str, object, object]]:
@@ -72,7 +82,7 @@ def _apply_random_mutations(
 def _assert_bit_identical(service: FeatureService, engine: str = "fast") -> None:
     """Every tracked census must equal a cold recompute on a fresh graph
     (by the library, or by the oracle for ``engine="reference"``)."""
-    cold_graph = service.graph.snapshot()
+    cold_graph = _rebuilt(service.graph)
     roots = list(range(cold_graph.num_nodes))
     for variant in VARIANTS:
         config = service._census_configs[variant]
@@ -244,7 +254,7 @@ class TestCentroidPatch:
         patched = service._centroids
         service._centroids = None
         assert patched == service._build_centroids()
-        cold = FeatureService(service.graph.snapshot(), config)
+        cold = FeatureService(_rebuilt(service.graph), config)
         cold.warm()
         for node in ids:
             assert service.label(node) == cold.label(node)
@@ -451,6 +461,20 @@ class TestMutableGraphParity:
             assert np.array_equal(
                 mutable.neighbors(node), rebuilt.neighbors(node)
             )
+
+    def test_service_over_an_mmap_graph(self, tmp_path):
+        from repro.core.mmap_graph import MmapGraph
+        from repro.io.stream import write_mmap_graph
+
+        graph = _random_graph(seed=5)
+        mapped = FeatureService(
+            MmapGraph(write_mmap_graph(graph, tmp_path / "g.hmg")), ServeConfig(emax=2)
+        )
+        in_memory = FeatureService(graph, ServeConfig(emax=2))
+        for service in (mapped, in_memory):
+            _apply_random_mutations(service, k=6, seed=3)
+        assert mapped.graph.fingerprint() == in_memory.graph.fingerprint()
+        _assert_bit_identical(mapped)
 
     def test_apply_mutation_validates(self):
         graph = _random_graph(seed=1)
