@@ -30,6 +30,7 @@ from repro.net.client import open_connection
 from repro.net.endpoint import Endpoint, parse_endpoint
 from repro.obs.log import get_logger
 from repro.serve.daemon import ServeDaemon
+from repro.serve.protocol import WRITE_OPS
 from repro.serve.service import FeatureService, ServeConfig
 
 logger = get_logger(__name__)
@@ -125,7 +126,6 @@ class ReplayReport:
     requests: int = 0
     duration_s: float = 0.0
     latencies_s: list = field(default_factory=list)
-    op_counts: dict = field(default_factory=dict)
     error_counts: dict = field(default_factory=dict)
 
     @property
@@ -140,18 +140,6 @@ class ReplayReport:
     @property
     def errors(self) -> int:
         return sum(self.error_counts.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "duration_s": self.duration_s,
-            "throughput_rps": self.throughput_rps,
-            "p50_ms": self.percentile(50) * 1e3,
-            "p90_ms": self.percentile(90) * 1e3,
-            "p99_ms": self.percentile(99) * 1e3,
-            "op_counts": dict(sorted(self.op_counts.items())),
-            "error_counts": dict(sorted(self.error_counts.items())),
-        }
 
     def summary(self) -> str:
         return (
@@ -183,8 +171,6 @@ async def _run_connection(
             async with lock:
                 report.requests += 1
                 report.latencies_s.append(elapsed)
-                op = request["op"]
-                report.op_counts[op] = report.op_counts.get(op, 0) + 1
                 if not response.get("ok"):
                     code = response.get("error", {}).get("code", "unknown")
                     report.error_counts[code] = report.error_counts.get(code, 0) + 1
@@ -207,12 +193,10 @@ async def replay(
     remaining connections.
     """
     endpoint = parse_endpoint(endpoint)
-    writes = [r for r in trace if r["op"] in ("add_edge", "remove_edge")]
-    reads = [r for r in trace if r["op"] not in ("add_edge", "remove_edge")]
+    writes = [r for r in trace if r["op"] in WRITE_OPS]
+    reads = [r for r in trace if r["op"] not in WRITE_OPS]
     reader_lanes = max(1, connections - 1)
-    lanes: list[list[dict]] = [[] for _ in range(reader_lanes)]
-    for i, request in enumerate(reads):
-        lanes[i % reader_lanes].append(request)
+    lanes = [reads[i::reader_lanes] for i in range(reader_lanes)]
     report = ReplayReport()
     lock = asyncio.Lock()
     started = time.perf_counter()

@@ -16,11 +16,12 @@ Two census *variants* are maintained side by side:
 The write path (:meth:`FeatureService.apply_mutation`) is the heart of
 the incremental story: an edge mutation adds (or subtracts) the subgraphs
 through the edge into the live censuses of the roots in its d_max-pruned
-ball that count them (:mod:`repro.serve.repair`) — no census, no store
-call; only a write that flips a hub recomputes its ball.  The store holds
-cold censuses only, each under the fingerprint it was computed on, which
-remains a true content address.  The result is bit-identical to a cold
-full recompute — ``tests/test_serve_incremental.py`` asserts exactly that.
+ball that count them, plus, when it moves an endpoint across d_max, the
+sets whose count that flip changes (:mod:`repro.serve.repair`) — no
+census, no store call.  The store holds cold censuses only, each under
+the fingerprint it was computed on, which remains a true content address.
+The result is bit-identical to a cold full recompute —
+``tests/test_serve_incremental.py`` asserts exactly that.
 
 Thread model: read handlers may run concurrently (the daemon holds the
 shared side of its reader/writer lock) and synchronise their metadata
@@ -32,10 +33,9 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from repro.core.cache import census_store_config
 from repro.core.census import CensusConfig, census_total, effective_labelset
 from repro.core.encoding import code_to_string
 from repro.core.features import SubgraphFeatureExtractor
@@ -45,7 +45,7 @@ from repro.net.protocol import NetError, require
 from repro.obs.log import get_logger
 from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import ENGINE_FAST, RunContext
-from repro.runtime.store import STAGE_CENSUS, ArtifactStore
+from repro.runtime.store import ArtifactStore
 from repro.serve.repair import edge_census, repair_ball
 
 logger = get_logger(__name__)
@@ -123,14 +123,12 @@ class FeatureService:
         )
         self.store = store if store is not None else ArtifactStore()
         self._census_configs = {
-            "plain": CensusConfig(
-                max_edges=self.config.emax, max_degree=self.config.dmax
-            ),
-            "masked": CensusConfig(
+            variant: CensusConfig(
                 max_edges=self.config.emax,
                 max_degree=self.config.dmax,
-                mask_start_label=True,
-            ),
+                mask_start_label=variant == "masked",
+            )
+            for variant in VARIANTS
         }
         ctx = RunContext(
             engine=self.config.engine, n_jobs=self.config.n_jobs, store=self.store
@@ -143,9 +141,8 @@ class FeatureService:
             variant: effective_labelset(self.graph, census_config)
             for variant, census_config in self._census_configs.items()
         }
-        # Tracked roots per variant -> the fingerprint their one store
-        # entry is keyed under (the graph their census was computed on).
-        self._tracked: dict[str, dict[int, str]] = {v: {} for v in VARIANTS}
+        # Tracked roots per variant: those with a live census.
+        self._tracked: dict[str, set[int]] = {v: set() for v in VARIANTS}
         # The live census of every tracked root (the only place reads look
         # for one), its L2 norm, and the rendered features response.  All
         # three are replaced for repaired roots on mutation.
@@ -169,18 +166,20 @@ class FeatureService:
 
     def census(self, variant: str, root: int) -> Counter:
         """The (warm) census of one root; computes and tracks on a miss."""
-        key = (variant, root)
         with self._meta_lock:
-            cached = self._counters.get(key)
-        if cached is not None:
-            return cached
-        census = self._extractors[variant].census_many(self.graph, [root])[0]
+            cached = self._counters.get((variant, root))
+        return cached if cached is not None else self._track(variant, [root])[0]
+
+    def _track(self, variant: str, roots: list[int]) -> list[Counter]:
+        """Cold censuses of ``roots``, tracked from now on as live ones."""
+        censuses = self._extractors[variant].census_many(self.graph, roots)
         with self._meta_lock:
-            self._counters[key] = census
-            self._tracked[variant][root] = self.graph.fingerprint()
-            if variant == "masked":
+            for root, census in zip(roots, censuses):
+                self._counters[(variant, root)] = census
+                self._tracked[variant].add(root)
+            if roots and variant == "masked":
                 self._centroids = None  # they sum the tracked roots only
-        return census
+        return censuses
 
     def _norm_of(self, variant: str, root: int) -> float:
         key = (variant, root)
@@ -203,17 +202,9 @@ class FeatureService:
         if roots is None:
             roots = range(self.graph.num_nodes)
         roots = [int(root) for root in roots]
-        fingerprint = self.graph.fingerprint()
         for variant in VARIANTS:
             tracked = self._tracked[variant]
-            pending = [root for root in roots if root not in tracked]
-            censuses = self._extractors[variant].census_many(self.graph, pending)
-            with self._meta_lock:
-                for root, census in zip(pending, censuses):
-                    self._counters[(variant, root)] = census
-                    tracked[root] = fingerprint
-                if pending and variant == "masked":
-                    self._centroids = None
+            self._track(variant, [root for root in roots if root not in tracked])
         get_telemetry().count("serve/warmed_roots", len(roots))
         return len(roots)
 
@@ -255,7 +246,7 @@ class FeatureService:
         query = self.census("plain", root)
         query_norm = self._norm_of("plain", root)
         with self._meta_lock:
-            candidates = sorted(self._tracked["plain"].keys() - {root})
+            candidates = sorted(self._tracked["plain"] - {root})
         scored = [
             (
                 _cosine(
@@ -367,67 +358,56 @@ class FeatureService:
         fingerprint changes mid-flight and concurrent reads could see a
         half-repaired ball.
 
-        Steps: mutate the graph; on the version containing the edge, add
-        (or subtract) the subgraphs through it into a copy of each counting
-        root's live census and of its label centroid, or recompute the
-        ball's roots if it flips a hub.  The receipt counts the repair
-        ball's tracked roots as ``repaired_roots`` and the rest,
-        untouched, as ``migrated_roots``.
+        Steps: mutate the graph; enumerate the subgraphs through the edge
+        on the version containing it, and those whose count a hub flip of
+        an endpoint changes on the version without it; add (or subtract)
+        them into a copy of each counting root's live census and of its
+        label centroid.  The receipt counts the repair ball's tracked
+        roots as ``repaired_roots`` and the rest, untouched, as
+        ``migrated_roots``.
         Raises :class:`~repro.exceptions.GraphError` on invalid mutations
         and :class:`NetError` (``unknown_node``) on unresolvable ids.
         """
         graph = self.graph
         u, v = self._resolve(u_id), self._resolve(v_id)
+        before = graph.flat()  # snapshots are never edited: it stays valid
         if op == "add_edge":
             graph.add_edge(u_id, v_id)
         elif op != "remove_edge":  # pragma: no cover - guarded by the protocol
             raise NetError("unknown_op", f"unknown mutation op {op!r}")
         elif u == v or not graph.has_edge(u, v):
             raise GraphError(f"no such edge ({u_id!r}, {v_id!r})")
-        # On the version with the edge (post-add, pre-remove).  A hub flip
-        # also changes sets without the edge: that write recomputes its ball.
         ball = repair_ball(graph, u, v, self._census_configs["plain"])
-        dmax = self.config.dmax
-        flips = dmax is not None and dmax + 1 in (graph.degree(u), graph.degree(v))
-        deltas, sets = (None, 0) if flips else edge_census(
-            graph, u, v, self._census_configs, self._tracked
-        )
         if op == "remove_edge":
             graph.remove_edge(u_id, v_id)
+            with_edge, without = before, graph.flat()
+        else:
+            with_edge, without = graph.flat(), before
+        # The deltas of adding the edge; a remove subtracts them.
+        width, configs = len(graph.labelset), self._census_configs
+        deltas = {variant: defaultdict(Counter) for variant in VARIANTS}
+        sets = edge_census(with_edge, width, (u, v), configs, self._tracked, deltas)
+        flipped = tuple(w for w in (u, v) if without.degrees[w] == self.config.dmax)
+        for x in flipped:
+            sets += edge_census(without, width, (x,), configs, self._tracked, deltas, flipped)
         new_fp = graph.fingerprint()
         telemetry = get_telemetry()
-        telemetry.count("serve/repair_recomputes", int(flips))
+        telemetry.count("serve/hub_flips", int(bool(flipped)))
         telemetry.count("serve/repair_subgraphs", sets)
         sign = 1 if op == "add_edge" else -1
-        repaired = 0
-        migrated = 0
-        for variant, census_config in self._census_configs.items():
+        repaired = migrated = 0
+        for variant in VARIANTS:
             tracked = self._tracked[variant]
-            affected = sorted(tracked.keys() & ball)
-            migrated += len(tracked) - len(affected)
-            repaired += len(affected)
-            if deltas is not None:
-                for root, delta in deltas[variant].items():
-                    live = self._counters[(variant, root)].copy()
-                    _add_delta(live, delta, sign)
-                    self._drop_root_caches(variant, root)
-                    self._counters[(variant, root)] = live
-                if variant == "masked" and self._centroids is not None:
-                    self._patch_centroids(deltas[variant], sign)
-            else:
-                for root in affected:
-                    store_config = census_store_config(census_config, root)
-                    self.store.discard(tracked[root], STAGE_CENSUS, store_config)
-                    self._drop_root_caches(variant, root)
-                # Recompute through the extractor: looks up the new
-                # fingerprint, computes the misses (fanning out at
-                # n_jobs > 1) and writes back — exactly a cold census.
-                censuses = self._extractors[variant].census_many(graph, affected)
-                for root, census in zip(affected, censuses):
-                    self._counters[(variant, root)] = census
-                    tracked[root] = new_fp
-                if affected and variant == "masked":
-                    self._centroids = None
+            affected = len(tracked & ball)
+            migrated += len(tracked) - affected
+            repaired += affected
+            for root, delta in deltas[variant].items():
+                live = self._counters[(variant, root)].copy()
+                _add_delta(live, delta, sign)
+                self._drop_root_caches(variant, root)
+                self._counters[(variant, root)] = live
+            if variant == "masked" and self._centroids is not None:
+                self._patch_centroids(deltas[variant], sign)
         self.mutations += 1
         self.repaired_roots += repaired
         self.migrated_roots += migrated

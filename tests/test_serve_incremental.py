@@ -79,18 +79,45 @@ def _apply_random_mutations(
     return applied
 
 
-def _assert_bit_identical(service: FeatureService, engine: str = "fast") -> None:
+def _apply_flip_mutations(service: FeatureService, k: int, seed: int) -> None:
+    """Drive ``k`` valid random writes, each moving an endpoint across d_max:
+    an add at a node of degree d_max or a remove at one of d_max + 1."""
+    rng = np.random.default_rng(seed)
+    graph, ids, dmax = service.graph, service.graph.node_ids, service.config.dmax
+    n = graph.num_nodes
+    for _ in range(k):
+        adds = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if dmax in (graph.degree(u), graph.degree(v)) and not graph.has_edge(u, v)
+        ]
+        removes = [
+            (u, v) for u, v in graph.edges()
+            if dmax + 1 in (graph.degree(u), graph.degree(v))
+        ]
+        add = not removes or (adds and rng.random() < 0.5)
+        pairs = adds if add else removes
+        u, v = pairs[int(rng.integers(len(pairs)))]
+        service.apply_mutation("add_edge" if add else "remove_edge", ids[u], ids[v])
+
+
+def _assert_bit_identical(
+    service: FeatureService, engine: str = "fast", roots=None
+) -> None:
     """Every tracked census must equal a cold recompute on a fresh graph
-    (by the library, or by the oracle for ``engine="reference"``)."""
+    (by the library, or by the oracle for ``engine="reference"``).
+
+    ``roots`` limits the check to those roots; by default every root is
+    checked, and an untracked one is tracked by the check itself.
+    """
     cold_graph = _rebuilt(service.graph)
-    roots = list(range(cold_graph.num_nodes))
+    roots = list(range(cold_graph.num_nodes)) if roots is None else list(roots)
     for variant in VARIANTS:
         config = service._census_configs[variant]
         if engine == "reference":
             cold = [reference_census(cold_graph, root, config) for root in roots]
         else:
             cold = SubgraphFeatureExtractor(config).census_many(cold_graph, roots)
-        for root, expected in enumerate(cold):
+        for root, expected in zip(roots, cold):
             got = service.census(variant, root)
             assert dict(got) == dict(expected), (
                 f"variant={variant} root={root}: repaired census diverged "
@@ -101,23 +128,34 @@ def _assert_bit_identical(service: FeatureService, engine: str = "fast") -> None
 class TestIncrementalParity:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(
-        "n_jobs, emax, dmax",
+        "n_jobs, emax, dmax, flips",
         [
-            pytest.param(1, 3, None, id="1"),
-            pytest.param(2, 3, None, id="2"),
+            pytest.param(1, 3, None, False, id="1"),
+            pytest.param(2, 3, None, False, id="2"),
             # The serve-mixed shape: e_max 2 with a d_max (8 hubs here).
-            pytest.param(1, 2, 4, id="1-emax2-dmax4"),
-            pytest.param(2, 2, 4, id="2-emax2-dmax4"),
+            pytest.param(1, 2, 4, False, id="1-emax2-dmax4"),
+            pytest.param(2, 2, 4, False, id="2-emax2-dmax4"),
+            # Every write flips a hub; at d_max 0 a flipped node has no
+            # edge on the version without the written one.
+            pytest.param(1, 2, 2, True, id="1-emax2-dmax2-flips"),
+            pytest.param(1, 3, 3, True, id="1-emax3-dmax3-flips"),
+            pytest.param(1, 4, 3, True, id="1-emax4-dmax3-flips"),
+            pytest.param(1, 3, 0, True, id="1-emax3-dmax0-flips"),
         ],
     )
-    def test_random_mutations_bit_identical(self, engine, n_jobs, emax, dmax):
+    def test_random_mutations_bit_identical(self, engine, n_jobs, emax, dmax, flips):
         graph = _random_graph(seed=11)
         service = FeatureService(
             graph, ServeConfig(emax=emax, dmax=dmax, n_jobs=n_jobs)
         )
         service.warm()
-        applied = _apply_random_mutations(service, k=8, seed=23)
-        assert len(applied) == 8
+        with fresh_telemetry() as telemetry:
+            if flips:
+                _apply_flip_mutations(service, k=8, seed=23)
+            else:
+                assert len(_apply_random_mutations(service, k=8, seed=23)) == 8
+        if flips:
+            assert telemetry.counters["serve/hub_flips"] == 8
         _assert_bit_identical(service, engine)
 
     def test_parity_with_hub_cutoff(self):
@@ -155,78 +193,106 @@ class TestIncrementalParity:
         assert result["ball_size"] < service.graph.num_nodes
         assert service.stats()["repaired_roots"] - before == result["repaired_roots"]
 
-    def test_hub_flips_take_the_recompute_path(self):
-        # An add that makes x a hub and the remove that unmakes it change
-        # sets without the edge, so only they recompute their ball.
-        dmax = 4
-        service = FeatureService(
-            _random_graph(seed=5, mean_degree=4.0), ServeConfig(emax=3, dmax=dmax)
-        )
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_both_endpoints_flip(self, engine):
+        # Adding (u, v) between two nodes of degree d_max makes both hubs;
+        # sets with two edges at each are enumerated once, from u's seed.
+        dmax = 3
+        service = FeatureService(_random_graph(seed=0), ServeConfig(emax=4, dmax=dmax))
         service.warm()
         graph, ids = service.graph, service.graph.node_ids
-        n = graph.num_nodes
+
+        def shared(pair) -> int:
+            return len(set(graph.neighbors(pair[0])) & set(graph.neighbors(pair[1])))
+
+        at_dmax = [node for node in range(graph.num_nodes) if graph.degree(node) == dmax]
+        u, v = max(
+            ((a, b) for a in at_dmax for b in at_dmax if a < b and not graph.has_edge(a, b)),
+            key=shared,
+        )
+        assert shared((u, v)) > 0
+        for op, degree in (("add_edge", dmax + 1), ("remove_edge", dmax)):
+            with fresh_telemetry() as telemetry:
+                service.apply_mutation(op, ids[u], ids[v])
+            assert telemetry.counters["serve/hub_flips"] == 1
+            assert graph.degree(u) == graph.degree(v) == degree
+            _assert_bit_identical(service, engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_flipped_node_tracked_or_untracked(self, engine):
+        # The flipped node's own census does not change, and the other
+        # roots change alike whether it is tracked or not.
+        dmax = 3
+        graph = _random_graph(seed=5)
+        n, ids = graph.num_nodes, graph.node_ids
         x = next(node for node in range(n) if graph.degree(node) == dmax)
         y = next(
             node for node in range(n)
-            if node != x and not graph.has_edge(x, node)
-            and graph.degree(node) < dmax
+            if node != x and graph.degree(node) < dmax and not graph.has_edge(x, node)
         )
-        a, b = next(
-            (a, b) for a in range(n) for b in range(a + 1, n)
-            if {a, b}.isdisjoint({x, y}) and not graph.has_edge(a, b)
-            and max(graph.degree(a), graph.degree(b)) < dmax
-        )
-        # (op, u, v, recomputes, x is a hub after the write)
-        writes = [
-            ("add_edge", x, y, 1, True),
-            ("add_edge", a, b, 0, True),
-            ("remove_edge", x, y, 1, False),
-            ("remove_edge", a, b, 0, False),
-        ]
-        for op, p, q, recomputes, hub in writes:
+        for warm in (None, [node for node in range(n) if node != x]):
+            service = FeatureService(graph, ServeConfig(emax=3, dmax=dmax))
+            service.warm(warm)
             with fresh_telemetry() as telemetry:
-                service.apply_mutation(op, ids[p], ids[q])
-            assert telemetry.counters["serve/repair_recomputes"] == recomputes
-            assert (graph.degree(x) > dmax) == hub
-            _assert_bit_identical(service)
+                service.apply_mutation("add_edge", ids[x], ids[y])
+            assert telemetry.counters["serve/hub_flips"] == 1
+            tracked = sorted(service._tracked["plain"])
+            assert (x in tracked) == (warm is None)
+            _assert_bit_identical(service, engine, roots=tracked)
+            service.apply_mutation("remove_edge", ids[x], ids[y])
+            _assert_bit_identical(service, engine)
 
 
-class TestFastPath:
-    def test_write_without_hub_flip_runs_no_census(self, monkeypatch):
+class TestWritePath:
+    @pytest.mark.parametrize("flip", ["no-flip", "flip-add", "flip-remove"])
+    def test_write_runs_no_census_and_no_store_call(self, flip, monkeypatch):
+        # Every write adds or subtracts deltas into the live censuses: the
+        # sets through its edge, and those whose count a hub flip changes.
         dmax = 4
         store = _CountingStore()
         service = FeatureService(
             _random_graph(seed=4), ServeConfig(emax=3, dmax=dmax), store=store
         )
         service.warm()
+        graph, ids = service.graph, service.graph.node_ids
+        n = graph.num_nodes
+        if flip == "no-flip":
+            u, v = next(
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if not graph.has_edge(u, v)
+                and max(graph.degree(u), graph.degree(v)) < dmax
+            )
+        else:
+            u = next(node for node in range(n) if graph.degree(node) == dmax)
+            v = next(
+                node for node in range(n)
+                if node != u and graph.degree(node) < dmax
+                and not graph.has_edge(u, node)
+            )
+        op = "add_edge"
+        if flip == "flip-remove":
+            service.apply_mutation("add_edge", ids[u], ids[v])
+            op = "remove_edge"
         credited = []
 
         def recording(*args):
-            deltas, sets = edge_census(*args)
-            credited.append(deltas)
-            return deltas, sets
+            credited.append(args[5])  # the deltas it adds into
+            return edge_census(*args)
 
         monkeypatch.setattr(service_module, "edge_census", recording)
-        graph, ids = service.graph, service.graph.node_ids
-        u, v = next(
-            (u, v) for u in range(graph.num_nodes)
-            for v in range(u + 1, graph.num_nodes)
-            if not graph.has_edge(u, v)
-            and max(graph.degree(u), graph.degree(v)) < dmax
-        )
+        ball = repair_ball(graph, u, v, service._census_configs["plain"])
         calls = sum(store.calls.values())
         with fresh_telemetry() as telemetry:
-            receipt = service.apply_mutation("add_edge", ids[u], ids[v])
+            receipt = service.apply_mutation(op, ids[u], ids[v])
         counters = telemetry.counters
         assert counters.get("census/calls", 0) == 0
-        assert counters["serve/repair_recomputes"] == 0
+        assert counters["serve/hub_flips"] == int(flip != "no-flip")
         assert counters["serve/repair_subgraphs"] > 0
         assert sum(store.calls.values()) == calls
-        ball = repair_ball(graph, u, v, service._census_configs["plain"])
         assert receipt["ball_size"] == len(ball)
         assert receipt["repaired_roots"] == len(VARIANTS) * len(ball)
-        (deltas,) = credited
-        roots = {root for per_root in deltas.values() for root in per_root}
+        assert len(credited) == 1 + int(flip != "no-flip")
+        roots = {root for per_root in credited[0].values() for root in per_root}
         assert {u, v} <= roots <= ball
         _assert_bit_identical(service)
 
@@ -234,23 +300,20 @@ class TestFastPath:
 class TestCentroidPatch:
     @pytest.mark.parametrize("dmax", [None, 4], ids=["no-dmax", "dmax4"])
     def test_writes_patch_centroids(self, dmax):
-        # A write adds its masked deltas into the centroids; only a hub
-        # flip that touches tracked masked roots rebuilds them.
+        # A write adds its masked deltas into the centroids, hub flips
+        # included: only the first label read builds them.
         config = ServeConfig(emax=2, dmax=dmax)
         service = FeatureService(_random_graph(seed=11), config)
         service.warm()
         ids = service.graph.node_ids
         rng = np.random.default_rng(5)
-        recomputes = 0
         with fresh_telemetry() as telemetry:
             service.label(ids[0])
             for write in range(16):
                 _apply_random_mutations(service, k=1, seed=100 + write)
-                recomputes = telemetry.counters["serve/repair_recomputes"]
                 service.label(ids[int(rng.integers(len(ids)))])
-            assert telemetry.counters["serve/centroid_builds"] == 1 + recomputes
-        if dmax is not None:
-            assert recomputes > 0
+        assert telemetry.counters["serve/centroid_builds"] == 1
+        assert (telemetry.counters["serve/hub_flips"] > 0) == (dmax is not None)
         patched = service._centroids
         service._centroids = None
         assert patched == service._build_centroids()
@@ -303,23 +366,19 @@ def _tracked_entries(service: FeatureService) -> int:
 
 class TestWriteStoreTraffic:
     def test_store_traffic_scales_with_ball(self):
-        # A write may touch the store only for the roots it repairs:
-        # discard the superseded entry, then one get (a miss) and one put
-        # to recompute it.  The unaffected roots are never re-keyed.
+        # A write makes no store call, hub flips included: it patches the
+        # live censuses, and the store keeps the cold ones.
         store = _CountingStore()
         service = FeatureService(
-            _random_graph(seed=4), ServeConfig(emax=3), store=store
+            _random_graph(seed=4), ServeConfig(emax=3, dmax=4), store=store
         )
         service.warm()
-        for seed in range(30):
-            before = sum(store.calls.values())
-            repaired_before = service.repaired_roots
-            _apply_random_mutations(service, k=1, seed=seed)
-            repaired = service.repaired_roots - repaired_before
-            assert sum(store.calls.values()) - before <= 3 * repaired
-        assert store.calls["move"] == 0
-        # Re-warming tracked roots is free: their live censuses are current.
         calls = sum(store.calls.values())
+        with fresh_telemetry() as telemetry:
+            _apply_random_mutations(service, k=30, seed=0)
+        assert telemetry.counters["serve/hub_flips"] > 0
+        assert sum(store.calls.values()) == calls
+        # Re-warming tracked roots is free: their live censuses are current.
         service.warm()
         assert sum(store.calls.values()) == calls
         # One entry per tracked root per variant: no superseded entry leaks.
