@@ -6,7 +6,8 @@
 operations themselves: bind, ready, stop and teardown; the decode → op
 lookup → handler → typed-response loop; mapping failures to
 :data:`~repro.net.protocol.ERROR_CODES`; the built-in ``shutdown`` op;
-and the ``{family}/requests|errors|errors/<code>|latency_s`` telemetry.
+and the ``{family}/requests|errors|errors/<code>|latency_s`` telemetry,
+with ``{family}/latency_s/<op>`` per known op beside the overall one.
 A subclass supplies its op table and the execution policy around it.
 
 :func:`start_listener` binds an :class:`~repro.net.endpoint.Endpoint`
@@ -226,10 +227,10 @@ class OpServer:
     async def _handle_line(self, line: bytes) -> bytes:
         telemetry = get_telemetry()
         started = time.perf_counter()
-        request_id = None
+        request_id = op = None
         try:
             request = decode_message(line)
-            request_id = request.get("id")
+            request_id, op = request.get("id"), request["op"]
             response = ok_response(request_id, await self._dispatch(request))
         except Exception as exc:
             code, message = self._error(exc)
@@ -238,7 +239,10 @@ class OpServer:
             response = error_response(request_id, code, message)
         self.requests += 1
         telemetry.count(f"{self.family}/requests")
-        telemetry.observe(f"{self.family}/latency_s", time.perf_counter() - started)
+        elapsed = time.perf_counter() - started
+        telemetry.observe(f"{self.family}/latency_s", elapsed)
+        if op in self._ops or op == "shutdown":  # known ops only: bounded names
+            telemetry.observe(f"{self.family}/latency_s/{op}", elapsed)
         return response
 
     async def _dispatch(self, request: dict):

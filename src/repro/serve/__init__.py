@@ -1,13 +1,11 @@
 """Feature-serving daemon with incremental census maintenance.
 
 ``repro serve`` turns the batch reproduction into a long-lived service:
-an asyncio daemon — listening on a unix socket or, with ``--tcp``, a
-``host:port`` (framing and transport live in :mod:`repro.net`) —
-answering ``features``/``rank``/``label``/``stats`` queries out of an
-:class:`~repro.runtime.store.ArtifactStore` warm tier, with an
-``add_edge``/``remove_edge`` write path that repairs only the rooted
-censuses whose d_max-ball touches the mutated edge — bit-identical to a
-cold recompute.  See ``docs/serving.md``.
+an asyncio daemon on a unix socket or, with ``--tcp``, a ``host:port``
+(:mod:`repro.net`) answering ``features``/``rank``/``label``/``stats``
+from the published census version, with an ``add_edge``/``remove_edge``
+write path that repairs only the censuses its edge changes —
+bit-identical to a cold recompute.  See ``docs/serving.md``.
 """
 
 from repro.serve.daemon import ServeDaemon

@@ -1,9 +1,8 @@
 """The stateful core of the serving daemon: graph + warm censuses + repair.
 
 :class:`FeatureService` owns one :class:`~repro.core.graph.MutableHeteroGraph`
-and an :class:`~repro.runtime.store.ArtifactStore` acting as the warm KV
-tier: every census it computes is content-addressed under the graph's
-current fingerprint, so reads are dict lookups once a root is warm.
+and an :class:`~repro.runtime.store.ArtifactStore` holding the cold
+censuses, content-addressed under the fingerprint they were computed on.
 
 Two census *variants* are maintained side by side:
 
@@ -13,33 +12,34 @@ Two census *variants* are maintained side by side:
     ``mask_start_label=True`` (``label`` queries) — predicting a node's
     label from features that encode that very label would be leakage.
 
-The write path (:meth:`FeatureService.apply_mutation`) is the heart of
-the incremental story: an edge mutation adds (or subtracts) the subgraphs
-through the edge into the live censuses of the roots in its d_max-pruned
-ball that count them, plus, when it moves an endpoint across d_max, the
-sets whose count that flip changes (:mod:`repro.serve.repair`) — no
-census, no store call.  The store holds cold censuses only, each under
-the fingerprint it was computed on, which remains a true content address.
-The result is bit-identical to a cold full recompute —
-``tests/test_serve_incremental.py`` asserts exactly that.
+The write path (:meth:`FeatureService.apply_mutation`) adds (or
+subtracts) the subgraphs through the edge into the live censuses of the
+roots in its d_max-pruned ball that count them, plus, when it moves an
+endpoint across d_max, the sets whose count that flip changes
+(:mod:`repro.serve.repair`) — no census, no store call.  The result is
+bit-identical to a cold full recompute (``tests/test_serve_incremental.py``).
 
-Thread model: read handlers may run concurrently (the daemon holds the
-shared side of its reader/writer lock) and synchronise their metadata
-updates on one internal lock; :meth:`apply_mutation` requires exclusivity,
-which the daemon provides by holding the write side.
+Thread model: a state change (a write, tracking a root, building the label
+centroids) builds the next immutable :class:`_Version` beside the current
+one and publishes it in one assignment; state changes run one at a time
+(on the daemon's writer thread).  A read of a tracked root answers from the
+version it reads at its start, on any thread, with no lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
+from operator import mul
+
+import numpy as np
 
 from repro.core.census import CensusConfig, census_total, effective_labelset
 from repro.core.encoding import code_to_string
 from repro.core.features import SubgraphFeatureExtractor
-from repro.core.graph import HeteroGraph, MutableHeteroGraph
+from repro.core.graph import FlatAdjacency, HeteroGraph, MutableHeteroGraph
 from repro.exceptions import GraphError
 from repro.net.protocol import NetError, require
 from repro.obs.log import get_logger
@@ -59,10 +59,8 @@ class ServeConfig:
     """Census and ranking knobs of one serving process.
 
     ``engine`` must be the exact ``fast`` census: incremental repair
-    promises bit-identity with a cold recompute, which a budgeted sampled
-    estimate keyed on per-root rng seeds cannot (its per-root seeds are
-    fingerprint-independent, but serving estimates would still conflate
-    "repaired" with "re-sampled" in client-visible counts).
+    promises bit-identity with a cold recompute, which a sampled estimate
+    cannot.
     """
 
     emax: int = 4
@@ -100,9 +98,93 @@ def _norm(census: Counter) -> float:
 def _add_delta(counts: Counter, delta: dict, sign: int) -> None:
     """Add ``sign * delta`` into ``counts`` in place; keys that reach 0 go."""
     for code, n in delta.items():
-        counts[code] += sign * n
-        if not counts[code]:
-            del counts[code]
+        count = counts.get(code, 0) + sign * n
+        if count:
+            counts[code] = count
+        else:
+            counts.pop(code, None)
+
+
+#: Below this product of two norms, their rows' dot product fits in int64
+#: (Cauchy-Schwarz, with room for the norms' rounding).
+_EXACT_DOTS = 2.0**62
+
+
+@dataclass(frozen=True)
+class _RankRows:
+    """The tracked plain censuses as one int64 sparse matrix, for ``rank``.
+
+    Row ``root`` is entries ``starts[root]:ends[root]`` of ``indices``
+    (columns: census codes, from the service's append-only code -> column
+    map) and ``data`` (counts).  ``norms`` holds each row's :func:`_norm`
+    and ``tracked`` marks tracked roots.  A version change appends the
+    rows it replaces and repoints them; stale entries are dropped once
+    they outnumber the live ones.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    norms: np.ndarray
+    tracked: np.ndarray
+
+    def spliced(self, censuses: dict[int, Counter], columns: dict) -> "_RankRows":
+        """A copy with the rows of ``censuses`` (root -> live census) in place."""
+        if not censuses:
+            return self
+        roots = np.fromiter(censuses, np.int64, len(censuses))
+        values = [census.values() for census in censuses.values()]
+        squares = [sum(map(mul, counts, counts)) for counts in values]
+        keys, size = chain.from_iterable(censuses.values()), sum(map(len, values))
+        try:
+            new = np.fromiter(map(columns.__getitem__, keys), np.int64, size)
+        except KeyError:  # a code new to the matrix: give it a column
+            keys = chain.from_iterable(censuses.values())
+            new = np.array([columns.setdefault(code, len(columns)) for code in keys])
+        indices = np.concatenate((self.indices, new))
+        data = np.concatenate((self.data, np.fromiter(chain.from_iterable(values), np.int64, size)))
+        starts, ends = self.starts.copy(), self.ends.copy()
+        norms, tracked = self.norms.copy(), self.tracked.copy()
+        bounds = len(self.data) + np.cumsum([0, *map(len, values)])
+        starts[roots], ends[roots] = bounds[:-1], bounds[1:]
+        norms[roots], tracked[roots] = list(map(math.sqrt, squares)), True
+        lengths = ends - starts
+        if len(data) > 2 * lengths.sum():  # compact: gather the live rows
+            ends = np.cumsum(lengths)
+            gather = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+            indices, data, starts = indices[gather], data[gather], ends - lengths
+        return _RankRows(starts, ends, indices, data, norms, tracked)
+
+    def cosines(self, root: int) -> np.ndarray:
+        """Every row's cosine with ``root``'s, bit-equal to :func:`_cosine`:
+        exact integer dot products over the float norms."""
+        start, end = self.starts[root], self.ends[root]
+        query = np.zeros(int(self.indices.max(initial=-1)) + 1, dtype=np.int64)
+        query[self.indices[start:end]] = self.data[start:end]
+        # Row sums as differences of one wrapping int64 prefix sum: exact
+        # while each row's dot product fits in int64 (see _EXACT_DOTS).
+        sums = np.concatenate(([0], np.cumsum(self.data * query[self.indices])))
+        norms = self.norms[root] * self.norms
+        dots = sums[self.ends] - sums[self.starts]
+        return np.divide(dots, norms, out=np.zeros(len(dots)), where=norms > 0)
+
+
+@dataclass(frozen=True)
+class _Version:
+    """One published state of the service; a read answers from one version.
+
+    ``counters``: variant -> tracked root -> live census, never edited once
+    published; the plain ones also as ``rows``.  ``centroids``: label ->
+    masked census sum over the tracked roots, None until a ``label`` read
+    builds it.
+    """
+
+    flat: FlatAdjacency
+    fingerprint: str
+    counters: dict[str, dict[int, Counter]]
+    rows: _RankRows
+    centroids: dict[int, Counter] | None
 
 
 class FeatureService:
@@ -141,23 +223,31 @@ class FeatureService:
             variant: effective_labelset(self.graph, census_config)
             for variant, census_config in self._census_configs.items()
         }
-        # Tracked roots per variant: those with a live census.
-        self._tracked: dict[str, set[int]] = {v: set() for v in VARIANTS}
-        # The live census of every tracked root (the only place reads look
-        # for one), its L2 norm, and the rendered features response.  All
-        # three are replaced for repaired roots on mutation.
-        self._counters: dict[tuple[str, int], Counter] = {}
-        self._norms: dict[tuple[str, int], float] = {}
-        self._rendered: dict[tuple[str, int], dict] = {}
-        # Per-label masked census sums over the tracked roots, patched by
-        # writes; None = rebuild lazily on the next label query.
-        self._centroids: dict[int, Counter] | None = None
-        self._meta_lock = threading.Lock()
-        self.mutations = 0
-        self.repaired_roots = 0
-        self.migrated_roots = 0
+        self._columns: dict = {}  # census code -> rank matrix column
+        n, graph = self.graph.num_nodes, self.graph
+        empty = np.zeros((2, 0), np.int64)  # no entries yet
+        rows = _RankRows(*np.zeros((2, n), np.int64), *empty, np.zeros(n), np.zeros(n, bool))
+        counters = {variant: {} for variant in VARIANTS}
+        self._version = _Version(graph.flat(), graph.fingerprint(), counters, rows, None)
+        # (variant, root) -> (live census, its features answer): a hit is
+        # valid while that census object is the root's live one.
+        self._rendered: dict[tuple[str, int], tuple[Counter, dict]] = {}
+        self.mutations = self.repaired_roots = self.migrated_roots = 0
 
     # -- plumbing ---------------------------------------------------------
+    @property
+    def _tracked(self) -> dict:
+        """Tracked roots per variant: those with a live census."""
+        return {variant: self._version.counters[variant].keys() for variant in VARIANTS}
+
+    @property
+    def _centroids(self) -> dict[int, Counter] | None:
+        return self._version.centroids
+
+    @_centroids.setter
+    def _centroids(self, centroids: dict[int, Counter] | None) -> None:
+        self._version = replace(self._version, centroids=centroids)
+
     def _resolve(self, node_id) -> int:
         try:
             return self.graph.index(node_id)
@@ -166,66 +256,87 @@ class FeatureService:
 
     def census(self, variant: str, root: int) -> Counter:
         """The (warm) census of one root; computes and tracks on a miss."""
-        with self._meta_lock:
-            cached = self._counters.get((variant, root))
-        return cached if cached is not None else self._track(variant, [root])[0]
+        return self._pinned(variant, root).counters[variant][root]
 
-    def _track(self, variant: str, roots: list[int]) -> list[Counter]:
+    def _pinned(self, variant: str, root: int) -> _Version:
+        """The version to answer from, with ``root`` tracked in ``variant``."""
+        if root not in self._version.counters[variant]:
+            self._track(variant, [root])
+        return self._version
+
+    def _track(self, variant: str, roots: list[int]) -> None:
         """Cold censuses of ``roots``, tracked from now on as live ones."""
-        censuses = self._extractors[variant].census_many(self.graph, roots)
-        with self._meta_lock:
-            for root, census in zip(roots, censuses):
-                self._counters[(variant, root)] = census
-                self._tracked[variant].add(root)
-            if roots and variant == "masked":
-                self._centroids = None  # they sum the tracked roots only
-        return censuses
+        if roots:
+            censuses = self._extractors[variant].census_many(self.graph, roots)
+            fresh = dict(zip(roots, censuses))
+            self._publish({variant: fresh}, fresh if variant == "masked" else {}, 1)
 
-    def _norm_of(self, variant: str, root: int) -> float:
-        key = (variant, root)
-        with self._meta_lock:
-            norm = self._norms.get(key)
-        if norm is None:
-            norm = _norm(self.census(variant, root))
-            with self._meta_lock:
-                self._norms[key] = norm
-        return norm
+    def _publish(self, censuses: dict, masked_deltas: dict, sign: int, **changes) -> None:
+        """Publish the next version in one assignment: ``censuses`` (variant
+        -> root -> live census) replace or join the current ones, and
+        ``sign * masked_deltas`` (root -> counts) patch the label centroids
+        (integer counts: bit-equal to a rebuild)."""
+        version = self._version
+        counters = dict(version.counters)
+        for variant, changed in censuses.items():
+            counters[variant] = {**counters[variant], **changed}
+        centroids = version.centroids
+        if centroids is not None and masked_deltas:
+            centroids = dict(centroids)
+            for root, delta in masked_deltas.items():
+                label = self.graph.label_of(root)
+                if centroids.get(label) is version.centroids.get(label):
+                    centroids[label] = Counter(centroids.get(label, ()))
+                _add_delta(centroids[label], delta, sign)
+        rows = version.rows.spliced(censuses.get("plain", {}), self._columns)
+        self._version = replace(
+            version, counters=counters, rows=rows, centroids=centroids, **changes
+        )
+
+    def answerable(self, request: dict) -> bool:
+        """Whether the published version answers ``request`` as it stands,
+        changing no state: its root is tracked (and, for ``label``, the
+        centroids built).  Roots stay tracked, so True never goes stale."""
+        op, version = request["op"], self._version
+        if op not in ("features", "rank", "label"):
+            return op in ("ping", "stats")
+        try:
+            root = self.graph.index(request.get("node"))
+        except (GraphError, TypeError):
+            return True  # answered with the typed error
+        masked = op == "label" or request.get("masked") is True
+        tracked = root in version.counters["masked" if masked else "plain"]
+        return tracked and (op != "label" or version.centroids is not None)
 
     def warm(self, roots=None) -> int:
-        """Pre-census ``roots`` (default: every node) for both variants.
-
-        Returns the number of roots warmed.  Batched through the
-        extractor, so ``n_jobs > 1`` fans the cold censuses across
-        worker processes.  Already tracked roots are skipped: their live
-        census is current.
+        """Pre-census ``roots`` (default: every node) for both variants;
+        returns how many roots it censused.  Tracked roots are skipped (their
+        live census is current); ``n_jobs > 1`` fans the rest across processes.
         """
         if roots is None:
             roots = range(self.graph.num_nodes)
-        roots = [int(root) for root in roots]
+        roots = list(dict.fromkeys(map(int, roots)))
+        censused = set()
         for variant in VARIANTS:
-            tracked = self._tracked[variant]
-            self._track(variant, [root for root in roots if root not in tracked])
-        get_telemetry().count("serve/warmed_roots", len(roots))
-        return len(roots)
+            tracked = self._version.counters[variant]
+            fresh = [root for root in roots if root not in tracked]
+            self._track(variant, fresh)
+            censused.update(fresh)
+        get_telemetry().count("serve/warmed_roots", len(censused))
+        return len(censused)
 
     # -- read operations --------------------------------------------------
     def features(self, node_id, masked: bool = False) -> dict:
         """Rendered census of one node: total, class count, per-code counts."""
         root = self._resolve(node_id)
         variant = "masked" if masked else "plain"
-        key = (variant, root)
-        with self._meta_lock:
-            rendered = self._rendered.get(key)
-        if rendered is not None:
-            return rendered
-        census = self.census(variant, root)
+        census = self._pinned(variant, root).counters[variant][root]
+        memo = self._rendered.get((variant, root))
+        if memo is not None and memo[0] is census:
+            return memo[1]
         labelset = self._labelsets[variant]
-        counts = {
-            code_to_string(code, labelset): count
-            for code, count in sorted(
-                census.items(), key=lambda item: (-item[1], item[0])
-            )
-        }
+        by_count = sorted(census.items(), key=lambda item: (-item[1], item[0]))
+        counts = {code_to_string(code, labelset): count for code, count in by_count}
         rendered = {
             "node": str(node_id),
             "masked": masked,
@@ -233,79 +344,62 @@ class FeatureService:
             "classes": len(census),
             "counts": counts,
         }
-        with self._meta_lock:
-            self._rendered[key] = rendered
+        self._rendered[(variant, root)] = (census, rendered)
         return rendered
 
     def rank(self, node_id, k: int | None = None) -> dict:
-        """Top-k warm roots by census cosine similarity to ``node_id``."""
+        """Top-k tracked roots by census cosine similarity to ``node_id``:
+        one integer mat-vec, sorted by ``(-score, root)``."""
         root = self._resolve(node_id)
         k = self.config.top_k if k is None else int(k)
         if k < 1:
             raise NetError("bad_request", f"k must be >= 1, got {k}")
-        query = self.census("plain", root)
-        query_norm = self._norm_of("plain", root)
-        with self._meta_lock:
-            candidates = sorted(self._tracked["plain"] - {root})
-        scored = [
-            (
-                _cosine(
-                    query,
-                    self.census("plain", candidate),
-                    query_norm,
-                    self._norm_of("plain", candidate),
-                ),
-                candidate,
-            )
-            for candidate in candidates
-        ]
-        scored.sort(key=lambda item: (-item[0], item[1]))
+        version = self._pinned("plain", root)
+        rows, norms = version.rows, version.rows.norms
+        if norms[root] * norms.max() < _EXACT_DOTS:
+            scores = rows.cosines(root)
+        else:  # counts past int64 dot products: exact Python ones
+            live = version.counters["plain"]
+            scores = np.array([
+                _cosine(live[root], live.get(other, {}), norms[root], norm)
+                for other, norm in enumerate(norms)
+            ])
+        order = np.argsort(-scores, kind="stable")  # ties: ascending root
+        order = order[rows.tracked[order] & (order != root)]
         return {
             "node": str(node_id),
-            "candidates": len(candidates),
+            "candidates": len(order),
             "top": [
-                {"node": str(self.graph.node_id(candidate)), "score": score}
-                for score, candidate in scored[:k]
+                {"node": str(self.graph.node_id(i)), "score": float(scores[i])}
+                for i in order[:k].tolist()
             ],
         }
 
     def _build_centroids(self) -> dict[int, Counter]:
-        """Per-label masked census sums over the warm roots (lazy).
-
-        Cosine scoring is scale-invariant, so the un-normalised sum *is*
-        the centroid; a query root tracked under its own label is
-        excluded at scoring time by subtracting its counter.
-        """
-        with self._meta_lock:
-            centroids = self._centroids
-            tracked = sorted(self._tracked["masked"])
-        if centroids is not None:
-            return centroids
-        get_telemetry().count("serve/centroid_builds")
-        centroids = {}
-        for candidate in tracked:
-            label = self.graph.label_of(candidate)
-            into = centroids.get(label)
-            if into is None:
-                into = centroids[label] = Counter()
-            into.update(self.census("masked", candidate))
-        with self._meta_lock:
-            if len(self._tracked["masked"]) == len(tracked):  # none tracked since
-                self._centroids = centroids
-        return centroids
+        """Per-label masked census sums over the tracked roots (lazy): cosine
+        scoring is scale-invariant, so the sum *is* the centroid.  ``label``
+        leaves the query root out by subtracting its counter."""
+        version = self._version
+        if version.centroids is None:
+            get_telemetry().count("serve/centroid_builds")
+            centroids: dict[int, Counter] = {}
+            for root, census in sorted(version.counters["masked"].items()):
+                centroids.setdefault(self.graph.label_of(root), Counter()).update(census)
+            version = self._version = replace(version, centroids=centroids)
+        return version.centroids
 
     def label(self, node_id) -> dict:
         """Nearest-centroid label prediction from the masked census."""
         root = self._resolve(node_id)
-        query = self.census("masked", root)
+        self._pinned("masked", root)
+        self._build_centroids()
+        version = self._version
+        query = version.counters["masked"][root]
         query_norm = _norm(query)
-        centroids = self._build_centroids()
-        with self._meta_lock:
-            tracked = root in self._tracked["masked"]
         actual = self.graph.label_of(root)
         scores = {}
-        for label, centroid in centroids.items():
-            if tracked and label == actual:
+        for label, centroid in sorted(version.centroids.items()):
+            if label == actual:
                 centroid = centroid - query  # leave-one-out
             scores[self.graph.labelset.name(label)] = _cosine(
                 query, centroid, query_norm, _norm(centroid)
@@ -320,22 +414,13 @@ class FeatureService:
 
     def stats(self) -> dict:
         """Service-level snapshot: graph, warm sets, store, repair tallies."""
-        with self._meta_lock:
-            tracked = {variant: len(self._tracked[variant]) for variant in VARIANTS}
-        # Plain tallies only: store.stats() pickles every entry to size it.
-        store = self.store
-        store_stats = {
-            "entries": len(store),
-            "hits": store.hits,
-            "misses": store.misses,
-            "evictions": store.evictions,
-        }
+        version, store = self._version, self.store
         return {
             "graph": {
                 "nodes": self.graph.num_nodes,
-                "edges": self.graph.num_edges,
+                "edges": len(version.flat.edge_u),
                 "labels": list(self.graph.labelset.names),
-                "fingerprint": self.graph.fingerprint(),
+                "fingerprint": version.fingerprint,
             },
             "config": {
                 "emax": self.config.emax,
@@ -343,8 +428,14 @@ class FeatureService:
                 "engine": self.config.engine,
                 "n_jobs": self.config.n_jobs,
             },
-            "tracked": tracked,
-            "store": store_stats,
+            "tracked": {variant: len(version.counters[variant]) for variant in VARIANTS},
+            # Plain tallies only: store.stats() pickles every entry to size it.
+            "store": {
+                "entries": len(store),
+                "hits": store.hits,
+                "misses": store.misses,
+                "evictions": store.evictions,
+            },
             "mutations": self.mutations,
             "repaired_roots": self.repaired_roots,
             "migrated_roots": self.migrated_roots,
@@ -354,15 +445,15 @@ class FeatureService:
     def apply_mutation(self, op: str, u_id, v_id) -> dict:
         """Apply one edge mutation and repair the affected censuses.
 
-        MUST run exclusively (the daemon holds the write lock): the graph
-        fingerprint changes mid-flight and concurrent reads could see a
-        half-repaired ball.
+        A state change: runs on the writer thread.  The graph changes in
+        place, but reads use only its fixed node facts and answer from the
+        version published at the end.
 
         Steps: mutate the graph; enumerate the subgraphs through the edge
         on the version containing it, and those whose count a hub flip of
         an endpoint changes on the version without it; add (or subtract)
         them into a copy of each counting root's live census and of its
-        label centroid.  The receipt counts the repair ball's tracked
+        label centroid; publish the next version.  The receipt counts the repair ball's tracked
         roots as ``repaired_roots`` and the rest, untouched, as
         ``migrated_roots``.
         Raises :class:`~repro.exceptions.GraphError` on invalid mutations
@@ -386,28 +477,29 @@ class FeatureService:
         # The deltas of adding the edge; a remove subtracts them.
         width, configs = len(graph.labelset), self._census_configs
         deltas = {variant: defaultdict(Counter) for variant in VARIANTS}
-        sets = edge_census(with_edge, width, (u, v), configs, self._tracked, deltas)
+        tracked = self._tracked
+        sets = edge_census(with_edge, width, (u, v), configs, tracked, deltas)
         flipped = tuple(w for w in (u, v) if without.degrees[w] == self.config.dmax)
         for x in flipped:
-            sets += edge_census(without, width, (x,), configs, self._tracked, deltas, flipped)
+            sets += edge_census(without, width, (x,), configs, tracked, deltas, flipped)
         new_fp = graph.fingerprint()
         telemetry = get_telemetry()
         telemetry.count("serve/hub_flips", int(bool(flipped)))
         telemetry.count("serve/repair_subgraphs", sets)
         sign = 1 if op == "add_edge" else -1
+        version = self._version
         repaired = migrated = 0
+        censuses = {variant: {} for variant in VARIANTS}
         for variant in VARIANTS:
-            tracked = self._tracked[variant]
-            affected = len(tracked & ball)
-            migrated += len(tracked) - affected
+            live = version.counters[variant]
+            affected = len(live.keys() & ball)
+            migrated += len(live) - affected
             repaired += affected
             for root, delta in deltas[variant].items():
-                live = self._counters[(variant, root)].copy()
-                _add_delta(live, delta, sign)
-                self._drop_root_caches(variant, root)
-                self._counters[(variant, root)] = live
-            if variant == "masked" and self._centroids is not None:
-                self._patch_centroids(deltas[variant], sign)
+                census = censuses[variant][root] = Counter()
+                dict.update(census, live[root])  # a copy, minus Counter.update's overhead
+                _add_delta(census, delta, sign)
+        self._publish(censuses, deltas["masked"], sign, flat=graph.flat(), fingerprint=new_fp)
         self.mutations += 1
         self.repaired_roots += repaired
         self.migrated_roots += migrated
@@ -429,24 +521,6 @@ class FeatureService:
             "migrated_roots": migrated,
             "fingerprint": new_fp,
         }
-
-    def _patch_centroids(self, deltas: dict[int, dict], sign: int) -> None:
-        """Add masked deltas into copies of their roots' label centroids,
-        published in one assignment (integer counts: bit-equal scores)."""
-        centroids = self._centroids
-        patched = dict(centroids)
-        for root, delta in deltas.items():
-            label = self.graph.label_of(root)
-            if patched[label] is centroids[label]:
-                patched[label] = centroids[label].copy()
-            _add_delta(patched[label], delta, sign)
-        self._centroids = patched
-
-    def _drop_root_caches(self, variant: str, root: int) -> None:
-        key = (variant, root)
-        self._counters.pop(key, None)
-        self._norms.pop(key, None)
-        self._rendered.pop(key, None)
 
     # -- dispatch ---------------------------------------------------------
     def handle(self, request: dict) -> dict:

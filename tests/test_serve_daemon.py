@@ -198,27 +198,54 @@ class TestProtocolRoundTrips:
             _run(daemon, scenario)
 
 
+def _absent_pairs(graph, k: int) -> list[tuple[int, int]]:
+    """The first ``k`` node pairs without an edge: valid ``add_edge`` writes."""
+    edges = set(graph.edges())
+    return [
+        (u, v)
+        for u in range(graph.num_nodes)
+        for v in range(u + 1, graph.num_nodes)
+        if (u, v) not in edges
+    ][:k]
+
+
+def _add_request(graph, pair, request_id) -> dict:
+    ids = graph.node_ids
+    return {"id": request_id, "op": "add_edge", "u": ids[pair[0]], "v": ids[pair[1]]}
+
+
 class TestDegradation:
+    """Shedding and timeouts apply to writer-thread jobs: edge writes and
+    reads that must track their root first.  Reads of tracked roots answer
+    on the event loop, so these tests slow writes rather than reads."""
+
     def test_shedding_under_load(self, tmp_path):
         service = _service()
         inner = service.handle
 
         def slow_handle(request):
-            if request["op"] == "ping":
+            if request["op"] == "add_edge":
                 time.sleep(0.4)
             return inner(request)
 
         service.handle = slow_handle
+        first, second = _absent_pairs(service.graph, 2)
+        node = service.graph.node_ids[0]
         daemon = ServeDaemon(service, tmp_path / "s.sock", max_inflight=1)
 
         async def scenario():
             r1, w1 = await asyncio.open_unix_connection(str(daemon.socket_path))
             r2, w2 = await asyncio.open_unix_connection(str(daemon.socket_path))
-            slow = asyncio.create_task(_send(r1, w1, {"id": 1, "op": "ping"}))
-            await asyncio.sleep(0.15)  # let the slow ping occupy the slot
-            shed = await _send(r2, w2, {"id": 2, "op": "ping"})
+            slow = asyncio.create_task(
+                _send(r1, w1, _add_request(service.graph, first, 1))
+            )
+            await asyncio.sleep(0.15)  # let the slow write occupy the slot
+            shed = await _send(r2, w2, _add_request(service.graph, second, 2))
             assert shed["ok"] is False
             assert shed["error"]["code"] == "overloaded"
+            # A read of a tracked root is no writer job: never shed.
+            read = await _send(r2, w2, {"id": 3, "op": "features", "node": node})
+            assert read["ok"] is True
             ok = await slow
             assert ok["ok"] is True
             w1.close()
@@ -232,13 +259,16 @@ class TestDegradation:
     def test_timeout_then_recovery(self, tmp_path):
         service = _service()
         inner = service.handle
+        slowed = []
 
         def slow_handle(request):
-            if request["op"] == "ping":
+            if request["op"] == "add_edge" and not slowed:
+                slowed.append(request["id"])
                 time.sleep(0.5)
             return inner(request)
 
         service.handle = slow_handle
+        first, second = _absent_pairs(service.graph, 2)
         node = service.graph.node_ids[0]
         daemon = ServeDaemon(service, tmp_path / "s.sock", request_timeout=0.1)
 
@@ -246,14 +276,23 @@ class TestDegradation:
             reader, writer = await asyncio.open_unix_connection(
                 str(daemon.socket_path)
             )
-            response = await _send(reader, writer, {"id": 1, "op": "ping"})
+            response = await _send(reader, writer, _add_request(service.graph, first, 1))
             assert response["ok"] is False
             assert response["error"]["code"] == "timeout"
-            # The orphaned thread still holds its slot; a fresh request
-            # succeeds once it drains (features is not slowed).
+            # The orphaned write still holds the writer thread; a read of a
+            # tracked root answers on the loop meanwhile.
             response = await _send(
                 reader, writer, {"id": 2, "op": "features", "node": node}
             )
+            assert response["ok"] is True
+            assert daemon.orphaned == 1
+            for _ in range(100):
+                if daemon.orphaned == 0:
+                    break
+                await asyncio.sleep(0.05)
+            assert daemon.orphaned == 0
+            # Recovered: the next write runs on the freed writer thread.
+            response = await _send(reader, writer, _add_request(service.graph, second, 3))
             assert response["ok"] is True
             writer.close()
 
@@ -338,19 +377,23 @@ class TestDegradation:
             ServeDaemon(service, tmp_path / "s.sock", max_inflight=0)
 
     def test_orphan_gauge_and_slot_release(self, tmp_path):
-        """Regression: a timed-out request's slot must be *visible* while
+        """Regression: a timed-out write's slot must be *visible* while
         orphaned (``serve/orphaned`` gauge + warning) and released once
-        the straggler thread completes."""
-        service = _service()
+        the straggler completes."""
+        graph = _graph()
+        service = FeatureService(graph, ServeConfig(emax=3))
+        service.warm(range(1, graph.num_nodes))  # root 0 stays untracked
         inner = service.handle
         release = threading.Event()
 
         def slow_handle(request):
-            if request["op"] == "ping":
+            if request["op"] == "add_edge":
                 release.wait(5)
             return inner(request)
 
         service.handle = slow_handle
+        (pair,) = _absent_pairs(graph, 1)
+        untracked, tracked = graph.node_ids[0], graph.node_ids[1]
         daemon = ServeDaemon(
             service, tmp_path / "s.sock", request_timeout=0.1, max_inflight=1
         )
@@ -358,20 +401,27 @@ class TestDegradation:
         async def scenario():
             r1, w1 = await asyncio.open_unix_connection(str(daemon.socket_path))
             r2, w2 = await asyncio.open_unix_connection(str(daemon.socket_path))
-            timed_out = await _send(r1, w1, {"id": 1, "op": "ping"})
+            timed_out = await _send(r1, w1, _add_request(graph, pair, 1))
             assert timed_out["error"]["code"] == "timeout"
             assert daemon.orphaned == 1
-            # The orphan still owns the only slot: new work is shed.
-            shed = await _send(r2, w2, {"id": 2, "op": "stats"})
+            # The orphan still owns the only slot: a read that must track
+            # its root is writer work, and is shed ...
+            shed = await _send(r2, w2, {"id": 2, "op": "features", "node": untracked})
             assert shed["error"]["code"] == "overloaded"
+            # ... while reads of tracked roots answer on the loop.
+            for request in (
+                {"id": 3, "op": "stats"},
+                {"id": 4, "op": "features", "node": tracked},
+            ):
+                assert (await _send(r2, w2, request))["ok"] is True
             release.set()
             for _ in range(100):
                 if daemon.orphaned == 0:
                     break
                 await asyncio.sleep(0.05)
             assert daemon.orphaned == 0
-            # Slot released: the same daemon serves again.
-            ok = await _send(r2, w2, {"id": 3, "op": "stats"})
+            # Slot released: the same daemon runs writer work again.
+            ok = await _send(r2, w2, {"id": 5, "op": "features", "node": untracked})
             assert ok["ok"] is True
             w1.close()
             w2.close()
