@@ -23,8 +23,8 @@ Design notes
   daemon's write path (``repro serve``) applies edge insertions/deletions
   through it.  A mutation builds the next snapshot from a copy of the
   previous one — any snapshot already handed out (to a census, or pickled
-  into a worker) stays valid — and drops the ``fingerprint()`` cache, so a
-  stale content hash is never served for a changed graph.
+  into a worker) stays valid — and patches the bytes ``fingerprint()``
+  hashes, so the next content hash costs one blake2b pass, not a rebuild.
 """
 
 from __future__ import annotations
@@ -232,12 +232,15 @@ class FlatGraph:
         counts do not depend on them.  Keys the census store.
         """
         if self._fingerprint is None:
-            flat = self._flat
-            row_bytes = np.asarray(flat.neighbors, dtype=np.int64).view(np.uint8)
-            row_ends = np.asarray(flat.indptr[1:], dtype=np.int64) * 8
-            body = np.insert(row_bytes, row_ends, ord("|"))
-            self._fingerprint = _digest(self._labelset, flat.labels, [body])
+            self._fingerprint = _digest(self._labelset, self._flat.labels, [self._body()])
         return self._fingerprint
+
+    def _body(self):
+        """What :meth:`fingerprint` hashes: each row's int64 bytes, then ``b"|"``."""
+        flat = self._flat
+        row_bytes = np.asarray(flat.neighbors, dtype=np.int64).view(np.uint8)
+        row_ends = np.asarray(flat.indptr[1:], dtype=np.int64) * 8
+        return np.insert(row_bytes, row_ends, ord("|"))
 
     def __repr__(self) -> str:
         return (
@@ -398,13 +401,18 @@ class MutableHeteroGraph(HeteroGraph):
     Each mutation patches the next ``flat()`` snapshot from a copy of the
     previous one, keeping every row sorted by (label, index) — the census
     engines' invariant — and drops the content ``fingerprint()``, rehashed
-    on next use.
+    on next use from its kept bytes, patched too once built.
 
     Mutation methods take *external* node ids (the protocol currency) and
     return the internal ``(u, v)`` index pair they resolved to.
     """
 
-    __slots__ = ()
+    __slots__ = ("_bytes",)  # the fingerprint body, patched per write (unset until built)
+
+    def _body(self) -> bytearray:
+        if getattr(self, "_bytes", None) is None:
+            self._bytes = bytearray(super()._body())
+        return self._bytes
 
     @classmethod
     def from_graph(cls, graph: HeteroGraph | MmapGraph) -> "MutableHeteroGraph":
@@ -447,7 +455,8 @@ class MutableHeteroGraph(HeteroGraph):
         may hold it) with the entry for the edge inserted at, or cut from,
         its (label, index) place in rows ``u`` and ``v``.  A new edge takes
         the next id; a removed edge's id passes to the last id's edge, so
-        ids stay dense.  The label-degree memo carries over, minus u and v.
+        ids stay dense.  The label-degree memo carries over, minus u and v,
+        and a built fingerprint body gains, or loses, the entry's 8 bytes.
         """
         flat = self._flat
         u, v = min(u, v), max(u, v)
@@ -457,9 +466,12 @@ class MutableHeteroGraph(HeteroGraph):
         eid = last + 1
         new_neighbors: list = []
         new_ids: list = []
-        cut = 0
+        cut, body = 0, getattr(self, "_bytes", None)
         for node, other in ((u, v), (v, u)):  # row u precedes row v
             pos = _row_pos(flat, node, other)
+            if body is not None:  # insert or cut the entry's bytes; each earlier row
+                at = pos * 8 + node + 8 * step * (node == v)  # adds one separator, u's edit 8
+                body[at: at + 8 * (step < 0)] = np.int64(other).tobytes() * (step > 0)
             new_neighbors += neighbors[cut:pos]
             new_ids += edge_ids[cut:pos]
             if step > 0:

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.graph import HeteroGraph
 from repro.datasets.schema import MAG_LABEL_SCHEMA, MAG_RANK_SCHEMA
-from repro.datasets.synthetic import choice_cdf, weighted_pick, weighted_sample
+from repro.datasets.synthetic import choice_cdf, uniform_sample, weighted_pick, weighted_sample
 
 CONFERENCES = ("KDD", "FSE", "ICML", "MM", "MOBICOM")
 
@@ -158,7 +158,7 @@ class SyntheticMAG:
         pool = _TOPIC_NOUNS[conference] + _COMMON_NOUNS
         keywords = tuple(
             f"{pool[i]}-{rng.integers(0, 5)}"
-            for i in rng.choice(len(pool), size=rng.integers(2, 5), replace=False)
+            for i in uniform_sample(rng, len(pool), int(rng.integers(2, 5)))
         )
         return title, keywords
 

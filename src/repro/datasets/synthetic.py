@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.graph import HeteroGraph
 from repro.core.labels import LabelSet
+from repro.ml.tree_batched import choice_from_words
 
 
 def powerlaw_weights(
@@ -65,6 +66,13 @@ def weighted_sample(
         _, first = np.unique(new, return_index=True)
         found.extend(new[np.sort(first)].tolist())
     return found
+
+
+def uniform_sample(rng: np.random.Generator, p: int, size: int) -> list[int]:
+    """``rng.choice(p, size, replace=False)`` for ``0 < size < p <= 10000``,
+    from the same 32-bit words, minus ``choice``'s per-call overhead."""
+    bits = rng.bit_generator.ctypes
+    return choice_from_words(p, size, True, iter(lambda: bits.next_uint32(bits.state), None))
 
 
 def affinity_graph(

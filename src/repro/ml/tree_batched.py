@@ -328,12 +328,12 @@ def _draw_candidates(words, node_tree, p, k):
         read = words.read[t]
         stream = chain(blocks[g].tolist(), words.more(t))
         for row in range(firsts[g], firsts[g] + counts[g]):
-            feats[row] = _choice_from_words(p, k, floyd, stream)
+            feats[row] = choice_from_words(p, k, floyd, stream)
         rejected += words.read[t] > read
     return feats, rejected
 
 
-def _choice_from_words(p, k, floyd, words):
+def choice_from_words(p, k, floyd, words):
     """``Generator.choice(p, k, replace=False)`` fed from 32-bit ``words``."""
 
     def bounded(j):  # uniform on [0, j]: numpy's buffered_bounded_lemire_uint32

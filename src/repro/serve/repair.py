@@ -28,6 +28,30 @@ from repro.core.census import CensusConfig
 from repro.core.encoding import encode_subgraph
 from repro.core.graph import FlatAdjacency, HeteroGraph
 
+#: Set shapes a :class:`CodeTable` memoises before it clears them.
+SHAPE_CODES_CAP = 1 << 14
+
+
+class CodeTable(dict):
+    """Census code -> column id, append-only, for one label alphabet; ``codes``
+    is its inverse.  ``shapes`` memoises :func:`edge_census`'s encodes: (node
+    labels in set order, edge index pairs) -> masked position (-1: none) -> column."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.codes, self.shapes = [], {}
+
+    def __missing__(self, code) -> int:
+        self.codes.append(code)
+        column = self[code] = len(self.codes) - 1
+        return column
+
+    def interned(self, census: Mapping) -> Counter:
+        """``census`` keyed by column id; its new codes join the table."""
+        counts = Counter()
+        dict.update(counts, zip(map(self.__getitem__, census), census.values()))
+        return counts
+
 
 def repair_ball(
     graph: HeteroGraph, u: int, v: int, config: CensusConfig
@@ -57,7 +81,8 @@ def repair_ball(
 def edge_census(
     flat: FlatAdjacency, width: int, seed: tuple[int, ...],
     configs: Mapping[str, CensusConfig], tracked: Mapping[str, Container[int]],
-    deltas: dict[str, dict[int, Counter]], flipped: tuple[int, ...] = (),
+    deltas: dict[str, dict[int, Counter]], table: CodeTable,
+    flipped: tuple[int, ...] = (),
 ) -> int:
     """Add into ``deltas`` what the sets grown out of ``seed`` change in
     the tracked censuses; returns the number of sets credited.
@@ -67,8 +92,8 @@ def edge_census(
     of the seed by the census's exclusion discipline.  One tree expands
     non-hubs only and credits their members; where a hub joins, a second
     tree also expands it and credits it alone, so no set needing two hubs
-    expanded is grown.  Keys are ``encode_subgraph`` codes, the root
-    masked in a masked config.  The seed is one of:
+    expanded is grown.  Keys are ``table``'s columns of ``encode_subgraph``
+    codes, the root masked in a masked config.  The seed is one of:
 
     * an edge ``(u, v)`` of ``flat``: each set through it adds 1 to each
       root that counts it;
@@ -81,7 +106,7 @@ def edge_census(
     indptr, edge_ids, degrees = flat.indptr, flat.edge_ids, flat.degrees
     config = next(iter(configs.values()))
     dmax = config.max_degree
-    codes: dict = {}  # set shape -> masked position (-1: none) -> code
+    shapes = table.shapes
     targets = [  # (masked?, tracked roots, deltas) per variant
         (variant_config.mask_start_label, tracked[variant], deltas[variant])
         for variant, variant_config in configs.items()
@@ -137,17 +162,19 @@ def edge_census(
             if shared and not kept(shared[0]):
                 counting += shared
         shape = (tuple([flat.labels[w] for w in nodes]), tuple(edges))
-        known = codes.setdefault(shape, {})
+        if len(shapes) >= SHAPE_CODES_CAP and shape not in shapes:
+            shapes.clear()
+        known = shapes.setdefault(shape, {})
         for masked, tracked_roots, variant_deltas in targets:
             for root in counting:
                 if root not in tracked_roots:
                     continue
                 at = nodes.index(root) if masked else -1
-                code = known.get(at)
-                if code is None:
+                column = known.get(at)
+                if column is None:
                     labels = [width if i == at else x for i, x in enumerate(shape[0])]
-                    code = known[at] = encode_subgraph(labels, edges, width + (at >= 0))
-                variant_deltas[root][code] += step
+                    column = known[at] = table[encode_subgraph(labels, edges, width + (at >= 0))]
+                variant_deltas[root][column] += step
 
     def grow(candidates: list, expanded_hub: int) -> None:
         bans = []

@@ -19,6 +19,11 @@ endpoint across d_max, the sets whose count that flip changes
 (:mod:`repro.serve.repair`) — no census, no store call.  The result is
 bit-identical to a cold full recompute (``tests/test_serve_incremental.py``).
 
+Live censuses, write deltas, label centroids and rank rows are keyed by
+column id in one append-only :class:`~repro.serve.repair.CodeTable`, which
+also memoises set-shape encodes across writes; codes come back only at the
+API edge (``features``, :meth:`FeatureService.census`).
+
 Thread model: a state change (a write, tracking a root, building the label
 centroids) builds the next immutable :class:`_Version` beside the current
 one and publishes it in one assignment; state changes run one at a time
@@ -46,7 +51,7 @@ from repro.obs.log import get_logger
 from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import ENGINE_FAST, RunContext
 from repro.runtime.store import ArtifactStore
-from repro.serve.repair import edge_census, repair_ball
+from repro.serve.repair import CodeTable, edge_census, repair_ball
 
 logger = get_logger(__name__)
 
@@ -115,8 +120,8 @@ class _RankRows:
     """The tracked plain censuses as one int64 sparse matrix, for ``rank``.
 
     Row ``root`` is entries ``starts[root]:ends[root]`` of ``indices``
-    (columns: census codes, from the service's append-only code -> column
-    map) and ``data`` (counts).  ``norms`` holds each row's :func:`_norm`
+    (the census's column ids in the service's code table) and ``data``
+    (counts).  ``norms`` holds each row's :func:`_norm`
     and ``tracked`` marks tracked roots.  A version change appends the
     rows it replaces and repoints them; stale entries are dropped once
     they outnumber the live ones.
@@ -129,7 +134,7 @@ class _RankRows:
     norms: np.ndarray
     tracked: np.ndarray
 
-    def spliced(self, censuses: dict[int, Counter], columns: dict) -> "_RankRows":
+    def spliced(self, censuses: dict[int, Counter]) -> "_RankRows":
         """A copy with the rows of ``censuses`` (root -> live census) in place."""
         if not censuses:
             return self
@@ -137,12 +142,7 @@ class _RankRows:
         values = [census.values() for census in censuses.values()]
         squares = [sum(map(mul, counts, counts)) for counts in values]
         keys, size = chain.from_iterable(censuses.values()), sum(map(len, values))
-        try:
-            new = np.fromiter(map(columns.__getitem__, keys), np.int64, size)
-        except KeyError:  # a code new to the matrix: give it a column
-            keys = chain.from_iterable(censuses.values())
-            new = np.array([columns.setdefault(code, len(columns)) for code in keys])
-        indices = np.concatenate((self.indices, new))
+        indices = np.concatenate((self.indices, np.fromiter(keys, np.int64, size)))
         data = np.concatenate((self.data, np.fromiter(chain.from_iterable(values), np.int64, size)))
         starts, ends = self.starts.copy(), self.ends.copy()
         norms, tracked = self.norms.copy(), self.tracked.copy()
@@ -174,10 +174,10 @@ class _RankRows:
 class _Version:
     """One published state of the service; a read answers from one version.
 
-    ``counters``: variant -> tracked root -> live census, never edited once
-    published; the plain ones also as ``rows``.  ``centroids``: label ->
-    masked census sum over the tracked roots, None until a ``label`` read
-    builds it.
+    ``counters``: variant -> tracked root -> live census, keyed by column
+    id and never edited once published; the plain ones also as ``rows``.
+    ``centroids``: label -> masked census sum over the tracked roots (also
+    by column id), None until a ``label`` read builds it.
     """
 
     flat: FlatAdjacency
@@ -223,7 +223,7 @@ class FeatureService:
             variant: effective_labelset(self.graph, census_config)
             for variant, census_config in self._census_configs.items()
         }
-        self._columns: dict = {}  # census code -> rank matrix column
+        self._columns = CodeTable()  # census code <-> column id
         n, graph = self.graph.num_nodes, self.graph
         empty = np.zeros((2, 0), np.int64)  # no entries yet
         rows = _RankRows(*np.zeros((2, n), np.int64), *empty, np.zeros(n), np.zeros(n, bool))
@@ -255,8 +255,9 @@ class FeatureService:
             raise NetError("unknown_node", str(exc)) from None
 
     def census(self, variant: str, root: int) -> Counter:
-        """The (warm) census of one root; computes and tracks on a miss."""
-        return self._pinned(variant, root).counters[variant][root]
+        """The (warm) census of one root, by code; computes and tracks on a miss."""
+        live = self._pinned(variant, root).counters[variant][root]
+        return Counter(dict(zip(map(self._columns.codes.__getitem__, live), live.values())))
 
     def _pinned(self, variant: str, root: int) -> _Version:
         """The version to answer from, with ``root`` tracked in ``variant``."""
@@ -268,7 +269,7 @@ class FeatureService:
         """Cold censuses of ``roots``, tracked from now on as live ones."""
         if roots:
             censuses = self._extractors[variant].census_many(self.graph, roots)
-            fresh = dict(zip(roots, censuses))
+            fresh = dict(zip(roots, map(self._columns.interned, censuses)))
             self._publish({variant: fresh}, fresh if variant == "masked" else {}, 1)
 
     def _publish(self, censuses: dict, masked_deltas: dict, sign: int, **changes) -> None:
@@ -288,10 +289,11 @@ class FeatureService:
                 if centroids.get(label) is version.centroids.get(label):
                     centroids[label] = Counter(centroids.get(label, ()))
                 _add_delta(centroids[label], delta, sign)
-        rows = version.rows.spliced(censuses.get("plain", {}), self._columns)
+        rows = version.rows.spliced(censuses.get("plain", {}))
         self._version = replace(
             version, counters=counters, rows=rows, centroids=centroids, **changes
         )
+        get_telemetry().gauge("serve/codes", len(self._columns))
 
     def answerable(self, request: dict) -> bool:
         """Whether the published version answers ``request`` as it stands,
@@ -335,7 +337,8 @@ class FeatureService:
         if memo is not None and memo[0] is census:
             return memo[1]
         labelset = self._labelsets[variant]
-        by_count = sorted(census.items(), key=lambda item: (-item[1], item[0]))
+        pairs = zip(map(self._columns.codes.__getitem__, census), census.values())
+        by_count = sorted(pairs, key=lambda item: (-item[1], item[0]))
         counts = {code_to_string(code, labelset): count for code, count in by_count}
         rendered = {
             "node": str(node_id),
@@ -475,13 +478,13 @@ class FeatureService:
         else:
             with_edge, without = graph.flat(), before
         # The deltas of adding the edge; a remove subtracts them.
-        width, configs = len(graph.labelset), self._census_configs
+        width, configs, table = len(graph.labelset), self._census_configs, self._columns
         deltas = {variant: defaultdict(Counter) for variant in VARIANTS}
         tracked = self._tracked
-        sets = edge_census(with_edge, width, (u, v), configs, tracked, deltas)
+        sets = edge_census(with_edge, width, (u, v), configs, tracked, deltas, table)
         flipped = tuple(w for w in (u, v) if without.degrees[w] == self.config.dmax)
         for x in flipped:
-            sets += edge_census(without, width, (x,), configs, tracked, deltas, flipped)
+            sets += edge_census(without, width, (x,), configs, tracked, deltas, table, flipped)
         new_fp = graph.fingerprint()
         telemetry = get_telemetry()
         telemetry.count("serve/hub_flips", int(bool(flipped)))

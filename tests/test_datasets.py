@@ -23,7 +23,7 @@ from repro.datasets import (
     sample_nodes_per_label,
     star,
 )
-from repro.datasets.synthetic import choice_cdf, weighted_pick, weighted_sample
+from repro.datasets.synthetic import choice_cdf, uniform_sample, weighted_pick, weighted_sample
 
 
 # Small worlds shared across tests in this module.
@@ -349,6 +349,20 @@ class TestDrawReplays:
         for _ in range(200):
             assert weighted_pick(ours, cdf) == numpy_rng.choice(len(p), p=p)
         assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_uniform_sample(self, seed):
+        # Other draws between samples: a 32-bit word left over from one
+        # 64-bit output carries across calls, as in the MAG title draws.
+        ours, numpy_rng = self.twins(seed)
+        for p in (2, 3, 12, 97, 10000):
+            for _ in range(50):
+                size = int(ours.integers(1, p))
+                assert size == numpy_rng.integers(1, p)
+                expected = numpy_rng.choice(p, size, replace=False)
+                assert uniform_sample(ours, p, size) == expected.tolist()
+                assert ours.random() == numpy_rng.random()
+                assert ours.bit_generator.state == numpy_rng.bit_generator.state
 
     def check_sample(self, seed, p, size, rounds=50):
         ours, numpy_rng = self.twins(seed)

@@ -270,7 +270,8 @@ class TestPatchedSnapshots:
     """A mutation patches the previous ``flat()`` snapshot instead of
     rebuilding it; the patch must equal a fresh build, keep edge ids
     dense, carry only valid label degrees, and leave held snapshots
-    alone."""
+    alone.  The bytes ``fingerprint()`` hashes are patched too; the hash
+    must equal a fresh build's and ``fingerprint_adjacency`` over the rows."""
 
     @staticmethod
     def _fresh(mutable) -> HeteroGraph:
@@ -298,6 +299,57 @@ class TestPatchedSnapshots:
                 )
         for node, pairs in flat.label_degrees.items():
             assert pairs == fresh.label_degrees_of(node), node
+        self._assert_fingerprint_is_fresh(mutable)
+
+    def _assert_fingerprint_is_fresh(self, mutable) -> None:
+        from repro.core.graph import fingerprint_adjacency
+
+        rows = (mutable.neighbors(node) for node in range(mutable.num_nodes))
+        fingerprint = mutable.fingerprint()
+        assert fingerprint == self._fresh(mutable).fingerprint()
+        assert fingerprint == fingerprint_adjacency(mutable.labelset, mutable.flat().labels, rows)
+
+    @staticmethod
+    def _mutable(seed: int):
+        from repro.core.graph import MutableHeteroGraph
+        from repro.datasets.synthetic import affinity_graph
+
+        return MutableHeteroGraph.from_graph(affinity_graph(
+            label_sizes={"a": 12, "b": 10, "c": 8},
+            affinity={("a", "b"): 1.0, ("b", "c"): 0.7, ("a", "c"): 0.3},
+            mean_degree=3.0,
+            rng=np.random.default_rng(seed),
+        ))
+
+    def test_remove_passing_the_last_id_keeps_the_fingerprint_fresh(self):
+        mutable = self._mutable(6)
+        mutable.fingerprint()  # the body is built, then patched
+        flat, ids = mutable.flat(), mutable.node_ids
+        last = len(flat.edge_u) - 1
+        u, v = flat.edge_u[0], flat.edge_v[0]
+        moved = (flat.edge_u[last], flat.edge_v[last])
+        mutable.remove_edge(ids[u], ids[v])
+        flat = mutable.flat()
+        assert (flat.edge_u[0], flat.edge_v[0]) == moved  # id 0 passed on
+        self._assert_matches_fresh(mutable)
+        mutable.add_edge(ids[v], ids[u])
+        self._assert_matches_fresh(mutable)
+
+    def test_unpickled_graph_fingerprints_after_a_write(self):
+        import pickle
+
+        mutable = self._mutable(7)
+        ids = mutable.node_ids
+        u, v = next(iter(mutable.edges()))
+        mutable.remove_edge(ids[u], ids[v])
+        fingerprint = mutable.fingerprint()
+        clone = pickle.loads(pickle.dumps(mutable))
+        assert getattr(clone, "_bytes", None) is None  # the body is not pickled
+        assert clone.fingerprint() == fingerprint
+        for graph in (mutable, clone):
+            graph.add_edge(ids[u], ids[v])
+            self._assert_fingerprint_is_fresh(graph)
+        assert clone.fingerprint() == mutable.fingerprint() != fingerprint
 
     def test_random_mutations_match_a_fresh_build(self):
         import copy

@@ -25,6 +25,7 @@ from repro.obs import fresh_telemetry
 from repro.runtime import ArtifactStore
 from repro.runtime.store import STAGE_CENSUS
 from repro.serve import FeatureService, ServeConfig, repair_ball
+from repro.serve import repair as repair_module
 from repro.serve import service as service_module
 from repro.serve.repair import edge_census
 from repro.serve.service import VARIANTS
@@ -334,6 +335,23 @@ class TestCentroidPatch:
         patched = service._centroids
         service._centroids = None
         assert patched == service._build_centroids()
+
+
+@pytest.fixture
+def tiny_shape_memo(monkeypatch):
+    """The write path's shape memo, cleared every two shapes."""
+    monkeypatch.setattr(repair_module, "SHAPE_CODES_CAP", 2)
+
+
+@pytest.mark.usefixtures("tiny_shape_memo")
+class TestIncrementalParityTinyShapeMemo(TestIncrementalParity):
+    """Clearing the shape memo only costs re-encodes: parity holds, hub
+    flips included."""
+
+
+@pytest.mark.usefixtures("tiny_shape_memo")
+class TestCentroidPatchTinyShapeMemo(TestCentroidPatch):
+    """The centroid patches, with the shape memo cleared every two shapes."""
 
 
 class _CountingStore(ArtifactStore):

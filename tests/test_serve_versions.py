@@ -23,6 +23,7 @@ import pytest
 from repro.core.graph import HeteroGraph, MutableHeteroGraph
 from repro.obs import fresh_telemetry
 from repro.serve import FeatureService, ServeConfig, ServeDaemon
+from repro.serve import repair as repair_module
 from repro.serve import service as service_module
 from repro.serve.service import VARIANTS, _cosine, _norm
 
@@ -89,24 +90,31 @@ def _reference_rank(service: FeatureService, node, k: int) -> dict:
 
 
 def _assert_version_is_cold(service: FeatureService) -> None:
-    """The published version equals a cold recompute on a fresh graph."""
-    version = service._version
+    """The published version equals a cold recompute on a fresh graph.
+
+    Live counters are keyed by column id; the service's code table maps
+    them back to codes."""
+    version, codes = service._version, service._columns.codes
+
+    def by_code(pairs) -> dict:
+        return {codes[col]: count for col, count in pairs}
+
     cold = FeatureService(_rebuilt(service.graph), service.config)
     assert version.fingerprint == cold.graph.fingerprint()
     assert len(version.flat.edge_u) == cold.graph.num_edges
     for variant in VARIANTS:
         for root, census in version.counters[variant].items():
-            assert dict(census) == dict(cold.census(variant, root)), (variant, root)
+            assert by_code(census.items()) == dict(cold.census(variant, root)), (variant, root)
     # The rank matrix holds exactly the plain counters, with their norms,
     # and keeps its stale entries below the live ones.
-    rows, code_of = version.rows, {col: code for code, col in service._columns.items()}
+    rows = version.rows
     lengths = rows.ends - rows.starts
     assert len(rows.data) <= 2 * lengths.sum()
     assert set(np.flatnonzero(rows.tracked).tolist()) == set(version.counters["plain"])
     for root, census in version.counters["plain"].items():
         start, end = rows.starts[root], rows.ends[root]
         entries = zip(rows.indices[start:end].tolist(), rows.data[start:end].tolist())
-        assert {code_of[col]: count for col, count in entries} == dict(census)
+        assert by_code(entries) == by_code(census.items())
         assert rows.norms[root] == _norm(census)
     if version.centroids is not None:
         expected: dict = {}
@@ -163,6 +171,59 @@ class TestPublishedVersions:
         # The memoised answer went stale with its census: no stale hit.
         cold = FeatureService(_rebuilt(service.graph), service.config)
         assert service.features(node) == cold.features(node) != answer
+
+
+class TestCodeTable:
+    """Live censuses, deltas, centroids and rank rows are keyed by column id
+    in one append-only code table; codes come back at the API edge."""
+
+    @pytest.mark.parametrize("dmax", [None, 3], ids=["no-dmax", "dmax3"])
+    def test_answers_after_writes_equal_a_cold_service(self, dmax):
+        service = FeatureService(_graph(seed=6), ServeConfig(emax=3, dmax=dmax))
+        service.warm()
+        table = service._columns
+        codes = list(table.codes)
+        with fresh_telemetry() as telemetry:
+            for write in _writes(service.graph, 16, seed=4):
+                service.handle(write)
+        # Append-only: earlier columns keep their codes.
+        assert table.codes[: len(codes)] == codes
+        assert [table[code] for code in table.codes] == list(range(len(table)))
+        assert telemetry.gauges["serve/codes"] == len(table) > 0
+        cold = FeatureService(_rebuilt(service.graph), service.config)
+        for root, node in enumerate(service.graph.node_ids):
+            for variant in VARIANTS:
+                assert service.census(variant, root) == cold.census(variant, root)
+            for masked in (False, True):
+                assert service.features(node, masked=masked) == cold.features(node, masked=masked)
+
+    def test_shape_memo_is_shared_and_capped(self, monkeypatch):
+        service = FeatureService(_graph(seed=7), ServeConfig(emax=2, dmax=3))
+        service.warm()
+        writes = _writes(service.graph, 12, seed=8)
+        service.handle(writes[0])
+        shapes = service._columns.shapes
+        assert shapes  # kept across writes
+        monkeypatch.setattr(repair_module, "SHAPE_CODES_CAP", 2)
+        for write in writes[1:]:
+            service.handle(write)
+            assert len(shapes) <= 2
+        _assert_version_is_cold(service)
+
+    def test_old_versions_rank_rows_stay_unchanged(self):
+        service = FeatureService(_graph(seed=3), ServeConfig(emax=2, dmax=3))
+        service.warm()
+        service.label(service.graph.node_ids[0])
+        old = service._version
+        arrays = {name: getattr(old.rows, name).copy() for name in vars(old.rows)}
+        centroids = {label: Counter(c) for label, c in old.centroids.items()}
+        counters = {v: {r: Counter(c) for r, c in old.counters[v].items()} for v in VARIANTS}
+        for write in _writes(service.graph, 10, seed=9):
+            service.handle(write)
+        assert service._version.rows is not old.rows
+        for name, array in arrays.items():
+            assert np.array_equal(getattr(old.rows, name), array), name
+        assert old.centroids == centroids and old.counters == counters
 
 
 class TestRankScores:
