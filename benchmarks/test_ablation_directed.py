@@ -10,9 +10,9 @@ censuses cannot see them at all.
 
 import numpy as np
 
-from repro.core import CensusConfig, HeteroGraph, subgraph_census
+from repro.core import CensusConfig, subgraph_census
 from repro.core.features import FeatureSpace
-from repro.extensions import EdgeTypedGraph, directed_census_matrix
+from repro.extensions import EdgeTypedGraph, typed_subgraph_census
 from repro.ml import RandomForestClassifier, macro_f1, train_test_split
 
 
@@ -65,14 +65,13 @@ def test_ablation_directed_features(benchmark):
         # Directed (edge-typed) features.
         digraph = EdgeTypedGraph.from_directed(node_labels, directed_edges)
         nodes = list(range(digraph.num_nodes))
-        X_directed, _ = directed_census_matrix(digraph, nodes, max_edges=3)
+        typed = [typed_subgraph_census(digraph, v, max_edges=3) for v in nodes]
+        X_directed = FeatureSpace().fit(typed).to_matrix(typed)
 
-        # Undirected features on the shadow graph.
-        shadow = HeteroGraph.from_edges(node_labels, directed_edges)
+        # Undirected features: the typed graph is its own shadow.
         config = CensusConfig(max_edges=3)
-        censuses = [subgraph_census(shadow, v, config) for v in nodes]
-        space = FeatureSpace().fit(censuses)
-        X_undirected = space.to_matrix(censuses)
+        censuses = [subgraph_census(digraph, v, config) for v in nodes]
+        X_undirected = FeatureSpace().fit(censuses).to_matrix(censuses)
         return X_directed, X_undirected
 
     X_directed, X_undirected = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,7 +9,7 @@ undirected class into several directed ones.
 Run:  python examples/directed_citations.py
 """
 
-from repro.core import CensusConfig, HeteroGraph, code_to_string, subgraph_census
+from repro.core import CensusConfig, code_to_string, subgraph_census
 from repro.extensions import EdgeTypedGraph, typed_subgraph_census
 
 
@@ -29,16 +29,17 @@ def main() -> None:
         ("author", "recent-2"),     # authorship modelled as directed too
     ]
 
+    # The typed graph is also its own undirected shadow: a plain census
+    # over it ignores the roles.
     digraph = EdgeTypedGraph.from_directed(node_labels, directed_edges)
-    shadow = HeteroGraph.from_edges(node_labels, directed_edges)
     root_name = "classic"
 
     print("undirected census around", root_name)
     counts = subgraph_census(
-        shadow, shadow.index(root_name), CensusConfig(max_edges=2)
+        digraph, digraph.index(root_name), CensusConfig(max_edges=2)
     )
     for code, count in sorted(counts.items(), key=lambda kv: -kv[1]):
-        print(f"  {count} x {code_to_string(code, shadow.labelset)}")
+        print(f"  {count} x {code_to_string(code, digraph.labelset)}")
     print(f"  {len(counts)} classes")
 
     print("\ndirected census around", root_name)

@@ -296,33 +296,7 @@ class SyntheticMAG:
         the conference-year, and referenced papers up to
         ``reference_depth`` citation hops.
         """
-        paper_ids = set(self._papers_for(conference, year))
-        frontier = set(paper_ids)
-        for _ in range(reference_depth):
-            next_frontier = set()
-            for paper_id in frontier:
-                for ref in self.papers[paper_id].references:
-                    if ref not in paper_ids:
-                        next_frontier.add(ref)
-            paper_ids |= next_frontier
-            frontier = next_frontier
-
-        node_labels: dict[str, str] = {i: "I" for i in self.institutions}
-        edges: set[tuple[str, str]] = set()
-        # Sorted iteration keeps node index assignment deterministic across
-        # processes (set order is hash-randomised); embeddings align their
-        # random streams to node indices, so this matters for replay.
-        for paper_id in sorted(paper_ids):
-            paper = self.papers[paper_id]
-            node_labels[paper_id] = "P"
-            for author in paper.authors:
-                node_labels[author] = "A"
-                edges.add((author, paper_id))
-                for institution in self.author_affiliations[author]:
-                    edges.add((institution, author))
-            for ref in paper.references:
-                if ref in paper_ids:
-                    edges.add((paper_id, ref))
+        node_labels, edges = self._rank_network(conference, year, reference_depth)
         return HeteroGraph.from_edges(
             node_labels, edges, labelset=MAG_RANK_SCHEMA.labelset
         )
@@ -341,35 +315,50 @@ class SyntheticMAG:
         undirected features on it — the ablation bench reproduces that.
         """
         from repro.core.labels import LabelSet
-        from repro.extensions.edge_typed import EdgeTypedGraph, TypedEdge
+        from repro.extensions.edge_typed import EdgeTypedGraph
 
-        undirected = self.build_rank_graph(conference, year, reference_depth)
-        roleset = LabelSet(("out", "in", "und"))
-        out_role, in_role, und_role = 0, 1, 2
-
-        ids = undirected.node_ids
-        index_of = {node_id: i for i, node_id in enumerate(ids)}
-        labels = [undirected.label_of(i) for i in range(undirected.num_nodes)]
-        paper_label = undirected.labelset.index("P")
-        edges = []
-        for u, v in undirected.edges():
-            if labels[u] == paper_label and labels[v] == paper_label:
-                citing, cited = ids[u], ids[v]
-                # Orientation from the generator: the younger paper cites.
-                if cited in self.papers[citing].references:
-                    s, t = index_of[citing], index_of[cited]
-                else:
-                    s, t = index_of[cited], index_of[citing]
-                if s < t:
-                    edges.append(TypedEdge(s, t, out_role, in_role))
-                else:
-                    edges.append(TypedEdge(t, s, in_role, out_role))
-            else:
-                a, b = (u, v) if u < v else (v, u)
-                edges.append(TypedEdge(a, b, und_role, und_role))
-        return EdgeTypedGraph(
-            undirected.labelset, roleset, ids, labels, edges
+        node_labels, edges = self._rank_network(conference, year, reference_depth)
+        return EdgeTypedGraph.from_roles(
+            node_labels,
+            (pair + roles for pair, roles in edges.items()),
+            labelset=MAG_RANK_SCHEMA.labelset,
+            roleset=LabelSet(("out", "in", "und")),
         )
+
+    def _rank_network(
+        self, conference: str, year: int, reference_depth: int
+    ) -> tuple[dict[str, str], dict[tuple[str, str], tuple[str, str]]]:
+        """Node labels and edges of the rank network, each edge mapped to
+        its roles: ``("out", "in")`` from citing to cited paper,
+        ``("und", "und")`` otherwise."""
+        paper_ids = set(self._papers_for(conference, year))
+        frontier = set(paper_ids)
+        for _ in range(reference_depth):
+            next_frontier = set()
+            for paper_id in frontier:
+                for ref in self.papers[paper_id].references:
+                    if ref not in paper_ids:
+                        next_frontier.add(ref)
+            paper_ids |= next_frontier
+            frontier = next_frontier
+
+        node_labels: dict[str, str] = {i: "I" for i in self.institutions}
+        edges: dict[tuple[str, str], tuple[str, str]] = {}
+        # Sorted iteration keeps node index assignment deterministic across
+        # processes (set order is hash-randomised); embeddings align their
+        # random streams to node indices, so this matters for replay.
+        for paper_id in sorted(paper_ids):
+            paper = self.papers[paper_id]
+            node_labels[paper_id] = "P"
+            for author in paper.authors:
+                node_labels[author] = "A"
+                edges[(author, paper_id)] = ("und", "und")
+                for institution in self.author_affiliations[author]:
+                    edges[(institution, author)] = ("und", "und")
+            for ref in paper.references:
+                if ref in paper_ids:
+                    edges[(paper_id, ref)] = ("out", "in")
+        return node_labels, edges
 
     def build_label_graph(
         self,

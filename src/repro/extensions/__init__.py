@@ -5,8 +5,6 @@ from repro.extensions.edge_typed import (
     IN,
     OUT,
     EdgeTypedGraph,
-    TypedEdge,
-    directed_census_matrix,
     encode_typed_subgraph,
     typed_subgraph_census,
 )
@@ -15,8 +13,6 @@ __all__ = [
     "EdgeTypedGraph",
     "IN",
     "OUT",
-    "TypedEdge",
-    "directed_census_matrix",
     "encode_typed_subgraph",
     "typed_subgraph_census",
 ]

@@ -21,7 +21,6 @@ whose enumeration can *reach* the mutation may change
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Container, Mapping
 
 from repro.core.census import CensusConfig
@@ -46,11 +45,9 @@ class CodeTable(dict):
         column = self[code] = len(self.codes) - 1
         return column
 
-    def interned(self, census: Mapping) -> Counter:
+    def interned(self, census: Mapping) -> dict:
         """``census`` keyed by column id; its new codes join the table."""
-        counts = Counter()
-        dict.update(counts, zip(map(self.__getitem__, census), census.values()))
-        return counts
+        return dict(zip(map(self.__getitem__, census), census.values()))
 
 
 def repair_ball(
@@ -81,7 +78,7 @@ def repair_ball(
 def edge_census(
     flat: FlatAdjacency, width: int, seed: tuple[int, ...],
     configs: Mapping[str, CensusConfig], tracked: Mapping[str, Container[int]],
-    deltas: dict[str, dict[int, Counter]], table: CodeTable,
+    deltas: dict[str, dict[int, dict]], table: CodeTable,
     flipped: tuple[int, ...] = (),
 ) -> int:
     """Add into ``deltas`` what the sets grown out of ``seed`` change in
@@ -174,7 +171,8 @@ def edge_census(
                 if column is None:
                     labels = [width if i == at else x for i, x in enumerate(shape[0])]
                     column = known[at] = table[encode_subgraph(labels, edges, width + (at >= 0))]
-                variant_deltas[root][column] += step
+                delta = variant_deltas[root]
+                delta[column] = delta.get(column, 0) + step
 
     def grow(candidates: list, expanded_hub: int) -> None:
         bans = []

@@ -87,7 +87,7 @@ class ServeConfig:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
 
-def _cosine(a: Counter, b: Counter, norm_a: float, norm_b: float) -> float:
+def _cosine(a: dict, b: dict, norm_a: float, norm_b: float) -> float:
     if not norm_a or not norm_b:
         return 0.0
     if len(b) < len(a):
@@ -96,11 +96,11 @@ def _cosine(a: Counter, b: Counter, norm_a: float, norm_b: float) -> float:
     return dot / (norm_a * norm_b)
 
 
-def _norm(census: Counter) -> float:
+def _norm(census: dict) -> float:
     return math.sqrt(sum(count * count for count in census.values()))
 
 
-def _add_delta(counts: Counter, delta: dict, sign: int) -> None:
+def _add_delta(counts: dict, delta: dict, sign: int) -> None:
     """Add ``sign * delta`` into ``counts`` in place; keys that reach 0 go."""
     for code, n in delta.items():
         count = counts.get(code, 0) + sign * n
@@ -134,7 +134,7 @@ class _RankRows:
     norms: np.ndarray
     tracked: np.ndarray
 
-    def spliced(self, censuses: dict[int, Counter]) -> "_RankRows":
+    def spliced(self, censuses: dict[int, dict]) -> "_RankRows":
         """A copy with the rows of ``censuses`` (root -> live census) in place."""
         if not censuses:
             return self
@@ -182,7 +182,7 @@ class _Version:
 
     flat: FlatAdjacency
     fingerprint: str
-    counters: dict[str, dict[int, Counter]]
+    counters: dict[str, dict[int, dict]]
     rows: _RankRows
     centroids: dict[int, Counter] | None
 
@@ -231,7 +231,7 @@ class FeatureService:
         self._version = _Version(graph.flat(), graph.fingerprint(), counters, rows, None)
         # (variant, root) -> (live census, its features answer): a hit is
         # valid while that census object is the root's live one.
-        self._rendered: dict[tuple[str, int], tuple[Counter, dict]] = {}
+        self._rendered: dict[tuple[str, int], tuple[dict, dict]] = {}
         self.mutations = self.repaired_roots = self.migrated_roots = 0
 
     # -- plumbing ---------------------------------------------------------
@@ -402,8 +402,9 @@ class FeatureService:
         actual = self.graph.label_of(root)
         scores = {}
         for label, centroid in sorted(version.centroids.items()):
-            if label == actual:
-                centroid = centroid - query  # leave-one-out
+            if label == actual:  # leave-one-out
+                centroid = dict(centroid)
+                _add_delta(centroid, query, -1)
             scores[self.graph.labelset.name(label)] = _cosine(
                 query, centroid, query_norm, _norm(centroid)
             )
@@ -479,7 +480,7 @@ class FeatureService:
             with_edge, without = graph.flat(), before
         # The deltas of adding the edge; a remove subtracts them.
         width, configs, table = len(graph.labelset), self._census_configs, self._columns
-        deltas = {variant: defaultdict(Counter) for variant in VARIANTS}
+        deltas = {variant: defaultdict(dict) for variant in VARIANTS}
         tracked = self._tracked
         sets = edge_census(with_edge, width, (u, v), configs, tracked, deltas, table)
         flipped = tuple(w for w in (u, v) if without.degrees[w] == self.config.dmax)
@@ -499,8 +500,7 @@ class FeatureService:
             migrated += len(live) - affected
             repaired += affected
             for root, delta in deltas[variant].items():
-                census = censuses[variant][root] = Counter()
-                dict.update(census, live[root])  # a copy, minus Counter.update's overhead
+                census = censuses[variant][root] = dict(live[root])
                 _add_delta(census, delta, sign)
         self._publish(censuses, deltas["masked"], sign, flat=graph.flat(), fingerprint=new_fp)
         self.mutations += 1

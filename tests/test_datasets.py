@@ -469,25 +469,27 @@ class TestRankDigraph:
         in_role = digraph.roleset.index("in")
         und_role = digraph.roleset.index("und")
         paper = digraph.labelset.index("P")
-        for edge in digraph.edges():
-            lu = digraph.label_of(edge.u)
-            lv = digraph.label_of(edge.v)
+        flat = digraph.flat()
+        for u, v, (role_u, role_v) in zip(flat.edge_u, flat.edge_v, digraph.roles):
+            lu = digraph.label_of(u)
+            lv = digraph.label_of(v)
             if lu == paper and lv == paper:
-                assert {edge.role_u, edge.role_v} == {out_role, in_role}
+                assert {role_u, role_v} == {out_role, in_role}
             else:
-                assert edge.role_u == edge.role_v == und_role
+                assert role_u == role_v == und_role
 
     def test_citation_orientation_matches_references(self, small_mag):
         """The 'out' endpoint of a citation edge is the citing paper."""
         digraph = small_mag.build_rank_digraph("KDD", 2014)
         out_role = digraph.roleset.index("out")
         paper = digraph.labelset.index("P")
-        ids = [digraph._ids[i] for i in range(digraph.num_nodes)]
+        ids = digraph.node_ids
+        flat = digraph.flat()
         checked = 0
-        for edge in digraph.edges():
-            if digraph.label_of(edge.u) == paper and digraph.label_of(edge.v) == paper:
-                citing_idx = edge.u if edge.role_u == out_role else edge.v
-                cited_idx = edge.v if citing_idx == edge.u else edge.u
+        for u, v, (role_u, _) in zip(flat.edge_u, flat.edge_v, digraph.roles):
+            if digraph.label_of(u) == paper and digraph.label_of(v) == paper:
+                citing_idx = u if role_u == out_role else v
+                cited_idx = v if citing_idx == u else u
                 citing, cited = ids[citing_idx], ids[cited_idx]
                 assert cited in small_mag.papers[citing].references
                 checked += 1

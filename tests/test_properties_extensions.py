@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.graph import HeteroGraph
 from repro.extensions.edge_typed import (
     EdgeTypedGraph,
-    TypedEdge,
     encode_typed_subgraph,
     typed_subgraph_census,
 )
