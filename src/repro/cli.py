@@ -53,6 +53,7 @@ from repro.core import (
 )
 from repro.core.census import effective_labelset
 from repro.io import read_edgelist, read_graph_json, write_features_json
+from repro.io.stream import DEFAULT_CHUNK_EDGES
 from repro.obs import (
     add_logging_args,
     configure_logging,
@@ -660,10 +661,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument(
         "--chunk-edges",
         type=int,
-        default=1 << 18,
+        default=DEFAULT_CHUNK_EDGES,
         metavar="N",
-        help="edges sorted per in-memory run; bounds the ingester's "
-        "working set (see docs/out_of_core.md)",
+        help="edges per sorted run; each merge block holds about as many "
+        "records as a run.  Bounds the ingester's working set, not "
+        "its output (see docs/out_of_core.md; default: %(default)s)",
     )
     p_ingest.add_argument(
         "--no-ids",

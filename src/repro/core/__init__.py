@@ -23,7 +23,6 @@ from repro.core.graph import (
     FlatGraph,
     HeteroGraph,
     MutableHeteroGraph,
-    fingerprint_adjacency,
 )
 from repro.core.mmap_graph import MmapGraph
 from repro.core.sparse import CSRMatrix
@@ -51,7 +50,6 @@ __all__ = [
     "FeatureSpace",
     "FlatAdjacency",
     "FlatGraph",
-    "fingerprint_adjacency",
     "HeteroGraph",
     "MmapGraph",
     "LabelConnectivity",

@@ -249,23 +249,13 @@ class FlatGraph:
         )
 
 
-def fingerprint_adjacency(labelset: LabelSet, labels, rows: Iterable) -> str:
-    """The graph content hash: alphabet, labels, adjacency rows.
-
-    ``labels`` is any int sequence; ``rows`` yields each node's (label,
-    index)-sorted neighbour sequence, in node order.  The ``.hmg``
-    ingester streams its rows through here, and
-    :meth:`FlatGraph.fingerprint` hashes the same bytes as one buffer,
-    which is what lets censuses of the same structure share store entries
-    on either storage.
-    """
-    body = chain.from_iterable((np.asarray(row, dtype=np.int64), b"|") for row in rows)
-    return _digest(labelset, labels, body)
-
-
 def _digest(labelset: LabelSet, labels, body: Iterable) -> str:
     """Hash the alphabet, ``labels`` and ``body``: buffers that join to
-    every row's int64 bytes, each row followed by ``b"|"``."""
+    every row's int64 bytes, each row followed by ``b"|"``.
+
+    :meth:`FlatGraph.fingerprint` passes one buffer and the ``.hmg``
+    ingester one per merge block, so censuses of the same structure share
+    store entries on either storage."""
     digest = hashlib.blake2b(digest_size=16)
     digest.update(repr(tuple(labelset.names)).encode())
     digest.update(np.asarray(labels, dtype=np.int64).tobytes())

@@ -71,6 +71,9 @@ HMG_SUFFIX = ".hmg"
 
 _PREAMBLE = struct.Struct("<8sQ")
 _ITEM = 8  # bytes per int64 array element
+#: Bytes per ``write()``: larger writes leave larger page-cache folios,
+#: and a later mapping of the file counts whole folios as resident.
+_WRITE_BYTES = 1 << 19
 
 #: Array sections in file order: (name, count as f(num_nodes, num_edges)).
 _SECTIONS = (
@@ -423,8 +426,7 @@ class HmgWriter:
             raise GraphError(
                 f"section {name!r} overflow: {done + chunk.size} > {count}"
             )
-        self._handle.seek(offset + done * _ITEM)
-        self._handle.write(chunk.tobytes())
+        self._write(offset + done * _ITEM, chunk.view(np.uint8))
         self._written[name] = done + chunk.size
 
     def append_blob(self, name: str, data: bytes) -> None:
@@ -435,9 +437,14 @@ class HmgWriter:
             raise GraphError(
                 f"section {name!r} overflow: {done + len(data)} > {nbytes}"
             )
-        self._handle.seek(offset + done)
-        self._handle.write(data)
+        self._write(offset + done, data)
         self._written[name] = done + len(data)
+
+    def _write(self, offset: int, data) -> None:
+        view = memoryview(data)  # bytes
+        self._handle.seek(offset)
+        for start in range(0, len(view), _WRITE_BYTES):
+            self._handle.write(view[start: start + _WRITE_BYTES])
 
     def finalize(self, fingerprint: str) -> Path:
         """Patch the fingerprint in, fsync, and atomically publish."""

@@ -6,10 +6,11 @@ size (the RSS model is asserted end to end by
 
 * :func:`build_mmap_graph` — a two-pass external-sort ingester turning a
   labelled edge list of arbitrary size into a ``.hmg`` file
-  (:mod:`repro.core.mmap_graph`) in bounded memory: edges are spilled to
-  sorted chunk runs and k-way merged, so the full adjacency never exists
-  in RAM.  Memory is O(nodes) for labels/degrees/id lookup plus
-  O(chunk_edges) for the run being sorted — never O(edges).
+  (:mod:`repro.core.mmap_graph`) in bounded memory: numpy spills each
+  chunk of edges as one sorted run, then merges the runs one block of
+  whole source rows at a time, so the full adjacency never exists in
+  RAM.  Memory is O(nodes) for labels/degrees/ids plus O(chunk_edges)
+  for the run or block in hand — never O(edges).
 * :func:`write_mmap_graph` — dumps an in-memory graph to the same
   format (conversion hook for ``--mmap-graph`` on existing pipelines).
 * :func:`census_stream` — a chunked root-batch driver: roots are
@@ -24,9 +25,9 @@ size (the RSS model is asserted end to end by
 from __future__ import annotations
 
 import atexit
-import heapq
 import os
 import tempfile
+from array import array
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from repro.core.census import CensusConfig
 from repro.core.features import SubgraphFeatureExtractor
-from repro.core.graph import fingerprint_adjacency
+from repro.core.graph import _digest
 from repro.core.labels import LabelSet
 from repro.core.mmap_graph import HMG_SUFFIX, HmgWriter, MmapGraph, encode_node_ids
 from repro.exceptions import FeatureError, GraphError
@@ -43,10 +44,13 @@ from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import RunContext
 
 #: Undirected edges per external-sort run (each run holds both
-#: orientations, i.e. ``2 * chunk`` records of four int64s).
+#: orientations, i.e. ``2 * chunk`` records of four int64s); the merge
+#: block holds about as many records.
 DEFAULT_CHUNK_EDGES = 1 << 18
 
-_FLUSH_VALUES = 1 << 16  # buffered int64s before a sequential write
+_FLUSH_VALUES = 1 << 16  # int64s per read of the endpoint file
+
+_NO_RECORDS = np.empty((0, 4), dtype=np.int64)  # (src, dst_label, dst, edge_id)
 
 
 def write_mmap_graph(graph, path, *, store_ids: bool = True) -> Path:
@@ -119,64 +123,42 @@ def to_mmap_graph(graph, out_path=None, *, store_ids: bool = True) -> MmapGraph:
     return MmapGraph(write_mmap_graph(graph, out_path, store_ids=store_ids))
 
 
-class _EdgeSpiller:
-    """Accumulates directed edge records and spills sorted runs to disk.
+class _Run:
+    """One sorted run in the shared runs file, read front to back.
 
-    Records are ``(src, dst_label, dst, edge_id)`` — sorting a run by
-    its first three fields and k-way merging all runs yields the final
-    flat adjacency in exactly the census order (per node, neighbours
-    sorted by label then index) in one sequential sweep.
+    ``carry`` holds the records read past the last block's end, so a
+    run keeps at most one read piece between blocks, and no run stays
+    mapped: ``ru_maxrss`` would count a mapped run's pages.
     """
 
-    def __init__(self, tmp_dir: Path, chunk_edges: int) -> None:
-        self._dir = tmp_dir
-        self._limit = 2 * chunk_edges
-        self._src: list[int] = []
-        self._lbl: list[int] = []
-        self._dst: list[int] = []
-        self._eid: list[int] = []
-        self.runs: list[Path] = []
+    def __init__(self, start: int, stop: int) -> None:
+        self.next, self.stop = start, stop
+        self.carry = _NO_RECORDS
 
-    def add(self, src: int, dst: int, dst_label: int, eid: int) -> None:
-        self._src.append(src)
-        self._lbl.append(dst_label)
-        self._dst.append(dst)
-        self._eid.append(eid)
-        if len(self._src) >= self._limit:
-            self.flush()
+    def take(self, handle, src_end: int, piece: int) -> np.ndarray:
+        """This run's next records, up to the first with ``src >= src_end``."""
+        if len(self.carry) and self.carry[0, 0] >= src_end:
+            return _NO_RECORDS
+        parts = [self.carry]
+        while self.next < self.stop and (not len(parts[-1]) or parts[-1][-1, 0] < src_end):
+            count = min(piece, self.stop - self.next)
+            handle.seek(32 * self.next)  # four int64s a record
+            parts.append(np.fromfile(handle, dtype=np.int64, count=4 * count).reshape(-1, 4))
+            self.next += count
+        records = np.concatenate(parts)
+        cut = int(np.searchsorted(records[:, 0], src_end))
+        self.carry = records[cut:].copy()
+        return records[:cut]
 
-    def flush(self) -> None:
-        if not self._src:
-            return
-        arr = np.empty((len(self._src), 4), dtype=np.int64)
-        arr[:, 0] = self._src
-        arr[:, 1] = self._lbl
-        arr[:, 2] = self._dst
-        arr[:, 3] = self._eid
-        order = np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0]))
-        run_path = self._dir / f"run-{len(self.runs):06d}.npy"
-        np.save(run_path, arr[order])
-        self.runs.append(run_path)
-        self._src.clear()
-        self._lbl.clear()
-        self._dst.clear()
-        self._eid.clear()
 
-    def merged(self) -> Iterator[list]:
-        """All records across runs in ``(src, label, dst)`` order.
-
-        Merge memory is ``O(runs * block)`` decoded records — every run
-        keeps one block buffered — so the block is kept small; the runs
-        themselves stay on disk behind ``np.load(mmap_mode="r")``.
-        """
-        self.flush()
-
-        def rows(path: Path, block: int = 2048) -> Iterator[list]:
-            arr = np.load(path, mmap_mode="r")
-            for start in range(0, arr.shape[0], block):
-                yield from arr[start: start + block].tolist()
-
-        return heapq.merge(*(rows(path) for path in self.runs))
+def _pieces(path: Path) -> Iterator[np.ndarray]:
+    """The int64s of a scratch file, ``_FLUSH_VALUES`` at a time."""
+    with open(path, "rb") as handle:
+        while True:
+            piece = np.fromfile(handle, dtype=np.int64, count=_FLUSH_VALUES)
+            if not piece.size:
+                return
+            yield piece
 
 
 def build_mmap_graph(
@@ -193,19 +175,23 @@ def build_mmap_graph(
     Two passes, both in bounded memory:
 
     1. one sweep over the file (via the shared line parser
-       :func:`repro.io.edgelist.iter_edgelist`) collects node
-       labels/degrees, assigns edge ids in file order, and spills both
-       orientations of every edge into lexsorted runs of at most
-       ``2 * chunk_edges`` records;
-    2. a k-way merge of the runs emits the flat adjacency in census
-       order, writing ``neighbors``/``edge_ids`` sequentially while
-       folding each row into the graph fingerprint — the same content
-       hash the in-memory graph computes, so both storages share
-       ArtifactStore keys.
+       :func:`repro.io.edgelist.iter_edgelist`) collects node labels and
+       ids and buffers edges as index pairs, numbered in file order;
+       every ``chunk_edges`` edges it writes their ``(lo, hi)``
+       endpoints (the ``edge_u``/``edge_v`` sections, and the degrees)
+       and spills both orientations as one run sorted by
+       ``(src, dst_label, dst)``;
+    2. a block merge takes, for each block of whole source rows (about
+       ``2 * chunk_edges`` records), every run's records for it, lexsorts
+       them into census order and writes ``neighbors``/``edge_ids``,
+       hashing each block as it goes — the same content hash the
+       in-memory graph computes, so both storages share ArtifactStore
+       keys.
 
     Malformed lines, duplicate/undeclared nodes, and self loops are
     reported with their line number; duplicate edges are caught during
-    the merge.  The output file appears atomically (temp + rename).
+    the merge and named by their endpoints.  The output file appears
+    atomically (temp + rename) and does not depend on ``chunk_edges``.
     Returns the written path.
     """
     if chunk_edges < 1:
@@ -221,26 +207,33 @@ def build_mmap_graph(
     label_names: list[str] = [] if derive_labels else list(labelset.names)
     ids: list = []
     index_of: dict = {}
-    labels: list[int] = []
-    degrees: list[int] = []
+    labels = array("q")
+    pairs = array("q")  # the chunk's edges, interleaved (u, v) indices
+    run_ends: list[int] = []  # cumulative record count after each run
 
     with tempfile.TemporaryDirectory(
         prefix="hmg-ingest-", dir=tmp_dir
     ) as scratch_name:
         scratch = Path(scratch_name)
-        spiller = _EdgeSpiller(scratch, chunk_edges)
+        endpoints_path, runs_path = scratch / "endpoints.bin", scratch / "runs.bin"
         num_edges = 0
-        endpoint_buf: list[int] = []  # interleaved (u, v) pairs
-        endpoints_path = scratch / "endpoints.bin"
 
-        with telemetry.span("ingest/scan"), open(endpoints_path, "wb") as endpoints:
+        with telemetry.span("ingest/scan"), open(endpoints_path, "wb") as endpoints, open(
+            runs_path, "wb"
+        ) as runs:
 
-            def flush_endpoints() -> None:
-                if endpoint_buf:
-                    endpoints.write(
-                        np.asarray(endpoint_buf, dtype="<i8").tobytes()
-                    )
-                    endpoint_buf.clear()
+            def flush() -> None:
+                uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+                del pairs[:]
+                np.sort(uv, axis=1).tofile(endpoints)
+                eid = np.arange(num_edges - len(uv), num_edges)
+                src = np.concatenate((uv[:, 0], uv[:, 1]))
+                dst = np.concatenate((uv[:, 1], uv[:, 0]))
+                lbl = np.frombuffer(labels, dtype=np.int64)[dst]
+                order = np.lexsort((dst, lbl, src))
+                run = np.stack((src, lbl, dst, np.concatenate((eid, eid))), axis=1)
+                run[order].tofile(runs)
+                run_ends.append((run_ends[-1] if run_ends else 0) + len(run))
 
             for kind, line_number, first, second in iter_edgelist(edgelist_path):
                 if kind == "v":
@@ -261,7 +254,6 @@ def build_mmap_graph(
                     index_of[first] = len(ids)
                     ids.append(first)
                     labels.append(label)
-                    degrees.append(0)
                     continue
                 if first == second:
                     raise GraphError(
@@ -269,31 +261,27 @@ def build_mmap_graph(
                         f"{first!r} is not allowed"
                     )
                 try:
-                    ui, vi = index_of[first], index_of[second]
+                    pairs.append(index_of[first])
+                    pairs.append(index_of[second])
                 except KeyError as exc:
                     raise GraphError(
                         f"{edgelist_path}:{line_number}: edge references "
                         f"undeclared node {exc.args[0]!r}"
                     ) from None
-                eid = num_edges
                 num_edges += 1
-                degrees[ui] += 1
-                degrees[vi] += 1
-                spiller.add(ui, vi, labels[vi], eid)
-                spiller.add(vi, ui, labels[ui], eid)
-                lo, hi = (ui, vi) if ui < vi else (vi, ui)
-                endpoint_buf.append(lo)
-                endpoint_buf.append(hi)
-                if len(endpoint_buf) >= _FLUSH_VALUES:
-                    flush_endpoints()
-            flush_endpoints()
+                if len(pairs) >= 2 * chunk_edges:
+                    flush()
+            if pairs:
+                flush()
+        del index_of
 
         num_nodes = len(ids)
-        labels_arr = np.asarray(labels, dtype=np.int64)
-        degrees_arr = np.asarray(degrees, dtype=np.int64)
+        labels_arr = np.frombuffer(labels, dtype=np.int64)
+        degrees = np.zeros(num_nodes, dtype=np.int64)
+        for piece in _pieces(endpoints_path):
+            degrees += np.bincount(piece, minlength=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(degrees_arr, out=indptr[1:])
-        del labels, degrees
+        np.cumsum(degrees, out=indptr[1:])
 
         ids_blob_len = None
         id_offsets = id_blob = None
@@ -310,22 +298,14 @@ def build_mmap_graph(
         )
         try:
             writer.append("labels", labels_arr)
-            writer.append("degrees", degrees_arr)
+            writer.append("degrees", degrees)
             writer.append("indptr", indptr)
-
             with telemetry.span("ingest/merge"):
-                fingerprint = _merge_adjacency(
-                    writer, spiller, labels_arr, degrees_arr,
-                    LabelSet(tuple(label_names)), ids, num_nodes,
-                )
-
-            with open(endpoints_path, "rb") as handle:
-                while True:
-                    block = np.fromfile(handle, dtype="<i8", count=_FLUSH_VALUES)
-                    if block.size == 0:
-                        break
-                    writer.append("edge_u", block[0::2])
-                    writer.append("edge_v", block[1::2])
+                blocks = _merge_blocks(writer, runs_path, run_ends, indptr, 2 * chunk_edges, ids)
+                fingerprint = _digest(LabelSet(tuple(label_names)), labels_arr, blocks)
+            for piece in _pieces(endpoints_path):
+                writer.append("edge_u", piece[0::2])
+                writer.append("edge_v", piece[1::2])
             if store_ids:
                 writer.append("id_offsets", id_offsets)
                 writer.append_blob("id_blob", id_blob)
@@ -336,62 +316,43 @@ def build_mmap_graph(
 
     telemetry.count("ingest/nodes", num_nodes)
     telemetry.count("ingest/edges", num_edges)
-    telemetry.count("ingest/sort_runs", len(spiller.runs))
+    telemetry.count("ingest/sort_runs", len(run_ends))
     return result
 
 
-def _merge_adjacency(
+def _merge_blocks(
     writer: HmgWriter,
-    spiller: _EdgeSpiller,
-    labels_arr: np.ndarray,
-    degrees_arr: np.ndarray,
-    labelset: LabelSet,
+    runs_path: Path,
+    run_ends: list[int],
+    indptr: np.ndarray,
+    block: int,
     ids: list,
-    num_nodes: int,
-) -> str:
-    """K-way merge the sorted runs into the CSR sections; return the
-    graph fingerprint (folded row by row as the rows are written)."""
-
-    neigh_buf: list[int] = []
-    eid_buf: list[int] = []
-
-    def flush() -> None:
-        if neigh_buf:
-            writer.append("neighbors", neigh_buf)
-            neigh_buf.clear()
-            writer.append("edge_ids", eid_buf)
-            eid_buf.clear()
-
-    def rows() -> Iterator[np.ndarray]:
-        current = 0
-        row: list[int] = []
-        prev_dst = -1
-        for src, _dst_label, dst, eid in spiller.merged():
-            if src != current:
-                while current < src:
-                    yield np.asarray(row, dtype=np.int64)
-                    row = []
-                    prev_dst = -1
-                    current += 1
-            elif dst == prev_dst:
-                raise GraphError(
-                    f"duplicate edge ({ids[src]!r}, {ids[dst]!r})"
-                )
-            row.append(dst)
-            prev_dst = dst
-            neigh_buf.append(dst)
-            eid_buf.append(eid)
-            if len(neigh_buf) >= _FLUSH_VALUES:
-                flush()
-        while current < num_nodes:
-            yield np.asarray(row, dtype=np.int64)
-            row = []
-            prev_dst = -1
-            current += 1
-
-    fingerprint = fingerprint_adjacency(labelset, labels_arr, rows())
-    flush()
-    return fingerprint
+) -> Iterator[np.ndarray]:
+    """Merge the sorted runs into ``neighbors``/``edge_ids``, one block
+    of whole source rows (about ``block`` records) at a time; yield each
+    block's fingerprint body: its int64 row bytes, ``b"|"`` after each row."""
+    runs = [_Run(start, stop) for start, stop in zip([0] + run_ends[:-1], run_ends)]
+    piece = max(1, block // max(1, len(runs)))
+    num_nodes = len(indptr) - 1
+    start = 0
+    with open(runs_path, "rb") as handle:
+        while start < num_nodes:
+            stop = int(np.searchsorted(indptr, indptr[start] + block, side="right")) - 1
+            stop = max(start + 1, stop)
+            parts = [run.take(handle, stop, piece) for run in runs]
+            records = np.concatenate([_NO_RECORDS] + parts)
+            order = np.lexsort((records[:, 2], records[:, 1], records[:, 0]))
+            src, dst, eid = records[order, 0], records[order, 2], records[order, 3]
+            dup = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
+            if dup.size:
+                at = dup[0]
+                raise GraphError(f"duplicate edge ({ids[src[at]]!r}, {ids[dst[at]]!r})")
+            writer.append("neighbors", dst)
+            writer.append("edge_ids", eid)
+            row_ends = 8 * (indptr[start + 1: stop + 1] - indptr[start])
+            yield np.insert(dst.view(np.uint8), row_ends, ord("|"))
+            start = stop
+            runs = [run for run in runs if run.next < run.stop or len(run.carry)]
 
 
 def census_stream(

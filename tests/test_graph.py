@@ -1,5 +1,6 @@
 """Unit tests for the HeteroGraph data structure."""
 
+import hashlib
 from itertools import accumulate
 
 import numpy as np
@@ -8,6 +9,19 @@ import pytest
 from repro.core.graph import HeteroGraph
 from repro.core.labels import LabelSet
 from repro.exceptions import GraphError
+
+
+def fingerprint_adjacency(labelset: LabelSet, labels, rows) -> str:
+    """The graph content hash in row form: alphabet, labels, then each
+    row's int64 bytes followed by ``b"|"`` (a reference for
+    :meth:`FlatGraph.fingerprint`, which hashes the rows as one buffer)."""
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(repr(tuple(labelset.names)).encode())
+    digest.update(np.asarray(labels, dtype=np.int64).tobytes())
+    for row in rows:
+        digest.update(np.asarray(row, dtype=np.int64).tobytes())
+        digest.update(b"|")
+    return digest.hexdigest()
 
 
 class TestConstruction:
@@ -302,8 +316,6 @@ class TestPatchedSnapshots:
         self._assert_fingerprint_is_fresh(mutable)
 
     def _assert_fingerprint_is_fresh(self, mutable) -> None:
-        from repro.core.graph import fingerprint_adjacency
-
         rows = (mutable.neighbors(node) for node in range(mutable.num_nodes))
         fingerprint = mutable.fingerprint()
         assert fingerprint == self._fresh(mutable).fingerprint()

@@ -13,6 +13,7 @@ ingester's fingerprint/adjacency parity with ``read_edgelist``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 import random
@@ -31,7 +32,12 @@ from repro.core.sampled import SampledCensusConfig
 from repro.dist.remote import _graph_blob
 from repro.exceptions import FeatureError, GraphError
 from repro.io.edgelist import read_edgelist, write_edgelist
-from repro.io.stream import build_mmap_graph, census_stream, write_mmap_graph
+from repro.io.stream import (
+    DEFAULT_CHUNK_EDGES,
+    build_mmap_graph,
+    census_stream,
+    write_mmap_graph,
+)
 from repro.net.protocol import decode_blob
 from repro.runtime.context import RunContext
 from repro.runtime.store import ArtifactStore
@@ -39,6 +45,9 @@ from tests.oracles import reference_census
 
 #: Expected censuses per parity case: the library's, or the oracle's.
 CENSUS = {"fast": subgraph_census, "reference": reference_census}
+
+#: sha256 of the ``.hmg`` ingested from ``shuffled_edgelist(random_hetero_graph(81), ..., 81)``.
+INGEST_SHA256 = "2d749d544d91da8ce270edda767997905bd810cba47a8f6262251d037d12d3fa"
 
 
 def random_hetero_graph(seed: int) -> HeteroGraph:
@@ -368,8 +377,8 @@ class TestBuildMmapGraph:
         graph = random_hetero_graph(seed + 60)
         edgelist = tmp_path / "g.edges"
         write_edgelist(graph, edgelist)
-        # chunk_edges tiny on purpose: forces several spilled sort runs,
-        # so the k-way merge path is actually exercised.
+        # chunk_edges tiny on purpose: forces several sort runs and
+        # merge blocks, so the block merge is actually exercised.
         path = build_mmap_graph(edgelist, tmp_path / "g.hmg", chunk_edges=4)
         mg = MmapGraph(path)
         twin = read_edgelist(edgelist)
@@ -447,6 +456,63 @@ class TestBuildMmapGraph:
         edgelist.write_text("v a A\nv b B\ne a b\ne b a\n")
         with pytest.raises(GraphError, match=r"duplicate edge"):
             build_mmap_graph(edgelist, tmp_path / "dupe.hmg")
+
+    def test_duplicate_edge_across_runs(self, tmp_path):
+        # chunk_edges=1 puts each copy in its own sort run; the merge
+        # still has to meet them side by side.
+        edgelist = tmp_path / "dupe.edges"
+        edgelist.write_text("v a A\nv b B\nv c A\ne a b\ne a c\ne b a\n")
+        with pytest.raises(GraphError, match=r"duplicate edge \('a', 'b'\)"):
+            build_mmap_graph(edgelist, tmp_path / "dupe.hmg", chunk_edges=1)
+
+    def _assert_ingests_like_read_edgelist(self, edgelist, out, **kwargs):
+        mg = MmapGraph(build_mmap_graph(edgelist, out, **kwargs))
+        twin = read_edgelist(edgelist)
+        assert mg.fingerprint() == twin.fingerprint()
+        assert mg.node_ids == twin.node_ids
+        assert mg.num_edges == twin.num_edges
+        np.testing.assert_array_equal(mg.degrees(), twin.degrees())
+        for node in range(twin.num_nodes):
+            assert list(mg.neighbors(node)) == list(twin.neighbors(node))
+        assert list(mg.edges()) == list(twin.edges())
+        return mg
+
+    def test_nodes_and_no_edges(self, tmp_path):
+        edgelist = tmp_path / "bare.edges"
+        edgelist.write_text("v a A\nv b B\nv c A\n")
+        mg = self._assert_ingests_like_read_edgelist(edgelist, tmp_path / "bare.hmg")
+        assert mg.num_nodes == 3 and mg.num_edges == 0
+
+    def test_isolated_nodes_between_edge_lines(self, tmp_path):
+        edgelist = tmp_path / "iso.edges"
+        edgelist.write_text(
+            "v a A\nv b B\ne a b\nv c C\nv d A\ne d b\nv e B\ne a d\nv f C\n"
+        )
+        for chunk_edges in (1, 2, DEFAULT_CHUNK_EDGES):
+            mg = self._assert_ingests_like_read_edgelist(
+                edgelist, tmp_path / f"iso{chunk_edges}.hmg", chunk_edges=chunk_edges
+            )
+            assert [mg.degree(i) for i in range(6)] == [2, 2, 0, 2, 0, 0]
+
+    def test_hub_row_longer_than_a_merge_block(self, tmp_path):
+        nodes = {"hub": "A"} | {f"l{i}": "BC"[i % 2] for i in range(40)}
+        edges = [("hub", f"l{i}") for i in range(40)]
+        edges += [(f"l{i}", f"l{i + 1}") for i in range(0, 39, 3)]
+        edgelist = shuffled_edgelist(HeteroGraph.from_edges(nodes, edges), tmp_path, 3)
+        mg = self._assert_ingests_like_read_edgelist(
+            edgelist, tmp_path / "hub.hmg", chunk_edges=1
+        )
+        assert mg.degree(mg.index("hub")) == 40
+
+    def test_bytes_do_not_depend_on_chunk_edges(self, tmp_path):
+        edgelist = shuffled_edgelist(random_hetero_graph(81), tmp_path, 81)
+        blobs = [
+            build_mmap_graph(edgelist, tmp_path / f"c{chunk}.hmg", chunk_edges=chunk).read_bytes()
+            for chunk in (1, 4, DEFAULT_CHUNK_EDGES)
+        ]
+        assert blobs[0] == blobs[1] == blobs[2]
+        # Recorded from the heap-merge ingester this one replaced.
+        assert hashlib.sha256(blobs[0]).hexdigest() == INGEST_SHA256
 
     def test_rejects_bad_chunk_edges(self, tmp_path):
         edgelist = tmp_path / "g.edges"
